@@ -152,7 +152,7 @@ Status MineClosed(const TransactionDatabase& db, const MinerOptions& options,
   // returning, so all thread-local kernel counters are quiescent.
   const kernels::CounterSnapshot before = kernels::Counters();
   // Allocations of the driving thread during the mine are tagged kMine;
-  // IsTa's shard/merge workers open their own kIstaTree scopes.
+  // IsTa tags its prefix tree kIstaTree.
   obs::MemDomainScope mem_domain(obs::MemDomain::kMine);
   const Status status = MineClosedDispatch(db, options, callback, stats, trace);
   if (stats != nullptr) {

@@ -59,22 +59,22 @@ struct MinerOptions {
   ItemOrder item_order = ItemOrder::kFrequencyAscending;
   TransactionOrder transaction_order = TransactionOrder::kSizeAscending;
 
-  /// Worker threads for the algorithms that support parallel mining
-  /// (IsTa shards the transaction stream and merges repositories; LCM
-  /// fans out first-level subtrees). Other algorithms ignore it. Output
-  /// is identical to the sequential run for every thread count.
+  /// Worker threads for the algorithms that use them (IsTa recodes and
+  /// sorts its input in parallel and mines one repository; LCM fans out
+  /// first-level subtrees). Other algorithms ignore it. Output is
+  /// identical to the sequential run for every thread count.
   unsigned num_threads = 1;
 
   /// Optional per-thread event timeline (obs/timeline.h): the driving
   /// thread records its phases on the timeline's driver lane and every
-  /// worker thread (IsTa shards, merge reduction, recoding chunks)
+  /// worker thread (recoding chunks)
   /// registers its own lane, so a Chrome-trace export shows the real
   /// parallel schedule. Output-neutral like stats/trace. The timeline
   /// must outlive the call.
   obs::Timeline* timeline = nullptr;
 
   /// Optional per-domain hardware-counter attribution (obs/perf.h):
-  /// every IsTa shard and merge stage records a PerfDomainSample
+  /// IsTa's tree building records a PerfDomainSample
   /// (thread CPU + intersection steps, plus PMU deltas when the
   /// collector has hardware counting enabled and the kernel allows
   /// it). Feeds the `perf.domains` stats section and the fim-prof
@@ -99,7 +99,7 @@ struct MinerOptions {
 /// algorithm fills the fields of its family (see obs/miner_stats.h and
 /// docs/OBSERVABILITY.md) plus sets_reported. `trace` (optional)
 /// receives phase spans: a "mine" span for every algorithm, with IsTa's
-/// internal phases (recode, dedup, shard-mine, merge, report) nested
+/// internal phases (recode, dedup, shard-mine, report) nested
 /// below it. Instrumentation is output-neutral: the mined sets and
 /// their order are bit-identical whether stats/trace are requested or
 /// not, at every thread count.

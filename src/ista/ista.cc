@@ -1,9 +1,6 @@
 #include "ista/ista.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -19,18 +16,16 @@ namespace {
 
 /// Records the preprocessing structures that stay alive for the whole
 /// mining call: the recoded database, the weighted stream over it, and
-/// the per-worker remaining-occurrence tables.
+/// the remaining-occurrence table.
 void RecordPreprocessingMemory(obs::MemoryBreakdown* memory,
                                const TransactionDatabase& coded,
-                               std::size_t stream_bytes,
-                               std::size_t remaining_tables) {
+                               std::size_t stream_bytes) {
   if (memory == nullptr) return;
   obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
   coded_db.name = "recoded-db";
   memory->Record(std::move(coded_db));
   memory->RecordBytes("weighted-stream", stream_bytes);
-  memory->RecordBytes("remaining-tables",
-                      remaining_tables * coded.NumItems() * sizeof(Support));
+  memory->RecordBytes("remaining-tables", coded.NumItems() * sizeof(Support));
 }
 
 /// One entry of the mining stream: a recoded transaction plus its
@@ -59,27 +54,23 @@ std::vector<WeightedTransaction> BuildWeightedStream(
   return stream;
 }
 
-/// Mines the stream slice [start, end) into a private repository.
-/// `remaining` must hold the occurrence counts of every item over the
-/// whole coded database: only the slice's own occurrences are subtracted
-/// as it advances, so entries of other slices stay counted as
-/// "remaining" — exactly what makes the item-elimination pruning sound
-/// against supports that other slices may still contribute. The
-/// repository tracks its own peak/prune/isect statistics.
-IstaPrefixTree MineShard(const std::vector<WeightedTransaction>& stream,
-                         std::size_t start, std::size_t end,
-                         std::size_t num_items, std::vector<Support>* remaining,
-                         const IstaOptions& options,
-                         obs::TimelineLane* lane = nullptr) {
-  IstaPrefixTree tree(num_items);
+/// Mines the whole weighted stream into one repository. `remaining`
+/// starts as the occurrence count of every item over the coded database
+/// and loses each transaction's items as it is added, so it is exactly
+/// the bound item-elimination pruning needs (paper §3.2).
+IstaPrefixTree MineStream(const std::vector<WeightedTransaction>& stream,
+                          const TransactionDatabase& coded,
+                          const IstaOptions& options,
+                          obs::TimelineLane* lane) {
+  IstaPrefixTree tree(coded.NumItems());
+  std::vector<Support> remaining = coded.ItemFrequencies();
   std::size_t prune_threshold = options.prune_node_threshold;
-  for (std::size_t k = start; k < end; ++k) {
-    const WeightedTransaction& wt = stream[k];
+  for (const WeightedTransaction& wt : stream) {
     tree.AddTransaction(*wt.items, wt.weight);
-    for (ItemId i : *wt.items) (*remaining)[i] -= wt.weight;
+    for (ItemId i : *wt.items) remaining[i] -= wt.weight;
     if (options.item_elimination && tree.NodeCount() > prune_threshold) {
       obs::TimelineScope prune_scope(lane, "prune");
-      tree.Prune(options.min_support, *remaining);
+      tree.Prune(options.min_support, remaining);
       prune_threshold = std::max(prune_threshold, 2 * tree.NodeCount());
       prune_scope.End();
       if (lane != nullptr) {
@@ -147,177 +138,31 @@ Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
   dedup_phase.End();
   if (stats != nullptr) stats->weighted_transactions = stream.size();
 
-  // Remaining occurrences of each item over the full coded database; each
-  // worker subtracts only what it has processed itself.
-  const std::vector<Support> frequencies = coded.ItemFrequencies();
-
-  const std::size_t num_workers = std::min<std::size_t>(
-      std::max(1u, options.num_threads), stream.size());
-
   RecordPreprocessingMemory(options.memory, coded,
-                            stream.capacity() * sizeof(stream[0]),
-                            num_workers);
+                            stream.capacity() * sizeof(stream[0]));
 
-  if (num_workers <= 1) {
-    std::vector<Support> remaining = frequencies;
-    obs::Phase mine_phase(trace, lane, "shard-mine");
-    std::optional<IstaPrefixTree> tree_slot;
-    {
-      obs::PerfDomainScope shard_domain(options.perf_domains, "shard-0");
-      obs::MemDomainScope mem_domain(obs::MemDomain::kIstaTree);
-      tree_slot.emplace(MineShard(stream, 0, stream.size(), coded.NumItems(),
-                                  &remaining, options, lane));
-      shard_domain.AddWorkSteps(tree_slot->IsectSteps());
-    }
-    IstaPrefixTree& tree = *tree_slot;
-    mine_phase.End();
-    FIM_DCHECK_OK(tree.ValidateInvariants());
-    if (options.memory != nullptr) {
-      obs::MemoryComponent trees("prefix-trees");
-      trees.children.push_back(tree.ApproxMemoryUsage());
-      trees.children.back().name = "shard-0";
-      options.memory->Record(std::move(trees));
-    }
-    obs::Phase report_phase(trace, lane, "report");
-    ReportWithStats(tree, recoding, options.min_support, callback, stats);
-    return Status::OK();
-  }
-
-  // Parallel mode: contiguous slices of the size-ascending weighted
-  // stream. Identical transactions are adjacent in that order, so after
-  // duplicate merging no two shards hold copies of the same transaction,
-  // and neighbouring transactions overlap heavily, which keeps the shard
-  // repositories compact. Every worker owns its repository; no shared
-  // mutable state. Each worker prunes against the occurrences outside
-  // its own slice — a sound bound on what the other slices can still
-  // contribute — which keeps the shard repositories small; the max-plus
-  // Merge stays exact on pruned repositories.
-  std::vector<std::optional<IstaPrefixTree>> trees(num_workers);
-  std::vector<std::vector<Support>> remaining(num_workers);
-  {
-    obs::Phase mine_phase(trace, lane, "shard-mine");
-    std::vector<std::thread> workers;
-    workers.reserve(num_workers);
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&, w]() {
-        obs::TimelineLane* wlane =
-            timeline != nullptr
-                ? timeline->AddLane("ista-worker-" + std::to_string(w))
-                : nullptr;
-        obs::TimelineScope shard_scope(wlane, "shard-mine");
-        obs::PerfDomainScope shard_domain(options.perf_domains,
-                                          "shard-" + std::to_string(w));
-        obs::MemDomainScope mem_domain(obs::MemDomain::kIstaTree);
-        const std::size_t begin = w * stream.size() / num_workers;
-        const std::size_t end = (w + 1) * stream.size() / num_workers;
-        remaining[w] = frequencies;
-        trees[w].emplace(MineShard(stream, begin, end, coded.NumItems(),
-                                   &remaining[w], options, wlane));
-        if (options.item_elimination) {
-          obs::TimelineScope prune_scope(wlane, "prune");
-          trees[w]->Prune(options.min_support, remaining[w]);
-        }
-        shard_domain.AddWorkSteps(trees[w]->IsectSteps());
-      });
-    }
-    for (auto& worker : workers) worker.join();
-  }
-
-  if (options.memory != nullptr) {
-    // Snapshot the per-shard repositories at their collective largest:
-    // after the shard phase every worker's tree is live at once. The
-    // merge releases absorbed trees, so the merged-tree snapshot below
-    // usually totals less; Record keeps whichever is larger.
-    obs::MemoryComponent trees_component("prefix-trees");
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      trees_component.children.push_back(trees[w]->ApproxMemoryUsage());
-      trees_component.children.back().name = "shard-" + std::to_string(w);
-    }
-    options.memory->Record(std::move(trees_component));
-  }
-
-  // Pairwise reduction: the closed sets of a transaction stream are a
-  // deterministic function of the stream's multiset of transactions, and
-  // the max-plus Merge computes exactly the repository product, so the
-  // reduction recovers the repository of the full stream no matter how
-  // the pairs are grouped. Each level merges disjoint pairs
-  // concurrently. A merged repository covers the union of its shards, so
-  // the occurrences still outside it are remaining_a + remaining_b -
-  // total; pruning against that bound after every merge keeps the
-  // repositories shrinking as their coverage grows (by the final merge
-  // it reaches full sequential pruning strength). Merge folds the
-  // absorbed repository's peak/prune/isect counters into the target, so
-  // the final tree carries the totals over all workers and stages.
-  std::size_t merge_calls = 0;
-  {
-    obs::Phase merge_phase(trace, lane, "merge");
-    for (std::size_t stride = 1; stride < num_workers; stride *= 2) {
-      std::vector<std::thread> mergers;
-      for (std::size_t i = 0; i + stride < num_workers; i += 2 * stride) {
-        ++merge_calls;
-        mergers.emplace_back(
-            [&trees, &remaining, &frequencies, &options, timeline, i,
-             stride]() {
-              obs::TimelineLane* mlane =
-                  timeline != nullptr
-                      ? timeline->AddLane("ista-merge-" +
-                                          std::to_string(stride) + "-" +
-                                          std::to_string(i))
-                      : nullptr;
-              obs::TimelineScope merge_scope(mlane, "merge");
-              obs::PerfDomainScope merge_domain(
-                  options.perf_domains, "merge-" + std::to_string(stride) +
-                                            "-" + std::to_string(i));
-              obs::MemDomainScope mem_domain(obs::MemDomain::kIstaTree);
-              // Replaying the smaller repository into the larger one is
-              // cheaper (the replay visits every stored set of the source);
-              // the result is identical either way. The remaining table
-              // travels with its tree: the mid-merge pruning bound is the
-              // occurrences outside the *target's* own pre-merge stream.
-              if (trees[i]->NodeCount() < trees[i + stride]->NodeCount()) {
-                std::swap(trees[i], trees[i + stride]);
-                std::swap(remaining[i], remaining[i + stride]);
-              }
-              // Merge folds the absorbed tree's counters into the target,
-              // so the merge stage's own intersection work is the step
-              // growth beyond the two inputs' pre-merge totals.
-              const std::uint64_t steps_before =
-                  trees[i]->IsectSteps() + trees[i + stride]->IsectSteps();
-              if (options.item_elimination) {
-                trees[i]->Merge(*trees[i + stride], options.min_support,
-                                remaining[i], options.prune_node_threshold);
-              } else {
-                trees[i]->Merge(*trees[i + stride]);
-              }
-              trees[i + stride].reset();  // release the absorbed repository
-              for (std::size_t item = 0; item < frequencies.size(); ++item) {
-                remaining[i][item] = remaining[i][item] +
-                                     remaining[i + stride][item] -
-                                     frequencies[item];
-              }
-              if (options.item_elimination) {
-                trees[i]->Prune(options.min_support, remaining[i]);
-              }
-              const std::uint64_t steps_after = trees[i]->IsectSteps();
-              merge_domain.AddWorkSteps(
-                  steps_after > steps_before ? steps_after - steps_before : 0);
-            });
-      }
-      for (auto& merger : mergers) merger.join();
-    }
-  }
-
-  IstaPrefixTree& tree = *trees.front();
+  // One repository at every thread count: the threads only speed up the
+  // recoding above. The phase and the perf domain keep the names
+  // "shard-mine" and "shard-0" (the whole stream is the one shard), which
+  // stats reports and benches key on.
+  obs::Phase mine_phase(trace, lane, "shard-mine");
+  const IstaPrefixTree tree = [&] {
+    obs::PerfDomainScope domain(options.perf_domains, "shard-0");
+    obs::MemDomainScope mem_domain(obs::MemDomain::kIstaTree);
+    IstaPrefixTree mined = MineStream(stream, coded, options, lane);
+    domain.AddWorkSteps(mined.IsectSteps());
+    return mined;
+  }();
+  mine_phase.End();
   FIM_DCHECK_OK(tree.ValidateInvariants());
   if (options.memory != nullptr) {
-    obs::MemoryComponent trees_component("prefix-trees");
-    trees_component.children.push_back(tree.ApproxMemoryUsage());
-    trees_component.children.back().name = "merged";
-    options.memory->Record(std::move(trees_component));
+    obs::MemoryComponent trees("prefix-trees");
+    trees.children.push_back(tree.ApproxMemoryUsage());
+    trees.children.back().name = "shard-0";
+    options.memory->Record(std::move(trees));
   }
   obs::Phase report_phase(trace, lane, "report");
   ReportWithStats(tree, recoding, options.min_support, callback, stats);
-  if (stats != nullptr) stats->merge_calls = merge_calls;
   return Status::OK();
 }
 

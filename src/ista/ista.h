@@ -45,44 +45,37 @@ struct IstaOptions {
   /// win when rows repeat, e.g. on discretized gene-expression data.
   bool merge_duplicate_transactions = true;
 
-  /// Worker threads. > 1 shards the recoded (and deduplicated) stream
-  /// into contiguous size-ascending slices mined into private per-worker
-  /// repositories, each pruned against its shard's remaining-occurrence
-  /// counters, then reduces the repositories pairwise with the max-plus
-  /// IstaPrefixTree::Merge. The repository of a stream is a
-  /// deterministic function of its transaction multiset, so the output —
-  /// including its order — is bit-identical to the sequential run for
-  /// every thread count.
+  /// Threads of the chunked recoding and sorting (data/recode.h). Mining
+  /// itself always builds one repository on the calling thread, so the
+  /// output — including its order — and every intersection counter are
+  /// identical for every thread count.
   unsigned num_threads = 1;
 
   /// Optional per-thread event timeline (obs/timeline.h). The driving
-  /// thread records the phase events on the driver lane; every shard
-  /// worker and merge worker registers its own lane. Output-neutral;
-  /// must outlive the call.
+  /// thread records the phase events and prunes on the driver lane; the
+  /// recoding chunks register their own lanes. Output-neutral; must
+  /// outlive the call.
   obs::Timeline* timeline = nullptr;
 
-  /// Optional hardware-counter attribution (obs/perf.h): each shard
-  /// worker and merge stage measures itself in a PerfDomainScope named
-  /// "shard-N" / "merge-<stride>-<i>", attributing its intersection
-  /// steps (work_steps), thread CPU and — when the collector enables
-  /// hardware and the kernel allows it — PMU deltas. This is what the
-  /// fim-prof work-inflation table renders. Output-neutral; must
-  /// outlive the call.
+  /// Optional hardware-counter attribution (obs/perf.h): the mining of
+  /// the repository measures itself in one PerfDomainScope named
+  /// "shard-0", attributing its intersection steps (work_steps), thread
+  /// CPU and — when the collector enables hardware and the kernel allows
+  /// it — PMU deltas. This is what the fim-prof table renders.
+  /// Output-neutral; must outlive the call.
   obs::PerfDomainCollector* perf_domains = nullptr;
 
   /// Optional memory attribution (obs/memory.h): records the recoded
-  /// database, the weighted stream, the remaining-occurrence tables and
-  /// the prefix trees (per-shard children after the shard phase, the
-  /// merged tree before the report — the collector keeps whichever
-  /// snapshot is larger). Output-neutral; must outlive the call.
+  /// database, the weighted stream, the remaining-occurrence table and
+  /// the prefix tree before the report. Output-neutral; must outlive the
+  /// call.
   obs::MemoryBreakdown* memory = nullptr;
 };
 
 // Execution statistics (optional output of MineClosedIsta): the unified
 // MinerStats snapshot (obs/miner_stats.h) under its historical name. The
-// populated fields are isect_steps, peak_nodes, final_nodes, prune_calls
-// (all including every worker and merge stage of a parallel run),
-// merge_calls, weighted_transactions, and sets_reported.
+// populated fields are isect_steps, peak_nodes, final_nodes, prune_calls,
+// weighted_transactions, and sets_reported.
 
 /// Mines all closed frequent item sets of `db` with the IsTa algorithm
 /// and reports each exactly once through `callback` (items in ascending
@@ -91,7 +84,7 @@ struct IstaOptions {
 ///
 /// `stats` (optional) receives the execution statistics; `trace`
 /// (optional) receives the phase spans `recode`, `dedup`, `shard-mine`,
-/// `merge`, and `report`. Both are output-neutral: the mining result is
+/// and `report`. Both are output-neutral: the mining result is
 /// bit-identical whether they are requested or not.
 Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
                       const ClosedSetCallback& callback,

@@ -1,7 +1,6 @@
 #include "ista/prefix_tree.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -173,21 +172,11 @@ void IstaPrefixTree::Report(Support min_support,
 }
 
 void IstaPrefixTree::Merge(const IstaPrefixTree& other) {
-  Merge(other, 0, {}, std::numeric_limits<std::size_t>::max());
-}
-
-void IstaPrefixTree::Merge(const IstaPrefixTree& other, Support min_support,
-                           std::span<const Support> remaining,
-                           std::size_t prune_node_threshold) {
   FIM_CHECK(&other != this) << "cannot merge a repository into itself";
   FIM_CHECK(in_transaction_.size() == other.in_transaction_.size())
       << "cannot merge repositories over different item universes ("
       << in_transaction_.size() << " vs " << other.in_transaction_.size()
       << " items)";
-  const bool pruning = !remaining.empty();
-  FIM_CHECK(!pruning || remaining.size() == in_transaction_.size())
-      << "remaining-occurrence table size " << remaining.size()
-      << " != num_items " << in_transaction_.size();
   // Max-plus product merge. The repository of the concatenated streams
   // stores the pairwise intersections a∩b of the two stored families,
   // with supp(x) = supp_A(cl_A(x)) + supp_B(cl_B(x)). Every stored set b
@@ -200,19 +189,17 @@ void IstaPrefixTree::Merge(const IstaPrefixTree& other, Support min_support,
   // union support. Crucially this consumes the other repository's
   // *computed supports* rather than its transaction multiplicities, so
   // both sides may have been pruned (Prune preserves exact supports for
-  // every set that can still be frequent); this is what lets the shard
-  // repositories of the parallel driver prune independently.
+  // every set that can still be frequent).
   std::vector<Support> aside(node_supp_.begin(),
                              node_supp_.begin() + next_index_);
-  uint32_t frozen = next_index_;
+  const uint32_t frozen = next_index_;
   total_weight_ += other.total_weight_;
   if (other.step_ > step_) step_ = other.step_;
-  // Absorb the other repository's observability history, so the final
-  // tree of a reduction reports totals over every worker and stage.
+  // Absorb the other repository's observability history, so the merged
+  // tree reports totals over both.
   peak_node_count_ = std::max(peak_node_count_, other.peak_node_count_);
   prune_count_ += other.prune_count_;
   isect_steps_ += other.isect_steps_;
-  std::size_t threshold = prune_node_threshold;
   // Pre-order DFS over the other repository, replaying every stored set.
   struct Frame {
     uint32_t node;
@@ -240,25 +227,6 @@ void IstaPrefixTree::Merge(const IstaPrefixTree& other, Support min_support,
     ascending.assign(path.rbegin(), path.rend());
     ReplayStoredSet(ascending, other.node_supp_[n], other.node_trans_[n],
                     frozen, &aside);
-    if (pruning && node_count_ > threshold) {
-      // Prune against the occurrences outside this tree's own pre-merge
-      // stream: that bound counts the other repository's support mass as
-      // still to come, so it is sound however much has been replayed.
-      IstaPrefixTree fresh(in_transaction_.size());
-      fresh.step_ = step_;
-      fresh.total_weight_ = total_weight_;
-      std::vector<Support> fresh_aside(1, 0);  // index 0: pseudo-root
-      PruneInto(links_[ChildSlot(kRoot)], min_support, remaining, &fresh,
-                kRoot, &aside, &fresh_aside);
-      fresh.peak_node_count_ =
-          std::max(peak_node_count_, fresh.peak_node_count_);
-      fresh.prune_count_ = prune_count_ + 1;
-      fresh.isect_steps_ = isect_steps_ + fresh.isect_steps_;
-      *this = std::move(fresh);
-      aside = std::move(fresh_aside);
-      frozen = next_index_;
-      threshold = std::max(threshold, 2 * NodeCount());
-    }
   };
   for (uint32_t c = other.links_[ChildSlot(kRoot)]; c != kNil;
        c = other.links_[SibSlot(c)]) {
@@ -311,7 +279,7 @@ void IstaPrefixTree::IsectMax(uint32_t node, uint32_t ins_slot,
                               Support other_supp, uint32_t frozen,
                               std::vector<Support>* aside) {
   // The walk of Isect with the additive update replaced by a max with
-  // aside(S) + other_supp. Only nodes frozen by the last (re)freeze act
+  // aside(S) + other_supp. Only nodes frozen at the start of the merge act
   // as stored sets S: newer nodes' intersections are already covered by
   // their frozen creators. A new node's subtree holds only new nodes, so
   // whole new subtrees are skipped. No step stamps are needed: max is
@@ -324,7 +292,7 @@ void IstaPrefixTree::IsectMax(uint32_t node, uint32_t ins_slot,
     isect_stack_.pop_back();
     while (node != kNil) {
       ++isect_steps_;
-      if (node >= frozen) {  // created since the last freeze: not a source
+      if (node >= frozen) {  // created by this merge: not a source
         node = links_[SibSlot(node)];
         continue;
       }
@@ -532,9 +500,7 @@ Status IstaPrefixTree::ValidateInvariants() const {
 
 void IstaPrefixTree::PruneInto(uint32_t node, Support min_support,
                                std::span<const Support> remaining,
-                               IstaPrefixTree* target, uint32_t cursor,
-                               const std::vector<Support>* aside_src,
-                               std::vector<Support>* aside_dst) const {
+                               IstaPrefixTree* target, uint32_t cursor) const {
   // Iterative: a work item is one sibling list plus the target cursor
   // representing the filtered path so far (deep repositories must not
   // overflow the call stack).
@@ -545,15 +511,6 @@ void IstaPrefixTree::PruneInto(uint32_t node, Support min_support,
   if (node == kNil) return;
   std::vector<Frame> stack;
   stack.push_back(Frame{node, cursor});
-  const auto merge_aside = [&](uint32_t source, uint32_t dest) {
-    if (aside_dst == nullptr) return;
-    if (aside_dst->size() < target->next_index_) {
-      aside_dst->resize(target->next_index_, 0);
-    }
-    if ((*aside_src)[source] > (*aside_dst)[dest]) {
-      (*aside_dst)[dest] = (*aside_src)[source];
-    }
-  };
   while (!stack.empty()) {
     node = stack.back().node;
     cursor = stack.back().cursor;
@@ -570,7 +527,6 @@ void IstaPrefixTree::PruneInto(uint32_t node, Support min_support,
           target->node_supp_[next_cursor] = supp;
         }
         target->node_trans_[next_cursor] += trans;
-        merge_aside(node, next_cursor);
       } else if (cursor != kRoot) {
         // Drop the item; the reduced set keeps the best support seen and
         // accumulates the reduced transactions' weight.
@@ -578,7 +534,6 @@ void IstaPrefixTree::PruneInto(uint32_t node, Support min_support,
           target->node_supp_[cursor] = supp;
         }
         target->node_trans_[cursor] += trans;
-        merge_aside(node, cursor);
       }
       // Transactions whose items are all dropped reduce to the empty set
       // and vanish (the repository never stores empty transactions);

@@ -53,19 +53,9 @@ class IstaPrefixTree {
   /// sequential run over both streams — even if either repository has
   /// been pruned, since Prune keeps the supports of all still-potentially
   /// frequent sets exact. `other` must share this tree's item universe
-  /// and must not alias `*this`.
-  ///
-  /// The second overload additionally prunes whenever the node count
-  /// exceeds `prune_node_threshold` (which then doubles), against
-  /// `remaining` = the occurrences of each item outside THIS tree's own
-  /// stream before the merge. That bound conservatively counts the other
-  /// repository's not-yet-replayed support mass as still to come, so
-  /// mid-merge pruning never touches an item a frequent set of the
-  /// union still needs.
+  /// and must not alias `*this`. The stream miner folds its pane trees
+  /// with it.
   void Merge(const IstaPrefixTree& other);
-  void Merge(const IstaPrefixTree& other, Support min_support,
-             std::span<const Support> remaining,
-             std::size_t prune_node_threshold);
 
   /// Reports every stored set with support >= min_support whose support
   /// exceeds the support of all its direct children (the closedness check
@@ -89,13 +79,10 @@ class IstaPrefixTree {
   /// High-water mark of NodeCount() over the tree's whole history,
   /// including the transient growth during Merge replays (which an
   /// external observer polling NodeCount() between operations misses).
-  /// Merge folds the absorbed repository's peak in, so the final tree of
-  /// a parallel reduction reports the true maximum over all workers and
-  /// merge stages.
+  /// Merge folds the absorbed repository's peak in.
   std::size_t PeakNodeCount() const { return peak_node_count_; }
 
-  /// Number of Prune() rebuilds performed, including the threshold
-  /// prunes Merge runs internally mid-replay; Merge folds the absorbed
+  /// Number of Prune() rebuilds performed; Merge folds the absorbed
   /// repository's count in.
   std::size_t PruneCount() const { return prune_count_; }
 
@@ -257,15 +244,10 @@ class IstaPrefixTree {
 
   /// Prune helper: re-inserts the filtered sets of the subtree headed by
   /// `node` into `target`, with `cursor` the target node representing the
-  /// filtered path so far. Iterative (explicit work stack). When
-  /// `aside_src`/`aside_dst` are given (mid-merge pruning), the per-node
-  /// own-side supports are carried over with the same max-merge rule as
-  /// the supports.
+  /// filtered path so far. Iterative (explicit work stack).
   void PruneInto(uint32_t node, Support min_support,
                  std::span<const Support> remaining, IstaPrefixTree* target,
-                 uint32_t cursor,
-                 const std::vector<Support>* aside_src = nullptr,
-                 std::vector<Support>* aside_dst = nullptr) const;
+                 uint32_t cursor) const;
 
   /// Finds or creates the child of `parent` carrying `item`; keeps the
   /// sibling list sorted by descending item code.

@@ -67,9 +67,8 @@ struct MemoryComponent {
 /// to miners via MinerOptions::memory (and the per-family options).
 ///
 /// Re-recording a name keeps whichever snapshot has the larger total —
-/// high-water semantics, so a breakdown recorded both after the shard
-/// phase (all shard trees alive) and after the merge reduction (one
-/// large tree) reports the layout of the bigger moment. AccountedBytes
+/// high-water semantics, so a breakdown recorded at several moments of
+/// a run reports the layout of the biggest one. AccountedBytes
 /// additionally tracks the high-water of the *sum* across components
 /// over all record points.
 class MemoryBreakdown {
@@ -117,7 +116,7 @@ enum class MemDomain : unsigned {
   kUntagged = 0,  // allocations outside any scope (startup, libstdc++)
   kReader,        // FIMI/binary readers and their line buffers
   kRecode,        // recoding: the coded database and order scratch
-  kIstaTree,      // IsTa prefix trees (shard mining and merges)
+  kIstaTree,      // the IsTa prefix tree and its pruning bound
   kMine,          // the other miner families (tid lists, matrices, ...)
   kStream,        // StreamMiner ingest/seal/query
   kCheckpoint,    // checkpoint serialization buffers

@@ -28,12 +28,11 @@ struct MinerStats {
   // --- intersection family (IsTa, flat cumulative) ---------------------
   std::size_t isect_steps = 0;     // repository nodes visited / pairwise
                                    // set intersections while intersecting
-  std::size_t peak_nodes = 0;      // max repository size, incl. all
-                                   // workers and merge stages
+  std::size_t peak_nodes = 0;      // max repository size
   std::size_t final_nodes = 0;     // repository size at report time
-  std::size_t prune_calls = 0;     // item-elimination prunes, incl.
-                                   // mid-merge prunes, all workers
-  std::size_t merge_calls = 0;     // pairwise repository merges
+  std::size_t prune_calls = 0;     // item-elimination prunes
+  std::size_t merge_calls = 0;     // pairwise repository merges (stream
+                                   // snapshots; batch IsTa never merges)
   std::size_t weighted_transactions = 0;  // stream length after dedup
 
   // --- transaction-set enumeration family (Carpenter, Cobbler) ---------
@@ -61,7 +60,7 @@ struct MinerStats {
   std::size_t kernel_elements_in = 0;   // input elements streamed
   std::size_t kernel_elements_out = 0;  // result elements produced
 
-  /// Aggregates a worker's (or merge stage's) snapshot into this one:
+  /// Aggregates a worker's snapshot into this one:
   /// peak_nodes and final_nodes take the maximum, everything else sums.
   void MergeFrom(const MinerStats& other);
 

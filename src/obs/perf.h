@@ -166,7 +166,7 @@ struct ResourceUsage {
 ResourceUsage ReadResourceUsage();
 
 /// One attributed measurement domain: a named stretch of one thread's
-/// work (an IsTa shard, a merge step) with its hardware delta (when
+/// work (IsTa's tree building) with its hardware delta (when
 /// counting worked), its thread-CPU fallback, and the software work
 /// counter the fim-prof inflation table divides by.
 struct PerfDomainSample {

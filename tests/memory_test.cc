@@ -409,7 +409,7 @@ TEST(MemoryNeutralityTest, BreakdownAttachmentDoesNotChangeResults) {
   }
 }
 
-TEST(MemoryNeutralityTest, IstaParallelRecordsPerShardTrees) {
+TEST(MemoryNeutralityTest, IstaParallelRecordsOneTree) {
   MarketBasketConfig config;
   config.num_items = 40;
   config.num_transactions = 400;
@@ -432,7 +432,8 @@ TEST(MemoryNeutralityTest, IstaParallelRecordsPerShardTrees) {
   for (const auto& component : memory.Components()) {
     if (component.name == "prefix-trees") {
       found_trees = true;
-      EXPECT_FALSE(component.children.empty());
+      ASSERT_EQ(component.children.size(), 1u);
+      EXPECT_EQ(component.children.front().name, "shard-0");
     }
   }
   EXPECT_TRUE(found_trees);

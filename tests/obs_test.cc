@@ -437,8 +437,7 @@ TEST(OutputNeutralityTest, StatsOnEqualsStatsOffForEveryMiner) {
   }
 }
 
-// IsTa fills the intersection-family counters on the parallel path too
-// (peak_nodes/prune_calls used to be sequential-only).
+// IsTa fills the intersection-family counters at every thread count.
 TEST(OutputNeutralityTest, ParallelIstaFillsIntersectionCounters) {
   const TransactionDatabase db = GenerateRandomDense(200, 40, 0.25, 7);
   MinerOptions options;
@@ -452,7 +451,7 @@ TEST(OutputNeutralityTest, ParallelIstaFillsIntersectionCounters) {
   EXPECT_GT(stats.peak_nodes, 0u);
   EXPECT_GT(stats.final_nodes, 0u);
   EXPECT_GE(stats.peak_nodes, stats.final_nodes);
-  EXPECT_EQ(stats.merge_calls, 3u);  // 4 workers -> 3 pairwise merges
+  EXPECT_EQ(stats.merge_calls, 0u);  // one repository, nothing to merge
   EXPECT_EQ(stats.sets_reported, result.value().size());
 }
 

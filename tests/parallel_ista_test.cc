@@ -1,7 +1,7 @@
-// Tests of multi-threaded IsTa: the sharded miner must produce output
-// (including order) identical to the sequential run on every input and
-// thread count, with and without duplicate merging, item elimination,
-// and mid-merge pruning.
+// Tests of multi-threaded IsTa: the threads only recode, so the output
+// (including order) and the repository counters must be identical to the
+// sequential run on every input and thread count, with and without
+// duplicate merging, item elimination, and threshold pruning.
 
 #include <gtest/gtest.h>
 
@@ -56,16 +56,20 @@ TEST(ParallelIstaTest, IdenticalOnMarketBasketData) {
   config.seed = 11;
   const TransactionDatabase db = GenerateMarketBasket(config);
   for (Support smin : {5u, 40u}) {
-    const auto sequential = MineWith(db, smin, 1);
     IstaOptions options;
     options.min_support = smin;
+    IstaStats sequential_stats;
+    const auto sequential = MineWith(db, options, &sequential_stats);
     for (unsigned threads : {2u, 4u}) {
       options.num_threads = threads;
       IstaStats stats;
       const auto parallel = MineWith(db, options, &stats);
       ASSERT_EQ(sequential, parallel) << "smin " << smin << " threads "
                                       << threads;
-      EXPECT_EQ(stats.merge_calls, threads - 1);
+      // One repository at every thread count: the same intersection work.
+      EXPECT_EQ(stats.Counters(), sequential_stats.Counters())
+          << "smin " << smin << " threads " << threads;
+      EXPECT_EQ(stats.merge_calls, 0u);
     }
   }
 }
@@ -96,8 +100,8 @@ TEST(ParallelIstaTest, IdenticalWithoutItemElimination) {
 }
 
 TEST(ParallelIstaTest, IdenticalWithoutDuplicateMerging) {
-  // Duplicate-heavy input: without dedup every copy is added separately
-  // and shard boundaries can split runs of identical transactions.
+  // Duplicate-heavy input: without dedup every copy is added separately,
+  // and the chunked sort must still place the copies identically.
   std::vector<std::vector<ItemId>> rows;
   for (int copy = 0; copy < 7; ++copy) rows.push_back({0, 1, 2});
   for (int copy = 0; copy < 5; ++copy) rows.push_back({1, 2, 3});
@@ -116,9 +120,9 @@ TEST(ParallelIstaTest, IdenticalWithoutDuplicateMerging) {
   }
 }
 
-TEST(ParallelIstaTest, MidMergePruningKeepsOutputExact) {
-  // A tiny prune threshold forces threshold prunes inside every shard
-  // and inside every Merge; the output must not change.
+TEST(ParallelIstaTest, ThresholdPruningKeepsOutputExact) {
+  // A tiny prune threshold forces a prune every few transactions; the
+  // output must not change at any thread count.
   MarketBasketConfig config;
   config.num_items = 40;
   config.num_transactions = 1500;
@@ -280,18 +284,6 @@ TEST(IstaMergeTest, MergeExactOnPrunedRepositories) {
   left.Merge(right);
   EXPECT_TRUE(left.ValidateInvariants().ok());
   EXPECT_EQ(Collect(left, smin), expected);
-
-  // The pruning overload must agree as well, even with a threshold that
-  // forces a prune after nearly every replayed set.
-  IstaPrefixTree left2(9);
-  for (std::size_t r = 0; r < split; ++r) {
-    const auto& row = db.transactions()[r];
-    if (!row.empty()) left2.AddTransaction(row);
-  }
-  left2.Prune(smin, left_remaining);
-  left2.Merge(right, smin, left_remaining, 4);
-  EXPECT_TRUE(left2.ValidateInvariants().ok());
-  EXPECT_EQ(Collect(left2, smin), expected);
 }
 
 }  // namespace

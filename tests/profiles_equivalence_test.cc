@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "api/miner.h"
 #include "data/profiles.h"
 #include "verify/closedness.h"
@@ -18,6 +20,10 @@ struct ProfileCase {
   double scale;
   Support min_support;
 };
+
+// Without a printer gtest shows the case as raw bytes, pointers included,
+// so the listed test names would change with every build's load address.
+void PrintTo(const ProfileCase& c, std::ostream* os) { *os << c.name; }
 
 class ProfileEquivalenceTest : public ::testing::TestWithParam<ProfileCase> {
 };

@@ -358,8 +358,8 @@ TEST(SamplerTest, PeriodicSamplesCarryThroughputDeltas) {
 
 // Recording a timeline must never change the mined output, sequential or
 // parallel. (The --stats/--trace counterpart lives in obs_test.cc; this
-// covers the MinerOptions::timeline path through recoding, the shard
-// workers and the merge reduction.)
+// covers the MinerOptions::timeline path through the chunked recoding and
+// the prune events on the driver lane.)
 TEST(TimelineNeutralityTest, TimelineOnEqualsTimelineOff) {
   const TransactionDatabase db = GenerateRandomDense(60, 24, 0.3, 123);
   for (unsigned threads : {1u, 4u}) {
@@ -384,8 +384,8 @@ TEST(TimelineNeutralityTest, TimelineOnEqualsTimelineOff) {
           << "t=" << threads << " set " << i;
     }
 
-    // The parallel run fans out into worker and merge lanes; the
-    // exported trace must stay well-formed either way.
+    // The parallel run fans out into recoding lanes; the exported trace
+    // must stay well-formed either way.
     if (threads > 1) {
       EXPECT_GT(timeline.NumLanes(), 1u);
     }

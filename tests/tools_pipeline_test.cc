@@ -337,7 +337,7 @@ TEST(ToolsPipelineTest, TraceOutIsValidMultiLaneChromeTrace) {
   ASSERT_FALSE(plain.value().empty());
   EXPECT_TRUE(SameResults(plain.value(), traced.value()));
 
-  // A 4-thread run fans into worker/merge lanes: more than one tid.
+  // A 4-thread run fans into recoding lanes: more than one tid.
   EXPECT_GT(CheckChromeTraceFile(trace), 1u);
 }
 
@@ -570,8 +570,8 @@ TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsPerfSection) {
     ASSERT_NE(rusage, nullptr);
     ASSERT_TRUE(rusage->is_object());
     EXPECT_GT(rusage->Find("peak_rss_bytes")->AsNumber(), 0.0);
-    // Domain attribution: one sample per shard (plus merge stages at 4
-    // threads), each carrying its software work counter.
+    // Domain attribution: one sample for the single repository at every
+    // thread count, carrying its software work counter.
     const obs::JsonValue* domains = perf->Find("domains");
     ASSERT_NE(domains, nullptr);
     ASSERT_TRUE(domains->is_array());
@@ -581,7 +581,7 @@ TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsPerfSection) {
       if (name.rfind("shard-", 0) == 0) ++shards;
       ASSERT_NE(domain.Find("work_steps"), nullptr) << name;
     }
-    EXPECT_EQ(shards, static_cast<std::size_t>(threads));
+    EXPECT_EQ(shards, 1u);
 
     // fim-prof renders the work-inflation table from that report.
     EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " " + stats +

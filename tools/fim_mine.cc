@@ -30,13 +30,13 @@
 //             write the stats report to PATH instead of stderr
 //   --trace-out=PATH
 //             record a per-thread event timeline (driver phases plus one
-//             lane per IsTa shard/merge/recode worker) and write it as
+//             lane per recoding worker) and write it as
 //             Chrome trace-event JSON to PATH — load in chrome://tracing
 //             or https://ui.perfetto.dev
 //   --perf-counters
 //             measure hardware counters (cycles, instructions, LLC/L1d
 //             and branch misses via perf_event_open) over the run and
-//             per phase/shard, and add the `perf` section to the stats
+//             per phase/domain, and add the `perf` section to the stats
 //             report (implies --stats). Where the kernel denies the PMU
 //             the run still succeeds and the section carries an explicit
 //             unavailable reason plus the rusage fallback.

@@ -1,13 +1,14 @@
 // fim-prof: work-inflation diagnosis over a fim-stats JSON report that
 // carries a `perf` section (produced by e.g.
-// `fim-mine --stats=json --stats-out=R.json --perf-counters -t N`).
+// `fim-mine --stats=json --stats-out=R.json --perf-counters`).
 // Renders the per-domain work table: how many intersection steps each
-// IsTa shard / merge stage performed and what they cost in CPU seconds,
-// hardware cycles and LLC misses. With --baseline — canonically the
-// 1-thread run of the same workload — it quantifies parallel work
-// inflation: the factor by which the sharded run's total intersection
-// work exceeds the sequential run's (the merge reduction re-intersects
-// sets the sequential run builds only once; see docs/PARALLELISM.md).
+// domain (IsTa records one, `shard-0`, its tree building) performed and
+// what they cost in CPU seconds, hardware cycles and LLC misses. With
+// --baseline — another commit, kernel tier or host on the same workload —
+// it quantifies work inflation: the factor by which the run's total
+// intersection work, CPU and cycles exceed the baseline's, which tells
+// more work apart from the same work running slower
+// (docs/PERFORMANCE.md).
 //
 //   fim-prof [--baseline=REPORT.json] report.json
 //   fim-prof --memory [--baseline=REPORT.json] report.json
@@ -25,9 +26,7 @@
 //
 //   domain              steps      cpu    cycles   cyc/step  llc/step
 //   shard-0           1203456   0.412s   1.4e+09       1163      2.10
-//   ...
-//   merge-1-0          201234   0.080s   2.1e+08       1044      3.45
-//   TOTAL             4812345   1.680s   5.9e+09       1226      2.51
+//   TOTAL             1203456   0.412s   1.4e+09       1163      2.10
 //
 // Hardware columns show "n/a" where the report was taken without PMU
 // access (perf.available false, or a domain measured on a thread where
@@ -160,15 +159,12 @@ bool LoadReport(const std::string& path, ProfReport* out) {
       out->domains.push_back(std::move(row));
     }
   }
-  // The collector records domains in completion order, which varies
-  // across runs; sort shards before merges and numerically within each
-  // group (length-then-lex orders shard-2 before shard-10) so the table
-  // is stable and diffable.
+  // The collector records domains in completion order, which can vary
+  // across runs; sort by name, numerically for numbered names
+  // (length-then-lex orders shard-2 before shard-10), so the table is
+  // stable and diffable.
   std::sort(out->domains.begin(), out->domains.end(),
             [](const DomainRow& a, const DomainRow& b) {
-              const bool a_shard = a.name.rfind("shard-", 0) == 0;
-              const bool b_shard = b.name.rfind("shard-", 0) == 0;
-              if (a_shard != b_shard) return a_shard;
               if (a.name.size() != b.name.size()) {
                 return a.name.size() < b.name.size();
               }
@@ -490,7 +486,7 @@ int main(int argc, char** argv) {
   if (report.domains.empty()) {
     std::printf(
         "  no perf domains recorded — the run used an algorithm without\n"
-        "  shard attribution, or predates --perf-counters\n");
+        "  domain attribution, or predates --perf-counters\n");
     return 0;
   }
 
