@@ -12,6 +12,11 @@
 
 namespace fim::bench {
 
+double ProcessCpuSeconds() {
+  const obs::ResourceUsage usage = obs::ReadResourceUsage();
+  return usage.user_seconds + usage.system_seconds;
+}
+
 const SweepPoint* SweepResult::Find(Algorithm algorithm,
                                     Support min_support) const {
   for (const auto& p : points) {
@@ -40,13 +45,13 @@ SweepResult RunSweep(const TransactionDatabase& db,
         counters.Start();
         const obs::PerfCounts before = counters.Read();
         WallTimer timer;
-        CpuTimer cpu_timer;
+        const double cpu_before = ProcessCpuSeconds();
         Status status = MineClosed(
             db, miner,
             [&count](std::span<const ItemId>, Support) { ++count; },
             &point.stats);
         point.seconds = timer.Seconds();
-        point.cpu_seconds = cpu_timer.Seconds();
+        point.cpu_seconds = ProcessCpuSeconds() - cpu_before;
         if (counters.available()) {
           point.perf = counters.Read().DeltaSince(before);
           point.hw_valid = true;

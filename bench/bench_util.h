@@ -11,6 +11,11 @@
 
 namespace fim::bench {
 
+/// User plus system CPU seconds of the whole process so far, every
+/// thread included (getrusage). A delta around a mining call is its CPU
+/// cost, worker threads and all.
+double ProcessCpuSeconds();
+
 /// One figure reproduction = a support sweep over a set of algorithms.
 struct SweepOptions {
   std::vector<Algorithm> algorithms;
@@ -27,7 +32,8 @@ struct SweepPoint {
   double seconds = 0.0;
   std::size_t num_sets = 0;
   bool ran = false;  // false: skipped after the algorithm hit the limit
-  double cpu_seconds = 0.0;  // driving thread's CPU time of the run
+  double cpu_seconds = 0.0;  // process CPU of the run, every thread
+                             // included (ProcessCpuSeconds)
   MinerStats stats;          // per-miner counters of the run (ran only)
   /// Hardware counters over the mining call; hw_valid is false where the
   /// host denies the PMU (the bench still runs, the report carries null).

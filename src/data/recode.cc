@@ -1,6 +1,7 @@
 #include "data/recode.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -52,8 +53,7 @@ namespace {
 
 // Lexicographic comparison on the descending item sequence (items are
 // stored ascending, so compare from the back).
-bool DescendingLexLess(const std::vector<ItemId>& a,
-                       const std::vector<ItemId>& b) {
+bool DescendingLexLess(std::span<const ItemId> a, std::span<const ItemId> b) {
   auto ia = a.rbegin();
   auto ib = b.rbegin();
   for (; ia != a.rend() && ib != b.rend(); ++ia, ++ib) {
@@ -62,9 +62,31 @@ bool DescendingLexLess(const std::vector<ItemId>& a,
   return a.size() < b.size();
 }
 
-}  // namespace
+bool SizeAscendingLess(std::span<const ItemId> a, std::span<const ItemId> b) {
+  if (a.size() != b.size()) return a.size() < b.size();
+  return DescendingLexLess(a, b);
+}
 
-namespace {
+bool SizeDescendingLess(std::span<const ItemId> a, std::span<const ItemId> b) {
+  if (a.size() != b.size()) return a.size() > b.size();
+  return DescendingLexLess(a, b);
+}
+
+using RowLess = bool (*)(std::span<const ItemId>, std::span<const ItemId>);
+
+// Maps transaction `t` through the recoding into `coded`: eliminated
+// items dropped, codes ascending.
+void MapRow(std::span<const ItemId> t, const Recoding& recoding,
+            std::vector<ItemId>* coded) {
+  coded->clear();
+  for (ItemId i : t) {
+    if (i < recoding.old_to_new.size() &&
+        recoding.old_to_new[i] != kInvalidItem) {
+      coded->push_back(recoding.old_to_new[i]);
+    }
+  }
+  std::sort(coded->begin(), coded->end());
+}
 
 // Maps the transactions of [begin, end) through the recoding, dropping
 // eliminated items and empty results; relative order is preserved.
@@ -76,14 +98,8 @@ std::vector<std::vector<ItemId>> MapChunk(
   for (const auto& t : transactions) {
     std::vector<ItemId> coded;
     coded.reserve(t.size());
-    for (ItemId i : t) {
-      if (i < recoding.old_to_new.size() &&
-          recoding.old_to_new[i] != kInvalidItem) {
-        coded.push_back(recoding.old_to_new[i]);
-      }
-    }
+    MapRow(t, recoding, &coded);
     if (coded.empty()) continue;
-    std::sort(coded.begin(), coded.end());
     mapped.push_back(std::move(coded));
   }
   return mapped;
@@ -94,10 +110,9 @@ std::vector<std::vector<ItemId>> MapChunk(
 // std::inplace_merge (stable, left run first on ties). Stability plus a
 // fixed comparator determine the output uniquely, so the result is
 // identical to a sequential std::stable_sort.
-void ParallelStableSort(
-    std::vector<std::vector<ItemId>>* mapped, std::size_t num_chunks,
-    bool (*less)(const std::vector<ItemId>&, const std::vector<ItemId>&),
-    obs::Timeline* timeline) {
+void ParallelStableSort(std::vector<std::vector<ItemId>>* mapped,
+                        std::size_t num_chunks, RowLess less,
+                        obs::Timeline* timeline) {
   num_chunks = std::min(num_chunks, std::max<std::size_t>(mapped->size(), 1));
   if (num_chunks <= 1) {
     obs::TimelineScope sort_scope(
@@ -148,18 +163,6 @@ void ParallelStableSort(
     }
     for (auto& merger : mergers) merger.join();
   }
-}
-
-bool SizeAscendingLess(const std::vector<ItemId>& a,
-                       const std::vector<ItemId>& b) {
-  if (a.size() != b.size()) return a.size() < b.size();
-  return DescendingLexLess(a, b);
-}
-
-bool SizeDescendingLess(const std::vector<ItemId>& a,
-                        const std::vector<ItemId>& b) {
-  if (a.size() != b.size()) return a.size() > b.size();
-  return DescendingLexLess(a, b);
 }
 
 }  // namespace
@@ -223,6 +226,195 @@ TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
   for (auto& t : mapped) out.AddTransaction(std::move(t));
   out.SetNumItems(recoding.num_kept());
   return out;
+}
+
+obs::MemoryComponent WeightedTransactions::ApproxMemoryUsage() const {
+  obs::MemoryComponent stream("weighted-stream");
+  stream.children.emplace_back("offsets",
+                               offsets.capacity() * sizeof(offsets[0]));
+  stream.children.emplace_back("items", items.capacity() * sizeof(ItemId));
+  stream.children.emplace_back("weights",
+                               weights.capacity() * sizeof(Support));
+  return stream;
+}
+
+namespace {
+
+std::uint64_t HashRow(std::span<const ItemId> row) {
+  std::uint64_t h = row.size();
+  for (ItemId i : row) {
+    h = (h + i) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 32;  // the probe uses the low bits
+  }
+  return h;
+}
+
+// Which added rows fold into a row the table already holds.
+enum class RowFold {
+  kNone,      // none: every added row becomes a row of its own
+  kAdjacent,  // a row equal to the last held row
+  kHash,      // a row equal to any held row
+};
+
+// A WeightedTransactions table under construction: a folded row adds its
+// weight to the held row. Under kHash an open-addressing index (linear
+// probing, at most half full) over the held rows finds the equal one.
+class RowFolder {
+ public:
+  explicit RowFolder(RowFold fold) : fold_(fold) {}
+
+  void Add(std::span<const ItemId> row, Support weight) {
+    Support* held = nullptr;
+    if (fold_ == RowFold::kAdjacent && rows_.NumRows() > 0 &&
+        std::ranges::equal(rows_.Row(rows_.NumRows() - 1), row)) {
+      held = &rows_.weights.back();
+    } else if (fold_ == RowFold::kHash) {
+      held = FindOrIndex(row);
+    }
+    if (held != nullptr) {
+      *held += weight;
+    } else {
+      rows_.AddRow(row, weight);
+    }
+  }
+
+  WeightedTransactions Take() { return std::move(rows_); }
+
+ private:
+  // The weight of the held row equal to `row`, or nullptr after indexing
+  // `row` as the row about to be appended.
+  Support* FindOrIndex(std::span<const ItemId> row) {
+    if (2 * (hashes_.size() + 1) > slots_.size()) Grow();
+    const std::uint64_t hash = HashRow(row);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+      const std::size_t slot = slots_[s];
+      if (slot == 0) {
+        slots_[s] = hashes_.size() + 1;
+        hashes_.push_back(hash);
+        return nullptr;
+      }
+      if (hashes_[slot - 1] == hash &&
+          std::ranges::equal(rows_.Row(slot - 1), row)) {
+        return &rows_.weights[slot - 1];
+      }
+    }
+  }
+
+  void Grow() {
+    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t r = 0; r < hashes_.size(); ++r) {
+      std::size_t s = hashes_[r] & mask;
+      while (slots_[s] != 0) s = (s + 1) & mask;
+      slots_[s] = r + 1;
+    }
+  }
+
+  RowFold fold_;
+  WeightedTransactions rows_;
+  std::vector<std::uint64_t> hashes_;  // per held row, under kHash
+  std::vector<std::size_t> slots_;     // held row + 1; 0 = empty
+};
+
+}  // namespace
+
+WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
+                                           const Recoding& recoding,
+                                           TransactionOrder transaction_order,
+                                           bool merge_duplicates,
+                                           unsigned num_threads,
+                                           obs::Timeline* timeline) {
+  obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
+  obs::TimelineLane* const lane =
+      timeline != nullptr ? timeline->driver() : nullptr;
+  const auto& transactions = db.transactions();
+  const std::size_t num_chunks = std::max<std::size_t>(
+      std::min<std::size_t>(num_threads, transactions.size()), 1);
+  // The size orders place equal rows next to each other, so there the
+  // adjacent runs of the ordered rows are all equal rows, whatever their
+  // input positions.
+  RowFold fold = RowFold::kNone;
+  if (merge_duplicates) {
+    fold = transaction_order == TransactionOrder::kNone ? RowFold::kAdjacent
+                                                        : RowFold::kHash;
+  }
+  auto fold_chunk = [&](std::size_t c) {
+    const std::size_t begin = c * transactions.size() / num_chunks;
+    const std::size_t end = (c + 1) * transactions.size() / num_chunks;
+    const auto chunk = std::span(transactions).subspan(begin, end - begin);
+    RowFolder folder(fold);
+    std::vector<ItemId> coded;
+    auto add_mapped = [&](std::span<const ItemId> t, Support weight) {
+      MapRow(t, recoding, &coded);
+      if (!coded.empty()) folder.Add(coded, weight);
+    };
+    if (fold == RowFold::kHash) {
+      // Equal input rows map to equal rows: folding the input rows first
+      // maps and sorts only the distinct ones.
+      RowFolder inputs(RowFold::kHash);
+      for (const auto& t : chunk) inputs.Add(t, 1);
+      const WeightedTransactions distinct = inputs.Take();
+      for (std::size_t r = 0; r < distinct.NumRows(); ++r) {
+        add_mapped(distinct.Row(r), distinct.weights[r]);
+      }
+    } else {
+      for (const auto& t : chunk) add_mapped(t, 1);
+    }
+    return folder.Take();
+  };
+
+  WeightedTransactions rows;
+  if (num_chunks <= 1) {
+    obs::TimelineScope map_scope(lane, "map");
+    rows = fold_chunk(0);
+  } else {
+    std::vector<WeightedTransactions> chunks(num_chunks);
+    std::vector<std::thread> workers;
+    workers.reserve(num_chunks);
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      workers.emplace_back([&, c]() {
+        obs::MemDomainScope worker_mem_domain(obs::MemDomain::kRecode);
+        obs::TimelineLane* wlane =
+            timeline != nullptr
+                ? timeline->AddLane("recode-map-" + std::to_string(c))
+                : nullptr;
+        obs::TimelineScope map_scope(wlane, "map-chunk");
+        chunks[c] = fold_chunk(c);
+      });
+    }
+    for (auto& worker : workers) worker.join();
+    // In chunk order, so a run of equal rows that spans a chunk boundary
+    // folds as in the sequential pass.
+    obs::TimelineScope fold_scope(lane, "fold");
+    RowFolder folder(fold);
+    for (const WeightedTransactions& chunk : chunks) {
+      for (std::size_t r = 0; r < chunk.NumRows(); ++r) {
+        folder.Add(chunk.Row(r), chunk.weights[r]);
+      }
+    }
+    rows = folder.Take();
+  }
+  if (transaction_order == TransactionOrder::kNone) return rows;
+
+  // Sorts the row indices, then copies the rows in that order. Rows the
+  // comparator ties are equal (same size, same items), so an unstable
+  // sort places them as ApplyRecoding's stable one does.
+  obs::TimelineScope sort_scope(lane, "sort");
+  const RowLess less = transaction_order == TransactionOrder::kSizeAscending
+                           ? SizeAscendingLess
+                           : SizeDescendingLess;
+  std::vector<std::size_t> order(rows.NumRows());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return less(rows.Row(a), rows.Row(b));
+  });
+  WeightedTransactions sorted;
+  sorted.offsets.reserve(rows.offsets.size());
+  sorted.items.reserve(rows.items.size());
+  sorted.weights.reserve(rows.NumRows());
+  for (std::size_t r : order) sorted.AddRow(rows.Row(r), rows.weights[r]);
+  return sorted;
 }
 
 std::vector<ItemId> DecodeItems(std::span<const ItemId> coded,

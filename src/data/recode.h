@@ -61,11 +61,61 @@ Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
 /// `timeline` (optional, obs/timeline.h) gives each worker thread its own
 /// event lane ("recode-map-N", "recode-sort-N", "recode-merge-..."); the
 /// recorded events never affect the result.
+///
+/// No miner passes `num_threads` > 1 (IsTa mines the stream of
+/// ApplyRecodingWeighted below); fimbench's `data.recode_par_s` probe
+/// is the one caller of the thread path.
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
                                   TransactionOrder transaction_order,
                                   unsigned num_threads = 1,
                                   obs::Timeline* timeline = nullptr);
+
+/// Transactions in one flat (CSR) table: row r holds the ascending item
+/// codes items[offsets[r], offsets[r + 1]) and stands for weights[r]
+/// identical transactions.
+struct WeightedTransactions {
+  std::vector<std::size_t> offsets{0};  // NumRows() + 1 entries
+  std::vector<ItemId> items;
+  std::vector<Support> weights;
+
+  std::size_t NumRows() const { return weights.size(); }
+  std::span<const ItemId> Row(std::size_t r) const {
+    return std::span(items).subspan(offsets[r], offsets[r + 1] - offsets[r]);
+  }
+  void AddRow(std::span<const ItemId> row, Support weight) {
+    items.insert(items.end(), row.begin(), row.end());
+    offsets.push_back(items.size());
+    weights.push_back(weight);
+  }
+
+  /// Capacity bytes as a breakdown named "weighted-stream" with the
+  /// offsets, items and weights arrays as children.
+  obs::MemoryComponent ApproxMemoryUsage() const;
+};
+
+/// The weighted transaction stream IsTa mines: the rows, order and
+/// weights of ApplyRecoding(db, recoding, transaction_order) with, when
+/// `merge_duplicates` is set, every run of equal adjacent rows folded
+/// into one row weighted by the run length (one row of weight 1 per
+/// transaction otherwise).
+///
+/// Only distinct rows are mapped, copied and ordered. The two size orders
+/// place equal rows next to each other, so there equal rows are folded
+/// by a hash wherever they occur: equal input rows first (each distinct
+/// one is mapped once, into a scratch buffer), then equal mapped rows,
+/// and only the distinct rows are sorted. Under kNone each mapped row
+/// folds into the previous one when equal; without `merge_duplicates`
+/// every row stays. With `num_threads` > 1 each of that many chunks of
+/// the database folds into a table of its own (timeline lanes
+/// "recode-map-N"), and the tables are folded together in chunk order,
+/// so the result is identical for every thread count.
+WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
+                                           const Recoding& recoding,
+                                           TransactionOrder transaction_order,
+                                           bool merge_duplicates,
+                                           unsigned num_threads = 1,
+                                           obs::Timeline* timeline = nullptr);
 
 /// Maps mined item codes back to original item ids (sorted ascending).
 std::vector<ItemId> DecodeItems(std::span<const ItemId> coded,

@@ -15,59 +15,33 @@ namespace fim {
 namespace {
 
 /// Records the preprocessing structures that stay alive for the whole
-/// mining call: the recoded database, the weighted stream over it, and
-/// the remaining-occurrence table.
+/// mining call: the weighted stream and the remaining-occurrence table.
 void RecordPreprocessingMemory(obs::MemoryBreakdown* memory,
-                               const TransactionDatabase& coded,
-                               std::size_t stream_bytes) {
+                               const WeightedTransactions& stream,
+                               std::size_t num_items) {
   if (memory == nullptr) return;
-  obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-  coded_db.name = "recoded-db";
-  memory->Record(std::move(coded_db));
-  memory->RecordBytes("weighted-stream", stream_bytes);
-  memory->RecordBytes("remaining-tables", coded.NumItems() * sizeof(Support));
-}
-
-/// One entry of the mining stream: a recoded transaction plus its
-/// multiplicity after duplicate merging.
-struct WeightedTransaction {
-  const std::vector<ItemId>* items;
-  Support weight;
-};
-
-/// Builds the weighted stream. With `merge_duplicates`, runs of identical
-/// adjacent transactions collapse into one weighted transaction; under the
-/// default size-ascending order (which breaks ties lexicographically) all
-/// duplicates are adjacent, so this is a full deduplication there.
-std::vector<WeightedTransaction> BuildWeightedStream(
-    const TransactionDatabase& coded, bool merge_duplicates) {
-  std::vector<WeightedTransaction> stream;
-  stream.reserve(coded.NumTransactions());
-  for (const auto& transaction : coded.transactions()) {
-    if (merge_duplicates && !stream.empty() &&
-        *stream.back().items == transaction) {
-      ++stream.back().weight;
-    } else {
-      stream.push_back(WeightedTransaction{&transaction, 1});
-    }
-  }
-  return stream;
+  memory->Record(stream.ApproxMemoryUsage());
+  memory->RecordBytes("remaining-tables", num_items * sizeof(Support));
 }
 
 /// Mines the whole weighted stream into one repository. `remaining`
 /// starts as the occurrence count of every item over the coded database
-/// and loses each transaction's items as it is added, so it is exactly
-/// the bound item-elimination pruning needs (paper §3.2).
-IstaPrefixTree MineStream(const std::vector<WeightedTransaction>& stream,
-                          const TransactionDatabase& coded,
-                          const IstaOptions& options,
+/// (each row counts its weight) and loses each transaction's items as it
+/// is added, so it is exactly the bound item-elimination pruning needs
+/// (paper §3.2).
+IstaPrefixTree MineStream(const WeightedTransactions& stream,
+                          std::size_t num_items, const IstaOptions& options,
                           obs::TimelineLane* lane) {
-  IstaPrefixTree tree(coded.NumItems());
-  std::vector<Support> remaining = coded.ItemFrequencies();
+  IstaPrefixTree tree(num_items);
+  std::vector<Support> remaining(num_items, 0);
+  for (std::size_t r = 0; r < stream.NumRows(); ++r) {
+    for (ItemId i : stream.Row(r)) remaining[i] += stream.weights[r];
+  }
   std::size_t prune_threshold = options.prune_node_threshold;
-  for (const WeightedTransaction& wt : stream) {
-    tree.AddTransaction(*wt.items, wt.weight);
-    for (ItemId i : *wt.items) remaining[i] -= wt.weight;
+  for (std::size_t r = 0; r < stream.NumRows(); ++r) {
+    const std::span<const ItemId> row = stream.Row(r);
+    tree.AddTransaction(row, stream.weights[r]);
+    for (ItemId i : row) remaining[i] -= stream.weights[r];
     if (options.item_elimination && tree.NodeCount() > prune_threshold) {
       obs::TimelineScope prune_scope(lane, "prune");
       tree.Prune(options.min_support, remaining);
@@ -126,30 +100,29 @@ Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
   obs::Phase recode_phase(trace, lane, "recode");
   const Recoding recoding =
       ComputeRecoding(db, options.item_order, min_item_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, options.transaction_order,
-                    options.num_threads, timeline);
   recode_phase.End();
-  if (coded.NumTransactions() == 0) return Status::OK();
 
+  // Maps, merges and orders in one pass that copies only distinct rows.
   obs::Phase dedup_phase(trace, lane, "dedup");
-  const std::vector<WeightedTransaction> stream =
-      BuildWeightedStream(coded, options.merge_duplicate_transactions);
+  const WeightedTransactions stream = ApplyRecodingWeighted(
+      db, recoding, options.transaction_order,
+      options.merge_duplicate_transactions, options.num_threads, timeline);
   dedup_phase.End();
-  if (stats != nullptr) stats->weighted_transactions = stream.size();
+  if (stream.NumRows() == 0) return Status::OK();
+  if (stats != nullptr) stats->weighted_transactions = stream.NumRows();
 
-  RecordPreprocessingMemory(options.memory, coded,
-                            stream.capacity() * sizeof(stream[0]));
+  RecordPreprocessingMemory(options.memory, stream, recoding.num_kept());
 
   // One repository at every thread count: the threads only speed up the
-  // recoding above. The phase and the perf domain keep the names
+  // duplicate merge above. The phase and the perf domain keep the names
   // "shard-mine" and "shard-0" (the whole stream is the one shard), which
   // stats reports and benches key on.
   obs::Phase mine_phase(trace, lane, "shard-mine");
   const IstaPrefixTree tree = [&] {
     obs::PerfDomainScope domain(options.perf_domains, "shard-0");
     obs::MemDomainScope mem_domain(obs::MemDomain::kIstaTree);
-    IstaPrefixTree mined = MineStream(stream, coded, options, lane);
+    IstaPrefixTree mined =
+        MineStream(stream, recoding.num_kept(), options, lane);
     domain.AddWorkSteps(mined.IsectSteps());
     return mined;
   }();

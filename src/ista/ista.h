@@ -41,14 +41,17 @@ struct IstaOptions {
   std::size_t prune_node_threshold = std::size_t{1} << 16;
 
   /// Merge identical (recoded) transactions into a single weighted
-  /// transaction before mining. Never changes the output; a substantial
-  /// win when rows repeat, e.g. on discretized gene-expression data.
+  /// transaction before mining: every copy of a row under the size
+  /// orders, runs of adjacent copies under TransactionOrder::kNone
+  /// (ApplyRecodingWeighted, data/recode.h). Never changes the output; a
+  /// substantial win when rows repeat, e.g. on discretized
+  /// gene-expression data.
   bool merge_duplicate_transactions = true;
 
-  /// Threads of the chunked recoding and sorting (data/recode.h). Mining
-  /// itself always builds one repository on the calling thread, so the
-  /// output — including its order — and every intersection counter are
-  /// identical for every thread count.
+  /// Threads of the chunked recoding and duplicate merging
+  /// (data/recode.h). Mining itself always builds one repository on the
+  /// calling thread, so the output — including its order — and every
+  /// intersection counter are identical for every thread count.
   unsigned num_threads = 1;
 
   /// Optional per-thread event timeline (obs/timeline.h). The driving
@@ -65,10 +68,10 @@ struct IstaOptions {
   /// Output-neutral; must outlive the call.
   obs::PerfDomainCollector* perf_domains = nullptr;
 
-  /// Optional memory attribution (obs/memory.h): records the recoded
-  /// database, the weighted stream, the remaining-occurrence table and
-  /// the prefix tree before the report. Output-neutral; must outlive the
-  /// call.
+  /// Optional memory attribution (obs/memory.h): records the weighted
+  /// stream (the flat table of distinct recoded rows), the
+  /// remaining-occurrence table and the prefix tree before the report.
+  /// Output-neutral; must outlive the call.
   obs::MemoryBreakdown* memory = nullptr;
 };
 
@@ -83,8 +86,8 @@ struct IstaOptions {
 /// InvalidArgument for min_support == 0.
 ///
 /// `stats` (optional) receives the execution statistics; `trace`
-/// (optional) receives the phase spans `recode`, `dedup`, `shard-mine`,
-/// and `report`. Both are output-neutral: the mining result is
+/// (optional) receives the phase spans `recode` (item codes), `dedup`
+/// (mapping, merging and ordering the rows), `shard-mine`, and `report`. Both are output-neutral: the mining result is
 /// bit-identical whether they are requested or not.
 Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
                       const ClosedSetCallback& callback,

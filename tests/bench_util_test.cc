@@ -1,13 +1,15 @@
 // Tests of the benchmark sweep harness itself: DNF skipping, per-support
-// count agreement, CSV output, and flag parsing.
+// count agreement, process CPU, CSV output, and flag parsing.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 #include "bench_util.h"
+#include "common/timer.h"
 #include "data/generators.h"
 
 namespace fim::bench {
@@ -42,6 +44,23 @@ TEST(BenchUtilTest, ZeroBudgetSkipsAfterFirstPoint) {
   EXPECT_TRUE(result.Find(Algorithm::kIsta, 4)->ran);
   EXPECT_FALSE(result.Find(Algorithm::kIsta, 2)->ran);
   EXPECT_FALSE(result.Find(Algorithm::kIsta, 1)->ran);
+}
+
+TEST(BenchUtilTest, ProcessCpuSecondsCountsWorkerThreads) {
+  // A worker's own CPU time is part of the process's, so the process
+  // delta around the worker covers it (1 ms of slack for rounding).
+  double worker_seconds = 0.0;
+  const double before = ProcessCpuSeconds();
+  std::thread worker([&worker_seconds] {
+    CpuTimer timer;
+    while (timer.Seconds() < 0.05) {
+    }
+    worker_seconds = timer.Seconds();
+  });
+  worker.join();
+  const double process_seconds = ProcessCpuSeconds() - before;
+  EXPECT_GE(worker_seconds, 0.05);
+  EXPECT_LE(worker_seconds, process_seconds + 0.001);
 }
 
 TEST(BenchUtilTest, CsvOutput) {

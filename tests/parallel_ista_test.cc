@@ -120,6 +120,43 @@ TEST(ParallelIstaTest, IdenticalWithoutDuplicateMerging) {
   }
 }
 
+TEST(ParallelIstaTest, IdenticalUnderEveryTransactionOrder) {
+  // Rows repeat, both adjacent and apart: kNone merges only the adjacent
+  // runs, the size orders merge all copies of a row.
+  MarketBasketConfig config;
+  config.num_items = 30;
+  config.num_transactions = 1500;
+  config.avg_transaction_size = 4.0;
+  config.num_patterns = 6;
+  config.seed = 31;
+  const TransactionDatabase db = GenerateMarketBasket(config);
+  IstaOptions options;
+  options.min_support = 10;
+  const auto default_order = MineWith(db, options);
+  ASSERT_FALSE(default_order.empty());
+  for (TransactionOrder order :
+       {TransactionOrder::kNone, TransactionOrder::kSizeDescending}) {
+    for (bool merge_duplicates : {true, false}) {
+      options.transaction_order = order;
+      options.merge_duplicate_transactions = merge_duplicates;
+      options.num_threads = 1;
+      IstaStats sequential_stats;
+      const auto sequential = MineWith(db, options, &sequential_stats);
+      // The order changes the report order, never the sets.
+      EXPECT_TRUE(SameResults(sequential, default_order))
+          << DiffResults(sequential, default_order);
+      options.num_threads = 4;
+      IstaStats stats;
+      ASSERT_EQ(sequential, MineWith(db, options, &stats))
+          << "order " << static_cast<int>(order) << " dedup "
+          << merge_duplicates;
+      EXPECT_EQ(stats.Counters(), sequential_stats.Counters())
+          << "order " << static_cast<int>(order) << " dedup "
+          << merge_duplicates;
+    }
+  }
+}
+
 TEST(ParallelIstaTest, ThresholdPruningKeepsOutputExact) {
   // A tiny prune threshold forces a prune every few transactions; the
   // output must not change at any thread count.

@@ -1,8 +1,13 @@
 // Unit tests of item recoding and transaction reordering (§3.4
-// preprocessing).
+// preprocessing), and of the weighted stream built in the same pass.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
+#include "data/generators.h"
 #include "data/recode.h"
 #include "data/transpose.h"
 
@@ -108,6 +113,166 @@ TEST(RecodeTest, DecodingCallbackTranslatesAndSorts) {
   ASSERT_EQ(collector.size(), 1u);
   EXPECT_EQ(collector.sets()[0].items, (std::vector<ItemId>{0, 2}));
   EXPECT_EQ(collector.sets()[0].support, 2u);
+}
+
+// --- ApplyRecodingWeighted ----------------------------------------------
+
+using Rows = std::vector<std::pair<std::vector<ItemId>, Support>>;
+
+// The rows of `coded`, with every run of equal adjacent rows folded into
+// one row weighted by the run length when `merge`.
+Rows MergeRuns(const TransactionDatabase& coded, bool merge) {
+  Rows rows;
+  for (const auto& t : coded.transactions()) {
+    if (merge && !rows.empty() && rows.back().first == t) {
+      ++rows.back().second;
+    } else {
+      rows.emplace_back(t, 1);
+    }
+  }
+  return rows;
+}
+
+Rows RowsOf(const WeightedTransactions& stream) {
+  EXPECT_EQ(stream.offsets.size(), stream.NumRows() + 1);
+  EXPECT_EQ(stream.offsets.front(), 0u);
+  EXPECT_EQ(stream.offsets.back(), stream.items.size());
+  Rows rows;
+  for (std::size_t r = 0; r < stream.NumRows(); ++r) {
+    const std::span<const ItemId> row = stream.Row(r);
+    rows.emplace_back(std::vector<ItemId>(row.begin(), row.end()),
+                      stream.weights[r]);
+  }
+  return rows;
+}
+
+// Every transaction order x merging on/off x 1/2/3/8 threads. Also checks
+// that ApplyRecoding's own thread path gives the one-thread rows.
+void ExpectSameAsApplyRecoding(const TransactionDatabase& db,
+                               const Recoding& recoding,
+                               const std::string& what) {
+  for (TransactionOrder order :
+       {TransactionOrder::kNone, TransactionOrder::kSizeAscending,
+        TransactionOrder::kSizeDescending}) {
+    const TransactionDatabase sequential = ApplyRecoding(db, recoding, order);
+    for (unsigned threads : {2u, 3u, 8u}) {
+      ASSERT_EQ(ApplyRecoding(db, recoding, order, threads).transactions(),
+                sequential.transactions())
+          << what << " order " << static_cast<int>(order) << " threads "
+          << threads;
+    }
+    for (bool merge : {true, false}) {
+      const Rows expected = MergeRuns(sequential, merge);
+      for (unsigned threads : {1u, 2u, 3u, 8u}) {
+        ASSERT_EQ(RowsOf(ApplyRecodingWeighted(db, recoding, order, merge,
+                                               threads)),
+                  expected)
+            << what << " order " << static_cast<int>(order) << " merge "
+            << merge << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(RecodeWeightedTest, MatchesApplyRecodingOnRandomDatabases) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    // Six items over forty rows: rows repeat, adjacent and apart.
+    const TransactionDatabase db = GenerateRandomDense(40, 6, 0.5, seed * 97);
+    EXPECT_LT(ApplyRecodingWeighted(db, ComputeRecoding(db, ItemOrder::kNone, 1),
+                                    TransactionOrder::kSizeAscending, true)
+                  .NumRows(),
+              db.NumTransactions());
+    for (ItemOrder item_order :
+         {ItemOrder::kNone, ItemOrder::kFrequencyAscending,
+          ItemOrder::kFrequencyDescending}) {
+      for (Support min_item_support : {1u, 12u, 25u}) {
+        ExpectSameAsApplyRecoding(
+            db, ComputeRecoding(db, item_order, min_item_support),
+            "seed " + std::to_string(seed) + " item order " +
+                std::to_string(static_cast<int>(item_order)) + " smin " +
+                std::to_string(min_item_support));
+      }
+    }
+  }
+}
+
+TEST(RecodeWeightedTest, RowsEmptiedByItemElimination) {
+  // Items 6 and 7 fall below min support 3: the rows {6} and {7} vanish,
+  // so the {5} rows around {6} become adjacent, and so do {0,1} and
+  // {0,1,6}, which loses item 6. Three threads put the runs across chunk
+  // boundaries.
+  const TransactionDatabase db = TransactionDatabase::FromTransactions(
+      {{5}, {6}, {5}, {0, 1}, {0, 1, 6}, {7}, {0, 1, 5}});
+  const Recoding recoding =
+      ComputeRecoding(db, ItemOrder::kFrequencyAscending, 3);
+  ASSERT_EQ(recoding.old_to_new[6], kInvalidItem);
+  ASSERT_EQ(recoding.old_to_new[7], kInvalidItem);
+  ExpectSameAsApplyRecoding(db, recoding, "emptied rows");
+  const WeightedTransactions stream = ApplyRecodingWeighted(
+      db, recoding, TransactionOrder::kNone, /*merge_duplicates=*/true, 3);
+  ASSERT_EQ(stream.NumRows(), 3u);
+  EXPECT_EQ(stream.weights, (std::vector<Support>{2, 2, 1}));
+}
+
+TEST(RecodeWeightedTest, OneRowRepeatedManyTimes) {
+  std::vector<std::vector<ItemId>> rows(1000, std::vector<ItemId>{1, 2, 3});
+  rows.push_back({0, 2});
+  const TransactionDatabase db = TransactionDatabase::FromTransactions(rows);
+  const Recoding recoding =
+      ComputeRecoding(db, ItemOrder::kFrequencyAscending, 1);
+  ExpectSameAsApplyRecoding(db, recoding, "repeated row");
+  for (TransactionOrder order :
+       {TransactionOrder::kNone, TransactionOrder::kSizeAscending,
+        TransactionOrder::kSizeDescending}) {
+    for (unsigned threads : {1u, 8u}) {
+      const WeightedTransactions stream =
+          ApplyRecodingWeighted(db, recoding, order, true, threads);
+      ASSERT_EQ(stream.NumRows(), 2u);
+      EXPECT_EQ(stream.weights[0] + stream.weights[1], 1001u);
+      EXPECT_EQ(std::max(stream.weights[0], stream.weights[1]), 1000u);
+    }
+  }
+}
+
+TEST(RecodeWeightedTest, MoreThreadsThanRows) {
+  const TransactionDatabase db =
+      TransactionDatabase::FromTransactions({{0, 1}, {0, 1}, {2}});
+  const Recoding recoding =
+      ComputeRecoding(db, ItemOrder::kFrequencyAscending, 1);
+  ExpectSameAsApplyRecoding(db, recoding, "three rows");
+  EXPECT_EQ(ApplyRecodingWeighted(db, recoding,
+                                  TransactionOrder::kSizeAscending, true, 16)
+                .NumRows(),
+            2u);
+}
+
+TEST(RecodeWeightedTest, EmptyDatabase) {
+  const TransactionDatabase db;
+  const Recoding recoding =
+      ComputeRecoding(db, ItemOrder::kFrequencyAscending, 1);
+  for (unsigned threads : {1u, 4u}) {
+    const WeightedTransactions stream = ApplyRecodingWeighted(
+        db, recoding, TransactionOrder::kSizeAscending, true, threads);
+    EXPECT_EQ(stream.NumRows(), 0u);
+    EXPECT_EQ(stream.offsets, (std::vector<std::size_t>{0}));
+    EXPECT_TRUE(stream.items.empty());
+  }
+}
+
+TEST(RecodeWeightedTest, MemoryUsageNamesTheThreeArrays) {
+  const TransactionDatabase db =
+      TransactionDatabase::FromTransactions({{0, 1}, {0, 1}, {2}});
+  const WeightedTransactions stream = ApplyRecodingWeighted(
+      db, ComputeRecoding(db, ItemOrder::kNone, 1),
+      TransactionOrder::kSizeAscending, true);
+  const obs::MemoryComponent usage = stream.ApproxMemoryUsage();
+  EXPECT_EQ(usage.name, "weighted-stream");
+  ASSERT_EQ(usage.children.size(), 3u);
+  EXPECT_EQ(usage.children[0].name, "offsets");
+  EXPECT_EQ(usage.children[1].name, "items");
+  EXPECT_EQ(usage.children[2].name, "weights");
+  EXPECT_GE(usage.TotalBytes(), 3 * sizeof(std::size_t) +
+                                    3 * sizeof(ItemId) + 2 * sizeof(Support));
 }
 
 TEST(TransposeTest, SwapsItemsAndTransactions) {

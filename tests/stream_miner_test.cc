@@ -256,7 +256,18 @@ TEST(StreamMinerTest, CheckpointsDuringConcurrentIngest) {
       ASSERT_TRUE(sets.ok());
     }
   });
-  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+  // Half the rows, then a wait for one finished checkpoint, then the
+  // rest: a fast writer could otherwise ingest everything before the
+  // first checkpoint completes, and no checkpoint would overlap ingest.
+  // (A failed snapshotter assertion ends the wait too.)
+  const std::size_t half = db.NumTransactions() / 2;
+  for (std::size_t k = 0; k < half; ++k) {
+    ASSERT_TRUE(miner.AddTransaction(db.transaction(k)).ok());
+  }
+  while (checkpoints_ok.load() == 0 && !HasFailure()) {
+    std::this_thread::yield();
+  }
+  for (std::size_t k = half; k < db.NumTransactions(); ++k) {
     ASSERT_TRUE(miner.AddTransaction(db.transaction(k)).ok());
   }
   done.store(true);
