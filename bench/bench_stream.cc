@@ -8,11 +8,14 @@
 //                  measured over queries evenly spaced during ingest
 //
 // Configurations: landmark mode plus sliding windows of a fixed ~2048
-// transactions chopped into 4/8/16/32 panes — the pane count is the
-// freshness/latency knob (more panes = finer expiry granularity, but a
-// snapshot folds more per-pane trees). Every query's set count is
-// recorded so the exactness cross-check against fim-mine stays cheap to
-// run by hand.
+// transactions chopped into 4/8/16/32 panes — the pane count sets the
+// expiry granularity; a query maps and folds one table of distinct rows
+// per covered pane before it mines. Every query's set count is recorded
+// so the exactness cross-check against fim-mine stays cheap to run by
+// hand. The counters of each ingest point: weighted_transactions = rows
+// the panes started (StreamStats::weighted_additions), final_nodes =
+// distinct rows held at the end (NodeCount()), merge_calls = 0 (queries
+// merge no trees).
 
 #include <cstdio>
 #include <string>
@@ -131,9 +134,8 @@ int main(int argc, char** argv) {
     mapped.final_nodes = static_cast<std::size_t>(stats.repository_nodes);
     mapped.sets_reported = num_sets;
 
-    // End-of-ingest footprint: the live tree plus every sealed segment
-    // (the structures a compressed-segment tier would shrink), next to
-    // the process peak RSS.
+    // End-of-ingest footprint: the live panes' rows and the filling
+    // pane's hash index, next to the process peak RSS.
     const std::size_t accounted = miner.ApproxMemoryUsage().TotalBytes();
 
     bench::JsonPoint ingest_point;

@@ -1,8 +1,8 @@
 // Online mining scenario: transactions arrive as a stream (e.g. a live
 // click-stream or a growing experiment compendium) and the application
-// periodically asks for the currently strongest closed item sets —
-// the natural fit for the cumulative intersection scheme, which updates
-// its repository per transaction instead of re-mining from scratch.
+// periodically asks for the currently strongest closed item sets. The
+// miner keeps the transactions folded into distinct weighted rows, and
+// each query mines them with IsTa at the query's support.
 //
 //   $ ./examples/streaming_monitor
 
@@ -53,7 +53,7 @@ int main() {
               [](const ClosedItemset& a, const ClosedItemset& b) {
                 return a.support > b.support;
               });
-    std::printf("after %5zu transactions (smin %u, repository %zu nodes):\n",
+    std::printf("after %5zu transactions (smin %u, %zu distinct rows):\n",
                 k + 1, smin, miner.NodeCount());
     for (std::size_t i = 0; i < std::min<std::size_t>(3, multi.size());
          ++i) {

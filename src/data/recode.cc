@@ -11,9 +11,10 @@
 
 namespace fim {
 
-Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
-                         Support min_item_support) {
-  const std::vector<Support> freq = db.ItemFrequencies();
+namespace {
+
+Recoding RecodingFromFrequencies(const std::vector<Support>& freq,
+                                 ItemOrder order, Support min_item_support) {
   const std::size_t n = freq.size();
 
   std::vector<ItemId> kept;
@@ -49,7 +50,34 @@ Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
   return recoding;
 }
 
-namespace {
+// Runs fn(c) for every chunk c < num_chunks: with at most one chunk on
+// the calling thread, under the span `name` on the driver lane; otherwise
+// on one thread per chunk, each recording span "<name>-chunk" on a lane
+// "recode-<name>-<c>" of its own.
+template <typename Fn>
+void RunChunks(std::size_t num_chunks, obs::Timeline* timeline,
+               const std::string& name, const Fn& fn) {
+  if (num_chunks <= 1) {
+    obs::TimelineScope scope(
+        timeline != nullptr ? timeline->driver() : nullptr, name);
+    if (num_chunks == 1) fn(0);
+    return;
+  }
+  std::vector<std::thread> workers;
+  workers.reserve(num_chunks);
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    workers.emplace_back([&, c]() {
+      obs::MemDomainScope worker_mem_domain(obs::MemDomain::kRecode);
+      obs::TimelineLane* lane =
+          timeline != nullptr
+              ? timeline->AddLane("recode-" + name + "-" + std::to_string(c))
+              : nullptr;
+      obs::TimelineScope scope(lane, name + "-chunk");
+      fn(c);
+    });
+  }
+  for (auto& worker : workers) worker.join();
+}
 
 // Lexicographic comparison on the descending item sequence (items are
 // stored ascending, so compare from the back).
@@ -114,33 +142,14 @@ void ParallelStableSort(std::vector<std::vector<ItemId>>* mapped,
                         std::size_t num_chunks, RowLess less,
                         obs::Timeline* timeline) {
   num_chunks = std::min(num_chunks, std::max<std::size_t>(mapped->size(), 1));
-  if (num_chunks <= 1) {
-    obs::TimelineScope sort_scope(
-        timeline != nullptr ? timeline->driver() : nullptr, "sort");
-    std::stable_sort(mapped->begin(), mapped->end(), less);
-    return;
-  }
   std::vector<std::size_t> bounds(num_chunks + 1);
   for (std::size_t c = 0; c <= num_chunks; ++c) {
     bounds[c] = c * mapped->size() / num_chunks;
   }
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      workers.emplace_back([mapped, &bounds, less, timeline, c]() {
-        obs::MemDomainScope worker_mem_domain(obs::MemDomain::kRecode);
-        obs::TimelineLane* wlane =
-            timeline != nullptr
-                ? timeline->AddLane("recode-sort-" + std::to_string(c))
-                : nullptr;
-        obs::TimelineScope sort_scope(wlane, "sort-chunk");
-        std::stable_sort(mapped->begin() + bounds[c],
-                         mapped->begin() + bounds[c + 1], less);
-      });
-    }
-    for (auto& worker : workers) worker.join();
-  }
+  RunChunks(num_chunks, timeline, "sort", [&](std::size_t c) {
+    std::stable_sort(mapped->begin() + bounds[c],
+                     mapped->begin() + bounds[c + 1], less);
+  });
   for (std::size_t stride = 1; stride < num_chunks; stride *= 2) {
     std::vector<std::thread> mergers;
     for (std::size_t c = 0; c + stride < num_chunks; c += 2 * stride) {
@@ -165,7 +174,34 @@ void ParallelStableSort(std::vector<std::vector<ItemId>>* mapped,
   }
 }
 
+std::uint64_t HashRow(std::span<const ItemId> row) {
+  std::uint64_t h = row.size();
+  for (ItemId i : row) {
+    h = (h + i) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 32;  // the probe uses the low bits
+  }
+  return h;
+}
+
 }  // namespace
+
+Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
+                         Support min_item_support) {
+  return RecodingFromFrequencies(db.ItemFrequencies(), order,
+                                 min_item_support);
+}
+
+Recoding ComputeRecoding(std::span<const WeightedTransactions* const> tables,
+                         std::size_t num_items, ItemOrder order,
+                         Support min_item_support) {
+  std::vector<Support> freq(num_items, 0);
+  for (const WeightedTransactions* table : tables) {
+    for (std::size_t r = 0; r < table->NumRows(); ++r) {
+      for (ItemId i : table->Row(r)) freq[i] += table->weights[r];
+    }
+  }
+  return RecodingFromFrequencies(freq, order, min_item_support);
+}
 
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
@@ -177,38 +213,19 @@ TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
   const std::size_t num_chunks = std::max<std::size_t>(
       std::min<std::size_t>(num_threads, transactions.size()), 1);
 
-  std::vector<std::vector<ItemId>> mapped;
-  if (num_chunks <= 1) {
-    obs::TimelineScope map_scope(
-        timeline != nullptr ? timeline->driver() : nullptr, "map");
-    mapped = MapChunk(transactions, recoding);
-  } else {
-    // Map disjoint chunks concurrently, then splice them back together in
-    // order; the concatenation sees exactly the sequential mapping.
-    std::vector<std::vector<std::vector<ItemId>>> chunks(num_chunks);
-    std::vector<std::thread> workers;
-    workers.reserve(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      workers.emplace_back([&, c]() {
-        obs::MemDomainScope worker_mem_domain(obs::MemDomain::kRecode);
-        obs::TimelineLane* wlane =
-            timeline != nullptr
-                ? timeline->AddLane("recode-map-" + std::to_string(c))
-                : nullptr;
-        obs::TimelineScope map_scope(wlane, "map-chunk");
-        const std::size_t begin = c * transactions.size() / num_chunks;
-        const std::size_t end = (c + 1) * transactions.size() / num_chunks;
-        chunks[c] = MapChunk(
-            std::span(transactions).subspan(begin, end - begin), recoding);
-      });
-    }
-    for (auto& worker : workers) worker.join();
-    std::size_t total = 0;
-    for (const auto& chunk : chunks) total += chunk.size();
-    mapped.reserve(total);
-    for (auto& chunk : chunks) {
-      for (auto& t : chunk) mapped.push_back(std::move(t));
-    }
+  // Map disjoint chunks concurrently, then splice them back together in
+  // order; the concatenation sees exactly the sequential mapping.
+  std::vector<std::vector<std::vector<ItemId>>> chunks(num_chunks);
+  RunChunks(num_chunks, timeline, "map", [&](std::size_t c) {
+    const std::size_t begin = c * transactions.size() / num_chunks;
+    const std::size_t end = (c + 1) * transactions.size() / num_chunks;
+    chunks[c] = MapChunk(std::span(transactions).subspan(begin, end - begin),
+                         recoding);
+  });
+  std::vector<std::vector<ItemId>> mapped = std::move(chunks[0]);
+  for (std::size_t c = 1; c < num_chunks; ++c) {
+    mapped.insert(mapped.end(), std::make_move_iterator(chunks[c].begin()),
+                  std::make_move_iterator(chunks[c].end()));
   }
 
   switch (transaction_order) {
@@ -238,86 +255,63 @@ obs::MemoryComponent WeightedTransactions::ApproxMemoryUsage() const {
   return stream;
 }
 
-namespace {
-
-std::uint64_t HashRow(std::span<const ItemId> row) {
-  std::uint64_t h = row.size();
-  for (ItemId i : row) {
-    h = (h + i) * 0x9E3779B97F4A7C15ull;
-    h ^= h >> 32;  // the probe uses the low bits
-  }
-  return h;
+RowFold FoldFor(TransactionOrder transaction_order, bool merge_duplicates) {
+  if (!merge_duplicates) return RowFold::kNone;
+  return transaction_order == TransactionOrder::kNone ? RowFold::kAdjacent
+                                                      : RowFold::kHash;
 }
 
-// Which added rows fold into a row the table already holds.
-enum class RowFold {
-  kNone,      // none: every added row becomes a row of its own
-  kAdjacent,  // a row equal to the last held row
-  kHash,      // a row equal to any held row
-};
+void RowFolder::Add(std::span<const ItemId> row, Support weight) {
+  Support* held = nullptr;
+  if (fold_ == RowFold::kAdjacent && rows_.NumRows() > 0 &&
+      std::ranges::equal(rows_.Row(rows_.NumRows() - 1), row)) {
+    held = &rows_.weights.back();
+  } else if (fold_ == RowFold::kHash) {
+    held = FindOrIndex(row);
+  }
+  if (held != nullptr) {
+    *held += weight;
+  } else {
+    rows_.AddRow(row, weight);
+  }
+}
 
-// A WeightedTransactions table under construction: a folded row adds its
-// weight to the held row. Under kHash an open-addressing index (linear
-// probing, at most half full) over the held rows finds the equal one.
-class RowFolder {
- public:
-  explicit RowFolder(RowFold fold) : fold_(fold) {}
+obs::MemoryComponent RowFolder::ApproxMemoryUsage() const {
+  obs::MemoryComponent folder("row-folder");
+  folder.children.push_back(rows_.ApproxMemoryUsage());
+  folder.children.emplace_back(
+      "hash-index", hashes_.capacity() * sizeof(hashes_[0]) +
+                        slots_.capacity() * sizeof(slots_[0]));
+  return folder;
+}
 
-  void Add(std::span<const ItemId> row, Support weight) {
-    Support* held = nullptr;
-    if (fold_ == RowFold::kAdjacent && rows_.NumRows() > 0 &&
-        std::ranges::equal(rows_.Row(rows_.NumRows() - 1), row)) {
-      held = &rows_.weights.back();
-    } else if (fold_ == RowFold::kHash) {
-      held = FindOrIndex(row);
+Support* RowFolder::FindOrIndex(std::span<const ItemId> row) {
+  if (2 * (hashes_.size() + 1) > slots_.size()) Grow();
+  const std::uint64_t hash = HashRow(row);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+    const std::size_t slot = slots_[s];
+    if (slot == 0) {
+      slots_[s] = hashes_.size() + 1;
+      hashes_.push_back(hash);
+      return nullptr;
     }
-    if (held != nullptr) {
-      *held += weight;
-    } else {
-      rows_.AddRow(row, weight);
+    if (hashes_[slot - 1] == hash &&
+        std::ranges::equal(rows_.Row(slot - 1), row)) {
+      return &rows_.weights[slot - 1];
     }
   }
+}
 
-  WeightedTransactions Take() { return std::move(rows_); }
-
- private:
-  // The weight of the held row equal to `row`, or nullptr after indexing
-  // `row` as the row about to be appended.
-  Support* FindOrIndex(std::span<const ItemId> row) {
-    if (2 * (hashes_.size() + 1) > slots_.size()) Grow();
-    const std::uint64_t hash = HashRow(row);
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
-      const std::size_t slot = slots_[s];
-      if (slot == 0) {
-        slots_[s] = hashes_.size() + 1;
-        hashes_.push_back(hash);
-        return nullptr;
-      }
-      if (hashes_[slot - 1] == hash &&
-          std::ranges::equal(rows_.Row(slot - 1), row)) {
-        return &rows_.weights[slot - 1];
-      }
-    }
+void RowFolder::Grow() {
+  slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t r = 0; r < hashes_.size(); ++r) {
+    std::size_t s = hashes_[r] & mask;
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = r + 1;
   }
-
-  void Grow() {
-    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t r = 0; r < hashes_.size(); ++r) {
-      std::size_t s = hashes_[r] & mask;
-      while (slots_[s] != 0) s = (s + 1) & mask;
-      slots_[s] = r + 1;
-    }
-  }
-
-  RowFold fold_;
-  WeightedTransactions rows_;
-  std::vector<std::uint64_t> hashes_;  // per held row, under kHash
-  std::vector<std::size_t> slots_;     // held row + 1; 0 = empty
-};
-
-}  // namespace
+}
 
 WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
                                            const Recoding& recoding,
@@ -326,71 +320,59 @@ WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
                                            unsigned num_threads,
                                            obs::Timeline* timeline) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
-  obs::TimelineLane* const lane =
-      timeline != nullptr ? timeline->driver() : nullptr;
   const auto& transactions = db.transactions();
   const std::size_t num_chunks = std::max<std::size_t>(
       std::min<std::size_t>(num_threads, transactions.size()), 1);
-  // The size orders place equal rows next to each other, so there the
-  // adjacent runs of the ordered rows are all equal rows, whatever their
-  // input positions.
-  RowFold fold = RowFold::kNone;
-  if (merge_duplicates) {
-    fold = transaction_order == TransactionOrder::kNone ? RowFold::kAdjacent
-                                                        : RowFold::kHash;
-  }
-  auto fold_chunk = [&](std::size_t c) {
+  const RowFold fold = FoldFor(transaction_order, merge_duplicates);
+  std::vector<WeightedTransactions> chunks(num_chunks);
+  RunChunks(num_chunks, timeline, "prefold", [&](std::size_t c) {
     const std::size_t begin = c * transactions.size() / num_chunks;
     const std::size_t end = (c + 1) * transactions.size() / num_chunks;
-    const auto chunk = std::span(transactions).subspan(begin, end - begin);
-    RowFolder folder(fold);
+    RowFolder inputs(fold);
+    for (std::size_t t = begin; t < end; ++t) inputs.Add(transactions[t], 1);
+    chunks[c] = inputs.Take();
+  });
+  std::vector<const WeightedTransactions*> tables;
+  for (const WeightedTransactions& chunk : chunks) tables.push_back(&chunk);
+  return RecodeTables(tables, recoding, transaction_order, merge_duplicates,
+                      num_threads, timeline);
+}
+
+WeightedTransactions RecodeTables(
+    std::span<const WeightedTransactions* const> tables,
+    const Recoding& recoding, TransactionOrder transaction_order,
+    bool merge_duplicates, unsigned num_threads, obs::Timeline* timeline) {
+  obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
+  obs::TimelineLane* const lane =
+      timeline != nullptr ? timeline->driver() : nullptr;
+  const RowFold fold = FoldFor(transaction_order, merge_duplicates);
+  std::vector<WeightedTransactions> mapped(tables.size());
+  const std::size_t workers =
+      std::min<std::size_t>(std::max(num_threads, 1u), tables.size());
+  RunChunks(workers, timeline, "map", [&](std::size_t w) {
     std::vector<ItemId> coded;
-    auto add_mapped = [&](std::span<const ItemId> t, Support weight) {
-      MapRow(t, recoding, &coded);
-      if (!coded.empty()) folder.Add(coded, weight);
-    };
-    if (fold == RowFold::kHash) {
-      // Equal input rows map to equal rows: folding the input rows first
-      // maps and sorts only the distinct ones.
-      RowFolder inputs(RowFold::kHash);
-      for (const auto& t : chunk) inputs.Add(t, 1);
-      const WeightedTransactions distinct = inputs.Take();
-      for (std::size_t r = 0; r < distinct.NumRows(); ++r) {
-        add_mapped(distinct.Row(r), distinct.weights[r]);
+    for (std::size_t t = w; t < tables.size(); t += workers) {
+      const WeightedTransactions& table = *tables[t];
+      RowFolder folder(fold);
+      for (std::size_t r = 0; r < table.NumRows(); ++r) {
+        MapRow(table.Row(r), recoding, &coded);
+        if (!coded.empty()) folder.Add(coded, table.weights[r]);
       }
-    } else {
-      for (const auto& t : chunk) add_mapped(t, 1);
+      mapped[t] = folder.Take();
     }
-    return folder.Take();
-  };
+  });
 
   WeightedTransactions rows;
-  if (num_chunks <= 1) {
-    obs::TimelineScope map_scope(lane, "map");
-    rows = fold_chunk(0);
+  if (mapped.size() == 1) {
+    rows = std::move(mapped.front());
   } else {
-    std::vector<WeightedTransactions> chunks(num_chunks);
-    std::vector<std::thread> workers;
-    workers.reserve(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      workers.emplace_back([&, c]() {
-        obs::MemDomainScope worker_mem_domain(obs::MemDomain::kRecode);
-        obs::TimelineLane* wlane =
-            timeline != nullptr
-                ? timeline->AddLane("recode-map-" + std::to_string(c))
-                : nullptr;
-        obs::TimelineScope map_scope(wlane, "map-chunk");
-        chunks[c] = fold_chunk(c);
-      });
-    }
-    for (auto& worker : workers) worker.join();
-    // In chunk order, so a run of equal rows that spans a chunk boundary
-    // folds as in the sequential pass.
+    // In table order, so a run of equal rows that spans a table boundary
+    // folds as in one pass over all the rows.
     obs::TimelineScope fold_scope(lane, "fold");
     RowFolder folder(fold);
-    for (const WeightedTransactions& chunk : chunks) {
-      for (std::size_t r = 0; r < chunk.NumRows(); ++r) {
-        folder.Add(chunk.Row(r), chunk.weights[r]);
+    for (const WeightedTransactions& table : mapped) {
+      for (std::size_t r = 0; r < table.NumRows(); ++r) {
+        folder.Add(table.Row(r), table.weights[r]);
       }
     }
     rows = folder.Take();

@@ -1,7 +1,9 @@
 #ifndef FIM_DATA_RECODE_H_
 #define FIM_DATA_RECODE_H_
 
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "data/itemset.h"
@@ -71,9 +73,9 @@ TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   unsigned num_threads = 1,
                                   obs::Timeline* timeline = nullptr);
 
-/// Transactions in one flat (CSR) table: row r holds the ascending item
-/// codes items[offsets[r], offsets[r + 1]) and stands for weights[r]
-/// identical transactions.
+/// Transactions in one flat (CSR) table: row r holds the ascending items
+/// items[offsets[r], offsets[r + 1]) (item codes once recoded, input item
+/// ids before) and stands for weights[r] identical transactions.
 struct WeightedTransactions {
   std::vector<std::size_t> offsets{0};  // NumRows() + 1 entries
   std::vector<ItemId> items;
@@ -94,28 +96,92 @@ struct WeightedTransactions {
   obs::MemoryComponent ApproxMemoryUsage() const;
 };
 
+/// ComputeRecoding over tables of weighted rows, such as the tables
+/// RecodeTables takes: a row counts its weight towards the frequency of
+/// each of its items, which must be < num_items. Gives ComputeRecoding's
+/// recoding of the database the tables stand for.
+Recoding ComputeRecoding(std::span<const WeightedTransactions* const> tables,
+                         std::size_t num_items, ItemOrder order,
+                         Support min_item_support);
+
+/// Which rows a RowFolder folds into a row it already holds.
+enum class RowFold {
+  kNone,      // none: every added row becomes a row of its own
+  kAdjacent,  // a row equal to the last held row
+  kHash,      // a row equal to any held row
+};
+
+/// The fold the weighted recoding uses: none without `merge_duplicates`;
+/// equal adjacent rows under TransactionOrder::kNone; equal rows
+/// anywhere under the size orders, which place equal rows next to each
+/// other anyway.
+RowFold FoldFor(TransactionOrder transaction_order, bool merge_duplicates);
+
+/// A WeightedTransactions table under construction: a folded row adds its
+/// weight to the held row. Under kHash an open-addressing index (linear
+/// probing, at most half full) over the held rows finds the equal one.
+/// The caller keeps the weights of equal rows below the Support limit.
+class RowFolder {
+ public:
+  explicit RowFolder(RowFold fold) : fold_(fold) {}
+
+  void Add(std::span<const ItemId> row, Support weight);
+
+  /// The rows held so far.
+  const WeightedTransactions& rows() const { return rows_; }
+
+  WeightedTransactions Take() { return std::move(rows_); }
+
+  /// The held rows ("weighted-stream") plus the hash index, as a
+  /// breakdown named "row-folder".
+  obs::MemoryComponent ApproxMemoryUsage() const;
+
+ private:
+  // The weight of the held row equal to `row`, or nullptr after indexing
+  // `row` as the row about to be appended.
+  Support* FindOrIndex(std::span<const ItemId> row);
+  void Grow();
+
+  RowFold fold_;
+  WeightedTransactions rows_;
+  std::vector<std::uint64_t> hashes_;  // per held row, under kHash
+  std::vector<std::size_t> slots_;     // held row + 1; 0 = empty
+};
+
 /// The weighted transaction stream IsTa mines: the rows, order and
 /// weights of ApplyRecoding(db, recoding, transaction_order) with, when
 /// `merge_duplicates` is set, every run of equal adjacent rows folded
 /// into one row weighted by the run length (one row of weight 1 per
 /// transaction otherwise).
 ///
-/// Only distinct rows are mapped, copied and ordered. The two size orders
-/// place equal rows next to each other, so there equal rows are folded
-/// by a hash wherever they occur: equal input rows first (each distinct
-/// one is mapped once, into a scratch buffer), then equal mapped rows,
-/// and only the distinct rows are sorted. Under kNone each mapped row
-/// folds into the previous one when equal; without `merge_duplicates`
-/// every row stays. With `num_threads` > 1 each of that many chunks of
-/// the database folds into a table of its own (timeline lanes
-/// "recode-map-N"), and the tables are folded together in chunk order,
-/// so the result is identical for every thread count.
+/// The database is cut into one chunk per thread (`num_threads`), and
+/// each chunk first folds its input rows under FoldFor(transaction_order,
+/// merge_duplicates): equal input rows map to equal rows, so only the
+/// distinct ones are mapped and sorted. RecodeTables does the rest. The
+/// result is identical for every thread count; with more than one thread
+/// the chunks record on timeline lanes "recode-prefold-N".
 WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
                                            const Recoding& recoding,
                                            TransactionOrder transaction_order,
                                            bool merge_duplicates,
                                            unsigned num_threads = 1,
                                            obs::Timeline* timeline = nullptr);
+
+/// The stages of ApplyRecodingWeighted after the chunk prefold, for any
+/// tables of raw rows that each hold distinct rows (under
+/// FoldFor(transaction_order, merge_duplicates)) with weights, in stream
+/// order: the chunks of ApplyRecodingWeighted, or the panes of a stream
+/// miner. Maps every table's rows through `recoding` and folds them
+/// (timeline span "map"; with `num_threads` > 1 the tables are shared
+/// out over that many threads, lanes "recode-map-N"), folds the mapped
+/// tables together in order ("fold"), and orders the distinct rows by
+/// `transaction_order` ("sort"). Rows that map to the empty set are
+/// dropped.
+WeightedTransactions RecodeTables(
+    std::span<const WeightedTransactions* const> tables,
+    const Recoding& recoding, TransactionOrder transaction_order,
+    bool merge_duplicates, unsigned num_threads = 1,
+    obs::Timeline* timeline = nullptr);
 
 /// Maps mined item codes back to original item ids (sorted ascending).
 std::vector<ItemId> DecodeItems(std::span<const ItemId> coded,

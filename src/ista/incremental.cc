@@ -4,11 +4,10 @@
 
 namespace fim {
 
-// One code path for online mining: the historical incremental miner is a
-// thin wrapper over StreamMiner's landmark mode (src/stream/). Semantics
-// are unchanged — every query reports the closed sets over everything
-// seen so far — but queries are now safe against concurrent ingest and
-// duplicate bursts collapse into weighted Figure-2 additions.
+// One code path for online mining: the incremental miner is a thin
+// wrapper over StreamMiner's landmark mode (src/stream/). Every query
+// reports the closed sets over everything seen so far, and queries are
+// safe against concurrent ingest.
 struct IncrementalClosedSetMiner::Impl {
   explicit Impl(std::size_t num_items) : miner(MakeOptions(num_items)) {}
 

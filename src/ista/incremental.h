@@ -10,17 +10,14 @@
 
 namespace fim {
 
-/// Online/streaming closed item set mining — the natural strength of the
-/// cumulative intersection scheme: transactions arrive one at a time and
-/// the current closed sets (over everything seen so far) can be queried
-/// at any point, without re-mining from scratch.
+/// Online/streaming closed item set mining: transactions arrive one at a
+/// time and the current closed sets (over everything seen so far) can be
+/// queried at any point.
 ///
-/// Unlike the batch driver (MineClosedIsta), no global item statistics
-/// are available up front, so item codes are assigned in arrival order
-/// and the repository keeps all closed sets (min support 1 semantics
-/// internally); `min_support` only filters queries. Memory therefore
-/// grows with the number of distinct closed sets seen — bound it with
-/// the max_items capacity and by the data's structure, not by smin.
+/// The miner keeps the transactions seen so far, folded into distinct
+/// rows with weights, and each query mines them with IsTa at its own
+/// `min_support` (StreamMiner's landmark mode, stream/stream_miner.h).
+/// Memory therefore grows with the number of distinct transactions seen.
 class IncrementalClosedSetMiner {
  public:
   /// `max_items` is the capacity of the item universe (ids must stay
@@ -48,7 +45,7 @@ class IncrementalClosedSetMiner {
   /// Convenience: collect the current closed sets in canonical order.
   Result<std::vector<ClosedItemset>> QueryCollect(Support min_support) const;
 
-  /// Current repository size in nodes (memory diagnostics).
+  /// Distinct transactions held (memory diagnostics).
   std::size_t NodeCount() const;
 
  private:

@@ -79,35 +79,12 @@ void ReportWithStats(const IstaPrefixTree& tree, const Recoding& recoding,
               });
 }
 
-}  // namespace
-
-Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
-                      const ClosedSetCallback& callback, IstaStats* stats,
-                      obs::Trace* trace) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (stats != nullptr) *stats = IstaStats{};
-  if (db.NumTransactions() == 0) return Status::OK();
-
-  // Preprocessing: assign item codes, drop items that cannot occur in any
-  // frequent set, order the transactions (paper §3.4).
-  const Support min_item_support =
-      options.item_elimination ? options.min_support : 1;
-  obs::Timeline* const timeline = options.timeline;
-  obs::TimelineLane* const lane =
-      timeline != nullptr ? timeline->driver() : nullptr;
-  obs::Phase recode_phase(trace, lane, "recode");
-  const Recoding recoding =
-      ComputeRecoding(db, options.item_order, min_item_support);
-  recode_phase.End();
-
-  // Maps, merges and orders in one pass that copies only distinct rows.
-  obs::Phase dedup_phase(trace, lane, "dedup");
-  const WeightedTransactions stream = ApplyRecodingWeighted(
-      db, recoding, options.transaction_order,
-      options.merge_duplicate_transactions, options.num_threads, timeline);
-  dedup_phase.End();
+/// The stages after the weighted stream is built: mining and the report.
+Status MineRecoded(const Recoding& recoding,
+                   const WeightedTransactions& stream,
+                   const IstaOptions& options,
+                   const ClosedSetCallback& callback, IstaStats* stats,
+                   obs::Trace* trace, obs::TimelineLane* lane) {
   if (stream.NumRows() == 0) return Status::OK();
   if (stats != nullptr) stats->weighted_transactions = stream.NumRows();
 
@@ -137,6 +114,69 @@ Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
   obs::Phase report_phase(trace, lane, "report");
   ReportWithStats(tree, recoding, options.min_support, callback, stats);
   return Status::OK();
+}
+
+obs::TimelineLane* DriverLane(const IstaOptions& options) {
+  return options.timeline != nullptr ? options.timeline->driver() : nullptr;
+}
+
+// Items that cannot occur in any frequent set are dropped up front
+// (paper §3.2).
+Support MinItemSupport(const IstaOptions& options) {
+  return options.item_elimination ? options.min_support : 1;
+}
+
+}  // namespace
+
+Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
+                      const ClosedSetCallback& callback, IstaStats* stats,
+                      obs::Trace* trace) {
+  if (options.min_support == 0) {
+    return Status::InvalidArgument("min_support must be >= 1");
+  }
+  if (stats != nullptr) *stats = IstaStats{};
+  if (db.NumTransactions() == 0) return Status::OK();
+
+  // Preprocessing: assign item codes, drop items that cannot occur in any
+  // frequent set, order the transactions (paper §3.4).
+  obs::TimelineLane* const lane = DriverLane(options);
+  obs::Phase recode_phase(trace, lane, "recode");
+  const Recoding recoding =
+      ComputeRecoding(db, options.item_order, MinItemSupport(options));
+  recode_phase.End();
+
+  // Maps, merges and orders in one pass that copies only distinct rows.
+  obs::Phase dedup_phase(trace, lane, "dedup");
+  const WeightedTransactions stream = ApplyRecodingWeighted(
+      db, recoding, options.transaction_order,
+      options.merge_duplicate_transactions, options.num_threads,
+      options.timeline);
+  dedup_phase.End();
+  return MineRecoded(recoding, stream, options, callback, stats, trace, lane);
+}
+
+Status MineClosedIsta(std::span<const WeightedTransactions* const> tables,
+                      std::size_t num_items, const IstaOptions& options,
+                      const ClosedSetCallback& callback, IstaStats* stats,
+                      obs::Trace* trace) {
+  if (options.min_support == 0) {
+    return Status::InvalidArgument("min_support must be >= 1");
+  }
+  if (stats != nullptr) *stats = IstaStats{};
+
+  obs::TimelineLane* const lane = DriverLane(options);
+  obs::Phase recode_phase(trace, lane, "recode");
+  const Recoding recoding = ComputeRecoding(
+      tables, num_items, options.item_order, MinItemSupport(options));
+  recode_phase.End();
+
+  obs::Phase dedup_phase(trace, lane, "dedup");
+  const WeightedTransactions stream = RecodeTables(
+      tables, recoding, options.transaction_order,
+      options.merge_duplicate_transactions, options.num_threads,
+      options.timeline);
+  dedup_phase.End();
+  return MineRecoded(recoding, stream, options, callback, stats, trace, lane);
 }
 
 }  // namespace fim

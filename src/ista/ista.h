@@ -2,6 +2,7 @@
 #define FIM_ISTA_ISTA_H_
 
 #include <cstddef>
+#include <span>
 
 #include "common/status.h"
 #include "data/itemset.h"
@@ -87,9 +88,25 @@ struct IstaOptions {
 ///
 /// `stats` (optional) receives the execution statistics; `trace`
 /// (optional) receives the phase spans `recode` (item codes), `dedup`
-/// (mapping, merging and ordering the rows), `shard-mine`, and `report`. Both are output-neutral: the mining result is
-/// bit-identical whether they are requested or not.
+/// (mapping, merging and ordering the rows), `shard-mine`, and `report`.
+/// Both are output-neutral: the mining result is bit-identical whether
+/// they are requested or not.
 Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
+                      const ClosedSetCallback& callback,
+                      IstaStats* stats = nullptr,
+                      obs::Trace* trace = nullptr);
+
+/// MineClosedIsta over transactions held as tables of weighted input rows
+/// in stream order, each folded under FoldFor(options.transaction_order,
+/// options.merge_duplicate_transactions) (data/recode.h), such as the
+/// panes of a stream miner. Item ids must be < `num_items`, and the
+/// weights must sum to at most the Support limit. The item codes come
+/// from the weighted item counts; then the stages after
+/// ApplyRecodingWeighted's chunk prefold run (RecodeTables), and the
+/// mining and the report. So the output, its order included, equals
+/// MineClosedIsta's over the transactions the tables stand for.
+Status MineClosedIsta(std::span<const WeightedTransactions* const> tables,
+                      std::size_t num_items, const IstaOptions& options,
                       const ClosedSetCallback& callback,
                       IstaStats* stats = nullptr,
                       obs::Trace* trace = nullptr);

@@ -21,7 +21,6 @@ uint32_t IstaPrefixTree::NewNode(ItemId item, uint32_t step, Support supp) {
   node_step_.push_back(step);
   node_item_.push_back(item);
   node_supp_.push_back(supp);
-  node_trans_.push_back(0);
   links_.push_back(kNil);  // ChildSlot(index)
   links_.push_back(kNil);  // SibSlot(index)
   ++node_count_;
@@ -45,12 +44,11 @@ uint32_t IstaPrefixTree::FindOrCreateChild(uint32_t parent, ItemId item,
   return node;
 }
 
-uint32_t IstaPrefixTree::InsertTransactionPath(std::span<const ItemId> items) {
+void IstaPrefixTree::InsertTransactionPath(std::span<const ItemId> items) {
   uint32_t current = kRoot;
   for (std::size_t idx = items.size(); idx > 0; --idx) {
     current = FindOrCreateChild(current, items[idx - 1], 0);
   }
-  return current;
 }
 
 void IstaPrefixTree::AddTransaction(std::span<const ItemId> items,
@@ -67,7 +65,7 @@ void IstaPrefixTree::AddTransaction(std::span<const ItemId> items,
   total_weight_ += weight;
   for (ItemId i : items) in_transaction_[i] = 1;
   imin_ = items.front();
-  node_trans_[InsertTransactionPath(items)] += weight;
+  InsertTransactionPath(items);
   Isect(links_[ChildSlot(kRoot)], ChildSlot(kRoot), weight);
   for (ItemId i : items) in_transaction_[i] = 0;
   // Full validation is O(nodes); amortize it over power-of-two steps so
@@ -82,8 +80,8 @@ void IstaPrefixTree::Isect(uint32_t node, uint32_t ins_slot, Support weight) {
   // remainder of a sibling list while the current node's child level is
   // intersected. Insertion cursors are link-arena slot indices, so they
   // stay valid across node allocations. The walk streams over the item,
-  // support and link arrays only — the SoA layout keeps the cold
-  // step/trans fields off those cache lines.
+  // support and link arrays only — the SoA layout keeps the cold step
+  // field off those cache lines.
   isect_stack_.clear();
   isect_stack_.push_back(IsectFrame{node, ins_slot});
   while (!isect_stack_.empty()) {
@@ -171,162 +169,6 @@ void IstaPrefixTree::Report(Support min_support,
   }
 }
 
-void IstaPrefixTree::Merge(const IstaPrefixTree& other) {
-  FIM_CHECK(&other != this) << "cannot merge a repository into itself";
-  FIM_CHECK(in_transaction_.size() == other.in_transaction_.size())
-      << "cannot merge repositories over different item universes ("
-      << in_transaction_.size() << " vs " << other.in_transaction_.size()
-      << " items)";
-  // Max-plus product merge. The repository of the concatenated streams
-  // stores the pairwise intersections a∩b of the two stored families,
-  // with supp(x) = supp_A(cl_A(x)) + supp_B(cl_B(x)). Every stored set b
-  // of `other` is replayed against this tree: for each own stored set S
-  // the node S∩b is created or updated to max(old, aside(S) + supp_B(b)),
-  // where aside(S) is the support S receives from this tree's own
-  // pre-merge side alone. Each such update is certified by the stored
-  // pair (S, b) — it never exceeds the true union support — and the pair
-  // (cl_A(y), cl_B(y)) of any union-frequent set y yields its exact
-  // union support. Crucially this consumes the other repository's
-  // *computed supports* rather than its transaction multiplicities, so
-  // both sides may have been pruned (Prune preserves exact supports for
-  // every set that can still be frequent).
-  std::vector<Support> aside(node_supp_.begin(),
-                             node_supp_.begin() + next_index_);
-  const uint32_t frozen = next_index_;
-  total_weight_ += other.total_weight_;
-  if (other.step_ > step_) step_ = other.step_;
-  // Absorb the other repository's observability history, so the merged
-  // tree reports totals over both.
-  peak_node_count_ = std::max(peak_node_count_, other.peak_node_count_);
-  prune_count_ += other.prune_count_;
-  isect_steps_ += other.isect_steps_;
-  // Pre-order DFS over the other repository, replaying every stored set.
-  struct Frame {
-    uint32_t node;
-    uint32_t child;
-  };
-  std::vector<Frame> stack;
-  std::vector<ItemId> path;       // root path in other, descending codes
-  std::vector<ItemId> ascending;  // scratch: replayed stored set
-  auto replay = [&](uint32_t n) {
-    // Only closed stored sets need replaying: a set masked by an
-    // equal-support child is dominated by a closed superset Z with the
-    // same stored support, and Z's replay produces every intersection the
-    // masked set could contribute, with the same candidate value (any
-    // union-closed y has cl_B(y) closed in B, and in a pruned tree the
-    // equal-support chain above the reduced cl_B(y) node ends at a closed
-    // set that still intersects A's side to exactly y). Skipping masked
-    // sets keeps the replay linear in the closed family — in particular a
-    // single deep chain replays one set, not one per prefix.
-    Support max_child = 0;
-    for (uint32_t c = other.links_[ChildSlot(n)]; c != kNil;
-         c = other.links_[SibSlot(c)]) {
-      if (other.node_supp_[c] > max_child) max_child = other.node_supp_[c];
-    }
-    if (other.node_supp_[n] <= max_child) return;
-    ascending.assign(path.rbegin(), path.rend());
-    ReplayStoredSet(ascending, other.node_supp_[n], other.node_trans_[n],
-                    frozen, &aside);
-  };
-  for (uint32_t c = other.links_[ChildSlot(kRoot)]; c != kNil;
-       c = other.links_[SibSlot(c)]) {
-    path.push_back(other.node_item_[c]);
-    replay(c);
-    stack.push_back(Frame{c, other.links_[ChildSlot(c)]});
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      if (frame.child == kNil) {
-        path.pop_back();
-        stack.pop_back();
-        continue;
-      }
-      const uint32_t child = frame.child;
-      frame.child = other.links_[SibSlot(child)];
-      path.push_back(other.node_item_[child]);
-      replay(child);
-      stack.push_back(Frame{child, other.links_[ChildSlot(child)]});
-    }
-  }
-  FIM_DCHECK_OK(ValidateInvariants());
-}
-
-void IstaPrefixTree::ReplayStoredSet(std::span<const ItemId> items,
-                                     Support other_supp, Support other_trans,
-                                     uint32_t frozen,
-                                     std::vector<Support>* aside) {
-  for (ItemId i : items) in_transaction_[i] = 1;
-  imin_ = items.front();
-  // Insert the set's path and raise every node on it to at least the
-  // other side's support: each path prefix is a subset of the set, so its
-  // union support is at least supp_B(b). Raising the whole path (rather
-  // than only the final node) keeps the parent-support monotonicity, and
-  // each prefix keeps an on-path child of equal support, so a prefix that
-  // is not itself an intersection can never look closed. The own-side
-  // support of a fresh path node is 0.
-  uint32_t current = kRoot;
-  for (std::size_t idx = items.size(); idx > 0; --idx) {
-    current = FindOrCreateChild(current, items[idx - 1], 0);
-    if (aside->size() < next_index_) aside->resize(next_index_, 0);
-    if (other_supp > node_supp_[current]) node_supp_[current] = other_supp;
-  }
-  node_trans_[current] += other_trans;
-  IsectMax(links_[ChildSlot(kRoot)], ChildSlot(kRoot), other_supp, frozen,
-           aside);
-  for (ItemId i : items) in_transaction_[i] = 0;
-}
-
-void IstaPrefixTree::IsectMax(uint32_t node, uint32_t ins_slot,
-                              Support other_supp, uint32_t frozen,
-                              std::vector<Support>* aside) {
-  // The walk of Isect with the additive update replaced by a max with
-  // aside(S) + other_supp. Only nodes frozen at the start of the merge act
-  // as stored sets S: newer nodes' intersections are already covered by
-  // their frozen creators. A new node's subtree holds only new nodes, so
-  // whole new subtrees are skipped. No step stamps are needed: max is
-  // idempotent, unlike the additive update of a transaction pass.
-  isect_stack_.clear();
-  isect_stack_.push_back(IsectFrame{node, ins_slot});
-  while (!isect_stack_.empty()) {
-    node = isect_stack_.back().node;
-    uint32_t ins = isect_stack_.back().ins_slot;
-    isect_stack_.pop_back();
-    while (node != kNil) {
-      ++isect_steps_;
-      if (node >= frozen) {  // created by this merge: not a source
-        node = links_[SibSlot(node)];
-        continue;
-      }
-      const ItemId i = node_item_[node];
-      if (in_transaction_[i]) {
-        const Support source_aside = (*aside)[node];
-        const Support candidate = source_aside + other_supp;
-        while (links_[ins] != kNil && node_item_[links_[ins]] > i) {
-          ins = SibSlot(links_[ins]);
-        }
-        uint32_t d = links_[ins];
-        if (d != kNil && node_item_[d] == i) {
-          if (candidate > node_supp_[d]) node_supp_[d] = candidate;
-          if (source_aside > (*aside)[d]) (*aside)[d] = source_aside;
-        } else {
-          d = NewNode(i, 0, candidate);
-          aside->push_back(source_aside);
-          links_[SibSlot(d)] = links_[ins];
-          links_[ins] = d;
-        }
-        if (i <= imin_) break;  // nothing below the set's minimum item
-        isect_stack_.push_back(IsectFrame{links_[SibSlot(node)], ins});
-        const uint32_t child_ins = ChildSlot(d);
-        node = links_[ChildSlot(node)];
-        ins = child_ins;
-      } else {
-        if (i <= imin_) break;
-        isect_stack_.push_back(IsectFrame{links_[SibSlot(node)], ins});
-        node = links_[ChildSlot(node)];
-      }
-    }
-  }
-}
-
 void IstaPrefixTree::Prune(Support min_support,
                            std::span<const Support> remaining) {
   FIM_DCHECK(remaining.size() == in_transaction_.size())
@@ -345,11 +187,10 @@ void IstaPrefixTree::Prune(Support min_support,
 }
 
 obs::MemoryComponent IstaPrefixTree::ApproxMemoryUsage() const {
-  // Bytes one node occupies across the four parallel columns, derived
+  // Bytes one node occupies across the three parallel columns, derived
   // from the vectors so a field-type change cannot desynchronize this.
   constexpr std::size_t kColumnBytesPerNode =
-      sizeof(node_step_[0]) + sizeof(node_item_[0]) + sizeof(node_supp_[0]) +
-      sizeof(node_trans_[0]);
+      sizeof(node_step_[0]) + sizeof(node_item_[0]) + sizeof(node_supp_[0]);
   constexpr std::size_t kLinkBytesPerNode = 2 * sizeof(links_[0]);
   // Reachable slots: the live nodes plus the pseudo-root (which owns
   // column and link slots like any other node).
@@ -361,8 +202,7 @@ obs::MemoryComponent IstaPrefixTree::ApproxMemoryUsage() const {
   const std::size_t column_capacity_bytes =
       node_step_.capacity() * sizeof(node_step_[0]) +
       node_item_.capacity() * sizeof(node_item_[0]) +
-      node_supp_.capacity() * sizeof(node_supp_[0]) +
-      node_trans_.capacity() * sizeof(node_trans_[0]);
+      node_supp_.capacity() * sizeof(node_supp_[0]);
   const std::size_t column_live_bytes = live_nodes * kColumnBytesPerNode;
   columns.children.emplace_back("live", column_live_bytes);
   columns.children.emplace_back(
@@ -413,7 +253,6 @@ Status IstaPrefixTree::ValidateInvariants() const {
   std::vector<std::pair<uint32_t, uint32_t>> stack;
   if (At(kRoot).children != kNil) stack.emplace_back(At(kRoot).children, kRoot);
   std::size_t reachable = 0;
-  uint64_t trans_weight_sum = 0;
   while (!stack.empty()) {
     auto [head, parent] = stack.back();
     stack.pop_back();
@@ -468,7 +307,6 @@ Status IstaPrefixTree::ValidateInvariants() const {
             std::to_string(node.supp) + " exceeds total transaction weight " +
             std::to_string(total_weight_));
       }
-      trans_weight_sum += node.trans;
       if (node.children != kNil) stack.emplace_back(node.children, n);
     }
   }
@@ -481,12 +319,6 @@ Status IstaPrefixTree::ValidateInvariants() const {
     return Status::Internal("prefix tree: " +
                             std::to_string(next_index_ - 1 - reachable) +
                             " allocated nodes are unreachable");
-  }
-  if (trans_weight_sum > total_weight_) {
-    return Status::Internal(
-        "prefix tree: stored transaction weights sum to " +
-        std::to_string(trans_weight_sum) + " > total added weight " +
-        std::to_string(total_weight_));
   }
   for (std::size_t i = 0; i < num_items; ++i) {
     if (in_transaction_[i] != 0) {
@@ -518,7 +350,6 @@ void IstaPrefixTree::PruneInto(uint32_t node, Support min_support,
     for (; node != kNil; node = links_[SibSlot(node)]) {
       const ItemId item = node_item_[node];
       const Support supp = node_supp_[node];
-      const Support trans = node_trans_[node];
       uint32_t next_cursor = cursor;
       if (supp + remaining[item] >= min_support) {
         // The item can still contribute to a frequent set: keep it.
@@ -526,18 +357,15 @@ void IstaPrefixTree::PruneInto(uint32_t node, Support min_support,
         if (supp > target->node_supp_[next_cursor]) {
           target->node_supp_[next_cursor] = supp;
         }
-        target->node_trans_[next_cursor] += trans;
       } else if (cursor != kRoot) {
-        // Drop the item; the reduced set keeps the best support seen and
-        // accumulates the reduced transactions' weight.
+        // Drop the item; the reduced set keeps the best support seen.
         if (supp > target->node_supp_[cursor]) {
           target->node_supp_[cursor] = supp;
         }
-        target->node_trans_[cursor] += trans;
       }
-      // Transactions whose items are all dropped reduce to the empty set
-      // and vanish (the repository never stores empty transactions);
-      // their weight can no longer matter for any frequent set.
+      // Sets whose items are all dropped reduce to the empty set and
+      // vanish (the repository never stores the empty set); they can no
+      // longer matter for any frequent set.
       const uint32_t kids = links_[ChildSlot(node)];
       if (kids != kNil) stack.push_back(Frame{kids, next_cursor});
     }

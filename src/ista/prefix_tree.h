@@ -2,7 +2,6 @@
 #define FIM_ISTA_PREFIX_TREE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -44,19 +43,6 @@ class IstaPrefixTree {
   /// < num_items.
   void AddTransaction(std::span<const ItemId> items, Support weight = 1);
 
-  /// Folds another repository into this one by replaying each of its
-  /// stored sets against this tree's own stored sets with a max-plus
-  /// update: the node for S∩b is raised to supp(S) + supp(b) for every
-  /// stored pair, which is exactly the support of S∩b in the
-  /// concatenated stream when S and b are the respective closures. The
-  /// closed frequent sets reported afterwards are identical to a single
-  /// sequential run over both streams — even if either repository has
-  /// been pruned, since Prune keeps the supports of all still-potentially
-  /// frequent sets exact. `other` must share this tree's item universe
-  /// and must not alias `*this`. The stream miner folds its pane trees
-  /// with it.
-  void Merge(const IstaPrefixTree& other);
-
   /// Reports every stored set with support >= min_support whose support
   /// exceeds the support of all its direct children (the closedness check
   /// of Figure 4). Items are passed to the callback in ascending order.
@@ -77,26 +63,22 @@ class IstaPrefixTree {
   std::size_t NumItems() const { return in_transaction_.size(); }
 
   /// High-water mark of NodeCount() over the tree's whole history,
-  /// including the transient growth during Merge replays (which an
-  /// external observer polling NodeCount() between operations misses).
-  /// Merge folds the absorbed repository's peak in.
+  /// including the rebuilds of Prune.
   std::size_t PeakNodeCount() const { return peak_node_count_; }
 
-  /// Number of Prune() rebuilds performed; Merge folds the absorbed
-  /// repository's count in.
+  /// Number of Prune() rebuilds performed.
   std::size_t PruneCount() const { return prune_count_; }
 
   /// Repository nodes visited by the intersection walks (Figure 2's
-  /// Isect and the max-plus replay of Merge) — the paper's measure of
-  /// intersection work. Merge folds the absorbed repository's count in.
+  /// Isect) — the paper's measure of intersection work.
   std::uint64_t IsectSteps() const { return isect_steps_; }
 
-  /// Number of transactions processed so far (weighted additions and
-  /// replayed merge transactions each count as one step).
+  /// Number of transactions processed so far (a weighted addition counts
+  /// as one step).
   std::size_t StepCount() const { return step_; }
 
   /// Total transaction weight processed so far (each AddTransaction adds
-  /// its weight; Merge adds the replayed weight of the other tree).
+  /// its weight).
   uint64_t TotalWeight() const { return total_weight_; }
 
   /// Exact heap footprint of the repository (capacity bytes of the SoA
@@ -119,37 +101,13 @@ class IstaPrefixTree {
   ///   - support never increases from parent to child (a child path is a
   ///     superset item set, so it is contained in no more transactions);
   ///   - no node's support exceeds the total transaction weight processed
-  ///     (weighted additions and merged repositories included);
-  ///   - the accumulated per-node transaction weights sum to at most the
-  ///     total transaction weight (pruning may shed weight, never gain);
+  ///     (weighted additions included);
   ///   - every allocated node is reachable exactly once (no cycles, no
   ///     leaks) and `NodeCount()` matches;
   ///   - the transaction flag array is fully cleared (quiescent state).
   /// O(nodes). Debug builds run this automatically at mutation points via
   /// FIM_DCHECK; tests and fim-verify call it on demand.
   Status ValidateInvariants() const;
-
-  /// Serializes the repository into `out` in the versioned binary format
-  /// `fim-tree-v1` (implemented in tree_io.cc):
-  ///   char[4] "FIMT", u32 version (1),
-  ///   u64 num_items, u32 next_index, u32 step, u64 total_weight,
-  ///   u64 node_count, u64 peak_node_count, u64 prune_count,
-  ///   u64 isect_steps,
-  ///   then `next_index` nodes of
-  ///   (u32 step, u32 item, u32 supp, u32 trans, u32 sibling, u32 children)
-  /// in allocation order (node 0 is the pseudo-root). The dump captures
-  /// the exact node layout, so a deserialized tree behaves bit-identically
-  /// to the original under further AddTransaction/Merge/Prune/Report
-  /// calls. Must be called on a quiescent tree (never from inside a
-  /// mutation), which is the only state observable through the public API.
-  Status SerializeTo(std::ostream& out) const;
-
-  /// Reads one fim-tree-v1 blob from `in` (leaving the stream positioned
-  /// after it) and reconstructs the repository. Corrupted or truncated
-  /// input yields a clean InvalidArgument — the blob is fully range- and
-  /// invariant-checked (ValidateInvariants) before the tree is returned,
-  /// so no malformed structure can escape.
-  static Result<IstaPrefixTree> Deserialize(std::istream& in);
 
  private:
   friend struct IstaPrefixTreeTestPeer;  // corruption hooks for check_test
@@ -159,9 +117,9 @@ class IstaPrefixTree {
   // node in adjacent slots (slot 2n = children of node n, slot 2n+1 = its
   // sibling). The intersection walks touch only item codes, supports and
   // links, so splitting the fields keeps the cache lines they stream over
-  // free of the cold step/trans fields, and the unified link arena lets
-  // an insertion cursor be a stable uint32_t slot index instead of a
-  // pointer that vector growth would invalidate.
+  // free of the cold step field, and the unified link arena lets an
+  // insertion cursor be a stable uint32_t slot index instead of a pointer
+  // that vector growth would invalidate.
 
   static constexpr uint32_t kNil = static_cast<uint32_t>(-1);
   static constexpr uint32_t kRoot = 0;
@@ -172,16 +130,13 @@ class IstaPrefixTree {
   static uint32_t SibSlot(uint32_t n) { return 2 * n + 1; }
 
   /// A view of one node's fields across the parallel arrays, for the
-  /// cold paths (validation, serialization, the test peer) that want the
-  /// old whole-node access. The references follow vector reallocation
-  /// rules: do not hold one across NewNode.
+  /// cold paths (validation, the test peer) that want whole-node access.
+  /// The references follow vector reallocation rules: do not hold one
+  /// across NewNode.
   struct NodeRef {
     uint32_t& step;      // last update step (0 = never)
     ItemId& item;        // item of this node (kInvalidItem for the root)
     Support& supp;       // support of the set on the root path
-    Support& trans;      // accumulated weight of transactions equal to the
-                         // set on the root path (0 for pure intersections);
-                         // exactly the replay weights needed by Merge
     uint32_t& sibling;   // next node in the sibling list (descending items)
     uint32_t& children;  // head of the child list
   };
@@ -189,20 +144,18 @@ class IstaPrefixTree {
     const uint32_t& step;
     const ItemId& item;
     const Support& supp;
-    const Support& trans;
     const uint32_t& sibling;
     const uint32_t& children;
   };
 
   NodeRef At(uint32_t index) {
-    return NodeRef{node_step_[index],          node_item_[index],
-                   node_supp_[index],          node_trans_[index],
-                   links_[SibSlot(index)],     links_[ChildSlot(index)]};
+    return NodeRef{node_step_[index], node_item_[index], node_supp_[index],
+                   links_[SibSlot(index)], links_[ChildSlot(index)]};
   }
   ConstNodeRef At(uint32_t index) const {
-    return ConstNodeRef{node_step_[index],      node_item_[index],
-                        node_supp_[index],      node_trans_[index],
-                        links_[SibSlot(index)], links_[ChildSlot(index)]};
+    return ConstNodeRef{node_step_[index], node_item_[index],
+                        node_supp_[index], links_[SibSlot(index)],
+                        links_[ChildSlot(index)]};
   }
 
   /// Allocates a node. Node ids and link-arena slot indices are stable
@@ -211,10 +164,9 @@ class IstaPrefixTree {
   uint32_t NewNode(ItemId item, uint32_t step, Support supp);
 
   /// Inserts the transaction as a path (descending item codes), creating
-  /// missing nodes with support 0. Returns the node of the full
-  /// transaction path; supports are brought up to date by the subsequent
-  /// Isect pass.
-  uint32_t InsertTransactionPath(std::span<const ItemId> items);
+  /// missing nodes with support 0; supports are brought up to date by the
+  /// subsequent Isect pass.
+  void InsertTransactionPath(std::span<const ItemId> items);
 
   /// The recursion of Figure 2, run on an explicit stack so adversarially
   /// deep repositories (one node per item of a very long transaction)
@@ -223,24 +175,6 @@ class IstaPrefixTree {
   /// (children/sibling) where intersection results for the current prefix
   /// are merged. `weight` is the multiplicity of the current transaction.
   void Isect(uint32_t node, uint32_t ins_slot, Support weight);
-
-  /// Merge helper: replays one stored set of the other repository
-  /// (`other_supp`/`other_trans` are its support and transaction weight
-  /// there) against this tree's frozen sources: nodes with index
-  /// < `frozen`. `aside` holds, per node, the support contributed by this
-  /// tree's own pre-merge side alone (never the other repository's), so
-  /// candidates aside[S] + other_supp never double-count the other side;
-  /// it is grown in sync with node allocation.
-  void ReplayStoredSet(std::span<const ItemId> items, Support other_supp,
-                       Support other_trans, uint32_t frozen,
-                       std::vector<Support>* aside);
-
-  /// The walk of Isect with the max-plus update of Merge: for every
-  /// frozen stored set S compatible with the current replayed set, the
-  /// node of the intersection is raised to aside[S] + other_supp (and its
-  /// own aside to aside[S]).
-  void IsectMax(uint32_t node, uint32_t ins_slot, Support other_supp,
-                uint32_t frozen, std::vector<Support>* aside);
 
   /// Prune helper: re-inserts the filtered sets of the subtree headed by
   /// `node` into `target`, with `cursor` the target node representing the
@@ -264,7 +198,6 @@ class IstaPrefixTree {
   std::vector<uint32_t> node_step_;
   std::vector<ItemId> node_item_;
   std::vector<Support> node_supp_;
-  std::vector<Support> node_trans_;
   std::vector<uint32_t> links_;  // slot 2n: children of n, 2n+1: sibling
   uint32_t next_index_ = 0;
   std::size_t node_count_ = 0;

@@ -15,6 +15,9 @@
 #define FIM_PROFILER_POSIX 1
 #include <csignal>
 #include <sys/time.h>
+#if defined(__linux__)
+#include <ucontext.h>
+#endif
 #if defined(__has_include)
 #if __has_include(<execinfo.h>)
 #define FIM_PROFILER_BACKTRACE 1
@@ -39,27 +42,57 @@ namespace {
 /// Stop() before the sample memory is touched by the folding code.
 std::atomic<SamplingProfiler*> g_active_profiler{nullptr};
 
-/// Handler frames at the top of every captured stack: TakeSample's
-/// caller chain (the handler itself and the kernel signal trampoline).
-/// Dropped at fold time so flames start at the interrupted frame.
-constexpr std::size_t kHandlerFrames = 2;
+/// Frames above the interrupted one in every captured stack: TakeSample,
+/// the handler and the signal trampoline the kernel returns through.
+/// Dropped at fold time when the interrupted program counter is unknown
+/// or not among the frames; otherwise the stack starts at that frame.
+constexpr std::size_t kHandlerFrames = 3;
+
+#if defined(FIM_PROFILER_POSIX)
+/// The program counter the signal interrupted, from the handler's
+/// context; null on platforms whose context is not decoded here.
+void* InterruptedPc(void* context) {
+#if defined(__linux__) && defined(__x86_64__)
+  return reinterpret_cast<void*>(
+      static_cast<ucontext_t*>(context)->uc_mcontext.gregs[REG_RIP]);
+#elif defined(__linux__) && defined(__aarch64__)
+  return reinterpret_cast<void*>(
+      static_cast<ucontext_t*>(context)->uc_mcontext.pc);
+#else
+  (void)context;
+  return nullptr;
+#endif
+}
+#endif
 
 }  // namespace
 
-void ProfilerSignalHandler(int /*signum*/) {
+void SampleActiveProfiler(void* interrupted_pc) {
+  SamplingProfiler* profiler =
+      g_active_profiler.load(std::memory_order_acquire);
+  if (profiler != nullptr) profiler->TakeSample(interrupted_pc);
+}
+
+#if defined(FIM_PROFILER_POSIX)
+namespace {
+
+void ProfilerSignalHandler(int /*signum*/, siginfo_t* /*info*/,
+                           void* context) {
   // Save and restore errno: the handler may interrupt code between a
   // syscall and its errno check, and backtrace can clobber it.
   const int saved_errno = errno;
-  SamplingProfiler* profiler =
-      g_active_profiler.load(std::memory_order_acquire);
-  if (profiler != nullptr) profiler->TakeSample();
+  SampleActiveProfiler(InterruptedPc(context));
   errno = saved_errno;
 }
+
+}  // namespace
+#endif
 
 SamplingProfiler::SamplingProfiler(const ProfilerOptions& options)
     : options_(options),
       frames_(options.max_samples * options.max_depth, nullptr),
-      depths_(options.max_samples, 0) {}
+      depths_(options.max_samples, 0),
+      pcs_(options.max_samples, nullptr) {}
 
 std::unique_ptr<SamplingProfiler> SamplingProfiler::Start(
     const ProfilerOptions& options, std::string* error) {
@@ -98,9 +131,9 @@ std::unique_ptr<SamplingProfiler> SamplingProfiler::Start(
                 "old_action_ storage too small for struct sigaction");
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));
-  action.sa_handler = &ProfilerSignalHandler;
+  action.sa_sigaction = &ProfilerSignalHandler;
   sigemptyset(&action.sa_mask);
-  action.sa_flags = SA_RESTART;
+  action.sa_flags = SA_RESTART | SA_SIGINFO;
   auto* old_action =
       reinterpret_cast<struct sigaction*>(profiler->old_action_);
   if (sigaction(SIGPROF, &action, old_action) != 0) {
@@ -127,7 +160,7 @@ std::unique_ptr<SamplingProfiler> SamplingProfiler::Start(
 #endif
 }
 
-void SamplingProfiler::TakeSample() {
+void SamplingProfiler::TakeSample(void* interrupted_pc) {
 #if defined(FIM_PROFILER_POSIX) && defined(FIM_PROFILER_BACKTRACE)
   // ITIMER_PROF is process-wide: concurrent deliveries on two threads
   // are possible, so handler bodies are serialized by busy_ (the loser
@@ -142,6 +175,7 @@ void SamplingProfiler::TakeSample() {
         frames_.data() + index * options_.max_depth,
         static_cast<int>(options_.max_depth));
     depths_[index] = depth > 0 ? static_cast<std::uint16_t>(depth) : 0;
+    pcs_[index] = interrupted_pc;
     count_.store(index + 1, std::memory_order_release);
     // The busy_ acq/rel handoff makes successive handler bodies (even
     // on different threads) a serial writer sequence for the lane.
@@ -257,15 +291,25 @@ std::string SamplingProfiler::RenderCollapsed() {
   stacks.reserve(samples);
   for (std::size_t i = 0; i < samples; ++i) {
     const std::size_t depth = depths_[i];
+    void* const* frames = frames_.data() + i * options_.max_depth;
+    // The leaf is the interrupted function: drop the frames through the
+    // signal trampoline.
+    std::size_t first = kHandlerFrames;
+    for (std::size_t f = 0; f < depth; ++f) {
+      if (frames[f] == pcs_[i]) {
+        first = f;
+        break;
+      }
+    }
     std::vector<std::string> stack;
-    for (std::size_t f = kHandlerFrames; f < depth; ++f) {
-      stack.push_back(symbol(frames_[i * options_.max_depth + f]));
+    for (std::size_t f = first; f < depth; ++f) {
+      stack.push_back(symbol(frames[f]));
     }
     if (stack.empty() && depth > 0) {
       // Shallower than the handler prologue (signal arrived inside the
       // runtime): keep what we have rather than losing the sample.
       for (std::size_t f = 0; f < depth; ++f) {
-        stack.push_back(symbol(frames_[i * options_.max_depth + f]));
+        stack.push_back(symbol(frames[f]));
       }
     }
     stacks.push_back(std::move(stack));

@@ -98,13 +98,16 @@ class SamplingProfiler {
   explicit SamplingProfiler(const ProfilerOptions& options);
 
   /// The SIGPROF handler body (async-signal-safe; see file comment).
-  void TakeSample();
+  /// `interrupted_pc` is the program counter the signal interrupted, or
+  /// null where the signal context is not decoded.
+  void TakeSample(void* interrupted_pc);
 
-  friend void ProfilerSignalHandler(int);
+  friend void SampleActiveProfiler(void* interrupted_pc);
 
   const ProfilerOptions options_;
   std::vector<void*> frames_;          // max_samples * max_depth slots
   std::vector<std::uint16_t> depths_;  // frames captured per sample
+  std::vector<void*> pcs_;             // interrupted program counters
   std::atomic<std::size_t> count_{0};
   std::atomic<std::size_t> dropped_{0};
   std::atomic<bool> busy_{false};  // serializes handler bodies
@@ -119,7 +122,7 @@ namespace internal {
 
 /// Folds raw stacks into collapsed lines (exposed for deterministic
 /// tests that bypass the signal machinery). Each stack is leaf-first,
-/// as backtrace() returns it; `skip_leading` drops the handler frames.
+/// as backtrace() returns it, without the handler frames.
 std::string FoldStacks(const std::vector<std::vector<std::string>>& stacks,
                        std::size_t samples, std::size_t dropped,
                        unsigned interval_usec);

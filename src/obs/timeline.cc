@@ -19,8 +19,10 @@ void TimelineLane::Push(TimelineEvent::Kind kind, std::string_view name,
           .count());
   slot.value = value;
   slot.kind = kind;
+  // End() passes an empty name whose data() may be null, which memcpy
+  // must not see even for zero bytes.
   const std::size_t n = std::min(name.size(), TimelineEvent::kNameCapacity);
-  std::memcpy(slot.name, name.data(), n);
+  if (n > 0) std::memcpy(slot.name, name.data(), n);
   slot.name[n] = '\0';
   head_.store(head + 1, std::memory_order_release);
 }

@@ -1,27 +1,27 @@
-// Checkpoint/restore of a StreamMiner — the `fim-stream-v1` container
+// Checkpoint/restore of a StreamMiner — the `fim-stream-v2` container
 // format. Layout (little-endian, see docs/STREAMING.md):
 //
-//   char[4] "FIMS", u32 version (1)
-//   u64 max_items, u64 pane_size, u64 window_panes, u8 merge_duplicates
+//   char[4] "FIMS", u32 version (2)
+//   u64 max_items, u64 pane_size, u64 window_panes
 //   u64 transactions_ingested, u64 fill, u64 current_pane
 //   u64 weighted_additions, u64 panes_rotated, u64 panes_expired,
-//   u64 queries, u64 snapshot_merges, u64 segments_compacted,
-//   u64 checkpoint_bytes_written, u64 checkpoint_bytes_read
-//   u32 pending_len, ItemId[pending_len], u32 pending_weight
-//   u32 num_segments, then per segment: u64 pane + one fim-tree-v1 blob
+//   u64 queries, u64 checkpoint_bytes_written, u64 checkpoint_bytes_read
+//   u32 num_panes, then per live pane, oldest first:
+//     u64 pane, u32 num_rows, then per row:
+//       u32 weight, u32 length, ItemId[length]
 //   char[4] "SMND" end marker
 //
-// The embedded tree blobs are exact node-layout dumps (see
-// ista/tree_io.cc), so a restored miner continues the stream with output
-// bit-identical to an uninterrupted run. Restore validates everything —
-// header coherence, pane bookkeeping, pending-run shape, every tree's
-// structural invariants, and the end marker — and returns a clean
-// InvalidArgument on any corruption or truncation.
+// The panes hold the covered transactions as distinct rows with weights,
+// so a restored miner answers every later query exactly as the
+// checkpointed one would. Restore validates everything — header
+// coherence, that the panes are exactly the live ones, every row and
+// weight, each pane's weight sum, and the end marker — and returns a
+// clean InvalidArgument on any corruption or truncation.
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -38,21 +38,85 @@ namespace {
 
 constexpr char kCheckpointMagic[4] = {'F', 'I', 'M', 'S'};
 constexpr char kCheckpointEnd[4] = {'S', 'M', 'N', 'D'};
-constexpr uint32_t kCheckpointVersion = 1;
+constexpr uint32_t kCheckpointVersion = 2;
 
-/// Backstops against a corrupt header driving an unbounded read loop or
-/// a giant up-front allocation (a restored miner allocates one
-/// transaction-flag byte per item in its live tree before anything is
-/// validated, so the item bound must match fim-tree-v1's
-/// kMaxSerializedItems; 16M items = 16 MB).
-constexpr uint32_t kMaxSegments = uint32_t{1} << 20;
+/// Backstop against a corrupt header creating a miner whose every query
+/// allocates per-item tables of gigabytes; 16M items stays two orders of
+/// magnitude above the largest real dataset (webview, ~1M items).
 constexpr uint64_t kMaxCheckpointItems = uint64_t{1} << 24;
 
 using io::ReadPod;
 using io::WritePod;
 
 Status Corrupt(const std::string& what) {
-  return Status::InvalidArgument("fim-stream-v1 checkpoint: " + what);
+  return Status::InvalidArgument("fim-stream-v2 checkpoint: " + what);
+}
+
+void WritePane(std::ostream& out, uint64_t pane,
+               const WeightedTransactions& rows) {
+  WritePod(out, pane);
+  WritePod(out, static_cast<uint32_t>(rows.NumRows()));
+  for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+    WritePod(out, rows.weights[r]);
+    WritePod(out, static_cast<uint32_t>(rows.Row(r).size()));
+    for (ItemId item : rows.Row(r)) WritePod(out, item);
+  }
+}
+
+/// Reads pane `pane` into `folder`: its rows must be distinct normalized
+/// transactions over `max_items` items, with weights >= 1 that sum to
+/// `weight`.
+Status ReadPane(std::istream& in, uint64_t pane, uint64_t weight,
+                uint64_t max_items, RowFolder* folder) {
+  const std::string name = "pane " + std::to_string(pane);
+  uint64_t stored_pane = 0;
+  uint32_t num_rows = 0;
+  if (!ReadPod(in, &stored_pane) || !ReadPod(in, &num_rows)) {
+    return Corrupt("truncated pane table");
+  }
+  if (stored_pane != pane) {
+    return Corrupt("pane " + std::to_string(stored_pane) +
+                   " outside the window (expected " + name + ")");
+  }
+  uint64_t sum = 0;
+  std::vector<ItemId> row;
+  for (uint32_t r = 0; r < num_rows; ++r) {
+    uint32_t row_weight = 0;
+    uint32_t length = 0;
+    if (!ReadPod(in, &row_weight) || !ReadPod(in, &length)) {
+      return Corrupt("truncated " + name);
+    }
+    if (row_weight == 0) return Corrupt(name + " holds a row of weight 0");
+    sum += row_weight;
+    if (sum > weight) {
+      return Corrupt(name + " weighs more than its " + std::to_string(weight) +
+                     " transactions");
+    }
+    if (length == 0 || length > max_items) {
+      return Corrupt(name + " holds a row of length " +
+                     std::to_string(length));
+    }
+    row.resize(length);
+    for (ItemId& item : row) {
+      if (!ReadPod(in, &item)) return Corrupt("truncated " + name);
+    }
+    for (uint32_t k = 0; k < length; ++k) {
+      if (row[k] >= max_items || (k > 0 && row[k] <= row[k - 1])) {
+        return Corrupt(name + " holds a row that is not a normalized "
+                       "transaction");
+      }
+    }
+    const std::size_t held = folder->rows().NumRows();
+    folder->Add(row, row_weight);
+    if (folder->rows().NumRows() == held) {
+      return Corrupt(name + " holds a row twice");
+    }
+  }
+  if (sum != weight) {
+    return Corrupt(name + " weighs " + std::to_string(sum) + ", not " +
+                   std::to_string(weight));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -65,16 +129,14 @@ Status StreamMiner::CheckpointTo(std::ostream& out) {
     const MutexLock lock(mutex_);
     frozen = FreezeLocked();
   }
-  // Everything below writes immutable shared segments and private
-  // copies, so ingest and queries proceed concurrently with the write.
+  // Everything below writes immutable shared panes and private copies,
+  // so ingest and queries proceed concurrently with the write.
   const std::streampos begin = out.tellp();
   out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
   WritePod(out, kCheckpointVersion);
   WritePod(out, static_cast<uint64_t>(options_.max_items));
   WritePod(out, static_cast<uint64_t>(options_.pane_size));
   WritePod(out, static_cast<uint64_t>(options_.window_panes));
-  WritePod(out,
-           static_cast<uint8_t>(options_.merge_duplicate_transactions ? 1 : 0));
   WritePod(out, frozen.ingested);
   WritePod(out, frozen.fill);
   WritePod(out, frozen.current_pane);
@@ -82,19 +144,16 @@ Status StreamMiner::CheckpointTo(std::ostream& out) {
   WritePod(out, frozen.counters.panes_rotated);
   WritePod(out, frozen.counters.panes_expired);
   WritePod(out, frozen.counters.queries);
-  WritePod(out, frozen.counters.snapshot_merges);
-  WritePod(out, frozen.counters.segments_compacted);
   WritePod(out, frozen.counters.checkpoint_bytes_written);
   WritePod(out, frozen.counters.checkpoint_bytes_read);
-  WritePod(out, static_cast<uint32_t>(frozen.pending_items.size()));
-  for (ItemId item : frozen.pending_items) WritePod(out, item);
-  WritePod(out, static_cast<uint32_t>(frozen.pending_weight));
-  WritePod(out, static_cast<uint32_t>(frozen.segments.size()));
-  for (const Segment& segment : frozen.segments) {
-    WritePod(out, segment.pane);
-    Status status = segment.tree->SerializeTo(out);
-    if (!status.ok()) return status;
+  const bool filling = frozen.filling.NumRows() > 0;
+  WritePod(out, static_cast<uint32_t>(frozen.completed.size() +
+                                      (filling ? 1 : 0)));
+  uint64_t pane = frozen.current_pane - frozen.completed.size();
+  for (const Pane& completed : frozen.completed) {
+    WritePane(out, pane++, *completed);
   }
+  if (filling) WritePane(out, pane, frozen.filling);
   out.write(kCheckpointEnd, sizeof(kCheckpointEnd));
   out.flush();
   if (!out) return Status::IoError("write failure while checkpointing");
@@ -135,14 +194,12 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
   uint64_t max_items = 0;
   uint64_t pane_size = 0;
   uint64_t window_panes = 0;
-  uint8_t merge_duplicates = 0;
   uint64_t ingested = 0;
   uint64_t fill = 0;
   uint64_t current_pane = 0;
   if (!ReadPod(in, &max_items) || !ReadPod(in, &pane_size) ||
-      !ReadPod(in, &window_panes) || !ReadPod(in, &merge_duplicates) ||
-      !ReadPod(in, &ingested) || !ReadPod(in, &fill) ||
-      !ReadPod(in, &current_pane)) {
+      !ReadPod(in, &window_panes) || !ReadPod(in, &ingested) ||
+      !ReadPod(in, &fill) || !ReadPod(in, &current_pane)) {
     return Corrupt("truncated header");
   }
   if (max_items == 0 || max_items > kMaxCheckpointItems) {
@@ -152,7 +209,6 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
   if ((pane_size == 0) != (window_panes == 0)) {
     return Corrupt("pane_size/window_panes must select one mode");
   }
-  if (merge_duplicates > 1) return Corrupt("corrupt merge_duplicates flag");
   if (pane_size > 0) {
     if (current_pane != ingested / pane_size || fill != ingested % pane_size) {
       return Corrupt("pane bookkeeping inconsistent with stream position");
@@ -167,71 +223,47 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
       !ReadPod(in, &counters.panes_rotated) ||
       !ReadPod(in, &counters.panes_expired) ||
       !ReadPod(in, &counters.queries) ||
-      !ReadPod(in, &counters.snapshot_merges) ||
-      !ReadPod(in, &counters.segments_compacted) ||
       !ReadPod(in, &counters.checkpoint_bytes_written) ||
       !ReadPod(in, &counters.checkpoint_bytes_read)) {
     return Corrupt("truncated counters");
   }
 
-  uint32_t pending_len = 0;
-  if (!ReadPod(in, &pending_len)) return Corrupt("truncated pending run");
-  if (pending_len > max_items) return Corrupt("pending run longer than universe");
-  std::vector<ItemId> pending_items(pending_len);
-  for (uint32_t k = 0; k < pending_len; ++k) {
-    if (!ReadPod(in, &pending_items[k])) return Corrupt("truncated pending run");
-  }
-  uint32_t pending_weight = 0;
-  if (!ReadPod(in, &pending_weight)) return Corrupt("truncated pending run");
-  if ((pending_len == 0) != (pending_weight == 0)) {
-    return Corrupt("pending run and weight disagree");
-  }
-  if (pending_len > 0) {
-    if (!std::is_sorted(pending_items.begin(), pending_items.end()) ||
-        std::adjacent_find(pending_items.begin(), pending_items.end()) !=
-            pending_items.end() ||
-        pending_items.back() >= max_items) {
-      return Corrupt("pending run not a normalized transaction");
-    }
-    if (pending_weight > ingested) {
-      return Corrupt("pending weight exceeds the stream length");
-    }
-  }
-
-  uint32_t num_segments = 0;
-  if (!ReadPod(in, &num_segments)) return Corrupt("truncated segment table");
-  if (num_segments > kMaxSegments) {
-    return Corrupt("implausible segment count " + std::to_string(num_segments));
-  }
-  const uint64_t oldest_live =
-      (window_panes > 0 && current_pane >= window_panes)
-          ? current_pane - window_panes + 1
+  // The live panes follow from the header: the completed panes of the
+  // window, then the filling pane if it holds transactions (landmark
+  // mode: the one pane, holding the whole stream).
+  const uint64_t first_pane =
+      pane_size > 0 && current_pane >= window_panes - 1
+          ? current_pane - (window_panes - 1)
           : 0;
-  std::vector<Segment> segments;
-  segments.reserve(num_segments);
-  uint64_t previous_pane = 0;
-  for (uint32_t k = 0; k < num_segments; ++k) {
-    uint64_t pane = 0;
-    if (!ReadPod(in, &pane)) return Corrupt("truncated segment table");
-    if (pane > current_pane || pane < oldest_live || pane < previous_pane) {
-      return Corrupt("segment pane " + std::to_string(pane) +
-                     " outside the live window or out of order");
-    }
-    if (window_panes == 0 && pane != 0) {
-      return Corrupt("landmark segment carries a pane index");
-    }
-    previous_pane = pane;
-    auto tree = IstaPrefixTree::Deserialize(in);
-    if (!tree.ok()) return tree.status();
-    if (tree.value().NumItems() != max_items) {
-      return Corrupt("segment item universe disagrees with the header");
-    }
-    if (tree.value().StepCount() == 0) {
-      return Corrupt("empty segment repository");
-    }
-    segments.push_back(
-        Segment{pane, std::make_shared<const IstaPrefixTree>(
-                          std::move(tree).value())});
+  const uint64_t completed = current_pane - first_pane;
+  const uint64_t filling_weight = pane_size > 0 ? fill : ingested;
+  constexpr uint64_t kLimit = std::numeric_limits<Support>::max();
+  if (filling_weight > kLimit ||
+      (completed > 0 && pane_size > (kLimit - filling_weight) / completed)) {
+    return Corrupt("the window holds more transactions than a support can "
+                   "count");
+  }
+  uint32_t num_panes = 0;
+  if (!ReadPod(in, &num_panes)) return Corrupt("truncated pane table");
+  if (num_panes != completed + (filling_weight > 0 ? 1 : 0)) {
+    return Corrupt(std::to_string(num_panes) + " panes stored, but the " +
+                   "window holds " + std::to_string(completed) +
+                   " completed panes and " + std::to_string(filling_weight) +
+                   " filling transactions");
+  }
+  std::vector<Pane> panes;
+  for (uint64_t pane = first_pane; pane < current_pane; ++pane) {
+    RowFolder folder(RowFold::kHash);
+    Status status = ReadPane(in, pane, pane_size, max_items, &folder);
+    if (!status.ok()) return status;
+    panes.push_back(
+        std::make_shared<const WeightedTransactions>(folder.Take()));
+  }
+  RowFolder filling(RowFold::kHash);
+  if (filling_weight > 0) {
+    Status status =
+        ReadPane(in, current_pane, filling_weight, max_items, &filling);
+    if (!status.ok()) return status;
   }
   char end_marker[4];
   in.read(end_marker, sizeof(end_marker));
@@ -243,12 +275,10 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
   options.max_items = static_cast<std::size_t>(max_items);
   options.pane_size = static_cast<std::size_t>(pane_size);
   options.window_panes = static_cast<std::size_t>(window_panes);
-  options.merge_duplicate_transactions = merge_duplicates != 0;
   options.registry = registry;
   options.trace = trace;
   options.timeline = timeline;
-  std::unique_ptr<StreamMiner> miner(
-      new StreamMiner(options, /*restored=*/true));
+  auto miner = std::make_unique<StreamMiner>(options);
   const std::streampos end = in.tellg();
   const std::uint64_t bytes =
       (begin >= 0 && end >= 0 && end > begin)
@@ -259,9 +289,8 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
     // The miner is not shared yet; the lock exists to satisfy the
     // guarded-field contract (and costs one uncontended acquisition).
     const MutexLock lock(miner->mutex_);
-    miner->segments_ = std::move(segments);
-    miner->pending_items_ = std::move(pending_items);
-    miner->pending_weight_ = static_cast<Support>(pending_weight);
+    miner->completed_ = std::move(panes);
+    miner->filling_ = std::move(filling);
     miner->ingested_ = ingested;
     miner->fill_ = fill;
     miner->current_pane_ = current_pane;
@@ -275,8 +304,6 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
     miner->Bump(kRotated, counters.panes_rotated);
     miner->Bump(kExpired, counters.panes_expired);
     miner->Bump(kQueries, counters.queries);
-    miner->Bump(kMerges, counters.snapshot_merges);
-    miner->Bump(kCompacted, counters.segments_compacted);
     miner->Bump(kCkptWritten, counters.checkpoint_bytes_written);
     miner->Bump(kCkptRead, counters.checkpoint_bytes_read);
   }

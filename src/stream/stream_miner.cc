@@ -1,11 +1,12 @@
 #include "stream/stream_miner.h"
 
-#include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
+#include "ista/ista.h"
 #include "obs/memory.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -29,16 +30,12 @@ constexpr const char* kCounterNames[] = {
 }  // namespace
 
 StreamMiner::StreamMiner(const StreamMinerOptions& options)
-    : StreamMiner(options, /*restored=*/false) {}
-
-StreamMiner::StreamMiner(const StreamMinerOptions& options, bool /*restored*/)
     : options_(options) {
   FIM_CHECK(options_.max_items > 0) << "StreamMiner needs an item universe";
   FIM_CHECK((options_.pane_size == 0) == (options_.window_panes == 0))
       << "pane_size and window_panes select the mode together: both 0 "
          "(landmark) or both > 0 (sliding window), got pane_size "
       << options_.pane_size << ", window_panes " << options_.window_panes;
-  live_ = std::make_unique<IstaPrefixTree>(options_.max_items);
   if (options_.registry != nullptr) {
     for (std::size_t i = 0; i < std::size(kCounterNames); ++i) {
       counter_[i] = &options_.registry->GetCounter(kCounterNames[i]);
@@ -62,69 +59,57 @@ Status StreamMiner::AddTransaction(std::vector<ItemId> items) {
                               " exceeds the miner's item capacity");
   }
   const MutexLock lock(mutex_);
-  if (options_.merge_duplicate_transactions && pending_weight_ > 0 &&
-      items == pending_items_) {
-    // Extend the current duplicate run; it reaches the live tree as one
-    // weighted Figure-2 addition when the run breaks.
-    ++pending_weight_;
-  } else {
-    FlushPendingLocked();
-    pending_items_ = std::move(items);
-    pending_weight_ = 1;
+  // Every weight, support and item count of a query is at most the
+  // number of transactions it covers, counted after the pane this
+  // transaction completes has pushed the oldest one out of the window.
+  const bool completes =
+      options_.pane_size > 0 && fill_ + 1 == options_.pane_size;
+  const bool expires =
+      completes && completed_.size() + 1 >= options_.window_panes;
+  constexpr std::uint64_t kLimit = std::numeric_limits<Support>::max();
+  if (CoveredLocked() + 1 - (expires ? options_.pane_size : 0) > kLimit) {
+    return Status::OutOfRange("a query would cover more than " +
+                              std::to_string(kLimit) +
+                              " transactions, the most a support can count");
+  }
+  const std::size_t rows = filling_.rows().NumRows();
+  filling_.Add(items, 1);
+  if (filling_.rows().NumRows() > rows) {
+    ++counters_.weighted_additions;
+    Bump(kWeighted);
   }
   ++ingested_;
   ++counters_.transactions_ingested;
   Bump(kIngested);
-  if (options_.pane_size > 0) {
+  if (completes) {
+    obs::Phase rotate_phase(options_.trace, lane_, "rotate");
+    RotateLocked();
+  } else if (options_.pane_size > 0) {
     ++fill_;
-    if (fill_ == options_.pane_size) {
-      // The pane is complete (the transaction just ingested is its last):
-      // materialize it and advance the window.
-      obs::Phase rotate_phase(options_.trace, lane_, "rotate");
-      FlushPendingLocked();
-      SealLiveLocked();
-      RotateLocked();
-      fill_ = 0;
-    }
   }
   return Status::OK();
 }
 
-void StreamMiner::FlushPendingLocked() {
-  if (pending_weight_ == 0) return;
-  live_->AddTransaction(pending_items_, pending_weight_);
-  pending_items_.clear();
-  pending_weight_ = 0;
-  ++counters_.weighted_additions;
-  Bump(kWeighted);
-}
-
-void StreamMiner::SealLiveLocked() {
-  if (live_->StepCount() == 0) return;
-  segments_.push_back(Segment{
-      current_pane_, std::shared_ptr<const IstaPrefixTree>(live_.release())});
-  live_ = std::make_unique<IstaPrefixTree>(options_.max_items);
+void StreamMiner::RotateLocked() {
+  completed_.push_back(
+      std::make_shared<const WeightedTransactions>(filling_.Take()));
+  filling_ = RowFolder(RowFold::kHash);
+  fill_ = 0;
+  ++current_pane_;
+  ++counters_.panes_rotated;
+  Bump(kRotated);
   if (lane_ != nullptr) {
     lane_->Instant("seal");
     // Heap step of the rotation: the bytes that just became immutable.
     // Renders as a counter track next to the sampler's mem.* lanes.
     lane_->Counter("mem.sealed_mib",
-                   BytesToMib(segments_.back().tree->ApproxMemoryUsage()
+                   BytesToMib(completed_.back()->ApproxMemoryUsage()
                                   .TotalBytes()));
   }
-}
-
-void StreamMiner::RotateLocked() {
-  ++current_pane_;
-  ++counters_.panes_rotated;
-  Bump(kRotated);
-  if (current_pane_ >= options_.window_panes) {
-    // Exactly one pane leaves the window per rotation after warm-up;
-    // dropping its segments is the entire deletion story.
-    const std::uint64_t oldest_live = current_pane_ - options_.window_panes + 1;
-    auto it = segments_.begin();
-    while (it != segments_.end() && it->pane < oldest_live) ++it;
-    segments_.erase(segments_.begin(), it);
+  // The window holds window_panes - 1 completed panes beside the filling
+  // one; dropping the oldest is the entire deletion story.
+  if (completed_.size() >= options_.window_panes) {
+    completed_.erase(completed_.begin());
     ++counters_.panes_expired;
     Bump(kExpired);
   }
@@ -137,102 +122,25 @@ Status StreamMiner::Query(Support min_support,
   }
   obs::MemDomainScope mem_domain(obs::MemDomain::kStream);
   obs::Phase query_phase(options_.trace, lane_, "query");
-  std::vector<Segment> covered;
+  FrozenState frozen;
   {
     obs::Phase freeze_phase(options_.trace, lane_, "query-freeze");
     const MutexLock lock(mutex_);
     ++counters_.queries;
     Bump(kQueries);
-    // Pane rotation is the only writer-visible cost of a query: the
-    // pending run and live tree move into an immutable segment (pointer
-    // moves plus one weighted addition); ingest continues into a fresh
-    // live tree while we merge below.
-    FlushPendingLocked();
-    SealLiveLocked();
-    covered = segments_;
+    frozen = FreezeLocked();
   }
-
-  // Merge outside the lock. Per pane with several segments, fold them
-  // into one tree (kept for installation below); then fold the per-pane
-  // trees into the snapshot. Merge reproduces the repository of the
-  // concatenated streams exactly, so the snapshot equals batch-mining
-  // the covered transaction multiset.
-  struct Install {
-    std::uint64_t pane = 0;
-    std::size_t begin = 0;  // range [begin, end) into `covered`
-    std::size_t end = 0;
-    std::shared_ptr<const IstaPrefixTree> merged;
-  };
-  std::vector<Segment> pane_trees;
-  std::vector<Install> installs;
-  std::uint64_t merges = 0;
-  obs::Phase merge_phase(options_.trace, lane_, "query-merge");
-  for (std::size_t i = 0; i < covered.size();) {
-    std::size_t j = i + 1;
-    while (j < covered.size() && covered[j].pane == covered[i].pane) ++j;
-    if (j - i == 1) {
-      pane_trees.push_back(covered[i]);
-    } else {
-      auto merged = std::make_shared<IstaPrefixTree>(options_.max_items);
-      for (std::size_t k = i; k < j; ++k) {
-        merged->Merge(*covered[k].tree);
-        ++merges;
-      }
-      pane_trees.push_back(Segment{covered[i].pane, merged});
-      installs.push_back(Install{covered[i].pane, i, j, merged});
-    }
-    i = j;
-  }
-  std::shared_ptr<const IstaPrefixTree> snapshot;
-  if (pane_trees.size() == 1) {
-    snapshot = pane_trees.front().tree;
-  } else if (!pane_trees.empty()) {
-    auto combined = std::make_shared<IstaPrefixTree>(options_.max_items);
-    for (const Segment& pane_tree : pane_trees) {
-      combined->Merge(*pane_tree.tree);
-      ++merges;
-    }
-    snapshot = combined;
-  }
-  merge_phase.End();
-
-  {
-    obs::Phase compact_phase(options_.trace, lane_, "query-compact");
-    // Install the per-pane merged trees back (compaction): the next
-    // query then folds one tree per already-seen pane instead of one per
-    // historical seal. Replacement is by segment identity — if ingest
-    // expired or another query already replaced a run, skip it.
-    const MutexLock lock(mutex_);
-    counters_.snapshot_merges += merges;
-    Bump(kMerges, merges);
-    for (const Install& install : installs) {
-      auto first = std::find_if(
-          segments_.begin(), segments_.end(), [&](const Segment& s) {
-            return s.tree == covered[install.begin].tree;
-          });
-      if (first == segments_.end()) continue;
-      const std::size_t at = static_cast<std::size_t>(first - segments_.begin());
-      const std::size_t count = install.end - install.begin;
-      if (at + count > segments_.size()) continue;
-      bool intact = true;
-      for (std::size_t k = 1; k < count; ++k) {
-        if (segments_[at + k].tree != covered[install.begin + k].tree) {
-          intact = false;
-          break;
-        }
-      }
-      if (!intact) continue;
-      segments_[at] = Segment{install.pane, install.merged};
-      segments_.erase(segments_.begin() + static_cast<std::ptrdiff_t>(at + 1),
-                      segments_.begin() + static_cast<std::ptrdiff_t>(at + count));
-      counters_.segments_compacted += count - 1;
-      Bump(kCompacted, count - 1);
-    }
-  }
-
-  obs::Phase report_phase(options_.trace, lane_, "query-report");
-  if (snapshot != nullptr) snapshot->Report(min_support, callback);
-  return Status::OK();
+  // Mined outside the lock: the completed panes are immutable and the
+  // filling pane is a private copy. Ingest continues meanwhile.
+  std::vector<const WeightedTransactions*> tables;
+  tables.reserve(frozen.completed.size() + 1);
+  for (const Pane& pane : frozen.completed) tables.push_back(pane.get());
+  tables.push_back(&frozen.filling);
+  IstaOptions options;
+  options.min_support = min_support;
+  options.timeline = options_.timeline;
+  return MineClosedIsta(tables, options_.max_items, options, callback,
+                        /*stats=*/nullptr, options_.trace);
 }
 
 Result<std::vector<ClosedItemset>> StreamMiner::QueryCollect(
@@ -255,50 +163,46 @@ std::uint64_t StreamMiner::CurrentPaneIndex() const {
 }
 
 std::size_t StreamMiner::NodeCount() const {
-  const MutexLock lock(mutex_);
-  std::size_t nodes = live_->NodeCount();
-  for (const Segment& segment : segments_) nodes += segment.tree->NodeCount();
-  return nodes;
+  return static_cast<std::size_t>(Stats().repository_nodes);
 }
 
 StreamStats StreamMiner::Stats() const {
   const MutexLock lock(mutex_);
   StreamStats stats = counters_;
-  stats.live_segments =
-      segments_.size() + (live_->StepCount() > 0 ? 1 : 0);
-  stats.repository_nodes = live_->NodeCount();
-  for (const Segment& segment : segments_) {
-    stats.repository_nodes += segment.tree->NodeCount();
-  }
+  stats.live_panes =
+      completed_.size() + (filling_.rows().NumRows() > 0 ? 1 : 0);
+  stats.repository_nodes = filling_.rows().NumRows();
+  for (const Pane& pane : completed_) stats.repository_nodes += pane->NumRows();
   return stats;
 }
 
 obs::MemoryComponent StreamMiner::ApproxMemoryUsage() const {
   const MutexLock lock(mutex_);
   obs::MemoryComponent stream("stream");
-  obs::MemoryComponent live = live_->ApproxMemoryUsage();
-  live.name = "live-tree";
-  stream.children.push_back(std::move(live));
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    obs::MemoryComponent segment = segments_[i].tree->ApproxMemoryUsage();
-    segment.name = "segment-" + std::to_string(i);
-    stream.children.push_back(std::move(segment));
+  const std::uint64_t first_pane = current_pane_ - completed_.size();
+  for (std::size_t k = 0; k < completed_.size(); ++k) {
+    obs::MemoryComponent pane = completed_[k]->ApproxMemoryUsage();
+    pane.name = "pane-" + std::to_string(first_pane + k);
+    stream.children.push_back(std::move(pane));
   }
-  stream.children.emplace_back(
-      "segment-spine", segments_.capacity() * sizeof(Segment));
-  stream.children.emplace_back(
-      "pending-run", pending_items_.capacity() * sizeof(ItemId));
+  obs::MemoryComponent filling = filling_.ApproxMemoryUsage();
+  filling.name = "filling-pane";
+  stream.children.push_back(std::move(filling));
+  stream.children.emplace_back("pane-list",
+                               completed_.capacity() * sizeof(Pane));
   return stream;
 }
 
-StreamMiner::FrozenState StreamMiner::FreezeLocked() {
-  // The pending duplicate run is captured as-is (not flushed), so a
-  // restored miner can keep extending it exactly like the live one.
-  SealLiveLocked();
+std::uint64_t StreamMiner::CoveredLocked() const {
+  return options_.pane_size == 0
+             ? ingested_
+             : completed_.size() * options_.pane_size + fill_;
+}
+
+StreamMiner::FrozenState StreamMiner::FreezeLocked() const {
   FrozenState frozen;
-  frozen.segments = segments_;
-  frozen.pending_items = pending_items_;
-  frozen.pending_weight = pending_weight_;
+  frozen.completed = completed_;
+  frozen.filling = filling_.rows();
   frozen.ingested = ingested_;
   frozen.fill = fill_;
   frozen.current_pane = current_pane_;

@@ -196,7 +196,7 @@ TEST(ParallelIstaTest, EdgeCases) {
   EXPECT_EQ(result[0].support, 1u);
 }
 
-// --- IstaPrefixTree::Merge and weighted additions -----------------------
+// --- Weighted additions ---------------------------------------------------
 
 std::map<std::vector<ItemId>, Support> Collect(const IstaPrefixTree& tree,
                                                Support min_support) {
@@ -222,105 +222,6 @@ TEST(IstaMergeTest, WeightedAdditionEqualsRepeatedAddition) {
   EXPECT_TRUE(weighted.ValidateInvariants().ok());
   EXPECT_EQ(weighted.TotalWeight(), 9u);
   EXPECT_EQ(Collect(repeated, 1), Collect(weighted, 1));
-}
-
-TEST(IstaMergeTest, MergeOfDisjointRepositories) {
-  IstaPrefixTree a(6);
-  a.AddTransaction(std::vector<ItemId>{0, 1});
-  a.AddTransaction(std::vector<ItemId>{0, 1, 2});
-  IstaPrefixTree b(6);
-  b.AddTransaction(std::vector<ItemId>{3, 4});
-  b.AddTransaction(std::vector<ItemId>{4, 5});
-  IstaPrefixTree reference(6);
-  for (const auto& row : {std::vector<ItemId>{0, 1}, {0, 1, 2}, {3, 4}, {4, 5}})
-    reference.AddTransaction(row);
-  a.Merge(b);
-  EXPECT_TRUE(a.ValidateInvariants().ok());
-  EXPECT_EQ(a.TotalWeight(), reference.TotalWeight());
-  EXPECT_EQ(Collect(a, 1), Collect(reference, 1));
-}
-
-TEST(IstaMergeTest, MergeOfOverlappingRepositoriesRecoversCrossSupports) {
-  // {0,1} is contained in transactions of both sides: its merged support
-  // must count both, even though neither repository alone stores it.
-  IstaPrefixTree a(5);
-  a.AddTransaction(std::vector<ItemId>{0, 1, 2});
-  a.AddTransaction(std::vector<ItemId>{0, 1, 3});
-  IstaPrefixTree b(5);
-  b.AddTransaction(std::vector<ItemId>{0, 1, 4});
-  b.AddTransaction(std::vector<ItemId>{1, 2});
-  IstaPrefixTree reference(5);
-  for (const auto& row :
-       {std::vector<ItemId>{0, 1, 2}, {0, 1, 3}, {0, 1, 4}, {1, 2}})
-    reference.AddTransaction(row);
-  a.Merge(b);
-  EXPECT_TRUE(a.ValidateInvariants().ok());
-  const auto merged = Collect(a, 1);
-  EXPECT_EQ(merged, Collect(reference, 1));
-  EXPECT_EQ(merged.at({0, 1}), 3u);
-  EXPECT_EQ(merged.at({1}), 4u);
-}
-
-TEST(IstaMergeTest, MergeIsExactOnRandomRepositorySplits) {
-  // Split a random stream at every position, mine the halves separately,
-  // merge, and compare against the sequential repository.
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    const TransactionDatabase db = GenerateRandomDense(12, 8, 0.5, seed * 131);
-    IstaPrefixTree reference(8);
-    for (const auto& row : db.transactions())
-      if (!row.empty()) reference.AddTransaction(row);
-    const auto expected = Collect(reference, 1);
-    for (std::size_t split = 0; split <= db.NumTransactions(); split += 3) {
-      IstaPrefixTree left(8);
-      IstaPrefixTree right(8);
-      for (std::size_t r = 0; r < db.NumTransactions(); ++r) {
-        const auto& row = db.transactions()[r];
-        if (row.empty()) continue;
-        (r < split ? left : right).AddTransaction(row);
-      }
-      left.Merge(right);
-      ASSERT_TRUE(left.ValidateInvariants().ok());
-      ASSERT_EQ(Collect(left, 1), expected) << "seed " << seed << " split "
-                                            << split;
-    }
-  }
-}
-
-TEST(IstaMergeTest, MergeExactOnPrunedRepositories) {
-  // Prune both halves against their true remaining occurrences before
-  // merging: every frequent closed set of the union must survive with
-  // its exact support (the max-plus merge is exact on pruned trees).
-  const Support smin = 3;
-  const TransactionDatabase db = GenerateRandomDense(30, 9, 0.45, 4242);
-  std::vector<Support> total(9, 0);
-  for (const auto& row : db.transactions())
-    for (ItemId i : row) ++total[i];
-
-  IstaPrefixTree reference(9);
-  for (const auto& row : db.transactions())
-    if (!row.empty()) reference.AddTransaction(row);
-  std::map<std::vector<ItemId>, Support> expected;
-  for (const auto& [items, supp] : Collect(reference, smin))
-    expected.emplace(items, supp);
-
-  const std::size_t split = db.NumTransactions() / 2;
-  IstaPrefixTree left(9);
-  IstaPrefixTree right(9);
-  std::vector<Support> left_remaining = total;
-  std::vector<Support> right_remaining = total;
-  for (std::size_t r = 0; r < db.NumTransactions(); ++r) {
-    const auto& row = db.transactions()[r];
-    if (row.empty()) continue;
-    auto& half = r < split ? left : right;
-    auto& remaining = r < split ? left_remaining : right_remaining;
-    half.AddTransaction(row);
-    for (ItemId i : row) --remaining[i];
-  }
-  left.Prune(smin, left_remaining);
-  right.Prune(smin, right_remaining);
-  left.Merge(right);
-  EXPECT_TRUE(left.ValidateInvariants().ok());
-  EXPECT_EQ(Collect(left, smin), expected);
 }
 
 }  // namespace

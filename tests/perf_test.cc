@@ -25,6 +25,23 @@
 #include "obs/trace.h"
 
 namespace fim::obs {
+
+// Spins until the profiler has kept `samples` samples (or ten CPU
+// seconds passed). Not inlined and outside the anonymous namespace, so
+// that ENABLE_EXPORTS puts it into the dynamic symbol table, where the
+// profiler's dladdr finds it.
+__attribute__((noinline)) std::uint64_t SpinForProfiler(
+    const SamplingProfiler& profiler, std::size_t samples) {
+  std::uint64_t sink = 0;
+  CpuTimer cpu;
+  while (profiler.SampleCount() < samples && cpu.Seconds() < 10.0) {
+    for (std::uint64_t i = 0; i < 1000000; ++i) {
+      sink = sink * 6364136223846793005ULL + i;
+    }
+  }
+  return sink;
+}
+
 namespace {
 
 // --- multiplex scaling -------------------------------------------------
@@ -444,6 +461,55 @@ TEST(SamplingProfilerTest, ProfilerFeedsTimelineLaneInstants) {
     if (event.kind == TimelineEvent::Kind::kInstant) ++instants;
   }
   EXPECT_EQ(instants, profiler->SampleCount());
+}
+
+// ThreadSanitizer defers asynchronous signals to its own interception
+// points, so under it every sample's leaf is a runtime frame.
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kSignalsDeferred = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kSignalsDeferred = true;
+#else
+constexpr bool kSignalsDeferred = false;
+#endif
+#else
+constexpr bool kSignalsDeferred = false;
+#endif
+
+TEST(SamplingProfilerTest, LeafIsTheInterruptedExportedFunction) {
+  if (kSignalsDeferred) {
+    GTEST_SKIP() << "ThreadSanitizer delivers SIGPROF inside its runtime";
+  }
+  ProfilerOptions options;
+  options.interval_usec = 1000;
+  std::string error;
+  auto profiler = SamplingProfiler::Start(options, &error);
+  ASSERT_NE(profiler, nullptr) << error;
+  const volatile std::uint64_t sink = SpinForProfiler(*profiler, 50);
+  (void)sink;
+  const std::string collapsed = profiler->RenderCollapsed();
+  // Each line after the header is "root;...;leaf count". The leaf must
+  // be the spinning function itself, demangled: neither the signal
+  // trampoline nor a bare module offset.
+  std::istringstream lines(collapsed);
+  std::string line;
+  std::getline(lines, line);  // header
+  std::uint64_t samples = 0;
+  std::uint64_t in_spin = 0;
+  while (std::getline(lines, line)) {
+    const std::size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::uint64_t count = std::stoull(line.substr(space + 1));
+    const std::string stack = line.substr(0, space);
+    const std::size_t semicolon = stack.rfind(';');
+    const std::string leaf =
+        semicolon == std::string::npos ? stack : stack.substr(semicolon + 1);
+    samples += count;
+    if (leaf.rfind("fim::obs::SpinForProfiler(", 0) == 0) in_spin += count;
+  }
+  EXPECT_GE(samples, 50u);
+  EXPECT_GE(2 * in_spin, samples) << collapsed;
 }
 
 // --- sampler exit-flush safety net -------------------------------------

@@ -1,94 +1,23 @@
-// Tests of prefix-tree serialization (fim-tree-v1) and StreamMiner
-// checkpoint/restore (fim-stream-v1): a restored miner must continue
-// the stream with output bit-identical to the uninterrupted one, and
-// corrupted or truncated input must be rejected with a clean Status.
+// Tests of StreamMiner checkpoint/restore (fim-stream-v2): a restored
+// miner must continue the stream with output bit-identical to the
+// uninterrupted one, and corrupted or truncated input must be rejected
+// with a clean Status.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "data/binary_io.h"
 #include "data/generators.h"
-#include "ista/prefix_tree.h"
 #include "obs/metrics.h"
 #include "stream/stream_miner.h"
 
 namespace fim {
 namespace {
-
-std::vector<ClosedItemset> ReportAll(const IstaPrefixTree& tree,
-                                     Support min_support) {
-  ClosedSetCollector collector;
-  tree.Report(min_support, collector.AsCallback());
-  collector.SortCanonical();
-  return collector.TakeSets();
-}
-
-TEST(TreeIoTest, RoundTripContinuesIdentically) {
-  const TransactionDatabase db = GenerateRandomDense(40, 14, 0.35, 11);
-  IstaPrefixTree original(db.NumItems());
-  for (std::size_t k = 0; k < 25; ++k) {
-    original.AddTransaction(db.transaction(k), 1 + k % 3);
-  }
-  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(original.SerializeTo(blob).ok());
-  auto restored = IstaPrefixTree::Deserialize(blob);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  IstaPrefixTree copy = std::move(restored).value();
-  EXPECT_TRUE(copy.ValidateInvariants().ok());
-  EXPECT_EQ(copy.NodeCount(), original.NodeCount());
-  EXPECT_EQ(copy.StepCount(), original.StepCount());
-  EXPECT_EQ(copy.TotalWeight(), original.TotalWeight());
-  EXPECT_EQ(copy.IsectSteps(), original.IsectSteps());
-  EXPECT_EQ(ReportAll(copy, 1), ReportAll(original, 1));
-  // The dump captures the exact node layout, so further mutations
-  // behave bit-identically on both trees.
-  for (std::size_t k = 25; k < db.NumTransactions(); ++k) {
-    original.AddTransaction(db.transaction(k));
-    copy.AddTransaction(db.transaction(k));
-    EXPECT_EQ(copy.NodeCount(), original.NodeCount());
-    EXPECT_EQ(ReportAll(copy, 2), ReportAll(original, 2));
-  }
-}
-
-TEST(TreeIoTest, RejectsCorruptBlobs) {
-  IstaPrefixTree tree(6);
-  tree.AddTransaction(std::vector<ItemId>{0, 2, 4});
-  tree.AddTransaction(std::vector<ItemId>{0, 2, 5});
-  std::ostringstream out(std::ios::binary);
-  ASSERT_TRUE(tree.SerializeTo(out).ok());
-  const std::string good = out.str();
-
-  {  // bad magic
-    std::string bad = good;
-    bad[0] = 'X';
-    std::istringstream in(bad, std::ios::binary);
-    EXPECT_FALSE(IstaPrefixTree::Deserialize(in).ok());
-  }
-  {  // unsupported version
-    std::string bad = good;
-    bad[4] = 9;
-    std::istringstream in(bad, std::ios::binary);
-    EXPECT_FALSE(IstaPrefixTree::Deserialize(in).ok());
-  }
-  // Truncation at every prefix length must fail cleanly, never crash.
-  for (std::size_t len = 0; len < good.size(); len += 3) {
-    std::istringstream in(good.substr(0, len), std::ios::binary);
-    EXPECT_FALSE(IstaPrefixTree::Deserialize(in).ok()) << "length " << len;
-  }
-  {  // corrupt a node link deep in the blob: the invariant check catches
-     // what the header checks cannot
-    std::string bad = good;
-    for (std::size_t at = bad.size() - 8; at < bad.size(); ++at) {
-      bad[at] = static_cast<char>(0x7f);
-    }
-    std::istringstream in(bad, std::ios::binary);
-    auto result = IstaPrefixTree::Deserialize(in);
-    EXPECT_FALSE(result.ok());
-  }
-}
 
 void IngestSlice(StreamMiner* miner, const TransactionDatabase& db,
                  std::size_t begin, std::size_t end) {
@@ -205,7 +134,7 @@ TEST(StreamCheckpointTest, PendingDuplicateRunSurvivesCheckpoint) {
   ASSERT_TRUE(miner.CheckpointTo(checkpoint).ok());
   auto restored = StreamMiner::RestoreFrom(checkpoint);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  // The run keeps extending after the restore: still one weighted add.
+  // The restored pane keeps folding: still one weighted row.
   ASSERT_TRUE(restored.value()->AddTransaction({1, 2, 3}).ok());
   auto sets = restored.value()->QueryCollect(1);
   ASSERT_TRUE(sets.ok());
@@ -254,6 +183,75 @@ TEST(StreamCheckpointTest, RestoredCountersMirrorIntoRegistry) {
   EXPECT_GT(exported.at("stream.checkpoint_bytes_read"), 0u);
 }
 
+// A hand-built fim-stream-v2 checkpoint (layout in checkpoint.cc).
+struct CheckpointSpec {
+  struct Row {
+    std::uint32_t weight;
+    std::vector<ItemId> items;
+  };
+  struct Pane {
+    std::uint64_t index;
+    std::vector<Row> rows;
+  };
+  std::uint64_t max_items = 10;
+  std::uint64_t pane_size = 0;
+  std::uint64_t window_panes = 0;
+  std::uint64_t ingested = 0;
+  std::uint64_t fill = 0;
+  std::uint64_t current_pane = 0;
+  std::vector<Pane> panes;
+
+  std::string Bytes() const {
+    std::ostringstream out(std::ios::binary);
+    out.write("FIMS", 4);
+    io::WritePod(out, std::uint32_t{2});
+    for (std::uint64_t field : {max_items, pane_size, window_panes, ingested,
+                                fill, current_pane}) {
+      io::WritePod(out, field);
+    }
+    for (int counter = 0; counter < 6; ++counter) {
+      io::WritePod(out, std::uint64_t{0});
+    }
+    io::WritePod(out, static_cast<std::uint32_t>(panes.size()));
+    for (const Pane& pane : panes) {
+      io::WritePod(out, pane.index);
+      io::WritePod(out, static_cast<std::uint32_t>(pane.rows.size()));
+      for (const Row& row : pane.rows) {
+        io::WritePod(out, row.weight);
+        io::WritePod(out, static_cast<std::uint32_t>(row.items.size()));
+        for (ItemId item : row.items) io::WritePod(out, item);
+      }
+    }
+    out.write("SMND", 4);
+    return out.str();
+  }
+};
+
+Result<std::unique_ptr<StreamMiner>> RestoreBytes(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  return StreamMiner::RestoreFrom(in);
+}
+
+// Window mode, pane_size 3, two live panes, 7 transactions: pane 1 is
+// complete (pane 0 expired), pane 2 holds one transaction.
+CheckpointSpec WindowSpec() {
+  CheckpointSpec spec;
+  spec.pane_size = 3;
+  spec.window_panes = 2;
+  spec.ingested = 7;
+  spec.fill = 1;
+  spec.current_pane = 2;
+  spec.panes = {{1, {{2, {0, 3}}, {1, {1, 2, 9}}}}, {2, {{1, {4}}}}};
+  return spec;
+}
+
+CheckpointSpec LandmarkSpec() {
+  CheckpointSpec spec;
+  spec.ingested = 5;
+  spec.panes = {{0, {{3, {0, 3}}, {2, {1, 2}}}}};
+  return spec;
+}
+
 TEST(StreamCheckpointTest, RejectsCorruptCheckpoints) {
   StreamMinerOptions options;
   options.max_items = 10;
@@ -279,21 +277,20 @@ TEST(StreamCheckpointTest, RejectsCorruptCheckpoints) {
   }
   {  // unsupported version
     std::string bad = good;
-    bad[4] = 2;
+    bad[4] = 1;
     std::istringstream in(bad, std::ios::binary);
     EXPECT_FALSE(StreamMiner::RestoreFrom(in).ok());
   }
-  // Truncation at every stride: clean failure, no crash, no throw.
-  for (std::size_t len = 0; len < good.size(); len += 7) {
+  // Truncation at every byte: clean failure, no crash, no throw.
+  for (std::size_t len = 0; len < good.size(); ++len) {
     std::istringstream in(good.substr(0, len), std::ios::binary);
     auto result = StreamMiner::RestoreFrom(in);
     EXPECT_FALSE(result.ok()) << "length " << len;
   }
   {  // inconsistent pane bookkeeping: tamper the ingested count (header
-     // offset 33 = magic 4 + version 4 + max_items/pane_size/window 24 +
-     // merge flag 1)
+     // offset 32 = magic 4 + version 4 + max_items/pane_size/window 24)
     std::string bad = good;
-    bad[33] = static_cast<char>(bad[33] + 1);
+    bad[32] = static_cast<char>(bad[32] + 1);
     std::istringstream in(bad, std::ios::binary);
     EXPECT_FALSE(StreamMiner::RestoreFrom(in).ok());
   }
@@ -302,6 +299,132 @@ TEST(StreamCheckpointTest, RejectsCorruptCheckpoints) {
     std::istringstream in(bad, std::ios::binary);
     EXPECT_FALSE(StreamMiner::RestoreFrom(in).ok());
   }
+
+  // Every invariant of the pane table, one hand-built checkpoint each.
+  ASSERT_TRUE(RestoreBytes(WindowSpec().Bytes()).ok());
+  ASSERT_TRUE(RestoreBytes(LandmarkSpec().Bytes()).ok());
+  auto rejects = [](const CheckpointSpec& spec, const char* what) {
+    const auto result = RestoreBytes(spec.Bytes());
+    EXPECT_FALSE(result.ok()) << what;
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << what;
+    }
+  };
+  auto with_row = [](std::size_t pane, std::size_t row,
+                     CheckpointSpec::Row value) {
+    CheckpointSpec spec = WindowSpec();
+    spec.panes[pane].rows[row] = std::move(value);
+    return spec;
+  };
+  rejects(with_row(0, 0, {2, {3, 0}}), "unsorted items");
+  rejects(with_row(0, 0, {2, {3, 3}}), "repeated item");
+  rejects(with_row(0, 0, {2, {0, 10}}), "item >= max_items");
+  rejects(with_row(0, 0, {2, {}}), "empty row");
+  {
+    CheckpointSpec spec = WindowSpec();
+    spec.panes[0].rows.push_back({0, {5}});
+    rejects(spec, "weight 0");
+  }
+  {
+    CheckpointSpec spec = WindowSpec();
+    spec.panes[0].rows = {{1, {0, 3}}, {1, {1, 2, 9}}, {1, {0, 3}}};
+    rejects(spec, "row repeated within a pane");
+  }
+  rejects(with_row(0, 0, {1, {0, 3}}), "completed pane weighs < pane_size");
+  rejects(with_row(0, 0, {3, {0, 3}}), "completed pane weighs > pane_size");
+  rejects(with_row(1, 0, {2, {4}}), "filling pane weighs != fill");
+  {
+    CheckpointSpec spec = LandmarkSpec();
+    spec.panes[0].rows[1].weight = 1;
+    rejects(spec, "landmark weighs != transactions_ingested");
+  }
+  {
+    CheckpointSpec spec = WindowSpec();
+    spec.panes[0].index = 0;
+    rejects(spec, "expired pane");
+  }
+  {
+    CheckpointSpec spec = WindowSpec();
+    spec.panes[1].index = 3;
+    rejects(spec, "pane after the filling one");
+  }
+  {
+    CheckpointSpec spec = WindowSpec();
+    spec.panes.erase(spec.panes.begin());
+    rejects(spec, "missing completed pane");
+  }
+  {
+    CheckpointSpec spec = WindowSpec();
+    spec.panes.push_back({3, {{1, {5}}}});
+    rejects(spec, "extra pane");
+  }
+  {
+    CheckpointSpec spec = LandmarkSpec();
+    spec.panes[0].index = 1;
+    rejects(spec, "landmark pane other than 0");
+  }
+  {
+    // 2^32 transactions: more than a support can count.
+    CheckpointSpec spec = LandmarkSpec();
+    spec.ingested = std::uint64_t{1} << 32;
+    spec.panes[0].rows = {{std::numeric_limits<std::uint32_t>::max(), {0}},
+                          {1, {1}}};
+    rejects(spec, "weights past the Support limit");
+  }
+}
+
+TEST(StreamCheckpointTest, SupportLimitFailsLoudlyAndLeavesTheMinerIntact) {
+  constexpr Support kMax = std::numeric_limits<Support>::max();
+  CheckpointSpec spec;
+  spec.max_items = 4;
+  spec.ingested = kMax - 1;
+  spec.panes = {{0, {{kMax - 1, {0, 1}}}}};
+  auto restored = RestoreBytes(spec.Bytes());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  StreamMiner& miner = *restored.value();
+  ASSERT_TRUE(miner.AddTransaction({0, 1}).ok());  // covers kMax
+  EXPECT_EQ(miner.AddTransaction({0, 1}).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(miner.AddTransaction({2}).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(miner.NumTransactions(), std::uint64_t{kMax});
+  for (Support smin : {Support{1}, kMax}) {
+    auto sets = miner.QueryCollect(smin);
+    ASSERT_TRUE(sets.ok());
+    ASSERT_EQ(sets.value().size(), 1u);
+    EXPECT_EQ(sets.value()[0].items, (std::vector<ItemId>{0, 1}));
+    EXPECT_EQ(sets.value()[0].support, kMax);
+  }
+  // The full miner still checkpoints and restores.
+  std::stringstream checkpoint(std::ios::in | std::ios::out |
+                               std::ios::binary);
+  ASSERT_TRUE(miner.CheckpointTo(checkpoint).ok());
+  EXPECT_TRUE(StreamMiner::RestoreFrom(checkpoint).ok());
+}
+
+TEST(StreamCheckpointTest, SupportLimitCountsOnlyTheWindow) {
+  // Two panes of 2^31 transactions: the window reaches the limit one
+  // transaction before its filling pane completes, and the completion
+  // expires pane 0.
+  constexpr Support kMax = std::numeric_limits<Support>::max();
+  constexpr std::uint32_t kPane = std::uint32_t{1} << 31;
+  CheckpointSpec spec;
+  spec.max_items = 4;
+  spec.pane_size = kPane;
+  spec.window_panes = 2;
+  spec.ingested = std::uint64_t{kMax} - 1;
+  spec.current_pane = 1;
+  spec.fill = kPane - 2;
+  spec.panes = {{0, {{kPane, {0}}}}, {1, {{kPane - 2, {1}}}}};
+  auto restored = RestoreBytes(spec.Bytes());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  StreamMiner& miner = *restored.value();
+  ASSERT_TRUE(miner.AddTransaction({1}).ok());  // the window covers kMax
+  ASSERT_TRUE(miner.AddTransaction({1}).ok());  // pane 1 completes
+  ASSERT_TRUE(miner.AddTransaction({2}).ok());
+  EXPECT_EQ(miner.CurrentPaneIndex(), 2u);
+  auto sets = miner.QueryCollect(1);
+  ASSERT_TRUE(sets.ok());
+  EXPECT_EQ(sets.value(),
+            (std::vector<ClosedItemset>{{{1}, kPane}, {{2}, 1}}));
 }
 
 }  // namespace

@@ -35,6 +35,75 @@ StreamMinerOptions Windowed(std::size_t max_items, std::size_t pane_size,
   return options;
 }
 
+using Stream = std::vector<std::vector<ItemId>>;
+
+// `db`'s rows with duplicates: row 0 again after every sixth row, far
+// from its other copies, and a run of four equal rows wherever the
+// stream reaches two transactions before a boundary of panes of `pane`
+// transactions, so that the run straddles the boundary.
+Stream WithDuplicates(const TransactionDatabase& db, std::size_t pane) {
+  Stream stream;
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    const std::size_t copies = stream.size() % pane == pane - 2 ? 4 : 1;
+    for (std::size_t c = 0; c < copies; ++c) {
+      stream.push_back(db.transaction(k));
+    }
+    if (k % 6 == 5) stream.push_back(db.transaction(0));
+  }
+  return stream;
+}
+
+// The supports that exercise both the fold (1) and the query-time item
+// elimination (2 and 5) on the streams of WithDuplicates.
+constexpr Support kDuplicateSupports[] = {1, 2, 5};
+
+void ExpectLandmarkMatchesBatch(const Stream& stream, std::size_t num_items) {
+  StreamMiner miner(Landmark(num_items));
+  TransactionDatabase prefix_db;
+  prefix_db.SetNumItems(num_items);
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    ASSERT_TRUE(miner.AddTransaction(stream[k]).ok());
+    prefix_db.AddTransaction(stream[k]);
+    for (Support smin : kDuplicateSupports) {
+      auto streamed = miner.QueryCollect(smin);
+      ASSERT_TRUE(streamed.ok());
+      MinerOptions options;
+      options.min_support = smin;
+      auto expected = MineClosedCollect(prefix_db, options);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_TRUE(SameResults(expected.value(), streamed.value()))
+          << "prefix " << (k + 1) << " smin " << smin << "\n"
+          << DiffResults(expected.value(), streamed.value());
+    }
+  }
+}
+
+void ExpectWindowMatchesOracle(const Stream& stream, std::size_t num_items,
+                               std::size_t pane, std::size_t window) {
+  StreamMiner miner(Windowed(num_items, pane, window));
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    ASSERT_TRUE(miner.AddTransaction(stream[k]).ok());
+    const std::size_t ingested = k + 1;
+    const std::size_t current_pane = ingested / pane;
+    const std::size_t first_pane =
+        current_pane + 1 >= window ? current_pane + 1 - window : 0;
+    TransactionDatabase window_db;
+    window_db.SetNumItems(num_items);
+    for (std::size_t t = first_pane * pane; t < ingested; ++t) {
+      window_db.AddTransaction(stream[t]);
+    }
+    for (Support smin : kDuplicateSupports) {
+      auto streamed = miner.QueryCollect(smin);
+      ASSERT_TRUE(streamed.ok());
+      auto expected = OracleClosedSets(window_db, smin);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_TRUE(SameResults(expected.value(), streamed.value()))
+          << "tx " << ingested << " smin " << smin << "\n"
+          << DiffResults(expected.value(), streamed.value());
+    }
+  }
+}
+
 TEST(StreamMinerTest, LandmarkMatchesBatchAfterEveryPrefix) {
   const TransactionDatabase db = GenerateRandomDense(12, 10, 0.4, 2026);
   StreamMiner miner(Landmark(db.NumItems()));
@@ -42,8 +111,8 @@ TEST(StreamMinerTest, LandmarkMatchesBatchAfterEveryPrefix) {
   prefix_db.SetNumItems(db.NumItems());
   std::uint64_t ingested = 0;
   for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
-    // Duplicate bursts exercise the pending-run merging: transaction k
-    // is ingested 1 + (k % 3) times in a row.
+    // Duplicate bursts exercise the fold of equal rows: transaction k is
+    // ingested 1 + (k % 3) times in a row.
     const std::size_t copies = 1 + k % 3;
     for (std::size_t c = 0; c < copies; ++c) {
       ASSERT_TRUE(miner.AddTransaction(db.transaction(k)).ok());
@@ -64,6 +133,7 @@ TEST(StreamMinerTest, LandmarkMatchesBatchAfterEveryPrefix) {
           << DiffResults(expected.value(), streamed.value());
     }
   }
+  ExpectLandmarkMatchesBatch(WithDuplicates(db, 5), db.NumItems());
 }
 
 TEST(StreamMinerTest, WindowedMatchesBatchOfWindowAtEveryStep) {
@@ -95,6 +165,8 @@ TEST(StreamMinerTest, WindowedMatchesBatchOfWindowAtEveryStep) {
           << DiffResults(expected.value(), streamed.value());
     }
   }
+  ExpectWindowMatchesOracle(WithDuplicates(db, kPane), db.NumItems(), kPane,
+                            kWindow);
 }
 
 TEST(StreamMinerTest, WindowedSnapshotDropsExpiredTransactions) {
@@ -114,9 +186,8 @@ TEST(StreamMinerTest, WindowedSnapshotDropsExpiredTransactions) {
 TEST(StreamMinerTest, RepeatedQueriesAreStableAndCompact) {
   const TransactionDatabase db = GenerateRandomDense(30, 12, 0.35, 5);
   StreamMiner miner(Windowed(db.NumItems(), 4, 8));
-  // Query after every transaction: each query seals the live tree, so
-  // panes accumulate several segments and queries must compact them
-  // without perturbing later snapshots.
+  // Query twice after every transaction: a query must not perturb the
+  // miner's state or later snapshots.
   for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
     ASSERT_TRUE(miner.AddTransaction(db.transaction(k)).ok());
     auto a = miner.QueryCollect(2);
@@ -139,7 +210,6 @@ TEST(StreamMinerTest, RepeatedQueriesAreStableAndCompact) {
   EXPECT_TRUE(SameResults(expected.value(), streamed.value()))
       << DiffResults(expected.value(), streamed.value());
   const StreamStats stats = miner.Stats();
-  EXPECT_GT(stats.segments_compacted, 0u);
   EXPECT_EQ(stats.queries, 2u * db.NumTransactions() + 1);
 }
 
@@ -159,7 +229,18 @@ TEST(StreamMinerTest, ConcurrentQueriesDuringIngest) {
       }
     });
   }
-  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+  // Half the rows, then a wait for one finished query, then the rest:
+  // ingest is a hash probe per row, so it could otherwise end before
+  // the first query, and no query would overlap ingest. (A failed
+  // reader assertion ends the wait too.)
+  const std::size_t half = db.NumTransactions() / 2;
+  for (std::size_t k = 0; k < half; ++k) {
+    ASSERT_TRUE(miner.AddTransaction(db.transaction(k)).ok());
+  }
+  while (queries_ok.load() == 0 && !HasFailure()) {
+    std::this_thread::yield();
+  }
+  for (std::size_t k = half; k < db.NumTransactions(); ++k) {
     ASSERT_TRUE(miner.AddTransaction(db.transaction(k)).ok());
   }
   done.store(true);
@@ -189,14 +270,14 @@ TEST(StreamMinerTest, CountersAndRegistryExport) {
   ASSERT_TRUE(miner.QueryCollect(1).ok());
   const StreamStats stats = miner.Stats();
   EXPECT_EQ(stats.transactions_ingested, 6u);
-  // The four copies collapse into one weighted addition (split at the
-  // pane boundary after tx 3): 4 raw transactions -> 2 weighted adds at
-  // most, plus the two distinct ones.
+  // The four copies fold into one weighted row per pane (split at the
+  // pane boundary after tx 3): 4 raw transactions -> 2 weighted rows,
+  // plus the two distinct ones.
   EXPECT_LT(stats.weighted_additions, stats.transactions_ingested);
   EXPECT_EQ(stats.panes_rotated, 2u);
   EXPECT_EQ(stats.panes_expired, 1u);
   EXPECT_EQ(stats.queries, 1u);
-  EXPECT_GT(stats.live_segments, 0u);
+  EXPECT_GT(stats.live_panes, 0u);
   EXPECT_GT(stats.repository_nodes, 0u);
   const auto exported = registry.CounterValues();
   EXPECT_EQ(exported.at("stream.transactions_ingested"),
@@ -211,28 +292,29 @@ TEST(StreamMinerTest, CountersAndRegistryExport) {
 
 TEST(StreamMinerTest, DuplicateMergingNeverChangesSnapshots) {
   const TransactionDatabase db = GenerateRandomDense(10, 8, 0.5, 3);
-  StreamMinerOptions merged = Landmark(db.NumItems());
-  StreamMinerOptions unmerged = Landmark(db.NumItems());
-  unmerged.merge_duplicate_transactions = false;
-  StreamMiner a(merged);
-  StreamMiner b(unmerged);
+  StreamMiner miner(Landmark(db.NumItems()));
+  TransactionDatabase prefix_db;
+  prefix_db.SetNumItems(db.NumItems());
   for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
     for (std::size_t c = 0; c < 1 + k % 4; ++c) {
-      ASSERT_TRUE(a.AddTransaction(db.transaction(k)).ok());
-      ASSERT_TRUE(b.AddTransaction(db.transaction(k)).ok());
+      ASSERT_TRUE(miner.AddTransaction(db.transaction(k)).ok());
+      prefix_db.AddTransaction(db.transaction(k));
     }
-    auto sa = a.QueryCollect(2);
-    auto sb = b.QueryCollect(2);
-    ASSERT_TRUE(sa.ok());
-    ASSERT_TRUE(sb.ok());
-    EXPECT_EQ(sa.value(), sb.value());
+    auto streamed = miner.QueryCollect(2);
+    MinerOptions options;
+    options.min_support = 2;
+    auto expected = MineClosedCollect(prefix_db, options);
+    ASSERT_TRUE(streamed.ok());
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(streamed.value(), expected.value());
   }
-  EXPECT_LT(a.Stats().weighted_additions, b.Stats().weighted_additions);
+  EXPECT_LT(miner.Stats().weighted_additions,
+            miner.Stats().transactions_ingested);
 }
 
 TEST(StreamMinerTest, CheckpointsDuringConcurrentIngest) {
   // TSan stress for the snapshot-under-ingest protocol: checkpoints and
-  // queries seal the live tree under the miner mutex while a writer
+  // queries copy the covered panes under the miner mutex while a writer
   // keeps ingesting. Every mid-stream checkpoint must be internally
   // consistent (it restores), and the final state must equal batch.
   const TransactionDatabase db = GenerateRandomDense(300, 20, 0.3, 23);
@@ -288,7 +370,7 @@ TEST(StreamMinerTest, CheckpointsDuringConcurrentIngest) {
 }
 
 // A lock-contract helper in the style the miner uses internally
-// (FlushPendingLocked etc.): FIM_REQUIRES makes "caller holds the
+// (RotateLocked etc.): FIM_REQUIRES makes "caller holds the
 // mutex" machine-checked at every call site under FIM_THREAD_SAFETY,
 // and the lock-rank checker enforces it dynamically in debug builds.
 std::uint64_t IncrementHolding(Mutex& mutex, std::uint64_t& value)
@@ -312,6 +394,26 @@ TEST(StreamMinerTest, RequiresAnnotatedHelperSeesConsistentState) {
   for (auto& thread : threads) thread.join();
   const MutexLock lock(mutex);
   EXPECT_EQ(IncrementHolding(mutex, value), 20001u);
+}
+
+TEST(StreamMinerTest, QueryMinesAndReportsWithoutTheLock) {
+  // The callback runs inside the query's mining call. Ingesting from it
+  // would deadlock (or trip the lock-rank checker) if the query held the
+  // miner's lock while it mines; the snapshot stays the frozen one.
+  StreamMiner miner(Landmark(4));
+  ASSERT_TRUE(miner.AddTransaction({0, 1}).ok());
+  ASSERT_TRUE(miner.AddTransaction({0, 1}).ok());
+  std::vector<ClosedItemset> reported;
+  ASSERT_TRUE(miner
+                  .Query(1,
+                         [&](std::span<const ItemId> items, Support support) {
+                           ASSERT_TRUE(miner.AddTransaction({2, 3}).ok());
+                           reported.push_back(
+                               {{items.begin(), items.end()}, support});
+                         })
+                  .ok());
+  EXPECT_EQ(reported, (std::vector<ClosedItemset>{{{0, 1}, 2}}));
+  EXPECT_EQ(miner.NumTransactions(), 3u);
 }
 
 TEST(StreamMinerTest, RejectsBadInput) {

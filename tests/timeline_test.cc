@@ -1,5 +1,6 @@
 // Tests of the event-timeline layer: ring-buffer lane semantics
-// (ordering, wrap-around drop accounting, name truncation), the
+// (ordering, wrap-around drop accounting, name truncation, empty
+// names), the
 // null-safe TimelineScope/Phase guards, the Chrome trace-event exporter
 // (valid JSON, balanced begin/end pairs, orphan/synthetic end
 // re-balancing, thread_name metadata), multi-threaded lane registration
@@ -67,6 +68,23 @@ TEST(TimelineLaneTest, TruncatesLongNames) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(std::string(events[0].name),
             std::string(obs::TimelineEvent::kNameCapacity, 'x'));
+}
+
+TEST(TimelineLaneTest, EmptyNamesRecordAsEmptyStrings) {
+  // End() and an empty instant name pass a string_view whose data() is
+  // null. A two-slot ring makes the instant reuse the slot that held
+  // "span", which must come out empty.
+  obs::Timeline timeline(/*capacity_per_lane=*/2);
+  obs::TimelineLane* lane = timeline.driver();
+  lane->Begin("span");
+  lane->End();
+  lane->Instant(std::string_view());
+  const auto events = lane->Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, obs::TimelineEvent::Kind::kEnd);
+  EXPECT_STREQ(events[0].name, "");
+  EXPECT_EQ(events[1].kind, obs::TimelineEvent::Kind::kInstant);
+  EXPECT_STREQ(events[1].name, "");
 }
 
 TEST(TimelineLaneTest, RingWrapKeepsNewestAndCountsDrops) {

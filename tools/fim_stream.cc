@@ -22,7 +22,7 @@
 //               header line (T counts from the start of the stream, so a
 //               resumed run emits the same headers at the same points)
 //   --checkpoint=PATH
-//               write a fim-stream-v1 checkpoint of the full miner state
+//               write a fim-stream-v2 checkpoint of the full miner state
 //               to PATH after the input is exhausted
 //   --checkpoint-every=N
 //               additionally checkpoint after every N transactions
@@ -40,8 +40,8 @@
 //               stream.* counters and the miner's phase spans (rotate,
 //               query, checkpoint; see docs/OBSERVABILITY.md)
 //   --trace-out=PATH
-//               record the miner's event timeline (ingest rotations,
-//               seals, query sub-phases, checkpoints, plus the sampler's
+//               record the miner's event timeline (pane rotations and
+//               seals, query phases, checkpoints, plus the sampler's
 //               lane) and write Chrome trace-event JSON to PATH
 //   --perf-counters
 //               measure hardware counters over the whole run and per
@@ -50,8 +50,8 @@
 //               unavailable reason + rusage fallback where the kernel
 //               denies the PMU)
 //   --mem-stats
-//               collect the per-structure memory breakdown (live tree,
-//               sealed segments, pending run) and add the `memory`
+//               collect the per-structure memory breakdown (completed
+//               panes, the filling pane) and add the `memory`
 //               section to the stats report (implies --stats); with
 //               --sample-every the sampler's JSONL lines additionally
 //               carry a live "mem" object
@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
         timeline != nullptr ? timeline->AddLane("sampler") : nullptr;
     if (mem_session.breakdown() != nullptr) {
       // Live heap timeline: each sample re-measures the miner (the walk
-      // is O(segments) under the miner's mutex, cheap at sampler cadence).
+      // is O(panes) under the miner's mutex, cheap at sampler cadence).
       StreamMiner* sampled = miner.get();
       sampler_options.accounted_bytes = [sampled]() {
         return sampled->ApproxMemoryUsage().TotalBytes();
@@ -475,8 +475,8 @@ int main(int argc, char** argv) {
   if (!args.quiet) {
     std::fprintf(
         stderr,
-        "fim-stream: %llu transactions (%llu weighted adds, %llu panes), "
-        "%zu sets at smin %u, %zu nodes, %.3fs\n",
+        "fim-stream: %llu transactions (%llu weighted rows, %llu panes), "
+        "%zu sets at smin %u, %zu rows held, %.3fs\n",
         static_cast<unsigned long long>(stream_stats.transactions_ingested),
         static_cast<unsigned long long>(stream_stats.weighted_additions),
         static_cast<unsigned long long>(stream_stats.panes_rotated),
