@@ -2,175 +2,283 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <numeric>
+#include <ranges>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "data/recode.h"
-#include "kernels/intersect.h"
 #include "obs/memory.h"
 
 namespace fim {
 
 namespace {
 
-// The sequential core of the miner; parallel mode runs one instance per
-// worker over disjoint first-level subtrees (PPC extension makes the
-// subtrees independent: each closed set has a unique canonical parent).
-class LcmCore {
+// A node of the depth-first search: a closed set with its support and
+// core (the item whose extension produced it; kInvalidItem at the root),
+// and its conditional database, the weighted rows that contain the set
+// minus the set's items. The rows hold codes: code c stands for item
+// codes[c]. At the root the codes are the item codes; below it `codes`
+// views the parent's `items`, and the parent outlives its children.
+struct Node {
+  std::vector<ItemId> set;
+  Support support = 0;
+  ItemId core = kInvalidItem;
+  WeightedTransactions rows;
+  std::span<const ItemId> codes;
+
+  // Filled by LcmMiner::Prepare: the items of the rows with at least
+  // min_support weight in ascending order (slot s holds items[s]), their
+  // weights, and `words` words of row bits per slot. The rows then hold
+  // slots, and no row is empty.
+  std::vector<ItemId> items;
+  std::vector<Support> supports;
+  std::vector<std::uint64_t> bits;
+  std::size_t words = 0;
+};
+
+// The sequential core of the miner; parallel mode runs one per worker
+// over disjoint first-level subtrees (PPC extension makes the subtrees
+// independent: each closed set has a unique canonical parent). The
+// per-code weight and slot arrays and the node databases along the
+// search path belong to the miner and are reused from node to node.
+class LcmMiner {
  public:
-  LcmCore(const TransactionDatabase& coded, Support min_support)
-      : db_(coded),
-        tidlists_(coded.BuildVertical()),
-        min_support_(min_support) {}
+  LcmMiner(std::size_t num_items, Support min_support, MinerStats* stats)
+      : min_support_(min_support),
+        stats_(stats),
+        weight_(num_items, 0),
+        slot_(num_items, kInvalidItem) {}
 
-  const TransactionDatabase& db() const { return db_; }
+  // Reports `node`'s set and every closed set below it, depth first.
+  void Mine(Node node, const ClosedSetCallback& sink) {
+    Level(0) = std::move(node);
+    Expand(0, sink);
+  }
 
-  // Intersection of the transactions referenced by `occ` (occ non-empty).
-  // The intermediate results ping-pong between two reused buffers; the
-  // scratch is thread_local because this const method runs concurrently
-  // on the parallel workers.
-  std::vector<ItemId> ComputeClosure(const std::vector<Tid>& occ) const {
-    thread_local std::vector<ItemId> ping;
-    thread_local std::vector<ItemId> pong;
-    std::span<const ItemId> current = db_.transaction(occ.front());
-    std::vector<ItemId>* bufs[2] = {&ping, &pong};
-    int which = 0;
-    for (std::size_t k = 1; k < occ.size() && !current.empty(); ++k) {
-      std::vector<ItemId>* out = bufs[which];
-      which ^= 1;
-      kernels::IntersectInto(current, db_.transaction(occ[k]), out);
-      current = *out;
+  // Database reduction and occurrence deliver. One pass sums each code's
+  // weight and keeps the items of at least min_support weight; an item
+  // in every row joins the set (only at the root: a child's closure
+  // already holds them). A second pass recodes the rows to slots in
+  // place, drops the emptied rows and sets each slot's row bits.
+  void Prepare(Node& node) {
+    WeightedTransactions& rows = node.rows;
+    for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+      for (ItemId c : rows.Row(r)) weight_[c] += rows.weights[r];
     }
-    return std::vector<ItemId>(current.begin(), current.end());
-  }
+    node.items.clear();
+    node.supports.clear();
+    for (std::size_t c = 0; c < node.codes.size(); ++c) {
+      const Support weight = std::exchange(weight_[c], 0);
+      if (weight == node.support) {
+        FIM_DCHECK(node.core == kInvalidItem)
+            << "an item in every row of a child must be in its closure";
+        node.set.push_back(node.codes[c]);
+      } else if (weight >= min_support_) {
+        slot_[c] = static_cast<ItemId>(node.items.size());
+        node.items.push_back(node.codes[c]);
+        node.supports.push_back(weight);
+      }
+    }
 
-  // occ ∩ tidlist(item), written into `*out` (buffer reused).
-  void OccurrencesInto(const std::vector<Tid>& occ, ItemId item,
-                       std::vector<Tid>* out) const {
-    kernels::IntersectInto(occ, tidlists_[item], out);
-  }
+    // A row never grows, so the writes trail the reads.
+    node.words = (rows.NumRows() + 63) / 64;
+    node.bits.assign(node.items.size() * node.words, 0);
+    std::size_t num_rows = 0;
+    std::size_t end = 0;
+    std::size_t begin = 0;
+    for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+      const std::size_t row_end = rows.offsets[r + 1];
+      const std::size_t row_start = end;
+      const std::uint64_t bit = std::uint64_t{1} << (num_rows % 64);
+      for (std::size_t k = begin; k < row_end; ++k) {
+        const ItemId slot = slot_[rows.items[k]];
+        if (slot == kInvalidItem) continue;
+        rows.items[end++] = slot;
+        node.bits[slot * node.words + num_rows / 64] |= bit;
+      }
+      begin = row_end;
+      if (end == row_start) continue;
+      rows.weights[num_rows] = rows.weights[r];
+      rows.offsets[++num_rows] = end;
+    }
+    rows.offsets.resize(num_rows + 1);
+    rows.items.resize(end);
+    rows.weights.resize(num_rows);
+    std::fill_n(slot_.begin(), node.codes.size(), kInvalidItem);
 
-  std::vector<Tid> OccurrencesOf(const std::vector<Tid>& occ,
-                                 ItemId item) const {
-    std::vector<Tid> out;
-    OccurrencesInto(occ, item, &out);
-    return out;
-  }
-
-  // True if q and p contain exactly the same items below `i`.
-  static bool PrefixPreserved(const std::vector<ItemId>& p,
-                              const std::vector<ItemId>& q, ItemId i) {
-    auto pe = std::lower_bound(p.begin(), p.end(), i);
-    auto qe = std::lower_bound(q.begin(), q.end(), i);
-    return (pe - p.begin()) == (qe - q.begin()) &&
-           std::equal(p.begin(), pe, q.begin());
-  }
-
-  // Prefix-preserving closure extension below (p, occ, core): extend by
-  // every item above the core; keep an extension only if the closure
-  // agrees with p below the extension item. `stats` (nullable) is the
-  // calling worker's private snapshot.
-  void Extend(const std::vector<ItemId>& p, const std::vector<Tid>& occ,
-              ItemId core, const ClosedSetCallback& sink,
-              MinerStats* stats) const {
-    const std::size_t num_items = db_.NumItems();
-    const ItemId first =
-        core == kInvalidItem ? 0 : static_cast<ItemId>(core + 1);
-    // Candidate occurrence lists land in a thread_local scratch first:
-    // infrequent extensions (the common case) are rejected without
-    // allocating, survivors are copied out exact-size. Safe across the
-    // recursion below — the scratch is recomputed every iteration and
-    // never read after the recursive call.
-    thread_local std::vector<Tid> occ_scratch;
-    for (ItemId i = first; i < num_items; ++i) {
-      if (std::binary_search(p.begin(), p.end(), i)) continue;
-      if (stats != nullptr) ++stats->extension_checks;
-      OccurrencesInto(occ, i, &occ_scratch);
-      if (occ_scratch.size() < min_support_) continue;
-      const std::vector<Tid> occ_i = occ_scratch;
-      if (stats != nullptr) ++stats->closure_checks;
-      std::vector<ItemId> q = ComputeClosure(occ_i);
-      if (!PrefixPreserved(p, q, i)) continue;
-      FIM_DCHECK(std::binary_search(q.begin(), q.end(), i))
-          << "closure of an extension by item " << i << " must contain it";
-      FIM_DCHECK(IsSubsetSorted(p, q))
-          << "closure must be a superset of the extended set";
-      if (stats != nullptr) ++stats->sets_reported;
-      sink(q, static_cast<Support>(occ_i.size()));
-      Extend(q, occ_i, i, sink, stats);
+    const std::size_t row_bytes = rows.offsets.size() * sizeof(std::size_t) +
+                                  end * sizeof(ItemId) +
+                                  num_rows * sizeof(Support);
+    const std::size_t bit_bytes = node.bits.size() * sizeof(std::uint64_t);
+    if (row_bytes + bit_bytes > largest_rows_ + largest_bits_) {
+      largest_rows_ = row_bytes;
+      largest_bits_ = bit_bytes;
     }
   }
 
-  Support min_support() const { return min_support_; }
+  // Reports a prepared node's set (the root's may be empty).
+  void Report(const Node& node, const ClosedSetCallback& sink) {
+    if (node.set.empty()) return;
+    if (stats_ != nullptr) ++stats_->sets_reported;
+    sink(node.set, node.support);
+  }
 
-  // The vertical tid lists are built once and dominate the footprint
-  // (per-branch occurrence vectors are intersections, strictly smaller).
+  // The extension test of slot s of a prepared node: adding items[s] is
+  // prefix-preserving iff no earlier item occurs in every row of
+  // items[s]. If it is, makes `child` the node of the closure: the set
+  // plus items[s] plus every later item in all those rows, with the
+  // rows of items[s] minus the closure's new items.
+  bool Extend(const Node& node, std::size_t s, Node* child) {
+    if (stats_ != nullptr) ++stats_->closure_checks;
+    const Support support = node.supports[s];
+    for (std::size_t t = 0; t < s; ++t) {
+      if (node.supports[t] >= support && RowsWithin(node, s, t)) {
+        return false;
+      }
+    }
+    closure_.assign(1, static_cast<ItemId>(s));
+    for (std::size_t t = s + 1; t < node.items.size(); ++t) {
+      if (node.supports[t] >= support && RowsWithin(node, s, t)) {
+        closure_.push_back(static_cast<ItemId>(t));
+      }
+    }
+
+    child->set.clear();
+    std::ranges::merge(
+        node.set,
+        closure_ | std::views::transform([&](ItemId t) { return node.items[t]; }),
+        std::back_inserter(child->set));
+    child->support = support;
+    child->core = node.items[s];
+    child->codes = node.items;
+    WeightedTransactions& rows = child->rows;
+    rows.offsets.assign(1, 0);
+    rows.items.clear();
+    rows.weights.clear();
+    const std::uint64_t* bits = node.bits.data() + s * node.words;
+    for (std::size_t w = 0; w < node.words; ++w) {
+      for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+        const std::size_t r = w * 64 + std::countr_zero(word);
+        // The closure's slots are in every one of these rows.
+        std::size_t c = 0;
+        for (ItemId slot : node.rows.Row(r)) {
+          if (c < closure_.size() && slot == closure_[c]) {
+            ++c;
+          } else {
+            rows.items.push_back(slot);
+          }
+        }
+        if (rows.items.size() == rows.offsets.back()) continue;
+        rows.offsets.push_back(rows.items.size());
+        rows.weights.push_back(node.rows.weights[r]);
+      }
+    }
+    return true;
+  }
+
+  // The largest node database this miner prepared, with its bitsets.
   void RecordMemory(obs::MemoryBreakdown* memory) const {
     if (memory == nullptr) return;
-    memory->RecordBytes("tid-lists", obs::NestedVectorBytes(tidlists_));
+    obs::MemoryComponent node("node-database");
+    node.children.emplace_back("rows", largest_rows_);
+    node.children.emplace_back("bitsets", largest_bits_);
+    memory->Record(std::move(node));
   }
 
  private:
-  const TransactionDatabase& db_;
-  std::vector<std::vector<Tid>> tidlists_;
-  const Support min_support_;
-};
-
-// One independent first-level subtree of the parallel run.
-struct FirstLevelTask {
-  std::vector<ItemId> closed_set;
-  std::vector<Tid> occurrences;
-  ItemId core = 0;
-};
-
-void MineParallel(const LcmCore& core, const std::vector<ItemId>& root,
-                  const std::vector<Tid>& all, unsigned num_threads,
-                  const ClosedSetCallback& callback, MinerStats* stats) {
-  // Materialize the first level sequentially (cheap: one pass over the
-  // items), then fan the subtrees out to the workers.
-  std::vector<FirstLevelTask> tasks;
-  const std::size_t num_items = core.db().NumItems();
-  for (ItemId i = 0; i < num_items; ++i) {
-    if (std::binary_search(root.begin(), root.end(), i)) continue;
-    if (stats != nullptr) ++stats->extension_checks;
-    std::vector<Tid> occ_i = core.OccurrencesOf(all, i);
-    if (occ_i.size() < core.min_support()) continue;
-    if (stats != nullptr) ++stats->closure_checks;
-    std::vector<ItemId> q = core.ComputeClosure(occ_i);
-    if (!LcmCore::PrefixPreserved(root, q, i)) continue;
-    tasks.push_back(FirstLevelTask{std::move(q), std::move(occ_i), i});
+  // Mines below the node held at `depth`.
+  void Expand(std::size_t depth, const ClosedSetCallback& sink) {
+    Node& node = Level(depth);
+    Prepare(node);
+    Report(node, sink);
+    Node& child = Level(depth + 1);
+    const std::size_t first =
+        node.core == kInvalidItem
+            ? 0
+            : std::upper_bound(node.items.begin(), node.items.end(),
+                               node.core) -
+                  node.items.begin();
+    for (std::size_t s = first; s < node.items.size(); ++s) {
+      if (Extend(node, s, &child)) Expand(depth + 1, sink);
+    }
   }
 
-  // One private stats slot per task; workers never share mutable state,
-  // the aggregation below happens after the join.
+  // Whether every row of slot s holds slot t: one row-set comparison.
+  bool RowsWithin(const Node& node, std::size_t s, std::size_t t) {
+    if (stats_ != nullptr) ++stats_->extension_checks;
+    const std::uint64_t* a = node.bits.data() + s * node.words;
+    const std::uint64_t* b = node.bits.data() + t * node.words;
+    for (std::size_t w = 0; w < node.words; ++w) {
+      if ((a[w] & ~b[w]) != 0) return false;
+    }
+    return true;
+  }
+
+  // The node at `depth`; a deque keeps the shallower ones in place.
+  Node& Level(std::size_t depth) {
+    if (depth == levels_.size()) levels_.emplace_back();
+    return levels_[depth];
+  }
+
+  const Support min_support_;
+  MinerStats* const stats_;
+  std::vector<Support> weight_;  // per code, zero between nodes
+  std::vector<ItemId> slot_;     // per code, kInvalidItem between nodes
+  std::vector<ItemId> closure_;  // slots of the closure's new items
+  std::deque<Node> levels_;
+  std::size_t largest_rows_ = 0;
+  std::size_t largest_bits_ = 0;
+};
+
+void MineParallel(Node root, std::size_t num_items, Support min_support,
+                  unsigned num_threads, const ClosedSetCallback& callback,
+                  MinerStats* stats, obs::MemoryBreakdown* memory) {
+  // The root's accepted children become the tasks, each carrying its
+  // database; their subtrees fan out to the workers.
+  std::vector<Node> tasks;
+  {
+    LcmMiner miner(num_items, min_support, stats);
+    miner.Prepare(root);
+    miner.Report(root, callback);
+    for (std::size_t s = 0; s < root.items.size(); ++s) {
+      Node task;
+      if (miner.Extend(root, s, &task)) tasks.push_back(std::move(task));
+    }
+    miner.RecordMemory(memory);
+  }
+
+  // One miner and one stats slot per worker; workers never share mutable
+  // state, the aggregation below happens after the join.
+  const std::size_t n = std::min<std::size_t>(num_threads, tasks.size());
   std::vector<std::vector<ClosedItemset>> results(tasks.size());
-  std::vector<MinerStats> task_stats(stats != nullptr ? tasks.size() : 0);
+  std::vector<MinerStats> worker_stats(n);
   std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
+  auto worker = [&](std::size_t w) {
     obs::MemDomainScope mem_domain(obs::MemDomain::kMine);
+    LcmMiner miner(num_items, min_support,
+                   stats != nullptr ? &worker_stats[w] : nullptr);
     for (;;) {
       const std::size_t t = next.fetch_add(1);
-      if (t >= tasks.size()) return;
-      MinerStats* slot = stats != nullptr ? &task_stats[t] : nullptr;
+      if (t >= tasks.size()) break;
       ClosedSetCollector collector;
-      const ClosedSetCallback sink = collector.AsCallback();
-      if (slot != nullptr) ++slot->sets_reported;
-      sink(tasks[t].closed_set, static_cast<Support>(
-                                    tasks[t].occurrences.size()));
-      core.Extend(tasks[t].closed_set, tasks[t].occurrences, tasks[t].core,
-                  sink, slot);
+      miner.Mine(std::move(tasks[t]), collector.AsCallback());
       results[t] = collector.TakeSets();
     }
+    miner.RecordMemory(memory);
   };
   std::vector<std::thread> threads;
-  const unsigned n = std::max(1u, num_threads);
   threads.reserve(n);
-  for (unsigned w = 0; w < n; ++w) threads.emplace_back(worker);
+  for (std::size_t w = 0; w < n; ++w) threads.emplace_back(worker, w);
   for (auto& thread : threads) thread.join();
 
   if (stats != nullptr) {
-    for (const MinerStats& s : task_stats) stats->MergeFrom(s);
+    for (const MinerStats& s : worker_stats) stats->MergeFrom(s);
   }
 
   // Emit in task order: identical to the sequential DFS order.
@@ -189,38 +297,34 @@ Status MineClosedLcm(const TransactionDatabase& db, const LcmOptions& options,
   if (stats != nullptr) *stats = MinerStats{};
   if (db.NumTransactions() == 0) return Status::OK();
 
+  // LCM's output does not depend on the row order, and a size order
+  // folds equal rows wherever they are (FoldFor).
   const Recoding recoding = ComputeRecoding(
       db, ItemOrder::kFrequencyDescending, options.min_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, TransactionOrder::kNone);
-  if (coded.NumTransactions() == 0) return Status::OK();
-
-  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
-  LcmCore core(coded, options.min_support);
+  std::vector<ItemId> identity(recoding.num_kept());
+  std::iota(identity.begin(), identity.end(), 0);
+  Node root;
+  root.codes = identity;
+  root.rows = ApplyRecodingWeighted(db, recoding,
+                                    TransactionOrder::kSizeAscending,
+                                    /*merge_duplicates=*/true);
   if (options.memory != nullptr) {
-    obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-    coded_db.name = "recoded-db";
-    options.memory->Record(std::move(coded_db));
-    core.RecordMemory(options.memory);
+    options.memory->Record(root.rows.ApproxMemoryUsage());
   }
+  for (Support weight : root.rows.weights) root.support += weight;
+  if (root.support < options.min_support) return Status::OK();
 
-  const auto n = static_cast<Support>(coded.NumTransactions());
-  if (n < options.min_support) return Status::OK();
-  std::vector<Tid> all(coded.NumTransactions());
-  for (std::size_t k = 0; k < all.size(); ++k) all[k] = static_cast<Tid>(k);
-
-  // closure(empty set): the items contained in every transaction.
+  // The root's preparation computes closure(empty set): the items of
+  // summed weight equal to the total weight.
   if (stats != nullptr) ++stats->closure_checks;
-  std::vector<ItemId> root = core.ComputeClosure(all);
-  if (!root.empty()) {
-    if (stats != nullptr) ++stats->sets_reported;
-    decoded(root, n);
-  }
-
+  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
   if (options.num_threads <= 1) {
-    core.Extend(root, all, kInvalidItem, decoded, stats);
+    LcmMiner miner(recoding.num_kept(), options.min_support, stats);
+    miner.Mine(std::move(root), decoded);
+    miner.RecordMemory(options.memory);
   } else {
-    MineParallel(core, root, all, options.num_threads, decoded, stats);
+    MineParallel(std::move(root), recoding.num_kept(), options.min_support,
+                 options.num_threads, decoded, stats, options.memory);
   }
   return Status::OK();
 }

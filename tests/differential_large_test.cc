@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "api/miner.h"
+#include "common/rng.h"
 #include "data/expression.h"
 #include "data/generators.h"
 #include "ista/ista.h"
@@ -96,6 +100,84 @@ TEST(DifferentialLargeTest, MarketBasketShapedDatabases) {
     const TransactionDatabase db = GenerateMarketBasket(config);
     for (Support smin : {3u, 10u}) {
       CheckAllAgree(db, smin, "basket seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(DifferentialLargeTest, RowCountsAroundBitsetWordBoundaries) {
+  // LCM keeps one bit per distinct row in 64-bit words: with 63 to 129
+  // distinct rows the node databases span one, two and three words, the
+  // last one full or partly filled.
+  for (std::size_t rows : {63u, 64u, 65u, 127u, 128u, 129u}) {
+    const TransactionDatabase db =
+        GenerateRandomDense(rows, 16, 0.6, rows * 7919);
+    const std::set<std::vector<ItemId>> distinct(db.transactions().begin(),
+                                                 db.transactions().end());
+    ASSERT_EQ(distinct.size(), rows);
+    for (Support smin : {8u, static_cast<Support>(rows / 3)}) {
+      CheckAllAgree(db, smin,
+                    "rows=" + std::to_string(rows) +
+                        " smin=" + std::to_string(smin));
+    }
+  }
+}
+
+std::vector<ClosedItemset> MineWith(const TransactionDatabase& db,
+                                    Algorithm algorithm, Support smin) {
+  MinerOptions options;
+  options.algorithm = algorithm;
+  options.min_support = smin;
+  auto mined = MineClosedCollect(db, options);
+  EXPECT_TRUE(mined.ok()) << AlgorithmName(algorithm);
+  return mined.ok() ? std::move(mined).value() : std::vector<ClosedItemset>{};
+}
+
+TEST(DifferentialLargeTest, RepeatedAndPermutedRowsKeepTheSets) {
+  // Metamorphic checks that need no reference miner: k copies of the
+  // database mined at k * smin give the same sets with k times the
+  // supports, and reordering the rows changes nothing.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const TransactionDatabase db =
+        GenerateRandomDense(40, 16, 0.35, seed * 613);
+    std::vector<std::vector<ItemId>> shuffled = db.transactions();
+    Rng rng(seed);
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
+    }
+    const TransactionDatabase permuted =
+        TransactionDatabase::FromTransactions(shuffled, db.NumItems());
+    std::vector<std::pair<Support, TransactionDatabase>> repeated;
+    for (Support k : {2u, 3u}) {
+      std::vector<std::vector<ItemId>> copies;
+      for (Support c = 0; c < k; ++c) {
+        copies.insert(copies.end(), db.transactions().begin(),
+                      db.transactions().end());
+      }
+      repeated.emplace_back(
+          k, TransactionDatabase::FromTransactions(copies, db.NumItems()));
+    }
+    for (Support smin : {2u, 5u}) {
+      for (Algorithm algorithm : AllAlgorithms()) {
+        const std::string label = std::string(AlgorithmName(algorithm)) +
+                                  " seed=" + std::to_string(seed) +
+                                  " smin=" + std::to_string(smin);
+        const std::vector<ClosedItemset> base = MineWith(db, algorithm, smin);
+        ASSERT_FALSE(base.empty()) << label;
+        for (const auto& [k, copies] : repeated) {
+          std::vector<ClosedItemset> scaled = base;
+          for (ClosedItemset& set : scaled) set.support *= k;
+          const std::vector<ClosedItemset> mined =
+              MineWith(copies, algorithm, k * smin);
+          ASSERT_TRUE(SameResults(scaled, mined))
+              << label << " k=" << k << "\n"
+              << DiffResults(scaled, mined);
+        }
+        const std::vector<ClosedItemset> reordered =
+            MineWith(permuted, algorithm, smin);
+        ASSERT_TRUE(SameResults(base, reordered))
+            << label << " permuted\n"
+            << DiffResults(base, reordered);
+      }
     }
   }
 }
