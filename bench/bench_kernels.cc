@@ -1,5 +1,5 @@
 // Intersection-kernel bench: throughput of every available kernel tier
-// (scalar / sse / avx2) plus the galloping kernel over three sweeps —
+// (scalar / avx2) plus the galloping kernel over three sweeps —
 //
 //   balanced   na = nb, lengths 64..262144, ~25% selectivity
 //   skew       nb = 65536 fixed, na = nb / ratio for ratios 1..256
@@ -277,9 +277,7 @@ int main(int argc, char** argv) {
   out << "  \"bench\": \"kernels\",\n";
   out << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
       << ",\n";
-  out << "  \"cpu\": {\"ssse3\": "
-      << (kernels::CpuSupports(kernels::KernelId::kSse) ? "true" : "false")
-      << ", \"avx2\": "
+  out << "  \"cpu\": {\"avx2\": "
       << (kernels::CpuSupports(kernels::KernelId::kAvx2) ? "true" : "false")
       << "},\n";
   out << "  \"perf_counters\": "

@@ -71,23 +71,4 @@ void LockRankRecordRelease(const void* mutex) {
 
 }  // namespace internal
 
-// The waits adopt the already-held std::mutex, let the condition
-// variable release/re-acquire it, then release the unique_lock without
-// unlocking — ownership stays with the caller's MutexLock / Lock()
-// exactly as the FIM_REQUIRES contract states.
-
-void CondVar::Wait(Mutex& mutex) {
-  std::unique_lock<std::mutex> lock(mutex.mu_, std::adopt_lock);
-  cv_.wait(lock);
-  lock.release();
-}
-
-bool CondVar::WaitUntil(Mutex& mutex,
-                        std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(mutex.mu_, std::adopt_lock);
-  const std::cv_status status = cv_.wait_until(lock, deadline);
-  lock.release();
-  return status == std::cv_status::timeout;
-}
-
 }  // namespace fim

@@ -1,9 +1,9 @@
 #ifndef FIM_COMMON_SYNC_H_
 #define FIM_COMMON_SYNC_H_
 
-// Annotated synchronization primitives: fim::Mutex, fim::MutexLock and
-// fim::CondVar wrap the std primitives and carry Clang Thread Safety
-// Analysis capability attributes, so a build with -Wthread-safety (the
+// Annotated synchronization primitives: fim::Mutex and fim::MutexLock
+// wrap the std primitives and carry Clang Thread Safety Analysis
+// capability attributes, so a build with -Wthread-safety (the
 // FIM_THREAD_SAFETY CMake option) statically proves that every access to
 // a FIM_GUARDED_BY field happens under its lock. On non-Clang compilers
 // the attributes expand to nothing and the wrappers behave exactly like
@@ -16,8 +16,6 @@
 // deterministic test failure at the first wrong acquisition — see
 // docs/STATIC_ANALYSIS.md for the rank table.
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 
@@ -78,19 +76,16 @@ namespace fim {
 /// mining) without renumbering.
 enum class LockRank : std::uint32_t {
   /// StreamMiner::mutex_ — seal / rotate / freeze protocol. Lowest rank:
-  /// a miner critical section may bump registry metrics or register
-  /// timeline lanes, never the other way around.
+  /// a miner critical section may register timeline lanes, never the
+  /// other way around.
   kStreamMiner = 100,
-
-  /// MetricsSampler::mutex_ — stop/wake handshake of the sampler thread.
-  kMetricsSampler = 200,
 
   /// Timeline::mutex_ — lane registration only (recording is lock-free).
   kTimeline = 300,
 
   /// kernels::CounterRegistry mutex — thread-local counter-block
-  /// registration and snapshots. A leaf like the metric registry; held
-  /// only while splicing a TLS block in/out or summing a snapshot.
+  /// registration and snapshots. A leaf: held only while splicing a TLS
+  /// block in/out or summing a snapshot.
   kKernelCounters = 350,
 
   /// obs::PerfDomainCollector::mutex_ — per-domain hardware-counter
@@ -102,10 +97,6 @@ enum class LockRank : std::uint32_t {
   /// from miners and tools. A leaf like the perf-domain collector:
   /// Record merges one component tree and takes no other lock.
   kMemoryBreakdown = 390,
-
-  /// MetricRegistry::mutex_ — name -> metric lookup. A leaf: increments
-  /// are atomic and a registry critical section takes no other lock.
-  kMetricRegistry = 400,
 
   /// For tests and tools that need an unordered standalone lock.
   kLeaf = 1000,
@@ -131,7 +122,7 @@ void LockRankRecordRelease(const void* mutex);
 
 /// A std::mutex carrying a thread-safety capability and a deadlock rank.
 /// Prefer MutexLock for scoped acquisition; Lock/Unlock exist for the
-/// few protocols (CondVar) that need explicit control.
+/// few places that need explicit control.
 class FIM_CAPABILITY("mutex") Mutex {
  public:
   /// `name` is used in lock-rank failure messages only; it must outlive
@@ -162,8 +153,6 @@ class FIM_CAPABILITY("mutex") Mutex {
   LockRank rank() const { return rank_; }
 
  private:
-  friend class CondVar;
-
   std::mutex mu_;
   const LockRank rank_;
   const char* const name_;
@@ -184,35 +173,6 @@ class FIM_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mutex_;
-};
-
-/// Condition variable paired with fim::Mutex. The mutex must be held
-/// around every Wait; it is released while blocked and re-held on
-/// return (the lock-rank bookkeeping keeps the mutex on the waiter's
-/// held stack across the wait, which is sound: a blocked waiter
-/// acquires nothing).
-class CondVar {
- public:
-  CondVar() = default;
-
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Blocks until notified (spurious wakeups possible, as with the std
-  /// primitive — re-check the predicate under the lock).
-  void Wait(Mutex& mutex) FIM_REQUIRES(mutex);
-
-  /// Blocks until notified or `deadline` passes. Returns true exactly
-  /// when the deadline passed (timeout).
-  bool WaitUntil(Mutex& mutex,
-                 std::chrono::steady_clock::time_point deadline)
-      FIM_REQUIRES(mutex);
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace fim

@@ -95,7 +95,7 @@ inline PeakRssResult PeakRssBytes() {
 inline std::size_t PeakRss() { return PeakRssBytes().bytes; }
 
 /// Byte counts rendered as MiB — the one shared conversion for every
-/// human-readable rendering (stats text, sampler trace counters,
+/// human-readable rendering (stats text, trace counter tracks,
 /// fim-prof tables), so the unit cannot drift between them.
 inline double BytesToMib(std::size_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);

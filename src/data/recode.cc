@@ -255,8 +255,7 @@ obs::MemoryComponent WeightedTransactions::ApproxMemoryUsage() const {
   return stream;
 }
 
-RowFold FoldFor(TransactionOrder transaction_order, bool merge_duplicates) {
-  if (!merge_duplicates) return RowFold::kNone;
+RowFold FoldFor(TransactionOrder transaction_order) {
   return transaction_order == TransactionOrder::kNone ? RowFold::kAdjacent
                                                       : RowFold::kHash;
 }
@@ -316,14 +315,13 @@ void RowFolder::Grow() {
 WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
                                            const Recoding& recoding,
                                            TransactionOrder transaction_order,
-                                           bool merge_duplicates,
                                            unsigned num_threads,
                                            obs::Timeline* timeline) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
   const auto& transactions = db.transactions();
   const std::size_t num_chunks = std::max<std::size_t>(
       std::min<std::size_t>(num_threads, transactions.size()), 1);
-  const RowFold fold = FoldFor(transaction_order, merge_duplicates);
+  const RowFold fold = FoldFor(transaction_order);
   std::vector<WeightedTransactions> chunks(num_chunks);
   RunChunks(num_chunks, timeline, "prefold", [&](std::size_t c) {
     const std::size_t begin = c * transactions.size() / num_chunks;
@@ -334,18 +332,18 @@ WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
   });
   std::vector<const WeightedTransactions*> tables;
   for (const WeightedTransactions& chunk : chunks) tables.push_back(&chunk);
-  return RecodeTables(tables, recoding, transaction_order, merge_duplicates,
-                      num_threads, timeline);
+  return RecodeTables(tables, recoding, transaction_order, num_threads,
+                      timeline);
 }
 
 WeightedTransactions RecodeTables(
     std::span<const WeightedTransactions* const> tables,
     const Recoding& recoding, TransactionOrder transaction_order,
-    bool merge_duplicates, unsigned num_threads, obs::Timeline* timeline) {
+    unsigned num_threads, obs::Timeline* timeline) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
   obs::TimelineLane* const lane =
       timeline != nullptr ? timeline->driver() : nullptr;
-  const RowFold fold = FoldFor(transaction_order, merge_duplicates);
+  const RowFold fold = FoldFor(transaction_order);
   std::vector<WeightedTransactions> mapped(tables.size());
   const std::size_t workers =
       std::min<std::size_t>(std::max(num_threads, 1u), tables.size());

@@ -106,16 +106,14 @@ Recoding ComputeRecoding(std::span<const WeightedTransactions* const> tables,
 
 /// Which rows a RowFolder folds into a row it already holds.
 enum class RowFold {
-  kNone,      // none: every added row becomes a row of its own
   kAdjacent,  // a row equal to the last held row
   kHash,      // a row equal to any held row
 };
 
-/// The fold the weighted recoding uses: none without `merge_duplicates`;
-/// equal adjacent rows under TransactionOrder::kNone; equal rows
-/// anywhere under the size orders, which place equal rows next to each
-/// other anyway.
-RowFold FoldFor(TransactionOrder transaction_order, bool merge_duplicates);
+/// The fold the weighted recoding uses: equal adjacent rows under
+/// TransactionOrder::kNone; equal rows anywhere under the size orders,
+/// which place equal rows next to each other anyway.
+RowFold FoldFor(TransactionOrder transaction_order);
 
 /// A WeightedTransactions table under construction: a folded row adds its
 /// weight to the held row. Under kHash an open-addressing index (linear
@@ -149,27 +147,25 @@ class RowFolder {
 };
 
 /// The weighted transaction stream IsTa mines: the rows, order and
-/// weights of ApplyRecoding(db, recoding, transaction_order) with, when
-/// `merge_duplicates` is set, every run of equal adjacent rows folded
-/// into one row weighted by the run length (one row of weight 1 per
-/// transaction otherwise).
+/// weights of ApplyRecoding(db, recoding, transaction_order) with every
+/// run of equal adjacent rows folded into one row weighted by the run
+/// length.
 ///
 /// The database is cut into one chunk per thread (`num_threads`), and
-/// each chunk first folds its input rows under FoldFor(transaction_order,
-/// merge_duplicates): equal input rows map to equal rows, so only the
-/// distinct ones are mapped and sorted. RecodeTables does the rest. The
+/// each chunk first folds its input rows under
+/// FoldFor(transaction_order): equal input rows map to equal rows, so
+/// only the distinct ones are mapped and sorted. RecodeTables does the rest. The
 /// result is identical for every thread count; with more than one thread
 /// the chunks record on timeline lanes "recode-prefold-N".
 WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
                                            const Recoding& recoding,
                                            TransactionOrder transaction_order,
-                                           bool merge_duplicates,
                                            unsigned num_threads = 1,
                                            obs::Timeline* timeline = nullptr);
 
 /// The stages of ApplyRecodingWeighted after the chunk prefold, for any
 /// tables of raw rows that each hold distinct rows (under
-/// FoldFor(transaction_order, merge_duplicates)) with weights, in stream
+/// FoldFor(transaction_order)) with weights, in stream
 /// order: the chunks of ApplyRecodingWeighted, or the panes of a stream
 /// miner. Maps every table's rows through `recoding` and folds them
 /// (timeline span "map"; with `num_threads` > 1 the tables are shared
@@ -180,8 +176,7 @@ WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
 WeightedTransactions RecodeTables(
     std::span<const WeightedTransactions* const> tables,
     const Recoding& recoding, TransactionOrder transaction_order,
-    bool merge_duplicates, unsigned num_threads = 1,
-    obs::Timeline* timeline = nullptr);
+    unsigned num_threads = 1, obs::Timeline* timeline = nullptr);
 
 /// Maps mined item codes back to original item ids (sorted ascending).
 std::vector<ItemId> DecodeItems(std::span<const ItemId> coded,

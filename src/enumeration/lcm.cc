@@ -306,8 +306,7 @@ Status MineClosedLcm(const TransactionDatabase& db, const LcmOptions& options,
   Node root;
   root.codes = identity;
   root.rows = ApplyRecodingWeighted(db, recoding,
-                                    TransactionOrder::kSizeAscending,
-                                    /*merge_duplicates=*/true);
+                                    TransactionOrder::kSizeAscending);
   if (options.memory != nullptr) {
     options.memory->Record(root.rows.ApproxMemoryUsage());
   }

@@ -1,6 +1,9 @@
 #include "ista/ista.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -126,6 +129,32 @@ Support MinItemSupport(const IstaOptions& options) {
   return options.item_elimination ? options.min_support : 1;
 }
 
+// The preconditions of the tables overload, in one pass over the rows:
+// the item counts index an array of `num_items` (a row's last item is
+// its largest) and must not wrap around, so neither may the weight total.
+Status CheckTables(std::span<const WeightedTransactions* const> tables,
+                   std::size_t num_items) {
+  constexpr std::uint64_t kLimit = std::numeric_limits<Support>::max();
+  std::uint64_t total = 0;
+  for (const WeightedTransactions* table : tables) {
+    for (std::size_t r = 0; r < table->NumRows(); ++r) {
+      const std::span<const ItemId> row = table->Row(r);
+      if (!row.empty() && row.back() >= num_items) {
+        return Status::InvalidArgument(
+            "item id " + std::to_string(row.back()) + " is not below " +
+            std::to_string(num_items));
+      }
+      total += table->weights[r];
+      if (total > kLimit) {
+        return Status::OutOfRange("the rows weigh more than " +
+                                  std::to_string(kLimit) +
+                                  ", the most a support can count");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
@@ -148,8 +177,7 @@ Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
   // Maps, merges and orders in one pass that copies only distinct rows.
   obs::Phase dedup_phase(trace, lane, "dedup");
   const WeightedTransactions stream = ApplyRecodingWeighted(
-      db, recoding, options.transaction_order,
-      options.merge_duplicate_transactions, options.num_threads,
+      db, recoding, options.transaction_order, options.num_threads,
       options.timeline);
   dedup_phase.End();
   return MineRecoded(recoding, stream, options, callback, stats, trace, lane);
@@ -162,6 +190,9 @@ Status MineClosedIsta(std::span<const WeightedTransactions* const> tables,
   if (options.min_support == 0) {
     return Status::InvalidArgument("min_support must be >= 1");
   }
+  if (Status status = CheckTables(tables, num_items); !status.ok()) {
+    return status;
+  }
   if (stats != nullptr) *stats = IstaStats{};
 
   obs::TimelineLane* const lane = DriverLane(options);
@@ -171,10 +202,9 @@ Status MineClosedIsta(std::span<const WeightedTransactions* const> tables,
   recode_phase.End();
 
   obs::Phase dedup_phase(trace, lane, "dedup");
-  const WeightedTransactions stream = RecodeTables(
-      tables, recoding, options.transaction_order,
-      options.merge_duplicate_transactions, options.num_threads,
-      options.timeline);
+  const WeightedTransactions stream =
+      RecodeTables(tables, recoding, options.transaction_order,
+                   options.num_threads, options.timeline);
   dedup_phase.End();
   return MineRecoded(recoding, stream, options, callback, stats, trace, lane);
 }

@@ -41,14 +41,6 @@ struct IstaOptions {
   /// (the threshold then doubles). Only relevant with item_elimination.
   std::size_t prune_node_threshold = std::size_t{1} << 16;
 
-  /// Merge identical (recoded) transactions into a single weighted
-  /// transaction before mining: every copy of a row under the size
-  /// orders, runs of adjacent copies under TransactionOrder::kNone
-  /// (ApplyRecodingWeighted, data/recode.h). Never changes the output; a
-  /// substantial win when rows repeat, e.g. on discretized
-  /// gene-expression data.
-  bool merge_duplicate_transactions = true;
-
   /// Threads of the chunked recoding and duplicate merging
   /// (data/recode.h). Mining itself always builds one repository on the
   /// calling thread, so the output — including its order — and every
@@ -97,11 +89,11 @@ Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
                       obs::Trace* trace = nullptr);
 
 /// MineClosedIsta over transactions held as tables of weighted input rows
-/// in stream order, each folded under FoldFor(options.transaction_order,
-/// options.merge_duplicate_transactions) (data/recode.h), such as the
-/// panes of a stream miner. Item ids must be < `num_items`, and the
-/// weights must sum to at most the Support limit. The item codes come
-/// from the weighted item counts; then the stages after
+/// in stream order, each folded under FoldFor(options.transaction_order)
+/// (data/recode.h), such as the panes of a stream miner. Item ids must
+/// be < `num_items` (InvalidArgument otherwise), and the weights must sum
+/// to at most the Support limit (OutOfRange otherwise). The item codes
+/// come from the weighted item counts; then the stages after
 /// ApplyRecodingWeighted's chunk prefold run (RecodeTables), and the
 /// mining and the report. So the output, its order included, equals
 /// MineClosedIsta's over the transactions the tables stand for.

@@ -1,7 +1,7 @@
 // Kernel registry, runtime dispatch, counters, and the scalar reference
-// implementations. The SSE/AVX2 tiers live in their own translation
-// units (intersect_sse.cc, intersect_avx2.cc) compiled with the
-// matching -m flags; this file must stay buildable on any CPU.
+// implementations. The AVX2 tier lives in its own translation unit
+// (intersect_avx2.cc) compiled with -mavx2; this file must stay
+// buildable on any CPU.
 
 #include "kernels/intersect.h"
 
@@ -13,7 +13,6 @@
 #include <cstring>
 
 #include "common/sync.h"
-#include "obs/metrics.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define FIM_KERNELS_X86 1
@@ -139,16 +138,11 @@ const IntersectKernel* BestSupported() {
       avx2 != nullptr && CpuSupports(KernelId::kAvx2)) {
     return avx2;
   }
-  if (const IntersectKernel* sse = SseKernel();
-      sse != nullptr && CpuSupports(KernelId::kSse)) {
-    return sse;
-  }
   return &kScalarKernel;
 }
 
 const IntersectKernel* FindByName(std::string_view name) {
   if (name == "scalar") return &kScalarKernel;
-  if (name == "sse") return SseKernel();
   if (name == "avx2") return Avx2Kernel();
   return nullptr;
 }
@@ -172,9 +166,6 @@ const IntersectKernel* SelectAtStartup() {
     }
   }
   if (selected == nullptr) selected = BestSupported();
-  obs::MetricRegistry::Global()
-      .GetCounter(std::string("kernels.selected.") + selected->name)
-      .Add(1);
   return selected;
 }
 
@@ -199,12 +190,6 @@ bool CpuSupports(KernelId id) {
   switch (id) {
     case KernelId::kScalar:
       return true;
-    case KernelId::kSse:
-#if FIM_KERNELS_X86
-      return __builtin_cpu_supports("ssse3") != 0;
-#else
-      return false;
-#endif
     case KernelId::kAvx2:
 #if FIM_KERNELS_X86
       return __builtin_cpu_supports("avx2") != 0;
@@ -223,18 +208,11 @@ bool ForceKernel(std::string_view name) {
   const IntersectKernel* kernel = FindByName(name);
   if (!Supported(kernel)) return false;
   ActiveSlot().store(kernel, std::memory_order_release);
-  obs::MetricRegistry::Global()
-      .GetCounter(std::string("kernels.selected.") + kernel->name)
-      .Add(1);
   return true;
 }
 
 std::vector<const IntersectKernel*> AvailableKernels() {
   std::vector<const IntersectKernel*> kernels{&kScalarKernel};
-  if (const IntersectKernel* sse = SseKernel();
-      sse != nullptr && CpuSupports(KernelId::kSse)) {
-    kernels.push_back(sse);
-  }
   if (const IntersectKernel* avx2 = Avx2Kernel();
       avx2 != nullptr && CpuSupports(KernelId::kAvx2)) {
     kernels.push_back(avx2);
@@ -311,7 +289,7 @@ std::size_t Intersect(const std::uint32_t* a, std::size_t na,
 void IntersectInto(std::span<const std::uint32_t> a,
                    std::span<const std::uint32_t> b,
                    std::vector<std::uint32_t>* out) {
-  // kIntersectPad of slack for the SIMD tiers' full-vector stores.
+  // kIntersectPad of slack for the SIMD tier's full-vector stores.
   const std::size_t cap = std::min(a.size(), b.size()) + kIntersectPad;
   out->resize(cap);
   const std::size_t n =

@@ -26,8 +26,7 @@ namespace fim::kernels {
 /// Identifies one registered implementation tier.
 enum class KernelId : int {
   kScalar = 0,  // portable C++, the reference implementation
-  kSse = 1,     // SSSE3 shuffle-based block intersection
-  kAvx2 = 2,    // AVX2 8-wide shuffle-based block intersection
+  kAvx2 = 1,    // AVX2 8-wide shuffle-based block intersection
 };
 
 /// One implementation tier: a table of raw kernels sharing a contract.
@@ -35,7 +34,7 @@ enum class KernelId : int {
 /// routine for ops they do not accelerate).
 /// Store slack the `intersect` kernels require beyond the result bound:
 /// `out` must have capacity >= min(na, nb) + kIntersectPad. The SIMD
-/// tiers always store a full vector at out+k, and k can legitimately
+/// tier always stores a full vector at out+k, and k can legitimately
 /// reach min(na, nb) while blocks remain (the matches so far may all
 /// come from the still-current block of the shorter side), so the write
 /// may extend up to 8 lanes past the result bound. IntersectInto
@@ -44,13 +43,13 @@ inline constexpr std::size_t kIntersectPad = 8;
 
 struct IntersectKernel {
   KernelId id;
-  const char* name;  // "scalar" | "sse" | "avx2"
+  const char* name;  // "scalar" | "avx2"
 
   /// Writes the intersection of the sorted duplicate-free ranges
   /// [a, a+na) and [b, b+nb) to `out` (capacity >= min(na, nb) +
   /// kIntersectPad; lanes past the returned count hold garbage) and
   /// returns the number of elements written. `out` must not alias either
-  /// input: the SIMD tiers store full vectors at out+k and may re-read an
+  /// input: the SIMD tier stores full vectors at out+k and may re-read an
   /// input block that did not advance, so even the shrinking `out == a`
   /// pattern that is safe for the scalar merge would corrupt the input.
   std::size_t (*intersect)(const std::uint32_t* a, std::size_t na,
@@ -72,7 +71,7 @@ struct IntersectKernel {
 };
 
 /// The kernel tier selected for this process. First call selects:
-/// honours FIM_KERNEL=scalar|sse|avx2 when set (falling back to the best
+/// honours FIM_KERNEL=scalar|avx2 when set (falling back to the best
 /// supported tier, with a warning on stderr, if the named tier is not
 /// available on this CPU), otherwise picks the best tier CPUID reports.
 const IntersectKernel& Active();
@@ -138,7 +137,6 @@ std::size_t GallopIntersect(const std::uint32_t* a, std::size_t na,
 // was built without the tier's instruction-set support.
 
 const IntersectKernel* ScalarKernel();
-const IntersectKernel* SseKernel();   // null unless compiled for x86 SSSE3
 const IntersectKernel* Avx2Kernel();  // null unless compiled for x86 AVX2
 
 /// True when the running CPU supports the tier (always true for scalar).

@@ -1,8 +1,8 @@
 // AVX2 tier: 8-wide shuffle-based sorted-u32 intersection, 256-bit
 // word-at-a-time bitset AND, and a gather-based occurrence-row filter
-// for Carpenter's matrix path. Same all-pairs-compare + left-pack shape
-// as the SSE tier, with the 4-lane rotations replaced by 8-lane
-// permutes and the 16-entry shuffle table by a 256-entry permutation
+// for Carpenter's matrix path. The block intersection compares every
+// lane of one 8-element block with every lane of the other (8-lane
+// permutes) and left-packs the matches through a 256-entry permutation
 // table. Compiled with -mavx2 (see src/CMakeLists.txt); the runtime
 // dispatcher never hands this tier to a CPU without AVX2.
 

@@ -381,31 +381,11 @@ std::string RenderStatsText(const StatsReport& report) {
                   static_cast<unsigned long long>(value));
     out.append(line);
   }
-  if (report.registry != nullptr) {
-    for (const auto& [name, value] : report.registry->CounterValues()) {
-      if (value == 0) continue;
-      std::snprintf(line, sizeof(line), "    %-32s %12llu\n", name.c_str(),
-                    static_cast<unsigned long long>(value));
-      out.append(line);
-    }
-    const auto distributions = report.registry->DistributionValues();
-    bool any = false;
-    for (const auto& [name, snapshot] : distributions) {
-      if (snapshot.count == 0) continue;
-      if (!any) {
-        out.append("  distributions:\n");
-        any = true;
-      }
-      std::snprintf(line, sizeof(line),
-                    "    %-32s n=%llu mean=%.1f p50=%.1f p95=%.1f p99=%.1f "
-                    "max=%llu\n",
-                    name.c_str(),
-                    static_cast<unsigned long long>(snapshot.count),
-                    snapshot.Mean(), snapshot.Quantile(0.50),
-                    snapshot.Quantile(0.95), snapshot.Quantile(0.99),
-                    static_cast<unsigned long long>(snapshot.max));
-      out.append(line);
-    }
+  for (const auto& [name, value] : report.extra_counters) {
+    if (value == 0) continue;
+    std::snprintf(line, sizeof(line), "    %-32s %12llu\n", name,
+                  static_cast<unsigned long long>(value));
+    out.append(line);
   }
   if (report.perf != nullptr) AppendPerfText(*report.perf, &out);
   if (report.memory != nullptr) AppendMemoryText(*report.memory, &out);
@@ -447,45 +427,11 @@ std::string RenderStatsJson(const StatsReport& report) {
     writer.Key(name);
     writer.Number(value);
   }
-  // Registry counters (e.g. stream.*) follow the fixed catalog; their
-  // names never collide with MinerStats counter names by convention
-  // (registry counters are dot-qualified).
-  if (report.registry != nullptr) {
-    for (const auto& [name, value] : report.registry->CounterValues()) {
-      writer.Key(name);
-      writer.Number(value);
-    }
+  for (const auto& [name, value] : report.extra_counters) {
+    writer.Key(name);
+    writer.Number(value);
   }
   writer.EndObject();
-  // Since fim-stats-v2: registry distributions with histogram-derived
-  // approximate percentiles. The section is present (possibly empty)
-  // whenever a registry was attached, like the registry counters above.
-  if (report.registry != nullptr) {
-    writer.Key("distributions");
-    writer.BeginObject();
-    for (const auto& [name, snapshot] : report.registry->DistributionValues()) {
-      writer.Key(name);
-      writer.BeginObject();
-      writer.Key("count");
-      writer.Number(snapshot.count);
-      writer.Key("sum");
-      writer.Number(snapshot.sum);
-      writer.Key("min");
-      writer.Number(snapshot.min);
-      writer.Key("max");
-      writer.Number(snapshot.max);
-      writer.Key("mean");
-      writer.Number(snapshot.Mean());
-      writer.Key("p50");
-      writer.Number(snapshot.Quantile(0.50));
-      writer.Key("p95");
-      writer.Number(snapshot.Quantile(0.95));
-      writer.Key("p99");
-      writer.Number(snapshot.Quantile(0.99));
-      writer.EndObject();
-    }
-    writer.EndObject();
-  }
   if (report.trace != nullptr) {
     writer.Key("spans");
     writer.BeginArray();

@@ -2,11 +2,13 @@
 #define FIM_OBS_EXPORT_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "data/itemset.h"
 #include "obs/memory.h"
-#include "obs/metrics.h"
 #include "obs/miner_stats.h"
 #include "obs/perf.h"
 #include "obs/trace.h"
@@ -27,11 +29,10 @@ struct StatsReport {
   MinerStats miner;
   const Trace* trace = nullptr;
 
-  /// Optional: a metric registry whose counters are appended to the
-  /// counters section (after the MinerStats catalog, names as
-  /// registered — e.g. the `stream.*` counters of a StreamMiner). May
-  /// be nullptr.
-  const MetricRegistry* registry = nullptr;
+  /// Counters appended to the counters section after the MinerStats
+  /// catalog, in list order (e.g. fim-stream's `stream.*` counters).
+  /// Names are dot-qualified, so they never collide with the catalog's.
+  std::vector<std::pair<const char*, std::uint64_t>> extra_counters;
 
   /// Optional: hardware-counter report (`--perf-counters`); adds the
   /// "perf" section. May be nullptr.
@@ -53,10 +54,8 @@ std::string RenderStatsText(const StatsReport& report);
 ///     "tool": "...", "algorithm": "...",
 ///     "min_support": N, "threads": N, "num_sets": N,
 ///     "wall_seconds": F, "cpu_seconds": F, "peak_rss_bytes": N,
-///     "counters": { "<name>": N, ... },           // full catalog
-///     "distributions": { "<name>": { "count": N, "sum": N, "min": N,
-///                        "max": N, "mean": F, "p50": F, "p95": F,
-///                        "p99": F }, ... },       // with a registry only
+///     "counters": { "<name>": N, ... },           // full catalog,
+///                                                 // then extra_counters
 ///     "spans": [ { "name": "...", "wall_seconds": F,
 ///                  "cpu_seconds": F, "count": N,
 ///                  "perf": { "cycles": N, ... },  // attached sets only
@@ -91,13 +90,11 @@ std::string RenderStatsText(const StatsReport& report);
 ///     }
 ///   }
 ///
-/// v1 -> v2: the "distributions" section was added (histogram-backed
-/// approximate percentiles of every registry Distribution); everything
-/// else is unchanged, so v1 consumers that ignore unknown keys keep
-/// working. The optional "perf" section (and per-span "perf" objects)
-/// joined v2 later without a version bump — sections stay optional and
-/// unknown-key tolerant; counters that did not count render as null,
-/// never as a fake 0.
+/// v1 -> v2: an optional "distributions" section was added; no report
+/// carries it any more. The optional "perf" section (and per-span
+/// "perf" objects) joined v2 later without a version bump — sections
+/// stay optional and unknown-key tolerant; counters that did not count
+/// render as null, never as a fake 0.
 std::string RenderStatsJson(const StatsReport& report);
 
 }  // namespace fim::obs

@@ -1,9 +1,6 @@
 #include "obs/miner_stats.h"
 
 #include <algorithm>
-#include <string>
-
-#include "obs/metrics.h"
 
 namespace fim {
 
@@ -52,12 +49,6 @@ std::vector<std::pair<const char*, std::uint64_t>> MinerStats::Counters()
       {"kernel_elements_in", kernel_elements_in},
       {"kernel_elements_out", kernel_elements_out},
   };
-}
-
-void MinerStats::ExportTo(obs::MetricRegistry* registry) const {
-  for (const auto& [name, value] : Counters()) {
-    registry->GetCounter(std::string("miner.") + name).Add(value);
-  }
 }
 
 }  // namespace fim

@@ -8,10 +8,6 @@
 
 namespace fim {
 
-namespace obs {
-class MetricRegistry;
-}  // namespace obs
-
 /// The uniform execution-statistics snapshot every miner family fills
 /// (optional output of MineClosed and the per-family entry points).
 /// Fields are plain counters written by the single thread that owns the
@@ -67,9 +63,6 @@ struct MinerStats {
   /// The full counter catalog as (name, value) pairs in a stable order —
   /// zero entries included, so exports always carry the whole schema.
   std::vector<std::pair<const char*, std::uint64_t>> Counters() const;
-
-  /// Adds every counter into `registry` under "miner.<name>".
-  void ExportTo(obs::MetricRegistry* registry) const;
 };
 
 /// The historical per-family stats names are the same snapshot now;

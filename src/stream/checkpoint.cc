@@ -166,7 +166,6 @@ Status StreamMiner::CheckpointTo(std::ostream& out) {
     const MutexLock lock(mutex_);
     counters_.checkpoint_bytes_written += bytes;
   }
-  Bump(kCkptWritten, bytes);
   return Status::OK();
 }
 
@@ -177,8 +176,7 @@ Status StreamMiner::Checkpoint(const std::string& path) {
 }
 
 Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
-    std::istream& in, obs::MetricRegistry* registry, obs::Trace* trace,
-    obs::Timeline* timeline) {
+    std::istream& in, obs::Trace* trace, obs::Timeline* timeline) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kCheckpoint);
   const std::streampos begin = in.tellg();
   char magic[4];
@@ -275,7 +273,6 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
   options.max_items = static_cast<std::size_t>(max_items);
   options.pane_size = static_cast<std::size_t>(pane_size);
   options.window_panes = static_cast<std::size_t>(window_panes);
-  options.registry = registry;
   options.trace = trace;
   options.timeline = timeline;
   auto miner = std::make_unique<StreamMiner>(options);
@@ -296,26 +293,14 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
     miner->current_pane_ = current_pane;
     miner->counters_ = counters;
   }
-  if (registry != nullptr) {
-    // Mirror the restored history into the registry so the live export
-    // matches Stats() from the first post-restore scrape on.
-    miner->Bump(kIngested, counters.transactions_ingested);
-    miner->Bump(kWeighted, counters.weighted_additions);
-    miner->Bump(kRotated, counters.panes_rotated);
-    miner->Bump(kExpired, counters.panes_expired);
-    miner->Bump(kQueries, counters.queries);
-    miner->Bump(kCkptWritten, counters.checkpoint_bytes_written);
-    miner->Bump(kCkptRead, counters.checkpoint_bytes_read);
-  }
   return miner;
 }
 
 Result<std::unique_ptr<StreamMiner>> StreamMiner::Restore(
-    const std::string& path, obs::MetricRegistry* registry, obs::Trace* trace,
-    obs::Timeline* timeline) {
+    const std::string& path, obs::Trace* trace, obs::Timeline* timeline) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
-  return RestoreFrom(in, registry, trace, timeline);
+  return RestoreFrom(in, trace, timeline);
 }
 
 }  // namespace fim

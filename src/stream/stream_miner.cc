@@ -13,22 +13,6 @@
 
 namespace fim {
 
-namespace {
-
-constexpr const char* kCounterNames[] = {
-    "stream.transactions_ingested",
-    "stream.weighted_additions",
-    "stream.panes_rotated",
-    "stream.panes_expired",
-    "stream.queries",
-    "stream.snapshot_merges",
-    "stream.segments_compacted",
-    "stream.checkpoint_bytes_written",
-    "stream.checkpoint_bytes_read",
-};
-
-}  // namespace
-
 StreamMiner::StreamMiner(const StreamMinerOptions& options)
     : options_(options) {
   FIM_CHECK(options_.max_items > 0) << "StreamMiner needs an item universe";
@@ -36,16 +20,7 @@ StreamMiner::StreamMiner(const StreamMinerOptions& options)
       << "pane_size and window_panes select the mode together: both 0 "
          "(landmark) or both > 0 (sliding window), got pane_size "
       << options_.pane_size << ", window_panes " << options_.window_panes;
-  if (options_.registry != nullptr) {
-    for (std::size_t i = 0; i < std::size(kCounterNames); ++i) {
-      counter_[i] = &options_.registry->GetCounter(kCounterNames[i]);
-    }
-  }
   if (options_.timeline != nullptr) lane_ = options_.timeline->driver();
-}
-
-void StreamMiner::Bump(CounterIndex which, std::uint64_t n) {
-  if (counter_[which] != nullptr) counter_[which]->Add(n);
 }
 
 Status StreamMiner::AddTransaction(std::vector<ItemId> items) {
@@ -74,13 +49,9 @@ Status StreamMiner::AddTransaction(std::vector<ItemId> items) {
   }
   const std::size_t rows = filling_.rows().NumRows();
   filling_.Add(items, 1);
-  if (filling_.rows().NumRows() > rows) {
-    ++counters_.weighted_additions;
-    Bump(kWeighted);
-  }
+  if (filling_.rows().NumRows() > rows) ++counters_.weighted_additions;
   ++ingested_;
   ++counters_.transactions_ingested;
-  Bump(kIngested);
   if (completes) {
     obs::Phase rotate_phase(options_.trace, lane_, "rotate");
     RotateLocked();
@@ -97,11 +68,10 @@ void StreamMiner::RotateLocked() {
   fill_ = 0;
   ++current_pane_;
   ++counters_.panes_rotated;
-  Bump(kRotated);
   if (lane_ != nullptr) {
     lane_->Instant("seal");
     // Heap step of the rotation: the bytes that just became immutable.
-    // Renders as a counter track next to the sampler's mem.* lanes.
+    // Renders as a counter track on the driver lane.
     lane_->Counter("mem.sealed_mib",
                    BytesToMib(completed_.back()->ApproxMemoryUsage()
                                   .TotalBytes()));
@@ -111,7 +81,6 @@ void StreamMiner::RotateLocked() {
   if (completed_.size() >= options_.window_panes) {
     completed_.erase(completed_.begin());
     ++counters_.panes_expired;
-    Bump(kExpired);
   }
 }
 
@@ -127,7 +96,6 @@ Status StreamMiner::Query(Support min_support,
     obs::Phase freeze_phase(options_.trace, lane_, "query-freeze");
     const MutexLock lock(mutex_);
     ++counters_.queries;
-    Bump(kQueries);
     frozen = FreezeLocked();
   }
   // Mined outside the lock: the completed panes are immutable and the

@@ -11,7 +11,6 @@
 #include "common/sync.h"
 #include "data/itemset.h"
 #include "data/recode.h"
-#include "obs/metrics.h"
 
 namespace fim {
 
@@ -45,11 +44,6 @@ struct StreamMinerOptions {
   /// Number of live panes a snapshot covers; 0 selects landmark mode.
   /// Must be > 0 exactly when pane_size > 0.
   std::size_t window_panes = 0;
-
-  /// Optional live export: when set, the stream counters below are also
-  /// maintained as `stream.<name>` counters in this registry. The
-  /// registry must outlive the miner.
-  obs::MetricRegistry* registry = nullptr;
 
   /// Optional aggregated phase trace (obs/trace.h): rotate / query
   /// (query-freeze, then IsTa's recode, dedup, shard-mine and report) /
@@ -142,15 +136,15 @@ class StreamMiner {
 
   /// Reconstructs a miner from a checkpoint. Corrupted or truncated
   /// input yields a clean InvalidArgument (every pane's rows and weights
-  /// are checked against the header). `registry`, `trace` and `timeline`
-  /// play the role of the corresponding StreamMinerOptions fields for
-  /// the restored miner (same contracts).
+  /// are checked against the header). `trace` and `timeline` play the
+  /// role of the corresponding StreamMinerOptions fields for the
+  /// restored miner (same contracts).
   static Result<std::unique_ptr<StreamMiner>> Restore(
-      const std::string& path, obs::MetricRegistry* registry = nullptr,
-      obs::Trace* trace = nullptr, obs::Timeline* timeline = nullptr);
+      const std::string& path, obs::Trace* trace = nullptr,
+      obs::Timeline* timeline = nullptr);
   static Result<std::unique_ptr<StreamMiner>> RestoreFrom(
-      std::istream& in, obs::MetricRegistry* registry = nullptr,
-      obs::Trace* trace = nullptr, obs::Timeline* timeline = nullptr);
+      std::istream& in, obs::Trace* trace = nullptr,
+      obs::Timeline* timeline = nullptr);
 
   /// Raw transactions ingested so far (including before a checkpoint
   /// restore; duplicates counted individually).
@@ -198,21 +192,6 @@ class StreamMiner {
 
   /// Transactions the live panes hold: what a query covers.
   std::uint64_t CoveredLocked() const FIM_REQUIRES(mutex_);
-
-  /// Registry counter shortcut (nullptr when no registry is attached).
-  obs::Counter* counter_[9] = {};
-  enum CounterIndex {
-    kIngested,
-    kWeighted,
-    kRotated,
-    kExpired,
-    kQueries,
-    kMerges,
-    kCompacted,
-    kCkptWritten,
-    kCkptRead,
-  };
-  void Bump(CounterIndex which, std::uint64_t n = 1);
 
   const StreamMinerOptions options_;
 

@@ -1,10 +1,14 @@
-// End-to-end test of the fim-mine command-line tool (path injected by
-// CMake via FIM_MINE_BINARY).
+// End-to-end test of the fim-mine command-line tool, plus the
+// unknown-option check every tool shares, on fim-mine and fim-stream
+// (paths injected by CMake via FIM_MINE_BINARY and FIM_STREAM_BINARY).
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +22,14 @@ std::string TempPath(const std::string& name) {
 int RunCli(const std::string& args) {
   const std::string cmd = std::string(FIM_MINE_BINARY) + " " + args;
   return std::system(cmd.c_str());
+}
+
+// Runs `command` in `dir` (created if missing), so a file the tool
+// writes under a relative name lands there. Returns the exit code.
+int ExitCodeIn(const std::string& dir, const std::string& command) {
+  std::filesystem::create_directories(dir);
+  const int status = std::system(("cd " + dir + " && " + command).c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 std::string ReadFile(const std::string& path) {
@@ -92,6 +104,29 @@ TEST(CliTest, BadAlgorithmFails) {
     f << "0\n";
   }
   EXPECT_NE(RunCli("-q -a nope " + input), 0);
+}
+
+// A misspelt flag fails with the usage text and exit code 2 in every
+// tool; it must not be taken for the output file name. "-" still names
+// stdout.
+TEST(CliTest, UnknownOptionFailsWithoutCreatingAFile) {
+  const std::string dir = TempPath("cli_unknown_option");
+  const std::string input = TempPath("cli_input5.fimi");
+  {
+    std::ofstream f(input);
+    f << "0 1\n0 1\n2\n";
+  }
+  for (const std::string binary : {FIM_MINE_BINARY, FIM_STREAM_BINARY}) {
+    std::filesystem::remove(dir + "/--bogus");
+    EXPECT_EQ(ExitCodeIn(dir, binary + " -q -s 2 " + input +
+                                  " --bogus 2>/dev/null"),
+              2)
+        << binary;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/--bogus")) << binary;
+    EXPECT_EQ(ExitCodeIn(dir, binary + " -q -s 2 " + input + " - >/dev/null"),
+              0)
+        << binary;
+  }
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/memory.h"
-#include "obs/sampler.h"
 #include "stream/stream_miner.h"
 
 namespace fim {
@@ -316,46 +314,6 @@ TEST(MemoryReportTest, TextRenderingShowsBreakdownTree) {
   EXPECT_NE(text.find("memory:"), std::string::npos);
   EXPECT_NE(text.find("prefix-trees"), std::string::npos);
   EXPECT_NE(text.find("shard-0"), std::string::npos);
-}
-
-// --- sampler mem lane --------------------------------------------------
-
-TEST(SamplerMemTest, EmitsMemObjectWhenSourceAttached) {
-  std::ostringstream out;
-  {
-    obs::MetricsSamplerOptions options;
-    options.period = std::chrono::milliseconds(3600 * 1000);
-    options.accounted_bytes = [] { return std::size_t{12345}; };
-    obs::MetricsSampler sampler(options, &out);
-    sampler.Stop();  // final sample
-  }
-  std::string line = out.str();
-  line.resize(line.find('\n'));  // first JSONL record
-  auto parsed = obs::ParseJson(line);
-  ASSERT_TRUE(parsed.ok()) << line;
-  const obs::JsonValue* mem = parsed.value().Find("mem");
-  ASSERT_NE(mem, nullptr);
-  ASSERT_NE(mem->Find("accounted_bytes"), nullptr);
-  EXPECT_EQ(mem->Find("accounted_bytes")->AsNumber(), 12345);
-  // The tracker's live_bytes rides along exactly when compiled in.
-  EXPECT_EQ(mem->Find("live_bytes") != nullptr, obs::MemProfileCompiled());
-}
-
-TEST(SamplerMemTest, OmitsMemObjectWithoutAnySource) {
-  std::ostringstream out;
-  {
-    obs::MetricsSamplerOptions options;
-    options.period = std::chrono::milliseconds(3600 * 1000);
-    obs::MetricsSampler sampler(options, &out);
-    sampler.Stop();
-  }
-  std::string line = out.str();
-  line.resize(line.find('\n'));
-  auto parsed = obs::ParseJson(line);
-  ASSERT_TRUE(parsed.ok()) << line;
-  // Without an accounted source the object appears only when the
-  // allocation tracker is compiled in (live_bytes is then measured).
-  EXPECT_EQ(parsed.value().Find("mem") != nullptr, obs::MemProfileCompiled());
 }
 
 // --- output neutrality -------------------------------------------------

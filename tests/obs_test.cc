@@ -1,14 +1,12 @@
-// Tests of the observability subsystem: metric registry semantics,
-// concurrent counter increments (exercised under TSan in CI), span
-// nesting and aggregation, JSON writer/parser round-trips, the
-// MinerStats snapshot, and — the core contract — that requesting stats
-// or a trace never changes any miner's output at any thread count.
+// Tests of the observability subsystem: span nesting and aggregation,
+// JSON writer/parser round-trips, the MinerStats snapshot, the stats
+// report renderers, and — the core contract — that requesting stats or
+// a trace never changes any miner's output at any thread count.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,129 +15,11 @@
 #include "data/generators.h"
 #include "obs/export.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/miner_stats.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 
 namespace fim {
 namespace {
-
-// --- metrics ----------------------------------------------------------
-
-TEST(MetricsTest, CounterBasics) {
-  obs::Counter counter;
-  EXPECT_EQ(counter.Value(), 0u);
-  counter.Add();
-  counter.Add(41);
-  EXPECT_EQ(counter.Value(), 42u);
-  counter.Reset();
-  EXPECT_EQ(counter.Value(), 0u);
-}
-
-TEST(MetricsTest, DistributionQuantilesFromHistogram) {
-  obs::Distribution dist;
-  EXPECT_DOUBLE_EQ(dist.Get().Quantile(0.5), 0.0);  // empty
-  // 100 values 1..100: the power-of-two buckets give approximate
-  // percentiles that must stay within the enclosing bucket's range.
-  for (std::uint64_t v = 1; v <= 100; ++v) dist.Record(v);
-  const auto snapshot = dist.Get();
-  EXPECT_DOUBLE_EQ(snapshot.Quantile(0.0), 1.0);    // clamped to min
-  EXPECT_DOUBLE_EQ(snapshot.Quantile(1.0), 100.0);  // clamped to max
-  const double p50 = snapshot.Quantile(0.50);
-  EXPECT_GE(p50, 32.0);  // rank 50.5 falls in bucket [32, 64)
-  EXPECT_LT(p50, 64.0);
-  const double p95 = snapshot.Quantile(0.95);
-  EXPECT_GE(p95, 64.0);  // rank 95 falls in bucket [64, 100]
-  EXPECT_LE(p95, 100.0);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, snapshot.Quantile(0.99));
-
-  // A single value is every percentile.
-  obs::Distribution one;
-  one.Record(7);
-  EXPECT_DOUBLE_EQ(one.Get().Quantile(0.0), 7.0);
-  EXPECT_DOUBLE_EQ(one.Get().Quantile(0.5), 7.0);
-  EXPECT_DOUBLE_EQ(one.Get().Quantile(1.0), 7.0);
-
-  // Zero lands in its own bucket 0.
-  obs::Distribution zeros;
-  zeros.Record(0);
-  zeros.Record(0);
-  EXPECT_DOUBLE_EQ(zeros.Get().Quantile(0.99), 0.0);
-}
-
-TEST(MetricsTest, DistributionBucketIndexing) {
-  EXPECT_EQ(obs::Distribution::BucketIndex(0), 0u);
-  EXPECT_EQ(obs::Distribution::BucketIndex(1), 1u);
-  EXPECT_EQ(obs::Distribution::BucketIndex(2), 2u);
-  EXPECT_EQ(obs::Distribution::BucketIndex(3), 2u);
-  EXPECT_EQ(obs::Distribution::BucketIndex(4), 3u);
-  EXPECT_EQ(obs::Distribution::BucketIndex(std::uint64_t{1} << 63),
-            obs::Distribution::kNumBuckets - 1);
-  EXPECT_EQ(obs::Distribution::BucketIndex(~std::uint64_t{0}),
-            obs::Distribution::kNumBuckets - 1);
-}
-
-TEST(MetricsTest, DistributionBasics) {
-  obs::Distribution dist;
-  EXPECT_EQ(dist.Get().count, 0u);
-  EXPECT_EQ(dist.Get().min, 0u);
-  EXPECT_DOUBLE_EQ(dist.Get().Mean(), 0.0);
-  dist.Record(10);
-  dist.Record(2);
-  dist.Record(6);
-  const auto snapshot = dist.Get();
-  EXPECT_EQ(snapshot.count, 3u);
-  EXPECT_EQ(snapshot.sum, 18u);
-  EXPECT_EQ(snapshot.min, 2u);
-  EXPECT_EQ(snapshot.max, 10u);
-  EXPECT_DOUBLE_EQ(snapshot.Mean(), 6.0);
-  dist.Reset();
-  EXPECT_EQ(dist.Get().count, 0u);
-  EXPECT_EQ(dist.Get().min, 0u);
-}
-
-TEST(MetricsTest, RegistryFindsSameMetricByName) {
-  obs::MetricRegistry registry;
-  obs::Counter& a = registry.GetCounter("x");
-  obs::Counter& b = registry.GetCounter("x");
-  EXPECT_EQ(&a, &b);
-  a.Add(7);
-  EXPECT_EQ(registry.CounterValues().at("x"), 7u);
-  registry.GetDistribution("d").Record(5);
-  EXPECT_EQ(registry.DistributionValues().at("d").sum, 5u);
-  registry.Reset();
-  EXPECT_EQ(registry.CounterValues().at("x"), 0u);
-  EXPECT_EQ(registry.DistributionValues().at("d").count, 0u);
-}
-
-// Exercised under TSan in CI: relaxed atomic increments from many
-// threads must be race-free and lose no updates.
-TEST(MetricsTest, ConcurrentIncrementsLoseNothing) {
-  obs::MetricRegistry registry;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry]() {
-      obs::Counter& counter = registry.GetCounter("shared");
-      obs::Distribution& dist = registry.GetDistribution("values");
-      for (int i = 0; i < kPerThread; ++i) {
-        counter.Add();
-        dist.Record(static_cast<std::uint64_t>(i));
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(registry.GetCounter("shared").Value(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  const auto snapshot = registry.GetDistribution("values").Get();
-  EXPECT_EQ(snapshot.count, static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(snapshot.min, 0u);
-  EXPECT_EQ(snapshot.max, kPerThread - 1);
-}
 
 // --- trace ------------------------------------------------------------
 
@@ -272,11 +152,6 @@ TEST(MinerStatsTest, CountersCatalogIsCompleteAndStable) {
   EXPECT_EQ(counters[15].second, 2u);
   EXPECT_STREQ(counters.back().first, "kernel_elements_out");
   EXPECT_EQ(counters.back().second, 3u);
-
-  obs::MetricRegistry registry;
-  stats.ExportTo(&registry);
-  EXPECT_EQ(registry.CounterValues().at("miner.isect_steps"), 1u);
-  EXPECT_EQ(registry.CounterValues().at("miner.sets_reported"), 2u);
 }
 
 // --- export -----------------------------------------------------------
@@ -347,44 +222,43 @@ TEST(ExportTest, JsonReportEscapesStringLabels) {
       "span \"with\" \\ specials\n");
 }
 
+// The extra counters (fim-stream's stream.* list) follow the MinerStats
+// catalog: every pair in list order in the JSON report, the non-zero
+// ones in the text report. There is no distributions section.
 TEST(ExportTest, JsonReportCarriesDistributions) {
-  obs::MetricRegistry registry;
-  for (std::uint64_t v = 1; v <= 100; ++v) {
-    registry.GetDistribution("stream.pane_sets").Record(v);
-  }
-  registry.GetDistribution("stream.empty");  // zero count: still listed
-
   obs::StatsReport report;
   report.tool = "fim-stream";
   report.algorithm = "stream-window";
-  report.registry = &registry;
-  auto parsed = obs::ParseJson(obs::RenderStatsJson(report));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const obs::JsonValue* dists = parsed.value().Find("distributions");
-  ASSERT_NE(dists, nullptr);
-  const obs::JsonValue* pane = dists->Find("stream.pane_sets");
-  ASSERT_NE(pane, nullptr);
-  EXPECT_DOUBLE_EQ(pane->Find("count")->AsNumber(), 100.0);
-  EXPECT_DOUBLE_EQ(pane->Find("sum")->AsNumber(), 5050.0);
-  EXPECT_DOUBLE_EQ(pane->Find("min")->AsNumber(), 1.0);
-  EXPECT_DOUBLE_EQ(pane->Find("max")->AsNumber(), 100.0);
-  EXPECT_DOUBLE_EQ(pane->Find("mean")->AsNumber(), 50.5);
-  const double p50 = pane->Find("p50")->AsNumber();
-  const double p95 = pane->Find("p95")->AsNumber();
-  const double p99 = pane->Find("p99")->AsNumber();
-  EXPECT_GE(p50, 1.0);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  EXPECT_LE(p99, 100.0);
-  ASSERT_NE(dists->Find("stream.empty"), nullptr);
-  EXPECT_DOUBLE_EQ(dists->Find("stream.empty")->Find("count")->AsNumber(),
-                   0.0);
-
-  // Without a registry there is no distributions section at all.
-  report.registry = nullptr;
-  parsed = obs::ParseJson(obs::RenderStatsJson(report));
+  report.miner.isect_steps = 7;
+  report.extra_counters = {{"stream.panes_rotated", 3},
+                           {"stream.queries", 0},
+                           {"stream.transactions_ingested", 75}};
+  const std::string json = obs::RenderStatsJson(report);
+  auto parsed = obs::ParseJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().Find("distributions"), nullptr);
+  const obs::JsonValue* counters = parsed.value().Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->AsObject().size(), MinerStats{}.Counters().size() + 3);
+  EXPECT_DOUBLE_EQ(counters->Find("isect_steps")->AsNumber(), 7.0);
+  EXPECT_DOUBLE_EQ(counters->Find("stream.panes_rotated")->AsNumber(), 3.0);
+  EXPECT_DOUBLE_EQ(counters->Find("stream.queries")->AsNumber(), 0.0);
+  EXPECT_DOUBLE_EQ(
+      counters->Find("stream.transactions_ingested")->AsNumber(), 75.0);
+  // The parser sorts members, so the order is checked on the text.
+  EXPECT_LT(json.find("\"kernel_elements_out\""),
+            json.find("\"stream.panes_rotated\""));
+  EXPECT_LT(json.find("\"stream.panes_rotated\""),
+            json.find("\"stream.queries\""));
+  EXPECT_LT(json.find("\"stream.queries\""),
+            json.find("\"stream.transactions_ingested\""));
+
+  const std::string text = obs::RenderStatsText(report);
+  EXPECT_NE(text.find("stream.panes_rotated"), std::string::npos);
+  EXPECT_NE(text.find("stream.transactions_ingested"), std::string::npos);
+  EXPECT_LT(text.find("isect_steps"), text.find("stream.panes_rotated"));
+  EXPECT_EQ(text.find("stream.queries"), std::string::npos);
+  EXPECT_EQ(text.find("distributions"), std::string::npos);
 }
 
 TEST(ExportTest, TextReportMentionsNonZeroCountersOnly) {
@@ -457,16 +331,16 @@ TEST(OutputNeutralityTest, ParallelIstaFillsIntersectionCounters) {
 
 // --- annotated synchronization ---------------------------------------
 
-// Same contract style as MetricRegistry's internals: the helper demands
-// the registry-rank mutex via FIM_REQUIRES, so the FIM_THREAD_SAFETY CI
-// job rejects any call site that forgot the lock.
+// Same contract style as the kernel counter registry's internals: the
+// helper demands the registry-rank mutex via FIM_REQUIRES, so the
+// FIM_THREAD_SAFETY CI job rejects any call site that forgot the lock.
 void AppendHolding(Mutex& mutex, std::vector<int>& log, int value)
     FIM_REQUIRES(mutex) {
   log.push_back(value);
 }
 
 TEST(SyncTest, RequiresAnnotatedHelperUnderRegistryRankMutex) {
-  Mutex mutex(LockRank::kMetricRegistry, "obs-helper");
+  Mutex mutex(LockRank::kKernelCounters, "obs-helper");
   std::vector<int> log;
   std::vector<std::thread> threads;
   threads.reserve(4);
@@ -481,25 +355,6 @@ TEST(SyncTest, RequiresAnnotatedHelperUnderRegistryRankMutex) {
   for (auto& thread : threads) thread.join();
   const MutexLock lock(mutex);
   EXPECT_EQ(log.size(), 4000u);
-}
-
-TEST(SyncTest, SamplerStressStartStop) {
-  // TSan stress for the CondVar-based sampler shutdown: rapid
-  // construct/Stop cycles race the 1ms sampling loop against Stop()'s
-  // notify, covering both the wait-timeout and the notified exits.
-  obs::MetricRegistry registry;
-  registry.GetCounter("stress.counter").Add(7);
-  for (int round = 0; round < 20; ++round) {
-    std::ostringstream out;
-    obs::MetricsSamplerOptions options;
-    options.period = std::chrono::milliseconds(1);
-    options.registry = &registry;
-    obs::MetricsSampler sampler(options, &out);
-    if (round % 2 == 0) std::this_thread::sleep_for(options.period);
-    sampler.Stop();
-    sampler.Stop();  // idempotent
-    EXPECT_GE(sampler.SamplesWritten(), 1u);  // at least the final sample
-  }
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Tests of multi-threaded IsTa: the threads only recode, so the output
 // (including order) and the repository counters must be identical to the
-// sequential run on every input and thread count, with and without
-// duplicate merging, item elimination, and threshold pruning.
+// sequential run on every input and thread count, with and without item
+// elimination and threshold pruning. Also the preconditions of the
+// tables overload.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <vector>
 
 #include "data/generators.h"
 #include "data/profiles.h"
@@ -100,23 +103,20 @@ TEST(ParallelIstaTest, IdenticalWithoutItemElimination) {
 }
 
 TEST(ParallelIstaTest, IdenticalWithoutDuplicateMerging) {
-  // Duplicate-heavy input: without dedup every copy is added separately,
-  // and the chunked sort must still place the copies identically.
+  // Duplicate-heavy input: the chunks fold the copies on either side of
+  // their boundaries, and the fold of the chunks must give the same
+  // weights at every thread count.
   std::vector<std::vector<ItemId>> rows;
   for (int copy = 0; copy < 7; ++copy) rows.push_back({0, 1, 2});
   for (int copy = 0; copy < 5; ++copy) rows.push_back({1, 2, 3});
   rows.push_back({0, 3});
   const TransactionDatabase db = TransactionDatabase::FromTransactions(rows);
-  for (bool merge_duplicates : {true, false}) {
-    IstaOptions options;
-    options.min_support = 2;
-    options.merge_duplicate_transactions = merge_duplicates;
-    const auto sequential = MineWith(db, options);
-    for (unsigned threads : {2u, 4u, 8u}) {
-      options.num_threads = threads;
-      ASSERT_EQ(sequential, MineWith(db, options))
-          << "dedup " << merge_duplicates << " threads " << threads;
-    }
+  IstaOptions options;
+  options.min_support = 2;
+  const auto sequential = MineWith(db, options);
+  for (unsigned threads : {2u, 4u, 8u}) {
+    options.num_threads = threads;
+    ASSERT_EQ(sequential, MineWith(db, options)) << "threads " << threads;
   }
 }
 
@@ -136,24 +136,19 @@ TEST(ParallelIstaTest, IdenticalUnderEveryTransactionOrder) {
   ASSERT_FALSE(default_order.empty());
   for (TransactionOrder order :
        {TransactionOrder::kNone, TransactionOrder::kSizeDescending}) {
-    for (bool merge_duplicates : {true, false}) {
-      options.transaction_order = order;
-      options.merge_duplicate_transactions = merge_duplicates;
-      options.num_threads = 1;
-      IstaStats sequential_stats;
-      const auto sequential = MineWith(db, options, &sequential_stats);
-      // The order changes the report order, never the sets.
-      EXPECT_TRUE(SameResults(sequential, default_order))
-          << DiffResults(sequential, default_order);
-      options.num_threads = 4;
-      IstaStats stats;
-      ASSERT_EQ(sequential, MineWith(db, options, &stats))
-          << "order " << static_cast<int>(order) << " dedup "
-          << merge_duplicates;
-      EXPECT_EQ(stats.Counters(), sequential_stats.Counters())
-          << "order " << static_cast<int>(order) << " dedup "
-          << merge_duplicates;
-    }
+    options.transaction_order = order;
+    options.num_threads = 1;
+    IstaStats sequential_stats;
+    const auto sequential = MineWith(db, options, &sequential_stats);
+    // The order changes the report order, never the sets.
+    EXPECT_TRUE(SameResults(sequential, default_order))
+        << DiffResults(sequential, default_order);
+    options.num_threads = 4;
+    IstaStats stats;
+    ASSERT_EQ(sequential, MineWith(db, options, &stats))
+        << "order " << static_cast<int>(order);
+    EXPECT_EQ(stats.Counters(), sequential_stats.Counters())
+        << "order " << static_cast<int>(order);
   }
 }
 
@@ -194,6 +189,56 @@ TEST(ParallelIstaTest, EdgeCases) {
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].items, (std::vector<ItemId>{3, 5, 7}));
   EXPECT_EQ(result[0].support, 1u);
+}
+
+// --- The tables overload ---------------------------------------------------
+
+WeightedTransactions Table(std::vector<ItemId> row, Support weight) {
+  WeightedTransactions table;
+  table.AddRow(row, weight);
+  return table;
+}
+
+Status MineTables(const std::vector<WeightedTransactions>& tables,
+                  std::size_t num_items,
+                  std::vector<ClosedItemset>* sets) {
+  std::vector<const WeightedTransactions*> pointers;
+  for (const WeightedTransactions& table : tables) pointers.push_back(&table);
+  IstaOptions options;
+  options.min_support = 1;
+  ClosedSetCollector collector;
+  const Status status = MineClosedIsta(pointers, num_items, options,
+                                       collector.AsCallback());
+  *sets = collector.TakeSets();
+  return status;
+}
+
+TEST(IstaTablesTest, WeightsPastTheSupportLimitFailLoudly) {
+  constexpr Support kHalf = Support{1} << 31;
+  std::vector<ClosedItemset> sets;
+  // 2^31 + 2^31 + 5 would wrap {0, 1}'s support around to 0.
+  const Status status = MineTables(
+      {Table({0, 1}, kHalf), Table({0, 1}, kHalf), Table({1}, 5)}, 2, &sets);
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
+  EXPECT_TRUE(sets.empty());
+  // Exactly the limit still counts.
+  ASSERT_TRUE(
+      MineTables({Table({0, 1}, kHalf), Table({0, 1}, kHalf - 1)}, 2, &sets)
+          .ok());
+  ASSERT_EQ(sets.size(), 1u);
+  EXPECT_EQ(sets[0].items, (std::vector<ItemId>{0, 1}));
+  EXPECT_EQ(sets[0].support, std::numeric_limits<Support>::max());
+}
+
+TEST(IstaTablesTest, ItemIdsAtOrAboveNumItemsAreRejected) {
+  std::vector<ClosedItemset> sets;
+  const Status status =
+      MineTables({Table({0, 1}, 2), Table({1, 3}, 1)}, 3, &sets);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_TRUE(sets.empty());
+  // The largest id below num_items is fine.
+  ASSERT_TRUE(MineTables({Table({0, 1}, 2), Table({1, 2}, 1)}, 3, &sets).ok());
+  EXPECT_EQ(sets.size(), 3u);  // {1}, {0, 1} and {1, 2}
 }
 
 // --- Weighted additions ---------------------------------------------------

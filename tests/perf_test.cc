@@ -21,7 +21,6 @@
 #include "common/timer.h"
 #include "obs/perf.h"
 #include "obs/profiler.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 
 namespace fim::obs {
@@ -510,26 +509,6 @@ TEST(SamplingProfilerTest, LeafIsTheInterruptedExportedFunction) {
   }
   EXPECT_GE(samples, 50u);
   EXPECT_GE(2 * in_spin, samples) << collapsed;
-}
-
-// --- sampler exit-flush safety net -------------------------------------
-
-TEST(SamplerExitFlushTest, LiveRegistrationTracksSamplerLifetime) {
-  const std::size_t before = internal::LiveSamplerCount();
-  std::ostringstream out;
-  {
-    MetricsSamplerOptions options;
-    options.period = std::chrono::milliseconds(3600 * 1000);
-    MetricsSampler sampler(options, &out);
-    EXPECT_EQ(internal::LiveSamplerCount(), before + 1);
-    // The flush body must be safe to run while the sampler is live —
-    // this is exactly what the fatal-signal hook does.
-    internal::FlushLiveSamplerStreams();
-    sampler.Stop();
-    EXPECT_EQ(internal::LiveSamplerCount(), before);
-  }
-  // Stop() wrote the final sample despite the huge period.
-  EXPECT_NE(out.str().find("fim-statsline-v1"), std::string::npos);
 }
 
 }  // namespace

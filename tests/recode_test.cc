@@ -120,11 +120,11 @@ TEST(RecodeTest, DecodingCallbackTranslatesAndSorts) {
 using Rows = std::vector<std::pair<std::vector<ItemId>, Support>>;
 
 // The rows of `coded`, with every run of equal adjacent rows folded into
-// one row weighted by the run length when `merge`.
-Rows MergeRuns(const TransactionDatabase& coded, bool merge) {
+// one row weighted by the run length.
+Rows MergeRuns(const TransactionDatabase& coded) {
   Rows rows;
   for (const auto& t : coded.transactions()) {
-    if (merge && !rows.empty() && rows.back().first == t) {
+    if (!rows.empty() && rows.back().first == t) {
       ++rows.back().second;
     } else {
       rows.emplace_back(t, 1);
@@ -146,8 +146,8 @@ Rows RowsOf(const WeightedTransactions& stream) {
   return rows;
 }
 
-// Every transaction order x merging on/off x 1/2/3/8 threads. Also checks
-// that ApplyRecoding's own thread path gives the one-thread rows.
+// Every transaction order x 1/2/3/8 threads. Also checks that
+// ApplyRecoding's own thread path gives the one-thread rows.
 void ExpectSameAsApplyRecoding(const TransactionDatabase& db,
                                const Recoding& recoding,
                                const std::string& what) {
@@ -161,15 +161,12 @@ void ExpectSameAsApplyRecoding(const TransactionDatabase& db,
           << what << " order " << static_cast<int>(order) << " threads "
           << threads;
     }
-    for (bool merge : {true, false}) {
-      const Rows expected = MergeRuns(sequential, merge);
-      for (unsigned threads : {1u, 2u, 3u, 8u}) {
-        ASSERT_EQ(RowsOf(ApplyRecodingWeighted(db, recoding, order, merge,
-                                               threads)),
-                  expected)
-            << what << " order " << static_cast<int>(order) << " merge "
-            << merge << " threads " << threads;
-      }
+    const Rows expected = MergeRuns(sequential);
+    for (unsigned threads : {1u, 2u, 3u, 8u}) {
+      ASSERT_EQ(RowsOf(ApplyRecodingWeighted(db, recoding, order, threads)),
+                expected)
+          << what << " order " << static_cast<int>(order) << " threads "
+          << threads;
     }
   }
 }
@@ -179,7 +176,7 @@ TEST(RecodeWeightedTest, MatchesApplyRecodingOnRandomDatabases) {
     // Six items over forty rows: rows repeat, adjacent and apart.
     const TransactionDatabase db = GenerateRandomDense(40, 6, 0.5, seed * 97);
     EXPECT_LT(ApplyRecodingWeighted(db, ComputeRecoding(db, ItemOrder::kNone, 1),
-                                    TransactionOrder::kSizeAscending, true)
+                                    TransactionOrder::kSizeAscending)
                   .NumRows(),
               db.NumTransactions());
     for (ItemOrder item_order :
@@ -208,8 +205,8 @@ TEST(RecodeWeightedTest, RowsEmptiedByItemElimination) {
   ASSERT_EQ(recoding.old_to_new[6], kInvalidItem);
   ASSERT_EQ(recoding.old_to_new[7], kInvalidItem);
   ExpectSameAsApplyRecoding(db, recoding, "emptied rows");
-  const WeightedTransactions stream = ApplyRecodingWeighted(
-      db, recoding, TransactionOrder::kNone, /*merge_duplicates=*/true, 3);
+  const WeightedTransactions stream =
+      ApplyRecodingWeighted(db, recoding, TransactionOrder::kNone, 3);
   ASSERT_EQ(stream.NumRows(), 3u);
   EXPECT_EQ(stream.weights, (std::vector<Support>{2, 2, 1}));
 }
@@ -226,7 +223,7 @@ TEST(RecodeWeightedTest, OneRowRepeatedManyTimes) {
         TransactionOrder::kSizeDescending}) {
     for (unsigned threads : {1u, 8u}) {
       const WeightedTransactions stream =
-          ApplyRecodingWeighted(db, recoding, order, true, threads);
+          ApplyRecodingWeighted(db, recoding, order, threads);
       ASSERT_EQ(stream.NumRows(), 2u);
       EXPECT_EQ(stream.weights[0] + stream.weights[1], 1001u);
       EXPECT_EQ(std::max(stream.weights[0], stream.weights[1]), 1000u);
@@ -241,7 +238,7 @@ TEST(RecodeWeightedTest, MoreThreadsThanRows) {
       ComputeRecoding(db, ItemOrder::kFrequencyAscending, 1);
   ExpectSameAsApplyRecoding(db, recoding, "three rows");
   EXPECT_EQ(ApplyRecodingWeighted(db, recoding,
-                                  TransactionOrder::kSizeAscending, true, 16)
+                                  TransactionOrder::kSizeAscending, 16)
                 .NumRows(),
             2u);
 }
@@ -252,7 +249,7 @@ TEST(RecodeWeightedTest, EmptyDatabase) {
       ComputeRecoding(db, ItemOrder::kFrequencyAscending, 1);
   for (unsigned threads : {1u, 4u}) {
     const WeightedTransactions stream = ApplyRecodingWeighted(
-        db, recoding, TransactionOrder::kSizeAscending, true, threads);
+        db, recoding, TransactionOrder::kSizeAscending, threads);
     EXPECT_EQ(stream.NumRows(), 0u);
     EXPECT_EQ(stream.offsets, (std::vector<std::size_t>{0}));
     EXPECT_TRUE(stream.items.empty());
@@ -264,7 +261,7 @@ TEST(RecodeWeightedTest, MemoryUsageNamesTheThreeArrays) {
       TransactionDatabase::FromTransactions({{0, 1}, {0, 1}, {2}});
   const WeightedTransactions stream = ApplyRecodingWeighted(
       db, ComputeRecoding(db, ItemOrder::kNone, 1),
-      TransactionOrder::kSizeAscending, true);
+      TransactionOrder::kSizeAscending);
   const obs::MemoryComponent usage = stream.ApproxMemoryUsage();
   EXPECT_EQ(usage.name, "weighted-stream");
   ASSERT_EQ(usage.children.size(), 3u);

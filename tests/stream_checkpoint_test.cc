@@ -13,7 +13,6 @@
 
 #include "data/binary_io.h"
 #include "data/generators.h"
-#include "obs/metrics.h"
 #include "stream/stream_miner.h"
 
 namespace fim {
@@ -174,13 +173,13 @@ TEST(StreamCheckpointTest, RestoredCountersMirrorIntoRegistry) {
   std::stringstream checkpoint(std::ios::in | std::ios::out |
                                std::ios::binary);
   ASSERT_TRUE(miner.CheckpointTo(checkpoint).ok());
-  obs::MetricRegistry registry;
-  auto restored = StreamMiner::RestoreFrom(checkpoint, &registry);
+  auto restored = StreamMiner::RestoreFrom(checkpoint);
   ASSERT_TRUE(restored.ok());
-  const auto exported = registry.CounterValues();
-  EXPECT_EQ(exported.at("stream.transactions_ingested"), 2u);
-  EXPECT_EQ(exported.at("stream.queries"), 1u);
-  EXPECT_GT(exported.at("stream.checkpoint_bytes_read"), 0u);
+  // The restored miner carries the history on in Stats().
+  const StreamStats stats = restored.value()->Stats();
+  EXPECT_EQ(stats.transactions_ingested, 2u);
+  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_GT(stats.checkpoint_bytes_read, 0u);
 }
 
 // A hand-built fim-stream-v2 checkpoint (layout in checkpoint.cc).

@@ -1,13 +1,12 @@
 // Tests for the annotated synchronization primitives (common/sync.h):
-// mutual exclusion and CondVar semantics on every toolchain, plus the
-// debug-build lock-rank checker — rank inversion and recursive
-// acquisition must abort deterministically instead of deadlocking.
+// mutual exclusion on every toolchain, plus the debug-build lock-rank
+// checker — rank inversion and recursive acquisition must abort
+// deterministically instead of deadlocking.
 
 #include "common/sync.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -41,7 +40,7 @@ TEST(MutexTest, MutexLockProvidesMutualExclusion) {
 TEST(MutexTest, SequentialLocksOfAnyRankOrderAreFine) {
   // Ranks order *nested* acquisition only; taking locks one after the
   // other (never held together) is legal in any order.
-  Mutex high(LockRank::kMetricRegistry, "high");
+  Mutex high(LockRank::kMemoryBreakdown, "high");
   Mutex low(LockRank::kStreamMiner, "low");
   {
     const MutexLock lock(high);
@@ -56,63 +55,9 @@ TEST(MutexTest, SequentialLocksOfAnyRankOrderAreFine) {
 
 TEST(MutexTest, NestedAcquisitionInIncreasingRankOrder) {
   Mutex outer(LockRank::kStreamMiner, "outer");
-  Mutex inner(LockRank::kMetricRegistry, "inner");
+  Mutex inner(LockRank::kMemoryBreakdown, "inner");
   const MutexLock outer_lock(outer);
   const MutexLock inner_lock(inner);
-}
-
-TEST(CondVarTest, WaitUntilTimesOutWithoutNotify) {
-  Mutex mutex(LockRank::kLeaf, "cv");
-  CondVar cv;
-  mutex.Lock();
-  const bool timed_out = cv.WaitUntil(
-      mutex, std::chrono::steady_clock::now() + std::chrono::milliseconds(5));
-  mutex.Unlock();
-  EXPECT_TRUE(timed_out);
-}
-
-TEST(CondVarTest, NotifyWakesWaiter) {
-  Mutex mutex(LockRank::kLeaf, "cv");
-  CondVar cv;
-  bool ready = false;
-  std::thread waiter([&]() {
-    mutex.Lock();
-    while (!ready) cv.Wait(mutex);
-    mutex.Unlock();
-  });
-  {
-    const MutexLock lock(mutex);
-    ready = true;
-  }
-  cv.NotifyOne();
-  waiter.join();
-  const MutexLock lock(mutex);
-  EXPECT_TRUE(ready);
-}
-
-TEST(CondVarTest, WaitUntilReportsNotification) {
-  Mutex mutex(LockRank::kLeaf, "cv");
-  CondVar cv;
-  bool stop = false;
-  std::thread sampler([&]() {
-    mutex.Lock();
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    // The sampler idiom from obs/sampler.cc: loop against spurious
-    // wakeups, leave on notify-with-predicate or deadline.
-    while (!stop) {
-      if (cv.WaitUntil(mutex, deadline)) break;
-    }
-    const bool stopped = stop;
-    mutex.Unlock();
-    EXPECT_TRUE(stopped) << "waiter hit the 30s deadline instead of the stop";
-  });
-  {
-    const MutexLock lock(mutex);
-    stop = true;
-  }
-  cv.NotifyAll();
-  sampler.join();
 }
 
 // The lock-rank checker is compiled in only with FIM_ENABLE_DCHECKS
@@ -132,12 +77,12 @@ void AcquireRecursively(Mutex& mutex) FIM_NO_THREAD_SAFETY_ANALYSIS {
 TEST(LockRankDeathTest, RankInversionAborts) {
   if (!FIM_DCHECK_IS_ON()) GTEST_SKIP() << "lock ranks need FIM_ENABLE_DCHECKS";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex registry(LockRank::kMetricRegistry, "registry");
+  Mutex memory(LockRank::kMemoryBreakdown, "memory");
   Mutex miner(LockRank::kStreamMiner, "miner");
   EXPECT_DEATH(
       {
-        const MutexLock outer(registry);
-        const MutexLock inner(miner);  // 100 under 400: inversion
+        const MutexLock outer(memory);
+        const MutexLock inner(miner);  // 100 under 390: inversion
       },
       "lock-rank inversion");
 }

@@ -4,16 +4,13 @@
 // null-safe TimelineScope/Phase guards, the Chrome trace-event exporter
 // (valid JSON, balanced begin/end pairs, orphan/synthetic end
 // re-balancing, thread_name metadata), multi-threaded lane registration
-// and recording (exercised under TSan in CI), the background
-// MetricsSampler's JSONL output, and output neutrality of timeline
-// recording across thread counts.
+// and recording (exercised under TSan in CI), and output neutrality of
+// timeline recording across thread counts.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,8 +18,6 @@
 #include "api/miner.h"
 #include "data/generators.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 
@@ -290,86 +285,6 @@ TEST(TimelineTest, ConcurrentLaneRegistrationAndRecording) {
   auto parsed = obs::ParseJson(RenderChromeTrace(timeline, meta));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ExpectBalancedTrace(parsed.value(), 1u + kThreads);
-}
-
-// --- metrics sampler --------------------------------------------------
-
-TEST(SamplerTest, WritesAtLeastOneValidJsonlSample) {
-  obs::MetricRegistry registry;
-  registry.GetCounter("stream.transactions_ingested").Add(500);
-  registry.GetDistribution("stream.pane_sets").Record(12);
-  obs::Timeline timeline;
-
-  std::ostringstream out;
-  obs::MetricsSamplerOptions options;
-  options.period = std::chrono::milliseconds(3600 * 1000);  // never fires
-  options.registry = &registry;
-  options.throughput_counter = "stream.transactions_ingested";
-  options.lane = timeline.AddLane("sampler");
-  obs::MetricsSampler sampler(options, &out);
-  sampler.Stop();  // final sample even though the period never elapsed
-  sampler.Stop();  // idempotent
-  EXPECT_EQ(sampler.SamplesWritten(), 1u);
-
-  std::istringstream lines(out.str());
-  std::string line;
-  std::size_t parsed_lines = 0;
-  while (std::getline(lines, line)) {
-    auto parsed = obs::ParseJson(line);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << line;
-    const obs::JsonValue& doc = parsed.value();
-    EXPECT_EQ(doc.Find("schema")->AsString(), "fim-statsline-v1");
-    EXPECT_DOUBLE_EQ(doc.Find("seq")->AsNumber(),
-                     static_cast<double>(parsed_lines));
-    EXPECT_GE(doc.Find("elapsed_seconds")->AsNumber(), 0.0);
-    ASSERT_NE(doc.Find("tx_per_second"), nullptr);
-    const obs::JsonValue* counters = doc.Find("counters");
-    ASSERT_NE(counters, nullptr);
-    EXPECT_DOUBLE_EQ(
-        counters->Find("stream.transactions_ingested")->AsNumber(), 500.0);
-    const obs::JsonValue* dists = doc.Find("distributions");
-    ASSERT_NE(dists, nullptr);
-    EXPECT_DOUBLE_EQ(
-        dists->Find("stream.pane_sets")->Find("count")->AsNumber(), 1.0);
-    ++parsed_lines;
-  }
-  EXPECT_EQ(parsed_lines, 1u);
-  // The sampler lane recorded its instants, so a fim-stream trace always
-  // has a second thread id when sampling is on.
-  EXPECT_GE(options.lane->TotalEvents(), 1u);
-}
-
-TEST(SamplerTest, PeriodicSamplesCarryThroughputDeltas) {
-  obs::MetricRegistry registry;
-  obs::Counter& ingested = registry.GetCounter("stream.transactions_ingested");
-  std::ostringstream out;
-  obs::MetricsSamplerOptions options;
-  options.period = std::chrono::milliseconds(20);
-  options.registry = &registry;
-  options.throughput_counter = "stream.transactions_ingested";
-  {
-    obs::MetricsSampler sampler(options, &out);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(120);
-    while (std::chrono::steady_clock::now() < deadline) {
-      ingested.Add(10);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }  // destructor stops and flushes the final sample
-  std::istringstream lines(out.str());
-  std::string line;
-  std::size_t count = 0;
-  double last_seq = -1.0;
-  while (std::getline(lines, line)) {
-    auto parsed = obs::ParseJson(line);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << line;
-    const double seq = parsed.value().Find("seq")->AsNumber();
-    EXPECT_GT(seq, last_seq);  // strictly increasing
-    last_seq = seq;
-    EXPECT_GE(parsed.value().Find("tx_per_second")->AsNumber(), 0.0);
-    ++count;
-  }
-  EXPECT_GE(count, 2u);  // at least one periodic + the final sample
 }
 
 // --- output neutrality ------------------------------------------------

@@ -21,6 +21,7 @@
 #include "data/fimi_io.h"
 #include "data/matrix_io.h"
 #include "data/stats.h"
+#include "tool_flags.h"
 
 namespace {
 
@@ -63,6 +64,9 @@ int main(int argc, char** argv) {
                std::strcmp(arg, "--help") == 0) {
       Usage();
       return 0;
+    } else if (tools::UnknownFlag(arg)) {
+      Usage();
+      return 2;
     } else if (input.empty()) {
       input = arg;
     } else if (output.empty()) {

@@ -64,6 +64,9 @@ int main(int argc, char** argv) {
                std::strcmp(arg, "--help") == 0) {
       Usage();
       return 0;
+    } else if (tools::UnknownFlag(arg)) {
+      Usage();
+      return 2;
     } else if (output.empty()) {
       output = arg;
     } else {

@@ -16,7 +16,7 @@
 //   -m        report only maximal frequent item sets
 //   -q        quiet: no stats on stderr
 //   --kernel=NAME
-//             pin the intersection-kernel tier (scalar | sse | avx2)
+//             pin the intersection-kernel tier (scalar | avx2)
 //             instead of auto-selecting by CPUID; same effect as the
 //             FIM_KERNEL environment variable, but an unsupported name
 //             is a hard error here rather than a fallback. Output is
@@ -153,6 +153,9 @@ int main(int argc, char** argv) {
                std::strcmp(arg, "--help") == 0) {
       Usage();
       return 0;
+    } else if (tools::UnknownFlag(arg)) {
+      Usage();
+      return 2;
     } else if (positional == 0) {
       input = arg;
       ++positional;

@@ -51,6 +51,7 @@
 
 #include "common/timer.h"
 #include "obs/json.h"
+#include "tool_flags.h"
 
 namespace {
 
@@ -454,6 +455,9 @@ int main(int argc, char** argv) {
                std::strcmp(arg, "--help") == 0) {
       Usage();
       return 0;
+    } else if (fim::tools::UnknownFlag(arg)) {
+      Usage();
+      return 2;
     } else if (positional == 0) {
       report_path = arg;
       ++positional;

@@ -65,6 +65,7 @@
 #include <string>
 
 #include "obs/json.h"
+#include "tool_flags.h"
 
 namespace {
 
@@ -287,6 +288,9 @@ int main(int argc, char** argv) {
                std::strcmp(arg, "--help") == 0) {
       Usage();
       return 0;
+    } else if (fim::tools::UnknownFlag(arg)) {
+      Usage();
+      return 2;
     } else if (positional == 0) {
       baseline_path = arg;
       ++positional;

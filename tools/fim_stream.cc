@@ -7,8 +7,7 @@
 //              [--checkpoint=PATH] [--checkpoint-every=N] [--resume=PATH]
 //              [--max-items=N] [-q] [--stats[=text|json]]
 //              [--stats-out=PATH] [--trace-out=PATH] [--perf-counters]
-//              [--mem-stats] [--profile[=PATH]] [--sample-every=MS]
-//              [--sample-out=PATH] [input [output]]
+//              [--mem-stats] [--profile[=PATH]] [input [output]]
 //
 //   -s N        minimum support of every snapshot query (default: 2)
 //   --pane=N    transactions per tumbling pane (sliding-window mode;
@@ -41,8 +40,8 @@
 //               query, checkpoint; see docs/OBSERVABILITY.md)
 //   --trace-out=PATH
 //               record the miner's event timeline (pane rotations and
-//               seals, query phases, checkpoints, plus the sampler's
-//               lane) and write Chrome trace-event JSON to PATH
+//               seals, query phases, checkpoints) and write Chrome
+//               trace-event JSON to PATH
 //   --perf-counters
 //               measure hardware counters over the whole run and per
 //               phase span, adding the `perf` section to the stats
@@ -52,19 +51,10 @@
 //   --mem-stats
 //               collect the per-structure memory breakdown (completed
 //               panes, the filling pane) and add the `memory`
-//               section to the stats report (implies --stats); with
-//               --sample-every the sampler's JSONL lines additionally
-//               carry a live "mem" object
+//               section to the stats report (implies --stats)
 //   --profile[=PATH]
 //               sampling self-profiler: fim-prof-v1 collapsed stacks to
 //               stderr or PATH (flamegraph.pl-compatible)
-//   --sample-every=MS
-//               run a background metrics sampler: every MS milliseconds
-//               (and once at shutdown) append one fim-statsline-v1 JSON
-//               line — registry counters, tx/s throughput, peak RSS —
-//               to --sample-out (default: stderr)
-//   --sample-out=PATH
-//               destination of the sampler's JSONL time-series
 //   input       FIMI text file; "-" or absent: stdin (line-buffered —
 //               suitable for live piping)
 //   output      snapshot destination; "-" or absent: stdout
@@ -73,7 +63,6 @@
 // format ("3 17 42 (57)" lines), so `fim-stream -s N input` on a finite
 // file produces the same sets as `fim-mine -s N input` in landmark mode.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,8 +76,6 @@
 #include "common/timer.h"
 #include "data/itemset.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "stream/stream_miner.h"
@@ -103,8 +90,7 @@ void Usage() {
       "[--query-every=N] [--checkpoint=PATH] [--checkpoint-every=N] "
       "[--resume=PATH] [--max-items=N] [-q] [--stats[=text|json]] "
       "[--stats-out=PATH] [--trace-out=PATH] [--perf-counters] "
-      "[--mem-stats] [--profile[=PATH]] [--sample-every=MS] "
-      "[--sample-out=PATH] [input [output]]\n");
+      "[--mem-stats] [--profile[=PATH]] [input [output]]\n");
 }
 
 struct Args {
@@ -118,8 +104,6 @@ struct Args {
   std::size_t max_items = std::size_t{1} << 20;
   bool quiet = false;
   fim::tools::ObsFlags obs;
-  std::uint64_t sample_every_ms = 0;
-  std::string sample_out;
   std::string input = "-";
   std::string output = "-";
 };
@@ -163,15 +147,13 @@ int ParseArgs(int argc, char** argv, Args* args) {
       args->quiet = true;
     } else if (args->obs.Parse(arg)) {
       // one of --stats / --stats-out / --trace-out
-    } else if (std::strncmp(arg, "--sample-every=", 15) == 0) {
-      args->sample_every_ms = static_cast<std::uint64_t>(
-          fim::tools::ParseCount("--sample-every", arg + 15));
-    } else if (std::strncmp(arg, "--sample-out=", 13) == 0) {
-      args->sample_out = arg + 13;
     } else if (std::strcmp(arg, "-h") == 0 ||
                std::strcmp(arg, "--help") == 0) {
       Usage();
       return 0;
+    } else if (fim::tools::UnknownFlag(arg)) {
+      Usage();
+      return 2;
     } else if (positional == 0) {
       args->input = arg;
       ++positional;
@@ -193,10 +175,6 @@ int ParseArgs(int argc, char** argv, Args* args) {
     return 2;
   }
   args->obs.Finish();
-  if (!args->sample_out.empty() && args->sample_every_ms == 0) {
-    std::fprintf(stderr, "error: --sample-out needs --sample-every=MS\n");
-    return 2;
-  }
   if (args->checkpoint_every > 0 && args->checkpoint_path.empty()) {
     std::fprintf(stderr,
                  "error: --checkpoint-every needs --checkpoint=PATH\n");
@@ -206,7 +184,6 @@ int ParseArgs(int argc, char** argv, Args* args) {
 }
 
 int EmitStats(const Args& args, fim::StreamMiner& miner,
-              const fim::obs::MetricRegistry& registry,
               const fim::obs::Trace* trace,
               const fim::obs::PerfReport* perf,
               const fim::obs::MemoryReport* memory, std::size_t num_sets,
@@ -221,7 +198,19 @@ int EmitStats(const Args& args, fim::StreamMiner& miner,
   report.wall_seconds = wall_seconds;
   report.cpu_seconds = cpu_seconds;
   report.peak_rss_bytes = fim::PeakRss();
-  report.registry = &registry;
+  // The miner's own counters, sorted by name.
+  const fim::StreamStats stats = miner.Stats();
+  report.extra_counters = {
+      {"stream.checkpoint_bytes_read", stats.checkpoint_bytes_read},
+      {"stream.checkpoint_bytes_written", stats.checkpoint_bytes_written},
+      {"stream.panes_expired", stats.panes_expired},
+      {"stream.panes_rotated", stats.panes_rotated},
+      {"stream.queries", stats.queries},
+      {"stream.segments_compacted", stats.segments_compacted},
+      {"stream.snapshot_merges", stats.snapshot_merges},
+      {"stream.transactions_ingested", stats.transactions_ingested},
+      {"stream.weighted_additions", stats.weighted_additions},
+  };
   report.trace = trace;
   report.perf = perf;
   report.memory = memory;
@@ -297,7 +286,6 @@ int main(int argc, char** argv) {
 
   WallTimer total;
   CpuTimer total_cpu;
-  obs::MetricRegistry registry;
   obs::Trace trace_storage;
   obs::Trace* trace = args.obs.WantStats() ? &trace_storage : nullptr;
   std::unique_ptr<obs::Timeline> timeline;
@@ -308,8 +296,8 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<StreamMiner> miner;
   if (!args.resume_path.empty()) {
-    auto restored = StreamMiner::Restore(args.resume_path, &registry, trace,
-                                         timeline.get());
+    auto restored =
+        StreamMiner::Restore(args.resume_path, trace, timeline.get());
     if (!restored.ok()) {
       std::fprintf(stderr, "error restoring %s: %s\n",
                    args.resume_path.c_str(),
@@ -327,45 +315,9 @@ int main(int argc, char** argv) {
     options.max_items = args.max_items;
     options.pane_size = args.pane_size;
     options.window_panes = args.window_panes;
-    options.registry = &registry;
     options.trace = trace;
     options.timeline = timeline.get();
     miner = std::make_unique<StreamMiner>(options);
-  }
-
-  // Background metrics sampler (--sample-every): one fim-statsline-v1
-  // JSON line per period plus a final one at Stop(). The sampler thread
-  // records on its own timeline lane, never on the driver's.
-  std::ofstream sample_file;
-  std::unique_ptr<obs::MetricsSampler> sampler;
-  if (args.sample_every_ms > 0) {
-    std::ostream* sample_stream = &std::cerr;
-    if (!args.sample_out.empty()) {
-      sample_file.open(args.sample_out, std::ios::trunc);
-      if (!sample_file) {
-        std::fprintf(stderr, "error: cannot open %s for writing\n",
-                     args.sample_out.c_str());
-        return 1;
-      }
-      sample_stream = &sample_file;
-    }
-    obs::MetricsSamplerOptions sampler_options;
-    sampler_options.period =
-        std::chrono::milliseconds(args.sample_every_ms);
-    sampler_options.registry = &registry;
-    sampler_options.throughput_counter = "stream.transactions_ingested";
-    sampler_options.lane =
-        timeline != nullptr ? timeline->AddLane("sampler") : nullptr;
-    if (mem_session.breakdown() != nullptr) {
-      // Live heap timeline: each sample re-measures the miner (the walk
-      // is O(panes) under the miner's mutex, cheap at sampler cadence).
-      StreamMiner* sampled = miner.get();
-      sampler_options.accounted_bytes = [sampled]() {
-        return sampled->ApproxMemoryUsage().TotalBytes();
-      };
-    }
-    sampler =
-        std::make_unique<obs::MetricsSampler>(sampler_options, sample_stream);
   }
 
   std::ifstream file_in;
@@ -449,12 +401,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Quiesce the sampler before exporting: its final sample lands in the
-  // JSONL series and its lane stops receiving events, so the trace
-  // snapshot below observes a fully written timeline. The measurement
-  // layer (counters + profiler) stops here too, before any export
+  // The measurement layer (counters + profiler) stops before any export
   // touches the timeline the profiler may still be writing to.
-  if (sampler != nullptr) sampler->Stop();
   const obs::PerfReport* perf_report = perf_session.Finish();
   if (mem_session.breakdown() != nullptr) {
     mem_session.breakdown()->Record(miner->ApproxMemoryUsage());
@@ -483,9 +431,8 @@ int main(int argc, char** argv) {
         num_sets, args.min_support, miner->NodeCount(), total.Seconds());
   }
   if (args.obs.WantStats()) {
-    if (int rc = EmitStats(args, *miner, registry, trace, perf_report,
-                           mem_report, num_sets, total.Seconds(),
-                           total_cpu.Seconds());
+    if (int rc = EmitStats(args, *miner, trace, perf_report, mem_report,
+                           num_sets, total.Seconds(), total_cpu.Seconds());
         rc != 0) {
       return rc;
     }

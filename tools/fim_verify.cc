@@ -149,6 +149,9 @@ int main(int argc, char** argv) {
                std::strcmp(arg, "--help") == 0) {
       Usage();
       return 0;
+    } else if (tools::UnknownFlag(arg)) {
+      Usage();
+      return 2;
     } else if (positional == 0) {
       data_path = arg;
       ++positional;

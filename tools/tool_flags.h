@@ -64,6 +64,17 @@ inline long long ParseCount(const char* flag, const char* text) {
   return value;
 }
 
+/// True when `arg` is spelled like a flag (a leading '-', other than "-"
+/// for stdin / stdout); then it also prints an error naming it. Tools
+/// test it after every flag they know and answer with their usage text
+/// and exit code 2, so a misspelt or retired flag fails loudly instead
+/// of being taken for a file name.
+inline bool UnknownFlag(const char* arg) {
+  if (arg[0] != '-' || arg[1] == '\0') return false;
+  std::fprintf(stderr, "error: unknown option %s\n", arg);
+  return true;
+}
+
 enum class StatsFormat { kNone, kText, kJson };
 
 struct ObsFlags {
