@@ -83,8 +83,8 @@ struct MinerOptions {
 
   /// Optional memory attribution (obs/memory.h): every algorithm
   /// records the self-measured byte breakdown of its major structures
-  /// (IsTa prefix trees, tid lists, Carpenter matrices, duplicate
-  /// repositories, the recoded database) at the moments they are
+  /// (the weighted stream it mines, IsTa prefix trees, tid lists,
+  /// Carpenter matrices, duplicate repositories) at the moments they are
   /// largest. Feeds the `memory` stats section, fim-prof --memory and
   /// the bench mem payloads. Output-neutral; must outlive the call.
   obs::MemoryBreakdown* memory = nullptr;

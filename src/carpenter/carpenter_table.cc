@@ -9,38 +9,43 @@
 
 namespace fim {
 
-std::vector<Support> BuildCarpenterMatrix(const TransactionDatabase& db) {
-  const std::size_t n = db.NumTransactions();
-  const std::size_t m = db.NumItems();
-  std::vector<Support> matrix(n * m, 0);
-  std::vector<Support> running(m, 0);
-  for (std::size_t k = n; k > 0; --k) {
+std::vector<Support> BuildCarpenterMatrix(const WeightedTransactions& rows,
+                                          std::size_t num_items) {
+  std::vector<Support> matrix(rows.NumRows() * num_items, 0);
+  std::vector<Support> running(num_items, 0);
+  for (std::size_t k = rows.NumRows(); k > 0; --k) {
     const std::size_t row = k - 1;
-    for (ItemId i : db.transaction(row)) {
-      ++running[i];
-      matrix[row * m + i] = running[i];
+    for (ItemId i : rows.Row(row)) {
+      running[i] += rows.weights[row];
+      matrix[row * num_items + i] = running[i];
     }
   }
   return matrix;
 }
 
-Status ValidateCarpenterMatrix(const TransactionDatabase& db,
+std::vector<Support> BuildCarpenterMatrix(const TransactionDatabase& db) {
+  WeightedTransactions rows;
+  for (const auto& transaction : db.transactions()) rows.AddRow(transaction, 1);
+  return BuildCarpenterMatrix(rows, db.NumItems());
+}
+
+Status ValidateCarpenterMatrix(const WeightedTransactions& rows,
+                               std::size_t num_items,
                                std::span<const Support> matrix) {
-  const std::size_t n = db.NumTransactions();
-  const std::size_t m = db.NumItems();
+  const std::size_t n = rows.NumRows();
+  const std::size_t m = num_items;
   if (matrix.size() != n * m) {
     return Status::Internal(
         "carpenter matrix: size " + std::to_string(matrix.size()) + " != " +
-        std::to_string(n) + " transactions x " + std::to_string(m) +
-        " items");
+        std::to_string(n) + " rows x " + std::to_string(m) + " items");
   }
-  // Sweep bottom-up, maintaining per column the suffix occurrence count
-  // and re-deriving the expected entry of every cell.
-  std::vector<Support> suffix_count(m, 0);
+  // Sweep bottom-up, maintaining per column the suffix weight sum and
+  // re-deriving the expected entry of every cell.
+  std::vector<Support> suffix_sum(m, 0);
   std::vector<uint8_t> member(m, 0);
   for (std::size_t k = n; k > 0; --k) {
     const std::size_t row = k - 1;
-    for (ItemId i : db.transaction(row)) member[i] = 1;
+    for (ItemId i : rows.Row(row)) member[i] = 1;
     for (std::size_t i = 0; i < m; ++i) {
       const Support entry = matrix[row * m + i];
       if (!member[i]) {
@@ -59,18 +64,18 @@ Status ValidateCarpenterMatrix(const TransactionDatabase& db,
             std::to_string(row) + " item " + std::to_string(i) +
             ": zero entry for an item of the transaction");
       }
-      // Non-zero entries of a column are the suffix occurrence counts, so
-      // going down they decrease by exactly one per occurrence.
-      if (entry != suffix_count[i] + 1) {
+      // Non-zero entries of a column are the suffix weight sums, so going
+      // down they decrease by exactly the weight of each row with the item.
+      if (entry != suffix_sum[i] + rows.weights[row]) {
         return Status::Internal(
             "carpenter matrix: column " + std::to_string(i) +
             " not a decreasing suffix count at row " + std::to_string(row) +
             ": entry " + std::to_string(entry) + ", expected " +
-            std::to_string(suffix_count[i] + 1));
+            std::to_string(suffix_sum[i] + rows.weights[row]));
       }
-      suffix_count[i] = entry;
+      suffix_sum[i] = entry;
     }
-    for (ItemId i : db.transaction(row)) member[i] = 0;
+    for (ItemId i : rows.Row(row)) member[i] = 0;
   }
   return Status::OK();
 }
@@ -79,17 +84,19 @@ namespace {
 
 class TableMiner {
  public:
-  TableMiner(const TransactionDatabase& coded, const CarpenterOptions& options,
+  TableMiner(const WeightedTransactions& rows, std::size_t num_items,
+             const CarpenterOptions& options,
              const ClosedSetCallback& callback, CarpenterStats* stats)
-      : matrix_(BuildCarpenterMatrix(coded)),
-        n_(static_cast<Tid>(coded.NumTransactions())),
-        num_items_(coded.NumItems()),
+      : matrix_(BuildCarpenterMatrix(rows, num_items)),
+        weights_(rows.weights),
+        n_(static_cast<Tid>(rows.NumRows())),
+        num_items_(num_items),
         min_support_(options.min_support),
         item_elimination_(options.item_elimination),
         callback_(callback),
-        repo_(coded.NumItems()),
+        repo_(num_items),
         stats_(stats) {
-    FIM_DCHECK_OK(ValidateCarpenterMatrix(coded, matrix_));
+    FIM_DCHECK_OK(ValidateCarpenterMatrix(rows, num_items, matrix_));
   }
 
   void Run() {
@@ -136,21 +143,20 @@ class TableMiner {
           items.data(), items.size(), row, members.data()));
       if (members.empty()) continue;
       if (members.size() == items.size()) {
-        ++supp;  // t_j contains I: absorb (perfect extension analog)
+        // t_j contains I: absorb (perfect extension analog).
+        supp += weights_[j];
         continue;
       }
       child.clear();
       for (ItemId i : members) {
-        // row[i] counts occurrences of i from transaction j onward,
-        // including j itself, so row[i] - 1 occurrences remain below.
-        if (item_elimination_ && supp + 1 + (row[i] - 1) < min_support_) {
-          continue;
-        }
+        // row[i] is the weight of the rows from j onward that contain i,
+        // row j included: the most support a branch taking j can reach.
+        if (item_elimination_ && supp + row[i] < min_support_) continue;
         child.push_back(i);
       }
       if (child.empty()) continue;
       if (repo_.InsertIfAbsent(child)) {
-        Mine(child, supp + 1, j + 1);
+        Mine(child, supp + weights_[j], j + 1);
       } else if (stats_ != nullptr) {
         ++stats_->repo_hits;
       }
@@ -162,6 +168,7 @@ class TableMiner {
   }
 
   std::vector<Support> matrix_;
+  const std::vector<Support>& weights_;
   const Tid n_;
   const std::size_t num_items_;
   const Support min_support_;
@@ -187,18 +194,16 @@ Status MineClosedCarpenterTable(const TransactionDatabase& db,
       options.item_elimination ? options.min_support : 1;
   const Recoding recoding =
       ComputeRecoding(db, options.item_order, min_item_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, options.transaction_order);
-  if (coded.NumTransactions() == 0) return Status::OK();
+  const WeightedTransactions rows =
+      ApplyRecodingWeighted(db, recoding, options.transaction_order);
+  if (rows.NumRows() == 0) return Status::OK();
 
   const ClosedSetCallback decoded =
       MakeDecodingCallback(recoding, callback);
-  TableMiner miner(coded, options, decoded, stats);
+  TableMiner miner(rows, recoding.num_kept(), options, decoded, stats);
   miner.Run();
   if (options.memory != nullptr) {
-    obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-    coded_db.name = "recoded-db";
-    options.memory->Record(std::move(coded_db));
+    options.memory->Record(rows.ApproxMemoryUsage());
     miner.RecordMemory(options.memory);
   }
   return Status::OK();

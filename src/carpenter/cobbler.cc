@@ -11,8 +11,9 @@ namespace fim {
 
 namespace {
 
-// Item of the current intersection with its cursor into the item's tid
-// list (same representation as the list-based Carpenter).
+// One item of the current intersection together with its cursor into the
+// item's tid list (the cursor points at the first row >= the enumeration
+// position, the "next unprocessed transaction index" of §3.1.1).
 struct Entry {
   ItemId item;
   uint32_t pos;
@@ -20,16 +21,30 @@ struct Entry {
 
 class CobblerMiner {
  public:
-  CobblerMiner(const TransactionDatabase& coded,
+  CobblerMiner(const WeightedTransactions& rows, std::size_t num_items,
                const CobblerOptions& options,
                const ClosedSetCallback& callback, CarpenterStats* stats)
-      : db_(coded),
-        tidlists_(coded.BuildVertical()),
-        n_(static_cast<Tid>(coded.NumTransactions())),
+      : rows_(rows),
+        tidlists_(rows.BuildVertical(num_items)),
+        n_(static_cast<Tid>(rows.NumRows())),
         options_(options),
         callback_(callback),
-        repo_(coded.NumItems()),
-        stats_(stats) {}
+        repo_(num_items),
+        stats_(stats) {
+    rows_from_.assign(n_ + 1, 0);
+    for (Tid j = n_; j > 0; --j) {
+      rows_from_[j - 1] = rows_from_[j] + rows.weights[j - 1];
+    }
+    suffix_weights_.resize(num_items);
+    for (std::size_t i = 0; i < num_items; ++i) {
+      const std::vector<Tid>& tids = tidlists_[i];
+      suffix_weights_[i].assign(tids.size() + 1, 0);
+      for (std::size_t p = tids.size(); p > 0; --p) {
+        suffix_weights_[i][p - 1] =
+            suffix_weights_[i][p] + rows.weights[tids[p - 1]];
+      }
+    }
+  }
 
   void Run() {
     std::vector<Entry> initial;
@@ -44,19 +59,21 @@ class CobblerMiner {
     if (stats_ != nullptr) stats_->repo_sets = repo_.size();
   }
 
-  // Tid lists are built once, the repository only grows: largest at the
-  // end of the run.
+  // Tid lists (with their suffix weights) are built once, the repository
+  // only grows: largest at the end of the run.
   void RecordMemory(obs::MemoryBreakdown* memory) const {
     if (memory == nullptr) return;
-    memory->RecordBytes("tid-lists", obs::NestedVectorBytes(tidlists_));
+    memory->RecordBytes("tid-lists",
+                        obs::NestedVectorBytes(tidlists_) +
+                            obs::NestedVectorBytes(suffix_weights_));
     memory->Record(repo_.ApproxMemoryUsage());
   }
 
  private:
   // Row-enumeration node, identical contract to the list-based
   // Carpenter: `entries` is the current intersection I (= intersection
-  // of the chosen transactions, which are exactly `chosen_`), `count` =
-  // |chosen_|, cursors point at the first tid >= l.
+  // of the chosen rows, which are exactly `chosen_`), `count` = their
+  // summed weight, cursors point at the first row >= l.
   void Mine(const std::vector<Entry>& entries, Support count, Tid l) {
     if (stats_ != nullptr) ++stats_->nodes_visited;
 
@@ -87,18 +104,19 @@ class CobblerMiner {
         }
       }
       if (members.size() == sweep.size()) {
-        ++supp;  // absorbed: t_j contains I
+        supp += rows_.weights[j];  // absorbed: t_j contains I
         chosen_.push_back(j);
         continue;
       }
 
+      // Item elimination (§3.1.1): the suffix weight at the item's entry
+      // for row j is the most support a branch taking j can reach.
       std::vector<Entry> child;
       child.reserve(members.size());
       for (const Entry& e : members) {
-        if (options_.item_elimination) {
-          const auto remaining =
-              static_cast<Support>(tidlists_[e.item].size() - e.pos);
-          if (supp + 1 + remaining < options_.min_support) continue;
+        if (options_.item_elimination &&
+            supp + suffix_weights_[e.item][e.pos - 1] < options_.min_support) {
+          continue;
         }
         child.push_back(e);
       }
@@ -107,7 +125,7 @@ class CobblerMiner {
       for (const Entry& e : child) key.push_back(e.item);
       if (repo_.InsertIfAbsent(key)) {
         chosen_.push_back(j);
-        Mine(child, supp + 1, j + 1);
+        Mine(child, supp + rows_.weights[j], j + 1);
         chosen_.pop_back();
       } else if (stats_ != nullptr) {
         ++stats_->repo_hits;
@@ -124,10 +142,15 @@ class CobblerMiner {
     while (!chosen_.empty() && chosen_.back() >= l) chosen_.pop_back();
   }
 
+  // Counts the transactions left as the database with one row per
+  // transaction would: the other copies of row l - 1, which opened this
+  // node, and every row from l on. So the switch happens at the same
+  // nodes as on that database.
   bool ShouldSwitch(std::size_t num_items, Tid l) const {
+    const Support remaining = l == 0 ? rows_from_[0] : rows_from_[l - 1] - 1;
     return options_.switch_max_items > 0 &&
            num_items <= options_.switch_max_items &&
-           static_cast<std::size_t>(n_ - l) >= options_.switch_min_rows;
+           remaining >= options_.switch_min_rows;
   }
 
   // Column-enumeration takeover of the whole subtree: the closed sets
@@ -142,14 +165,15 @@ class CobblerMiner {
     current.reserve(entries.size());
     for (const Entry& e : entries) current.push_back(e.item);
 
-    // Build the conditional rows and count the rows equal to I.
-    TransactionDatabase conditional;
-    conditional.SetNumItems(db_.NumItems());
+    // Fold the conditional rows and weigh the rows equal to I.
+    RowFolder conditional(RowFold::kHash);
     Support rows_equal_to_current = 0;
     for (Tid j = l; j < n_; ++j) {
-      std::vector<ItemId> row = IntersectSorted(current, db_.transaction(j));
-      if (row.size() == current.size()) ++rows_equal_to_current;
-      if (!row.empty()) conditional.AddTransaction(std::move(row));
+      const std::vector<ItemId> row = IntersectSorted(current, rows_.Row(j));
+      if (row.size() == current.size()) {
+        rows_equal_to_current += rows_.weights[j];
+      }
+      if (!row.empty()) conditional.Add(row, rows_.weights[j]);
     }
 
     // I itself: supported by the chosen transactions plus the rows that
@@ -163,14 +187,15 @@ class CobblerMiner {
     }
     repo_.InsertIfAbsent(current);
 
-    if (conditional.NumTransactions() == 0) return;
+    if (conditional.rows().NumRows() == 0) return;
     const Support sub_min =
         options_.min_support > count ? options_.min_support - count : 1;
 
     LcmOptions lcm;
     lcm.min_support = sub_min;
+    const WeightedTransactions* const tables[] = {&conditional.rows()};
     Status status = MineClosedLcm(
-        conditional, lcm,
+        tables, tidlists_.size(), lcm,
         [this, &current, count, l](std::span<const ItemId> items,
                                    Support sub_support) {
           if (items.size() == current.size()) return;  // I handled above
@@ -195,13 +220,17 @@ class CobblerMiner {
                                   Tid l) const {
     for (Tid j = 0; j < l; ++j) {
       if (std::binary_search(chosen_.begin(), chosen_.end(), j)) continue;
-      if (IsSubsetSorted(set, db_.transaction(j))) return true;
+      if (IsSubsetSorted(set, rows_.Row(j))) return true;
     }
     return false;
   }
 
-  const TransactionDatabase& db_;
+  const WeightedTransactions& rows_;
   std::vector<std::vector<Tid>> tidlists_;
+  // Per item and tid-list position p: the weight of the rows from the
+  // item's p-th row on that contain the item (one trailing 0).
+  std::vector<std::vector<Support>> suffix_weights_;
+  std::vector<Support> rows_from_;  // weight of the rows from j on
   const Tid n_;
   const CobblerOptions& options_;
   const ClosedSetCallback& callback_;
@@ -226,20 +255,32 @@ Status MineClosedCobbler(const TransactionDatabase& db,
       options.item_elimination ? options.min_support : 1;
   const Recoding recoding =
       ComputeRecoding(db, options.item_order, min_item_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, options.transaction_order);
-  if (coded.NumTransactions() == 0) return Status::OK();
+  const WeightedTransactions rows =
+      ApplyRecodingWeighted(db, recoding, options.transaction_order);
+  if (rows.NumRows() == 0) return Status::OK();
 
   const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
-  CobblerMiner miner(coded, options, decoded, stats);
+  CobblerMiner miner(rows, recoding.num_kept(), options, decoded, stats);
   miner.Run();
   if (options.memory != nullptr) {
-    obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-    coded_db.name = "recoded-db";
-    options.memory->Record(std::move(coded_db));
+    options.memory->Record(rows.ApproxMemoryUsage());
     miner.RecordMemory(options.memory);
   }
   return Status::OK();
+}
+
+Status MineClosedCarpenterLists(const TransactionDatabase& db,
+                                const CarpenterOptions& options,
+                                const ClosedSetCallback& callback,
+                                CarpenterStats* stats) {
+  CobblerOptions lists;
+  lists.min_support = options.min_support;
+  lists.item_order = options.item_order;
+  lists.transaction_order = options.transaction_order;
+  lists.item_elimination = options.item_elimination;
+  lists.switch_max_items = 0;
+  lists.memory = options.memory;
+  return MineClosedCobbler(db, lists, callback, stats);
 }
 
 }  // namespace fim

@@ -27,9 +27,10 @@ struct CobblerOptions {
   std::size_t switch_max_items = 24;
   std::size_t switch_min_rows = 8;
 
-  /// Optional memory attribution (obs/memory.h): records the vertical
-  /// tid lists and the duplicate repository at their largest.
-  /// Output-neutral; must outlive the call.
+  /// Optional memory attribution (obs/memory.h): records the weighted
+  /// stream, the vertical tid lists with their suffix weights and the
+  /// duplicate repository at their largest. Output-neutral; must outlive
+  /// the call.
   obs::MemoryBreakdown* memory = nullptr;
 };
 
@@ -39,7 +40,11 @@ struct CobblerOptions {
 /// enumeration, but when a subproblem's conditional database becomes
 /// narrow (few items in the current intersection) and long (many
 /// remaining transactions), the whole subtree is mined in one shot with
-/// a column-enumeration closed miner (LCM) over the conditional rows.
+/// a column-enumeration closed miner (LCM) over the conditional rows,
+/// folded into one weighted table. The rows enumerated are the distinct
+/// rows of the weighted stream (ApplyRecodingWeighted); a row's weight
+/// counts towards every support and towards the remaining transactions
+/// of the switch test.
 /// Supports are completed with the enumeration context, duplicates
 /// across the two strategies are resolved with the same repository plus
 /// an explicit backward check, so the output is exactly the closed

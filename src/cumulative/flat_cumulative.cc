@@ -41,18 +41,20 @@ Status MineClosedFlatCumulative(const TransactionDatabase& db,
       options.item_elimination ? options.min_support : 1;
   const Recoding recoding =
       ComputeRecoding(db, ItemOrder::kNone, min_item_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, options.transaction_order);
-  if (coded.NumTransactions() == 0) return Status::OK();
+  const WeightedTransactions rows =
+      ApplyRecodingWeighted(db, recoding, options.transaction_order);
+  if (rows.NumRows() == 0) return Status::OK();
 
   Repository repo;
-  // Intersections of the new transaction with every stored set, keyed by
-  // the resulting set; the value is the largest source support (the count
-  // of earlier transactions containing the result).
+  // Intersections of the new row with every stored set, keyed by the
+  // resulting set; the value is the largest source support (the weight of
+  // the earlier rows containing the result).
   Repository updates;
-  for (const auto& t : coded.transactions()) {
+  Support total_weight = 0;
+  for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+    const std::span<const ItemId> t = rows.Row(r);
     updates.clear();
-    updates.emplace(t, 0);
+    updates.emplace(std::vector<ItemId>(t.begin(), t.end()), 0);
     if (stats != nullptr) stats->isect_steps += repo.size();
     for (const auto& [stored, support] : repo) {
       std::vector<ItemId> inter = IntersectSorted(stored, t);
@@ -63,10 +65,11 @@ Status MineClosedFlatCumulative(const TransactionDatabase& db,
     for (auto& [items, source_support] : updates) {
       auto [it, inserted] = repo.emplace(items, source_support);
       // A set already in the repository has its exact count there; a new
-      // set inherits the best source count. Either way the new
-      // transaction contains the set, so add one.
-      ++it->second;
+      // set inherits the best source count. Either way the new row
+      // contains the set, so add its weight.
+      it->second += rows.weights[r];
     }
+    total_weight += rows.weights[r];
   }
 
   if (stats != nullptr) {
@@ -74,9 +77,7 @@ Status MineClosedFlatCumulative(const TransactionDatabase& db,
     stats->final_nodes = repo.size();
   }
   if (options.memory != nullptr) {
-    obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-    coded_db.name = "recoded-db";
-    options.memory->Record(std::move(coded_db));
+    options.memory->Record(rows.ApproxMemoryUsage());
     // The flat repository is a node-based hash map; buckets and nodes
     // are estimated from the libstdc++ layout (one next pointer plus the
     // cached hash per node), the key buffers are exact.
@@ -99,9 +100,9 @@ Status MineClosedFlatCumulative(const TransactionDatabase& db,
                std::is_sorted(items.begin(), items.end()) &&
                std::adjacent_find(items.begin(), items.end()) == items.end())
         << "stored sets must be non-empty, sorted, duplicate-free";
-    FIM_DCHECK(support >= 1 && support <= coded.NumTransactions())
-        << "stored support " << support << " outside [1, "
-        << coded.NumTransactions() << "]";
+    FIM_DCHECK(support >= 1 && support <= total_weight)
+        << "stored support " << support << " outside [1, " << total_weight
+        << "]";
     if (support >= options.min_support) {
       if (stats != nullptr) ++stats->sets_reported;
       decoded(items, support);

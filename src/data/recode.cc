@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -100,8 +101,6 @@ bool SizeDescendingLess(std::span<const ItemId> a, std::span<const ItemId> b) {
   return DescendingLexLess(a, b);
 }
 
-using RowLess = bool (*)(std::span<const ItemId>, std::span<const ItemId>);
-
 // Maps transaction `t` through the recoding into `coded`: eliminated
 // items dropped, codes ascending.
 void MapRow(std::span<const ItemId> t, const Recoding& recoding,
@@ -114,64 +113,6 @@ void MapRow(std::span<const ItemId> t, const Recoding& recoding,
     }
   }
   std::sort(coded->begin(), coded->end());
-}
-
-// Maps the transactions of [begin, end) through the recoding, dropping
-// eliminated items and empty results; relative order is preserved.
-std::vector<std::vector<ItemId>> MapChunk(
-    std::span<const std::vector<ItemId>> transactions,
-    const Recoding& recoding) {
-  std::vector<std::vector<ItemId>> mapped;
-  mapped.reserve(transactions.size());
-  for (const auto& t : transactions) {
-    std::vector<ItemId> coded;
-    coded.reserve(t.size());
-    MapRow(t, recoding, &coded);
-    if (coded.empty()) continue;
-    mapped.push_back(std::move(coded));
-  }
-  return mapped;
-}
-
-// Stable sort of `mapped` under `less` on `num_chunks` threads: each chunk
-// is stable-sorted privately, then adjacent runs are joined with
-// std::inplace_merge (stable, left run first on ties). Stability plus a
-// fixed comparator determine the output uniquely, so the result is
-// identical to a sequential std::stable_sort.
-void ParallelStableSort(std::vector<std::vector<ItemId>>* mapped,
-                        std::size_t num_chunks, RowLess less,
-                        obs::Timeline* timeline) {
-  num_chunks = std::min(num_chunks, std::max<std::size_t>(mapped->size(), 1));
-  std::vector<std::size_t> bounds(num_chunks + 1);
-  for (std::size_t c = 0; c <= num_chunks; ++c) {
-    bounds[c] = c * mapped->size() / num_chunks;
-  }
-  RunChunks(num_chunks, timeline, "sort", [&](std::size_t c) {
-    std::stable_sort(mapped->begin() + bounds[c],
-                     mapped->begin() + bounds[c + 1], less);
-  });
-  for (std::size_t stride = 1; stride < num_chunks; stride *= 2) {
-    std::vector<std::thread> mergers;
-    for (std::size_t c = 0; c + stride < num_chunks; c += 2 * stride) {
-      mergers.emplace_back(
-          [mapped, &bounds, less, timeline, c, stride, num_chunks]() {
-            obs::MemDomainScope merger_mem_domain(obs::MemDomain::kRecode);
-            obs::TimelineLane* mlane =
-                timeline != nullptr
-                    ? timeline->AddLane("recode-merge-" +
-                                        std::to_string(stride) + "-" +
-                                        std::to_string(c))
-                    : nullptr;
-            obs::TimelineScope merge_scope(mlane, "merge-runs");
-            std::inplace_merge(
-                mapped->begin() + bounds[c],
-                mapped->begin() + bounds[c + stride],
-                mapped->begin() + bounds[std::min(c + 2 * stride, num_chunks)],
-                less);
-          });
-    }
-    for (auto& merger : mergers) merger.join();
-  }
 }
 
 std::uint64_t HashRow(std::span<const ItemId> row) {
@@ -208,41 +149,50 @@ TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   TransactionOrder transaction_order,
                                   unsigned num_threads,
                                   obs::Timeline* timeline) {
-  obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
-  const auto& transactions = db.transactions();
-  const std::size_t num_chunks = std::max<std::size_t>(
-      std::min<std::size_t>(num_threads, transactions.size()), 1);
-
-  // Map disjoint chunks concurrently, then splice them back together in
-  // order; the concatenation sees exactly the sequential mapping.
-  std::vector<std::vector<std::vector<ItemId>>> chunks(num_chunks);
-  RunChunks(num_chunks, timeline, "map", [&](std::size_t c) {
-    const std::size_t begin = c * transactions.size() / num_chunks;
-    const std::size_t end = (c + 1) * transactions.size() / num_chunks;
-    chunks[c] = MapChunk(std::span(transactions).subspan(begin, end - begin),
-                         recoding);
-  });
-  std::vector<std::vector<ItemId>> mapped = std::move(chunks[0]);
-  for (std::size_t c = 1; c < num_chunks; ++c) {
-    mapped.insert(mapped.end(), std::make_move_iterator(chunks[c].begin()),
-                  std::make_move_iterator(chunks[c].end()));
-  }
-
-  switch (transaction_order) {
-    case TransactionOrder::kNone:
-      break;
-    case TransactionOrder::kSizeAscending:
-      ParallelStableSort(&mapped, num_chunks, SizeAscendingLess, timeline);
-      break;
-    case TransactionOrder::kSizeDescending:
-      ParallelStableSort(&mapped, num_chunks, SizeDescendingLess, timeline);
-      break;
-  }
-
+  const WeightedTransactions rows = ApplyRecodingWeighted(
+      db, recoding, transaction_order, num_threads, timeline);
   TransactionDatabase out;
-  for (auto& t : mapped) out.AddTransaction(std::move(t));
+  for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+    const std::span<const ItemId> row = rows.Row(r);
+    for (Support copy = 0; copy < rows.weights[r]; ++copy) {
+      out.AddTransaction(std::vector<ItemId>(row.begin(), row.end()));
+    }
+  }
   out.SetNumItems(recoding.num_kept());
   return out;
+}
+
+Status CheckTables(std::span<const WeightedTransactions* const> tables,
+                   std::size_t num_items) {
+  constexpr std::uint64_t kLimit = std::numeric_limits<Support>::max();
+  std::uint64_t total = 0;
+  for (const WeightedTransactions* table : tables) {
+    for (std::size_t r = 0; r < table->NumRows(); ++r) {
+      const std::span<const ItemId> row = table->Row(r);
+      // A row's last item is its largest.
+      if (!row.empty() && row.back() >= num_items) {
+        return Status::InvalidArgument(
+            "item id " + std::to_string(row.back()) + " is not below " +
+            std::to_string(num_items));
+      }
+      total += table->weights[r];
+      if (total > kLimit) {
+        return Status::OutOfRange("the rows weigh more than " +
+                                  std::to_string(kLimit) +
+                                  ", the most a support can count");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+std::vector<std::vector<Tid>> WeightedTransactions::BuildVertical(
+    std::size_t num_items) const {
+  std::vector<std::vector<Tid>> tidlists(num_items);
+  for (std::size_t r = 0; r < NumRows(); ++r) {
+    for (ItemId i : Row(r)) tidlists[i].push_back(static_cast<Tid>(r));
+  }
+  return tidlists;
 }
 
 obs::MemoryComponent WeightedTransactions::ApproxMemoryUsage() const {
@@ -312,6 +262,12 @@ void RowFolder::Grow() {
   }
 }
 
+WeightedTransactions FoldRows(const TransactionDatabase& db) {
+  RowFolder folder(RowFold::kHash);
+  for (const auto& transaction : db.transactions()) folder.Add(transaction, 1);
+  return folder.Take();
+}
+
 WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
                                            const Recoding& recoding,
                                            TransactionOrder transaction_order,
@@ -379,11 +335,11 @@ WeightedTransactions RecodeTables(
 
   // Sorts the row indices, then copies the rows in that order. Rows the
   // comparator ties are equal (same size, same items), so an unstable
-  // sort places them as ApplyRecoding's stable one does.
+  // sort places them as a stable one would.
   obs::TimelineScope sort_scope(lane, "sort");
-  const RowLess less = transaction_order == TransactionOrder::kSizeAscending
-                           ? SizeAscendingLess
-                           : SizeDescendingLess;
+  const auto less = transaction_order == TransactionOrder::kSizeAscending
+                        ? SizeAscendingLess
+                        : SizeDescendingLess;
   std::vector<std::size_t> order(rows.NumRows());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {

@@ -48,25 +48,10 @@ struct Recoding {
 Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
                          Support min_item_support);
 
-/// Produces the recoded database: items mapped (dropped items removed,
-/// transactions renormalized, empty transactions discarded) and
-/// transactions reordered according to `transaction_order`. Same-size
-/// transactions are ordered lexicographically on their descending item
-/// sequence, as in the paper.
-///
-/// With `num_threads` > 1 the mapping and the reordering run on that many
-/// worker threads (chunked mapping, then a stable parallel merge sort).
-/// A stable sort's output is uniquely determined by the comparator and the
-/// input order, so the result is identical to the sequential one for every
-/// thread count.
-///
-/// `timeline` (optional, obs/timeline.h) gives each worker thread its own
-/// event lane ("recode-map-N", "recode-sort-N", "recode-merge-..."); the
-/// recorded events never affect the result.
-///
-/// No miner passes `num_threads` > 1 (IsTa mines the stream of
-/// ApplyRecodingWeighted below); fimbench's `data.recode_par_s` probe
-/// is the one caller of the thread path.
+/// The recoded database with one row per transaction: the rows of
+/// ApplyRecodingWeighted below, each repeated by its weight, so the rows
+/// and their order are the same. Eclat, dEclat and fimbench's
+/// `data.recode*` probe use it; the closed miners mine the weighted rows.
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
                                   TransactionOrder transaction_order,
@@ -91,10 +76,27 @@ struct WeightedTransactions {
     weights.push_back(weight);
   }
 
+  /// For each item < num_items, the ascending indices of the rows that
+  /// contain it.
+  std::vector<std::vector<Tid>> BuildVertical(std::size_t num_items) const;
+
+  /// The summed weight of the rows `tids`.
+  Support Weight(std::span<const Tid> tids) const {
+    Support weight = 0;
+    for (Tid t : tids) weight += weights[t];
+    return weight;
+  }
+
   /// Capacity bytes as a breakdown named "weighted-stream" with the
   /// offsets, items and weights arrays as children.
   obs::MemoryComponent ApproxMemoryUsage() const;
 };
+
+/// The preconditions of the miners that take tables of weighted rows:
+/// InvalidArgument for an item id >= num_items, OutOfRange when the
+/// weights sum past the Support limit.
+Status CheckTables(std::span<const WeightedTransactions* const> tables,
+                   std::size_t num_items);
 
 /// ComputeRecoding over tables of weighted rows, such as the tables
 /// RecodeTables takes: a row counts its weight towards the frequency of
@@ -146,10 +148,18 @@ class RowFolder {
   std::vector<std::size_t> slots_;     // held row + 1; 0 = empty
 };
 
-/// The weighted transaction stream IsTa mines: the rows, order and
-/// weights of ApplyRecoding(db, recoding, transaction_order) with every
-/// run of equal adjacent rows folded into one row weighted by the run
-/// length.
+/// The transactions of `db` folded by hash into one table of raw rows
+/// (input item ids): every distinct transaction once, in the order of its
+/// first occurrence, weighted by its count.
+WeightedTransactions FoldRows(const TransactionDatabase& db);
+
+/// The weighted transaction stream every closed miner mines. Items are
+/// mapped through `recoding` (eliminated items dropped, codes ascending,
+/// rows left empty dropped), the rows are ordered by
+/// `transaction_order` (same-size rows lexicographically on their
+/// descending item sequence, as in the paper; kNone keeps the input
+/// order), and every run of equal adjacent rows is folded into one row
+/// weighted by the run length.
 ///
 /// The database is cut into one chunk per thread (`num_threads`), and
 /// each chunk first folds its input rows under

@@ -15,13 +15,17 @@ namespace {
 struct Node {
   std::vector<ItemId> items;  // sorted ascending
   std::vector<Tid> tids;      // sorted ascending
+  Support support = 0;        // the summed weight of the rows in `tids`
 };
 
 class CharmMiner {
  public:
-  CharmMiner(Support min_support, const ClosedSetCallback& callback,
-             MinerStats* stats)
-      : min_support_(min_support), callback_(callback), stats_(stats) {}
+  CharmMiner(Support min_support, const WeightedTransactions& rows,
+             const ClosedSetCallback& callback, MinerStats* stats)
+      : min_support_(min_support),
+        rows_(rows),
+        callback_(callback),
+        stats_(stats) {}
 
   void Run(std::vector<Node> roots) { Extend(&roots); }
 
@@ -30,9 +34,9 @@ class CharmMiner {
   // properties: when two tidsets are equal or nested, the itemsets can
   // be merged without losing closed sets.
   void Extend(std::vector<Node>* nodes) {
-    // Process in order of increasing tidset size (CHARM's heuristic).
+    // Process in order of increasing support (CHARM's heuristic).
     std::sort(nodes->begin(), nodes->end(), [](const Node& a, const Node& b) {
-      return a.tids.size() < b.tids.size();
+      return a.support < b.support;
     });
     for (std::size_t i = 0; i < nodes->size(); ++i) {
       Node& current = (*nodes)[i];
@@ -41,7 +45,7 @@ class CharmMiner {
       // only grow `current`'s item set; stash the genuine extensions.
       // Children are materialized afterwards so they inherit ALL merged
       // items — creating them eagerly would lose later property-2 items.
-      std::vector<std::pair<std::size_t, std::vector<Tid>>> extensions;
+      std::vector<std::pair<std::size_t, Node>> extensions;
       // One scratch intersection per recursion level, reused across the
       // inner loop: pairs that merge or fall below min_support (the
       // common case) never allocate once the scratch is warm.
@@ -63,19 +67,18 @@ class CharmMiner {
           // containing `current` also contains `other`'s items.
           if (stats_ != nullptr) ++stats_->closure_checks;
           MergeItems(&current.items, other.items);
-        } else if (inter.size() >= min_support_) {
+        } else if (const Support support = rows_.Weight(inter);
+                   support >= min_support_) {
           // Properties 3/4: a genuine new candidate below `current`.
           // Copy exact-size out of the scratch so it keeps its capacity.
-          extensions.emplace_back(j, inter);
+          extensions.emplace_back(j, Node{{}, inter, support});
         }
       }
       std::vector<Node> children;
       children.reserve(extensions.size());
-      for (auto& [j, tids] : extensions) {
-        Node child;
+      for (auto& [j, child] : extensions) {
         child.items = current.items;
         MergeItems(&child.items, (*nodes)[j].items);
-        child.tids = std::move(tids);
         children.push_back(std::move(child));
       }
       if (!children.empty()) Extend(&children);
@@ -95,7 +98,7 @@ class CharmMiner {
   // Subsumption check: `node` is closed unless an already-reported set
   // with the same tidset-hash has the same support and contains it.
   void ReportIfClosed(const Node& node) {
-    const Support support = static_cast<Support>(node.tids.size());
+    const Support support = node.support;
     if (support < min_support_) return;
     std::size_t hash = 0;
     for (Tid t : node.tids) hash += t;  // CHARM's tidset-sum hash
@@ -113,6 +116,7 @@ class CharmMiner {
   }
 
   const Support min_support_;
+  const WeightedTransactions& rows_;
   const ClosedSetCallback& callback_;
   MinerStats* stats_;
   std::unordered_map<std::size_t,
@@ -133,24 +137,28 @@ Status MineClosedCharm(const TransactionDatabase& db,
 
   const Recoding recoding = ComputeRecoding(
       db, ItemOrder::kFrequencyAscending, options.min_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, TransactionOrder::kNone);
-  if (coded.NumTransactions() == 0) return Status::OK();
+  // Equal rows fold wherever they are and keep the input order.
+  const WeightedTransactions folded = FoldRows(db);
+  const WeightedTransactions* const tables[] = {&folded};
+  const WeightedTransactions rows =
+      RecodeTables(tables, recoding, TransactionOrder::kNone);
+  if (rows.NumRows() == 0) return Status::OK();
 
-  auto tidlists = coded.BuildVertical();
+  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
+  CharmMiner miner(options.min_support, rows, decoded, stats);
+  auto tidlists = rows.BuildVertical(recoding.num_kept());
   std::vector<Node> roots;
   roots.reserve(tidlists.size());
   for (std::size_t i = 0; i < tidlists.size(); ++i) {
-    if (tidlists[i].size() >= options.min_support) {
-      roots.push_back(Node{{static_cast<ItemId>(i)},
-                           std::move(tidlists[i])});
+    const Support support = rows.Weight(tidlists[i]);
+    if (support >= options.min_support) {
+      roots.push_back(
+          Node{{static_cast<ItemId>(i)}, std::move(tidlists[i]), support});
     }
   }
 
   if (options.memory != nullptr) {
-    obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-    coded_db.name = "recoded-db";
-    options.memory->Record(std::move(coded_db));
+    options.memory->Record(rows.ApproxMemoryUsage());
     // Root itemset-tidset pairs: the largest vertical structure — child
     // tidsets are intersections of these, so strictly smaller.
     obs::MemoryComponent vertical("root-tidsets");
@@ -166,8 +174,6 @@ Status MineClosedCharm(const TransactionDatabase& db,
     options.memory->Record(std::move(vertical));
   }
 
-  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
-  CharmMiner miner(options.min_support, decoded, stats);
   miner.Run(std::move(roots));
   return Status::OK();
 }

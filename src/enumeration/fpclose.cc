@@ -22,12 +22,14 @@ class FpCloseMiner {
   FpCloseMiner(Support min_support, MinerStats* stats)
       : min_support_(min_support), stats_(stats) {}
 
-  std::vector<Candidate> Run(const TransactionDatabase& coded) {
-    FpTree tree(coded.NumItems());
-    for (const auto& t : coded.transactions()) tree.Insert(t, 1);
+  std::vector<Candidate> Run(const WeightedTransactions& rows,
+                             std::size_t num_items) {
+    FpTree tree(num_items);
+    for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+      tree.Insert(rows.Row(r), rows.weights[r]);
+    }
     std::vector<ItemId> prefix;
-    Mine(tree, &prefix,
-         static_cast<Support>(coded.NumTransactions()));
+    Mine(tree, &prefix, tree.TotalTransactions());
     return std::move(candidates_);
   }
 
@@ -140,16 +142,17 @@ Status MineClosedFpClose(const TransactionDatabase& db,
 
   const Recoding recoding = ComputeRecoding(
       db, ItemOrder::kFrequencyDescending, options.min_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, TransactionOrder::kNone);
-  if (coded.NumTransactions() == 0) return Status::OK();
+  // Equal rows fold wherever they are and keep the input order.
+  const WeightedTransactions folded = FoldRows(db);
+  const WeightedTransactions* const tables[] = {&folded};
+  const WeightedTransactions rows =
+      RecodeTables(tables, recoding, TransactionOrder::kNone);
+  if (rows.NumRows() == 0) return Status::OK();
 
   FpCloseMiner miner(options.min_support, stats);
-  std::vector<Candidate> candidates = miner.Run(coded);
+  std::vector<Candidate> candidates = miner.Run(rows, recoding.num_kept());
   if (options.memory != nullptr) {
-    obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-    coded_db.name = "recoded-db";
-    options.memory->Record(std::move(coded_db));
+    options.memory->Record(rows.ApproxMemoryUsage());
     // The candidate pool before the closed filter is the enumeration
     // side's largest structure (conditional trees are transient).
     obs::MemoryComponent pool("candidates");

@@ -287,26 +287,16 @@ void MineParallel(Node root, std::size_t num_items, Support min_support,
   }
 }
 
-}  // namespace
-
-Status MineClosedLcm(const TransactionDatabase& db, const LcmOptions& options,
-                     const ClosedSetCallback& callback, MinerStats* stats) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (stats != nullptr) *stats = MinerStats{};
-  if (db.NumTransactions() == 0) return Status::OK();
-
-  // LCM's output does not depend on the row order, and a size order
-  // folds equal rows wherever they are (FoldFor).
-  const Recoding recoding = ComputeRecoding(
-      db, ItemOrder::kFrequencyDescending, options.min_support);
+// Mines the weighted stream `rows`, coded by `recoding`: the root's
+// closure and the search below it.
+Status MineRows(const Recoding& recoding, WeightedTransactions rows,
+                const LcmOptions& options, const ClosedSetCallback& callback,
+                MinerStats* stats) {
   std::vector<ItemId> identity(recoding.num_kept());
   std::iota(identity.begin(), identity.end(), 0);
   Node root;
   root.codes = identity;
-  root.rows = ApplyRecodingWeighted(db, recoding,
-                                    TransactionOrder::kSizeAscending);
+  root.rows = std::move(rows);
   if (options.memory != nullptr) {
     options.memory->Record(root.rows.ApproxMemoryUsage());
   }
@@ -326,6 +316,41 @@ Status MineClosedLcm(const TransactionDatabase& db, const LcmOptions& options,
                  options.num_threads, decoded, stats, options.memory);
   }
   return Status::OK();
+}
+
+// LCM's output does not depend on the row order, and a size order folds
+// equal rows wherever they are (FoldFor).
+constexpr TransactionOrder kRowOrder = TransactionOrder::kSizeAscending;
+
+}  // namespace
+
+Status MineClosedLcm(const TransactionDatabase& db, const LcmOptions& options,
+                     const ClosedSetCallback& callback, MinerStats* stats) {
+  if (options.min_support == 0) {
+    return Status::InvalidArgument("min_support must be >= 1");
+  }
+  if (stats != nullptr) *stats = MinerStats{};
+  if (db.NumTransactions() == 0) return Status::OK();
+  const Recoding recoding = ComputeRecoding(
+      db, ItemOrder::kFrequencyDescending, options.min_support);
+  return MineRows(recoding, ApplyRecodingWeighted(db, recoding, kRowOrder),
+                  options, callback, stats);
+}
+
+Status MineClosedLcm(std::span<const WeightedTransactions* const> tables,
+                     std::size_t num_items, const LcmOptions& options,
+                     const ClosedSetCallback& callback, MinerStats* stats) {
+  if (options.min_support == 0) {
+    return Status::InvalidArgument("min_support must be >= 1");
+  }
+  if (Status status = CheckTables(tables, num_items); !status.ok()) {
+    return status;
+  }
+  if (stats != nullptr) *stats = MinerStats{};
+  const Recoding recoding = ComputeRecoding(
+      tables, num_items, ItemOrder::kFrequencyDescending, options.min_support);
+  return MineRows(recoding, RecodeTables(tables, recoding, kRowOrder),
+                  options, callback, stats);
 }
 
 }  // namespace fim

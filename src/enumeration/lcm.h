@@ -1,8 +1,12 @@
 #ifndef FIM_ENUMERATION_LCM_H_
 #define FIM_ENUMERATION_LCM_H_
 
+#include <cstddef>
+#include <span>
+
 #include "common/status.h"
 #include "data/itemset.h"
+#include "data/recode.h"
 #include "data/transaction_database.h"
 #include "obs/miner_stats.h"
 
@@ -43,6 +47,15 @@ struct LcmOptions {
 /// and sets_reported, aggregated over all workers; output-neutral. LCM
 /// makes no intersection-kernel calls.
 Status MineClosedLcm(const TransactionDatabase& db, const LcmOptions& options,
+                     const ClosedSetCallback& callback,
+                     MinerStats* stats = nullptr);
+
+/// MineClosedLcm over the transactions that tables of weighted rows stand
+/// for, such as the conditional rows Cobbler hands over, with the stages
+/// of ApplyRecodingWeighted after its chunk prefold (RecodeTables). Same
+/// output, its order included. Errors as CheckTables (data/recode.h).
+Status MineClosedLcm(std::span<const WeightedTransactions* const> tables,
+                     std::size_t num_items, const LcmOptions& options,
                      const ClosedSetCallback& callback,
                      MinerStats* stats = nullptr);
 

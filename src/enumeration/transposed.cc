@@ -1,8 +1,10 @@
 #include "enumeration/transposed.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "data/recode.h"
 #include "kernels/intersect.h"
 #include "obs/memory.h"
 
@@ -12,15 +14,21 @@ namespace {
 
 class TransposedMiner {
  public:
+  // The tids are the distinct rows of `db`, in the order of their first
+  // occurrence, and a tid set's support is its rows' summed weight.
   TransposedMiner(const TransactionDatabase& db, Support min_support,
                   const ClosedSetCallback& callback, MinerStats* stats)
       : min_support_(min_support),
-        num_tids_(static_cast<Tid>(db.NumTransactions())),
         callback_(callback),
-        stats_(stats) {
+        stats_(stats),
+        stream_(FoldRows(db)) {
+    weight_from_.assign(stream_.NumRows() + 1, 0);
+    for (std::size_t t = stream_.NumRows(); t > 0; --t) {
+      weight_from_[t - 1] = weight_from_[t] + stream_.weights[t - 1];
+    }
     // The transpose's transactions are the tid lists of the used items;
     // remember which original item each corresponds to.
-    auto tidlists = db.BuildVertical();
+    auto tidlists = stream_.BuildVertical(db.NumItems());
     for (std::size_t i = 0; i < tidlists.size(); ++i) {
       if (!tidlists[i].empty()) {
         used_items_.push_back(static_cast<ItemId>(i));
@@ -30,14 +38,14 @@ class TransposedMiner {
   }
 
   void Run() {
-    if (rows_.empty() || num_tids_ == 0) return;
+    if (rows_.empty()) return;
     // closure(empty tid set) over the transpose: the tids shared by every
     // used item's list.
     std::vector<std::size_t> all_rows(rows_.size());
     for (std::size_t k = 0; k < rows_.size(); ++k) all_rows[k] = k;
     if (stats_ != nullptr) ++stats_->closure_checks;
     std::vector<Tid> root = IntersectRows(all_rows);
-    if (root.size() >= min_support_) Report(root, all_rows);
+    if (stream_.Weight(root) >= min_support_) Report(root, all_rows);
     Extend(root, all_rows, /*core=*/static_cast<Tid>(-1));
   }
 
@@ -45,6 +53,7 @@ class TransposedMiner {
   // scratch vectors never exceed one row.
   void RecordMemory(obs::MemoryBreakdown* memory) const {
     if (memory == nullptr) return;
+    memory->Record(stream_.ApproxMemoryUsage());
     obs::MemoryComponent transpose("transposed-rows");
     transpose.children.emplace_back("rows", obs::NestedVectorBytes(rows_));
     transpose.children.emplace_back(
@@ -89,10 +98,11 @@ class TransposedMiner {
   void Extend(const std::vector<Tid>& p, const std::vector<std::size_t>& occ,
               Tid core) {
     const Tid first = core == static_cast<Tid>(-1) ? 0 : core + 1;
-    for (Tid e = first; e < num_tids_; ++e) {
-      // Size look-ahead: even taking every remaining tid cannot reach
-      // the minimum size (= original minimum support).
-      if (p.size() + (num_tids_ - e) < min_support_) break;
+    const std::uint64_t p_weight = stream_.Weight(p);
+    for (Tid e = first; e < stream_.NumRows(); ++e) {
+      // Look-ahead: even taking every remaining tid cannot reach the
+      // minimum weight (= original minimum support).
+      if (p_weight + weight_from_[e] < min_support_) break;
       if (std::binary_search(p.begin(), p.end(), e)) continue;
       if (stats_ != nullptr) ++stats_->extension_checks;
       std::vector<std::size_t> occ_e;
@@ -106,7 +116,7 @@ class TransposedMiner {
       if (stats_ != nullptr) ++stats_->closure_checks;
       std::vector<Tid> q = IntersectRows(occ_e);
       if (!PrefixPreserved(p, q, e)) continue;
-      if (q.size() >= min_support_) Report(q, occ_e);
+      if (stream_.Weight(q) >= min_support_) Report(q, occ_e);
       Extend(q, occ_e, e);
     }
   }
@@ -119,21 +129,22 @@ class TransposedMiner {
            std::equal(p.begin(), pe, q.begin());
   }
 
-  // A closed tid set K with |K| >= smin maps back to the original closed
-  // item set g(K) = occ's items, with support |K|.
+  // A closed tid set K of weight >= smin maps back to the original closed
+  // item set g(K) = occ's items, with K's weight as its support.
   void Report(const std::vector<Tid>& k,
               const std::vector<std::size_t>& occ) {
     std::vector<ItemId> items;
     items.reserve(occ.size());
     for (std::size_t row : occ) items.push_back(used_items_[row]);
     if (stats_ != nullptr) ++stats_->sets_reported;
-    callback_(items, static_cast<Support>(k.size()));
+    callback_(items, stream_.Weight(k));
   }
 
   const Support min_support_;
-  const Tid num_tids_;
   const ClosedSetCallback& callback_;
   MinerStats* stats_;
+  const WeightedTransactions stream_;
+  std::vector<Support> weight_from_;  // weight of the tids from t on
   std::vector<ItemId> used_items_;
   std::vector<std::vector<Tid>> rows_;
   // IntersectRows scratch. Safe despite the recursion in Extend: each

@@ -1,9 +1,6 @@
 #include "ista/ista.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -127,32 +124,6 @@ obs::TimelineLane* DriverLane(const IstaOptions& options) {
 // (paper §3.2).
 Support MinItemSupport(const IstaOptions& options) {
   return options.item_elimination ? options.min_support : 1;
-}
-
-// The preconditions of the tables overload, in one pass over the rows:
-// the item counts index an array of `num_items` (a row's last item is
-// its largest) and must not wrap around, so neither may the weight total.
-Status CheckTables(std::span<const WeightedTransactions* const> tables,
-                   std::size_t num_items) {
-  constexpr std::uint64_t kLimit = std::numeric_limits<Support>::max();
-  std::uint64_t total = 0;
-  for (const WeightedTransactions* table : tables) {
-    for (std::size_t r = 0; r < table->NumRows(); ++r) {
-      const std::span<const ItemId> row = table->Row(r);
-      if (!row.empty() && row.back() >= num_items) {
-        return Status::InvalidArgument(
-            "item id " + std::to_string(row.back()) + " is not below " +
-            std::to_string(num_items));
-      }
-      total += table->weights[r];
-      if (total > kLimit) {
-        return Status::OutOfRange("the rows weigh more than " +
-                                  std::to_string(kLimit) +
-                                  ", the most a support can count");
-      }
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace

@@ -312,33 +312,43 @@ TEST(RepositoryValidatorTest, DetectsUnreachableNodes) {
 // ---------------------------------------------------------------------------
 // ValidateCarpenterMatrix
 
-TransactionDatabase MakeDb() {
-  return TransactionDatabase::FromTransactions(
-      {{0, 1, 2}, {0, 2}, {1, 2, 3}});
+// The rows {0,1,2}, {0,2}, {1,2,3} with unit weights, over items 0..3.
+WeightedTransactions MakeRows() {
+  WeightedTransactions rows;
+  for (const std::vector<ItemId>& row :
+       {std::vector<ItemId>{0, 1, 2}, {0, 2}, {1, 2, 3}}) {
+    rows.AddRow(row, 1);
+  }
+  return rows;
 }
 
+constexpr std::size_t kItems = 4;
+
 TEST(CarpenterMatrixValidatorTest, AcceptsFreshMatrix) {
-  const TransactionDatabase db = MakeDb();
-  const std::vector<Support> matrix = BuildCarpenterMatrix(db);
-  EXPECT_TRUE(ValidateCarpenterMatrix(db, matrix).ok());
+  const WeightedTransactions rows = MakeRows();
+  const std::vector<Support> matrix = BuildCarpenterMatrix(rows, kItems);
+  EXPECT_TRUE(ValidateCarpenterMatrix(rows, kItems, matrix).ok());
+  // The unit-weight rows give the matrix of the transaction database.
+  EXPECT_EQ(matrix, BuildCarpenterMatrix(TransactionDatabase::FromTransactions(
+                        {{0, 1, 2}, {0, 2}, {1, 2, 3}})));
 }
 
 TEST(CarpenterMatrixValidatorTest, DetectsSizeMismatch) {
-  const TransactionDatabase db = MakeDb();
-  std::vector<Support> matrix = BuildCarpenterMatrix(db);
+  const WeightedTransactions rows = MakeRows();
+  std::vector<Support> matrix = BuildCarpenterMatrix(rows, kItems);
   matrix.pop_back();
-  const Status status = ValidateCarpenterMatrix(db, matrix);
+  const Status status = ValidateCarpenterMatrix(rows, kItems, matrix);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("size"), std::string::npos)
       << status.ToString();
 }
 
 TEST(CarpenterMatrixValidatorTest, DetectsNonZeroEntryForAbsentItem) {
-  const TransactionDatabase db = MakeDb();
-  std::vector<Support> matrix = BuildCarpenterMatrix(db);
+  const WeightedTransactions rows = MakeRows();
+  std::vector<Support> matrix = BuildCarpenterMatrix(rows, kItems);
   // Item 3 is not in transaction 0.
-  matrix[0 * db.NumItems() + 3] = 5;
-  const Status status = ValidateCarpenterMatrix(db, matrix);
+  matrix[0 * kItems + 3] = 5;
+  const Status status = ValidateCarpenterMatrix(rows, kItems, matrix);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("not in the transaction"),
             std::string::npos)
@@ -346,11 +356,11 @@ TEST(CarpenterMatrixValidatorTest, DetectsNonZeroEntryForAbsentItem) {
 }
 
 TEST(CarpenterMatrixValidatorTest, DetectsZeroEntryForPresentItem) {
-  const TransactionDatabase db = MakeDb();
-  std::vector<Support> matrix = BuildCarpenterMatrix(db);
+  const WeightedTransactions rows = MakeRows();
+  std::vector<Support> matrix = BuildCarpenterMatrix(rows, kItems);
   // Item 0 is in transaction 0.
-  matrix[0 * db.NumItems() + 0] = 0;
-  const Status status = ValidateCarpenterMatrix(db, matrix);
+  matrix[0 * kItems + 0] = 0;
+  const Status status = ValidateCarpenterMatrix(rows, kItems, matrix);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("zero entry for an item"),
             std::string::npos)
@@ -358,12 +368,30 @@ TEST(CarpenterMatrixValidatorTest, DetectsZeroEntryForPresentItem) {
 }
 
 TEST(CarpenterMatrixValidatorTest, DetectsBrokenColumnMonotonicity) {
-  const TransactionDatabase db = MakeDb();
-  std::vector<Support> matrix = BuildCarpenterMatrix(db);
+  const WeightedTransactions rows = MakeRows();
+  std::vector<Support> matrix = BuildCarpenterMatrix(rows, kItems);
   // Column 2 is [3, 2, 1] (item 2 occurs in every transaction); bumping
   // the middle entry breaks the strictly-decreasing suffix count.
-  matrix[1 * db.NumItems() + 2] = 7;
-  const Status status = ValidateCarpenterMatrix(db, matrix);
+  matrix[1 * kItems + 2] = 7;
+  const Status status = ValidateCarpenterMatrix(rows, kItems, matrix);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("not a decreasing suffix count"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(CarpenterMatrixValidatorTest, DetectsAMatrixThatCountsRowsNotWeights) {
+  WeightedTransactions rows = MakeRows();
+  rows.weights[1] = 3;  // {0, 2} stands for three transactions
+  const std::vector<Support> weighted = BuildCarpenterMatrix(rows, kItems);
+  EXPECT_TRUE(ValidateCarpenterMatrix(rows, kItems, weighted).ok());
+  // Column 0 holds the suffix sums [4, 3, 0].
+  EXPECT_EQ(weighted[0 * kItems + 0], 4u);
+  EXPECT_EQ(weighted[1 * kItems + 0], 3u);
+
+  const std::vector<Support> unweighted =
+      BuildCarpenterMatrix(MakeRows(), kItems);
+  const Status status = ValidateCarpenterMatrix(rows, kItems, unweighted);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("not a decreasing suffix count"),
             std::string::npos)

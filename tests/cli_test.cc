@@ -129,4 +129,32 @@ TEST(CliTest, UnknownOptionFailsWithoutCreatingAFile) {
   }
 }
 
+// A support that does not fit, or a percentage that is not a number in
+// [0, 100], fails with exit code 2 before any mining: it must not wrap
+// around or fall back to another support.
+void ExpectRejectedWithoutOutput(const std::string& flag) {
+  const std::string dir = TempPath("cli_bad_support");
+  const std::string input = TempPath("cli_input6.fimi");
+  {
+    std::ofstream f(input);
+    f << "0 1\n0 1\n2\n";
+  }
+  std::filesystem::remove(dir + "/out.txt");
+  EXPECT_EQ(ExitCodeIn(dir, std::string(FIM_MINE_BINARY) + " -q " + flag +
+                                " " + input + " out.txt 2>/dev/null"),
+            2)
+      << flag;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/out.txt")) << flag;
+}
+
+TEST(CliTest, SupportAboveTheLimitFails) {
+  ExpectRejectedWithoutOutput("-s 4294967297");
+}
+
+TEST(CliTest, PercentThatIsNotANumberFails) {
+  ExpectRejectedWithoutOutput("-S abc");
+}
+
+TEST(CliTest, NegativePercentFails) { ExpectRejectedWithoutOutput("-S -5"); }
+
 }  // namespace

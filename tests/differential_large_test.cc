@@ -33,7 +33,8 @@ void CheckAllAgree(const TransactionDatabase& db, Support smin,
   for (Algorithm algorithm :
        {Algorithm::kCarpenterLists, Algorithm::kCarpenterTable,
         Algorithm::kLcm, Algorithm::kCharm, Algorithm::kTransposed,
-        Algorithm::kFpClose}) {
+        Algorithm::kFpClose, Algorithm::kFlatCumulative,
+        Algorithm::kCobbler}) {
     MinerOptions options;
     options.algorithm = algorithm;
     options.min_support = smin;
@@ -123,11 +124,14 @@ TEST(DifferentialLargeTest, RowCountsAroundBitsetWordBoundaries) {
 }
 
 std::vector<ClosedItemset> MineWith(const TransactionDatabase& db,
-                                    Algorithm algorithm, Support smin) {
+                                    Algorithm algorithm, Support smin,
+                                    TransactionOrder order,
+                                    MinerStats* stats = nullptr) {
   MinerOptions options;
   options.algorithm = algorithm;
   options.min_support = smin;
-  auto mined = MineClosedCollect(db, options);
+  options.transaction_order = order;
+  auto mined = MineClosedCollect(db, options, stats);
   EXPECT_TRUE(mined.ok()) << AlgorithmName(algorithm);
   return mined.ok() ? std::move(mined).value() : std::vector<ClosedItemset>{};
 }
@@ -135,7 +139,16 @@ std::vector<ClosedItemset> MineWith(const TransactionDatabase& db,
 TEST(DifferentialLargeTest, RepeatedAndPermutedRowsKeepTheSets) {
   // Metamorphic checks that need no reference miner: k copies of the
   // database mined at k * smin give the same sets with k times the
-  // supports, and reordering the rows changes nothing.
+  // supports, and reordering the rows changes nothing. The copies come
+  // as whole blocks and row by row: under TransactionOrder::kNone only
+  // adjacent copies fold into one weighted row, under the size orders
+  // every copy does. The miners that take a transaction order run under
+  // all three.
+  const std::set<Algorithm> ordered = {
+      Algorithm::kIsta, Algorithm::kCarpenterLists,
+      Algorithm::kCarpenterTable, Algorithm::kCobbler,
+      Algorithm::kFlatCumulative};
+  std::uint64_t cobbler_switches = 0;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     const TransactionDatabase db =
         GenerateRandomDense(40, 16, 0.35, seed * 613);
@@ -148,38 +161,58 @@ TEST(DifferentialLargeTest, RepeatedAndPermutedRowsKeepTheSets) {
         TransactionDatabase::FromTransactions(shuffled, db.NumItems());
     std::vector<std::pair<Support, TransactionDatabase>> repeated;
     for (Support k : {2u, 3u}) {
-      std::vector<std::vector<ItemId>> copies;
+      std::vector<std::vector<ItemId>> blocks;
+      std::vector<std::vector<ItemId>> runs;
       for (Support c = 0; c < k; ++c) {
-        copies.insert(copies.end(), db.transactions().begin(),
+        blocks.insert(blocks.end(), db.transactions().begin(),
                       db.transactions().end());
       }
+      for (const auto& t : db.transactions()) runs.insert(runs.end(), k, t);
       repeated.emplace_back(
-          k, TransactionDatabase::FromTransactions(copies, db.NumItems()));
+          k, TransactionDatabase::FromTransactions(blocks, db.NumItems()));
+      repeated.emplace_back(
+          k, TransactionDatabase::FromTransactions(runs, db.NumItems()));
     }
     for (Support smin : {2u, 5u}) {
       for (Algorithm algorithm : AllAlgorithms()) {
-        const std::string label = std::string(AlgorithmName(algorithm)) +
-                                  " seed=" + std::to_string(seed) +
-                                  " smin=" + std::to_string(smin);
-        const std::vector<ClosedItemset> base = MineWith(db, algorithm, smin);
-        ASSERT_FALSE(base.empty()) << label;
-        for (const auto& [k, copies] : repeated) {
-          std::vector<ClosedItemset> scaled = base;
-          for (ClosedItemset& set : scaled) set.support *= k;
-          const std::vector<ClosedItemset> mined =
-              MineWith(copies, algorithm, k * smin);
-          ASSERT_TRUE(SameResults(scaled, mined))
-              << label << " k=" << k << "\n"
-              << DiffResults(scaled, mined);
+        for (TransactionOrder order :
+             {TransactionOrder::kSizeAscending, TransactionOrder::kNone,
+              TransactionOrder::kSizeDescending}) {
+          if (order != TransactionOrder::kSizeAscending &&
+              !ordered.contains(algorithm)) {
+            continue;
+          }
+          const std::string label =
+              std::string(AlgorithmName(algorithm)) + " seed=" +
+              std::to_string(seed) + " smin=" + std::to_string(smin) +
+              " order=" + std::to_string(static_cast<int>(order));
+          const std::vector<ClosedItemset> base =
+              MineWith(db, algorithm, smin, order);
+          ASSERT_FALSE(base.empty()) << label;
+          for (const auto& [k, copies] : repeated) {
+            std::vector<ClosedItemset> scaled = base;
+            for (ClosedItemset& set : scaled) set.support *= k;
+            MinerStats stats;
+            const std::vector<ClosedItemset> mined =
+                MineWith(copies, algorithm, k * smin, order, &stats);
+            ASSERT_TRUE(SameResults(scaled, mined))
+                << label << " k=" << k << "\n"
+                << DiffResults(scaled, mined);
+            if (algorithm == Algorithm::kCobbler) {
+              cobbler_switches += stats.column_switches;
+            }
+          }
+          const std::vector<ClosedItemset> reordered =
+              MineWith(permuted, algorithm, smin, order);
+          ASSERT_TRUE(SameResults(base, reordered))
+              << label << " permuted\n"
+              << DiffResults(base, reordered);
         }
-        const std::vector<ClosedItemset> reordered =
-            MineWith(permuted, algorithm, smin);
-        ASSERT_TRUE(SameResults(base, reordered))
-            << label << " permuted\n"
-            << DiffResults(base, reordered);
       }
     }
   }
+  // Cobbler handed weighted conditional rows to LCM.
+  EXPECT_GT(cobbler_switches, 0u);
 }
 
 TEST(DifferentialLargeTest, NestedChainDatabases) {

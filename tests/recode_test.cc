@@ -146,25 +146,59 @@ Rows RowsOf(const WeightedTransactions& stream) {
   return rows;
 }
 
-// Every transaction order x 1/2/3/8 threads. Also checks that
-// ApplyRecoding's own thread path gives the one-thread rows.
+// The recoded rows by definition, one per transaction, in the order the
+// weighted stream must follow: each transaction mapped through the
+// recoding (eliminated items dropped, codes ascending), empty rows
+// dropped, then a stable sort by size with same-size rows compared on
+// their descending item sequence.
+std::vector<std::vector<ItemId>> ReferenceRecoding(
+    const TransactionDatabase& db, const Recoding& recoding,
+    TransactionOrder order) {
+  std::vector<std::vector<ItemId>> rows;
+  for (const auto& t : db.transactions()) {
+    std::vector<ItemId> coded;
+    for (ItemId i : t) {
+      if (i < recoding.old_to_new.size() &&
+          recoding.old_to_new[i] != kInvalidItem) {
+        coded.push_back(recoding.old_to_new[i]);
+      }
+    }
+    std::sort(coded.begin(), coded.end());
+    if (!coded.empty()) rows.push_back(std::move(coded));
+  }
+  if (order == TransactionOrder::kNone) return rows;
+  const bool ascending = order == TransactionOrder::kSizeAscending;
+  std::stable_sort(rows.begin(), rows.end(),
+                   [ascending](const std::vector<ItemId>& a,
+                               const std::vector<ItemId>& b) {
+                     if (a.size() != b.size()) {
+                       return ascending == (a.size() < b.size());
+                     }
+                     return std::lexicographical_compare(
+                         a.rbegin(), a.rend(), b.rbegin(), b.rend());
+                   });
+  return rows;
+}
+
+// Every transaction order x 1/2/3/8 threads, against the reference: the
+// weighted stream folds its runs, and ApplyRecoding unfolds the stream
+// back into the reference rows.
 void ExpectSameAsApplyRecoding(const TransactionDatabase& db,
                                const Recoding& recoding,
                                const std::string& what) {
   for (TransactionOrder order :
        {TransactionOrder::kNone, TransactionOrder::kSizeAscending,
         TransactionOrder::kSizeDescending}) {
-    const TransactionDatabase sequential = ApplyRecoding(db, recoding, order);
-    for (unsigned threads : {2u, 3u, 8u}) {
-      ASSERT_EQ(ApplyRecoding(db, recoding, order, threads).transactions(),
-                sequential.transactions())
-          << what << " order " << static_cast<int>(order) << " threads "
-          << threads;
-    }
-    const Rows expected = MergeRuns(sequential);
+    const TransactionDatabase reference = TransactionDatabase::FromTransactions(
+        ReferenceRecoding(db, recoding, order));
+    const Rows expected = MergeRuns(reference);
     for (unsigned threads : {1u, 2u, 3u, 8u}) {
       ASSERT_EQ(RowsOf(ApplyRecodingWeighted(db, recoding, order, threads)),
                 expected)
+          << what << " order " << static_cast<int>(order) << " threads "
+          << threads;
+      ASSERT_EQ(ApplyRecoding(db, recoding, order, threads).transactions(),
+                reference.transactions())
           << what << " order " << static_cast<int>(order) << " threads "
           << threads;
     }

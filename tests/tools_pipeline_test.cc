@@ -188,6 +188,27 @@ TEST(ToolsPipelineTest, VerifyAcceptsCorrectAndRejectsCorrupted) {
             0);
 }
 
+// --self-check runs the validators over the weighted rows the miners
+// mine: adjacent copies of a row fold into one row of the matrix.
+TEST(ToolsPipelineTest, SelfCheckPassesOnRepeatedRows) {
+  const std::string data = TempPath("pipeline_selfcheck.fimi");
+  const std::string log = TempPath("pipeline_selfcheck.log");
+  {
+    std::ofstream out(data);
+    out << "0 1 2\n0 1 2\n0 1 2\n1 3\n0 1 2\n2 3\n2 3\n";
+  }
+  ASSERT_EQ(ExitCode(std::string(FIM_VERIFY_BINARY) + " --self-check -s 2 " +
+                     data + " 2>" + log),
+            0);
+  std::ifstream in(log);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("carpenter matrix OK (4 x 4)"), std::string::npos)
+      << text.str();
+  EXPECT_NE(text.str().find("fim-verify: self-check OK"), std::string::npos)
+      << text.str();
+}
+
 TEST(ToolsPipelineTest, RulesToolEmitsValidRules) {
   const std::string data = TempPath("pipeline_rules.fimi");
   const std::string out = TempPath("pipeline_rules.txt");

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "-c") == 0) {
       scale = std::atof(next_value());
     } else if (std::strcmp(arg, "-r") == 0) {
-      seed = static_cast<uint64_t>(tools::ParseCount("-r", next_value()));
+      seed = tools::ParseCount<uint64_t>("-r", next_value());
     } else if (std::strcmp(arg, "-b") == 0) {
       binary = true;
     } else if (std::strcmp(arg, "-h") == 0 ||

@@ -46,8 +46,8 @@
 //             to PATH, or stderr without =PATH. Combine with --trace-out
 //             to see the sample cadence as a "profiler" lane.
 //   --mem-stats
-//             collect the per-structure memory breakdown (prefix trees,
-//             tid lists, matrices, the recoded database) and add the
+//             collect the per-structure memory breakdown (the weighted
+//             stream, prefix trees, tid lists, matrices) and add the
 //             `memory` section to the stats report (implies --stats).
 //             Output-neutral like every other observability flag.
 //   input     transaction file, FIMI text or FIMB binary (auto-detected)
@@ -120,16 +120,15 @@ int main(int argc, char** argv) {
       }
       algorithm = parsed.value();
     } else if (std::strcmp(arg, "-s") == 0) {
-      min_support = static_cast<Support>(tools::ParseCount("-s", next_value()));
+      min_support = tools::ParseCount<Support>("-s", next_value());
     } else if (std::strcmp(arg, "-S") == 0) {
-      percent = std::atof(next_value());
+      percent = tools::ParsePercent("-S", next_value());
     } else if (std::strcmp(arg, "-t") == 0) {
-      const long long parsed = tools::ParseCount("-t", next_value());
-      if (parsed < 1) {
+      num_threads = tools::ParseCount<unsigned>("-t", next_value());
+      if (num_threads < 1) {
         std::fprintf(stderr, "error: -t needs a thread count >= 1\n");
         return 2;
       }
-      num_threads = static_cast<unsigned>(parsed);
     } else if (std::strcmp(arg, "-m") == 0) {
       maximal_only = true;
     } else if (std::strcmp(arg, "-q") == 0) {

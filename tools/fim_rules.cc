@@ -69,13 +69,13 @@ int main(int argc, char** argv) {
       }
       algorithm = parsed.value();
     } else if (std::strcmp(arg, "-s") == 0) {
-      min_support = static_cast<Support>(tools::ParseCount("-s", next_value()));
+      min_support = tools::ParseCount<Support>("-s", next_value());
     } else if (std::strcmp(arg, "-S") == 0) {
-      percent = std::atof(next_value());
+      percent = tools::ParsePercent("-S", next_value());
     } else if (std::strcmp(arg, "-c") == 0) {
       min_confidence = std::atof(next_value());
     } else if (std::strcmp(arg, "-k") == 0) {
-      max_rules = static_cast<std::size_t>(tools::ParseCount("-k", next_value()));
+      max_rules = tools::ParseCount<std::size_t>("-k", next_value());
     } else if (std::strcmp(arg, "-h") == 0 ||
                std::strcmp(arg, "--help") == 0) {
       Usage();

@@ -123,26 +123,26 @@ int ParseArgs(int argc, char** argv, Args* args) {
     };
     if (std::strcmp(arg, "-s") == 0) {
       args->min_support =
-          static_cast<fim::Support>(fim::tools::ParseCount("-s", next_value()));
+          fim::tools::ParseCount<fim::Support>("-s", next_value());
     } else if (std::strncmp(arg, "--pane=", 7) == 0) {
       args->pane_size =
-          static_cast<std::size_t>(fim::tools::ParseCount("--pane", arg + 7));
+          fim::tools::ParseCount<std::size_t>("--pane", arg + 7);
     } else if (std::strncmp(arg, "--window=", 9) == 0) {
       args->window_panes =
-          static_cast<std::size_t>(fim::tools::ParseCount("--window", arg + 9));
+          fim::tools::ParseCount<std::size_t>("--window", arg + 9);
     } else if (std::strncmp(arg, "--query-every=", 14) == 0) {
       args->query_every =
-          static_cast<std::uint64_t>(fim::tools::ParseCount("--query-every", arg + 14));
+          fim::tools::ParseCount<std::uint64_t>("--query-every", arg + 14);
     } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
       args->checkpoint_path = arg + 13;
     } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-      args->checkpoint_every = static_cast<std::uint64_t>(
-          fim::tools::ParseCount("--checkpoint-every", arg + 19));
+      args->checkpoint_every =
+          fim::tools::ParseCount<std::uint64_t>("--checkpoint-every", arg + 19);
     } else if (std::strncmp(arg, "--resume=", 9) == 0) {
       args->resume_path = arg + 9;
     } else if (std::strncmp(arg, "--max-items=", 12) == 0) {
       args->max_items =
-          static_cast<std::size_t>(fim::tools::ParseCount("--max-items", arg + 12));
+          fim::tools::ParseCount<std::size_t>("--max-items", arg + 12);
     } else if (std::strcmp(arg, "-q") == 0) {
       args->quiet = true;
     } else if (args->obs.Parse(arg)) {

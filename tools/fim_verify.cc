@@ -20,10 +20,11 @@
 // exit code are unaffected by any of them (only an unwritable output
 // path is an error).
 //
-// --self-check feeds the database through the library's core data
-// structures (IsTa prefix tree, Carpenter occurrence matrix and duplicate
-// repository) and runs their structural-invariant validators — the same
-// checks FIM_DCHECK wires into debug builds, on demand in any build.
+// --self-check feeds the database, folded into the weighted rows the
+// miners mine, through the library's core data structures (IsTa prefix
+// tree, Carpenter occurrence matrix and duplicate repository) and runs
+// their structural-invariant validators — the same checks FIM_DCHECK
+// wires into debug builds, on demand in any build.
 //
 // Exit code 0 = result is exactly the closed frequent item sets (or all
 // self-checks passed); 1 = verification failed (details on stderr);
@@ -66,15 +67,15 @@ int RunSelfCheck(const fim::TransactionDatabase& db,
                  fim::Support min_support) {
   using namespace fim;
 
-  // IsTa prefix tree: feed every transaction (frequency-ascending codes,
+  // IsTa prefix tree: feed every weighted row (frequency-ascending codes,
   // as MineClosedIsta does) and validate after the final insertion.
   const Recoding recoding =
       ComputeRecoding(db, ItemOrder::kFrequencyAscending, 1);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, TransactionOrder::kNone);
-  IstaPrefixTree tree(coded.NumItems());
-  for (const auto& transaction : coded.transactions()) {
-    tree.AddTransaction(transaction);
+  const WeightedTransactions rows =
+      ApplyRecodingWeighted(db, recoding, TransactionOrder::kNone);
+  IstaPrefixTree tree(recoding.num_kept());
+  for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+    tree.AddTransaction(rows.Row(r), rows.weights[r]);
   }
   Status status = tree.ValidateInvariants();
   if (!status.ok()) {
@@ -86,15 +87,16 @@ int RunSelfCheck(const fim::TransactionDatabase& db,
                tree.NodeCount(), tree.StepCount());
 
   // Carpenter occurrence matrix (Table 1).
-  const std::vector<Support> matrix = BuildCarpenterMatrix(coded);
-  status = ValidateCarpenterMatrix(coded, matrix);
+  const std::vector<Support> matrix =
+      BuildCarpenterMatrix(rows, recoding.num_kept());
+  status = ValidateCarpenterMatrix(rows, recoding.num_kept(), matrix);
   if (!status.ok()) {
     std::fprintf(stderr, "SELF-CHECK FAILURE (carpenter matrix): %s\n",
                  status.ToString().c_str());
     return 1;
   }
   std::fprintf(stderr, "fim-verify: carpenter matrix OK (%zu x %zu)\n",
-               coded.NumTransactions(), coded.NumItems());
+               rows.NumRows(), recoding.num_kept());
 
   // Duplicate repository: store every mined closed set, then validate.
   MinerOptions options;
@@ -144,7 +146,7 @@ int main(int argc, char** argv) {
         Usage();
         return 2;
       }
-      min_support = static_cast<Support>(tools::ParseCount("-s", argv[++i]));
+      min_support = tools::ParseCount<Support>("-s", argv[++i]);
     } else if (std::strcmp(arg, "-h") == 0 ||
                std::strcmp(arg, "--help") == 0) {
       Usage();

@@ -28,11 +28,13 @@
 // PerfSession + EmitStatsReport / EmitChromeTrace so the behaviour
 // cannot drift apart.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -46,18 +48,40 @@
 
 namespace fim::tools {
 
-/// Parses a non-negative integer flag value with full error checking —
-/// std::atoll reports neither overflow nor trailing garbage
-/// (cert-err34-c), so "-s 10x" or "-s 99999999999999999999" would
-/// silently mine with a wrong threshold. Prints a usage error naming
-/// `flag` and exits with status 2 on any malformed value.
-inline long long ParseCount(const char* flag, const char* text) {
+/// Parses a non-negative integer flag value of type T with full error
+/// checking — std::atoll reports neither overflow nor trailing garbage
+/// (cert-err34-c), and a cast would wrap a value above T's range, so
+/// "-s 10x" or "-s 4294967297" would silently mine with a wrong
+/// threshold. Prints a usage error naming `flag` and exits with status 2
+/// on any malformed or out-of-range value.
+template <typename T>
+T ParseCount(const char* flag, const char* text) {
   errno = 0;
   char* end = nullptr;
   const long long value = std::strtoll(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0' || value < 0) {
+  constexpr unsigned long long kMax = std::min<unsigned long long>(
+      std::numeric_limits<T>::max(), std::numeric_limits<long long>::max());
+  if (errno == ERANGE || end == text || *end != '\0' || value < 0 ||
+      static_cast<unsigned long long>(value) > kMax) {
     std::fprintf(stderr,
-                 "error: %s expects a non-negative integer, got \"%s\"\n",
+                 "error: %s expects an integer in [0, %llu], got \"%s\"\n",
+                 flag, kMax, text);
+    std::exit(2);
+  }
+  return static_cast<T>(value);
+}
+
+/// Parses a relative minimum support in percent: the whole of `text`
+/// must be a number in [0, 100]. Exits with status 2 otherwise, like
+/// ParseCount.
+inline double ParsePercent(const char* flag, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (errno == ERANGE || end == text || *end != '\0' || !(value >= 0.0) ||
+      value > 100.0) {
+    std::fprintf(stderr,
+                 "error: %s expects a percentage in [0, 100], got \"%s\"\n",
                  flag, text);
     std::exit(2);
   }
