@@ -7,37 +7,35 @@
 
 #include <cstdio>
 
+#include "api/miner.h"
 #include "bench_util.h"
 #include "common/timer.h"
-#include "cumulative/flat_cumulative.h"
 #include "data/profiles.h"
 #include "data/stats.h"
-#include "ista/ista.h"
 
 namespace {
 
 using namespace fim;
 
-double TimeTree(const TransactionDatabase& db, Support smin, bool elim) {
-  IstaOptions options;
+double Time(Algorithm algorithm, const TransactionDatabase& db,
+            Support smin, bool elim) {
+  MinerOptions options;
+  options.algorithm = algorithm;
   options.min_support = smin;
   options.item_elimination = elim;
   std::size_t count = 0;
   WallTimer timer;
-  MineClosedIsta(db, options,
-                 [&count](std::span<const ItemId>, Support) { ++count; });
+  MineClosed(db, options,
+             [&count](std::span<const ItemId>, Support) { ++count; });
   return timer.Seconds();
 }
 
+double TimeTree(const TransactionDatabase& db, Support smin, bool elim) {
+  return Time(Algorithm::kIsta, db, smin, elim);
+}
+
 double TimeFlat(const TransactionDatabase& db, Support smin, bool elim) {
-  FlatCumulativeOptions options;
-  options.min_support = smin;
-  options.item_elimination = elim;
-  std::size_t count = 0;
-  WallTimer timer;
-  MineClosedFlatCumulative(
-      db, options, [&count](std::span<const ItemId>, Support) { ++count; });
-  return timer.Seconds();
+  return Time(Algorithm::kFlatCumulative, db, smin, elim);
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 
 #include <cstdio>
 
+#include "api/miner.h"
 #include "bench_util.h"
 #include "common/timer.h"
 #include "data/profiles.h"
 #include "data/stats.h"
-#include "ista/ista.h"
 
 int main(int argc, char** argv) {
   using namespace fim;
@@ -46,14 +46,14 @@ int main(int argc, char** argv) {
   for (const auto& item : item_orders) {
     std::printf("%16s", item.name);
     for (const auto& tx : tx_orders) {
-      IstaOptions options;
+      MinerOptions options;
       options.min_support = smin;
       options.item_order = item.item_order;
       options.transaction_order = tx.tx_order;
-      IstaStats stats;
+      MinerStats stats;
       std::size_t count = 0;
       WallTimer timer;
-      Status status = MineClosedIsta(
+      Status status = MineClosed(
           db, options, [&count](std::span<const ItemId>, Support) { ++count; },
           &stats);
       char cell[64];

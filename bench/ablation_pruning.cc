@@ -4,42 +4,37 @@
 
 #include <cstdio>
 
+#include "api/miner.h"
 #include "bench_util.h"
-#include "carpenter/carpenter.h"
 #include "common/timer.h"
 #include "data/profiles.h"
 #include "data/stats.h"
-#include "ista/ista.h"
 
 namespace {
 
 using namespace fim;
 
-double TimeIsta(const TransactionDatabase& db, Support smin, bool elim) {
-  IstaOptions options;
+double Time(Algorithm algorithm, const TransactionDatabase& db,
+            Support smin, bool elim) {
+  MinerOptions options;
+  options.algorithm = algorithm;
   options.min_support = smin;
   options.item_elimination = elim;
   std::size_t count = 0;
   WallTimer timer;
-  MineClosedIsta(db, options,
-                 [&count](std::span<const ItemId>, Support) { ++count; });
+  MineClosed(db, options,
+             [&count](std::span<const ItemId>, Support) { ++count; });
   return timer.Seconds();
+}
+
+double TimeIsta(const TransactionDatabase& db, Support smin, bool elim) {
+  return Time(Algorithm::kIsta, db, smin, elim);
 }
 
 double TimeCarpenter(const TransactionDatabase& db, Support smin, bool elim,
                      bool table) {
-  CarpenterOptions options;
-  options.min_support = smin;
-  options.item_elimination = elim;
-  std::size_t count = 0;
-  auto sink = [&count](std::span<const ItemId>, Support) { ++count; };
-  WallTimer timer;
-  if (table) {
-    MineClosedCarpenterTable(db, options, sink);
-  } else {
-    MineClosedCarpenterLists(db, options, sink);
-  }
-  return timer.Seconds();
+  return Time(table ? Algorithm::kCarpenterTable : Algorithm::kCarpenterLists,
+              db, smin, elim);
 }
 
 void Row(const char* name, double with, double without) {

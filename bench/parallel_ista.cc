@@ -13,11 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "api/miner.h"
 #include "bench_util.h"
 #include "common/timer.h"
 #include "data/generators.h"
 #include "data/stats.h"
-#include "ista/ista.h"
 #include "obs/memory.h"
 
 namespace {
@@ -101,16 +101,16 @@ int main(int argc, char** argv) {
     std::size_t sequential_sets = 0;
     std::size_t sequential_steps = 0;
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      IstaOptions options;
+      MinerOptions options;
       options.min_support = config.min_support;
       options.num_threads = threads;
       obs::MemoryBreakdown memory;
       options.memory = &memory;
-      IstaStats stats;
+      MinerStats stats;
       std::size_t sets = 0;
       WallTimer timer;
       const double cpu_before = bench::ProcessCpuSeconds();
-      const Status status = MineClosedIsta(
+      const Status status = MineClosed(
           db, options, [&sets](std::span<const ItemId>, Support) { ++sets; },
           &stats);
       const double seconds = timer.Seconds();

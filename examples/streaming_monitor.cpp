@@ -12,7 +12,7 @@
 #include "api/constrained.h"
 #include "api/topk.h"
 #include "data/generators.h"
-#include "ista/incremental.h"
+#include "stream/stream_miner.h"
 
 int main() {
   using namespace fim;
@@ -27,7 +27,10 @@ int main() {
   config.seed = 97;
   const TransactionDatabase stream = GenerateMarketBasket(config);
 
-  IncrementalClosedSetMiner miner(stream.NumItems());
+  // Landmark mode: every query covers everything seen so far.
+  StreamMinerOptions landmark;
+  landmark.max_items = stream.NumItems();
+  StreamMiner miner(landmark);
   const std::size_t report_every = 1000;
   for (std::size_t k = 0; k < stream.NumTransactions(); ++k) {
     Status status = miner.AddTransaction(stream.transaction(k));

@@ -59,80 +59,116 @@ const std::vector<Algorithm>& AllAlgorithms() {
 
 namespace {
 
-Status MineClosedDispatch(const TransactionDatabase& db,
-                          const MinerOptions& options,
-                          const ClosedSetCallback& callback, MinerStats* stats,
-                          obs::Trace* trace) {
+/// The signature every miner's core shares: mine the weighted stream
+/// `rows` over the item codes [0, num_items) and report through
+/// `callback`, which decodes the sets to input item ids.
+using MinerCore = void (*)(WeightedTransactions rows, std::size_t num_items,
+                           const MinerOptions& options,
+                           const ClosedSetCallback& callback,
+                           MinerStats* stats, obs::Trace* trace);
+
+/// How an algorithm's weighted stream is built, and the core that mines
+/// it (docs/ALGORITHMS.md gives the reasons for each order). The rows
+/// come from ApplyRecodingWeighted, or with `fold_first` from FoldRows
+/// and then RecodeTables, which keeps the order of first occurrence.
+struct Recipe {
+  MinerCore core;
+  ItemOrder item_order;
+  bool drop_infrequent;  // the items below min_support, up front (§3.2)
+  TransactionOrder transaction_order;
+  bool fold_first;
+
+  Support min_item_support(const MinerOptions& options) const {
+    return drop_infrequent ? options.min_support : 1;
+  }
+};
+
+// Carpenter with tid lists (paper §3.1.1) is Cobbler without the column
+// switch.
+void MineCarpenterLists(WeightedTransactions rows, std::size_t num_items,
+                        const MinerOptions& options,
+                        const ClosedSetCallback& callback, MinerStats* stats,
+                        obs::Trace* trace) {
+  MinerOptions lists = options;
+  lists.switch_max_items = 0;
+  MineCobbler(std::move(rows), num_items, lists, callback, stats, trace);
+}
+
+/// The checks both entry points make before any work, and the reset of
+/// `*stats`: the recipe of `options`, or InvalidArgument for a support of
+/// 0 or an unknown algorithm.
+Result<Recipe> Prepare(const MinerOptions& options, MinerStats* stats) {
+  if (options.min_support == 0) {
+    return Status::InvalidArgument("min_support must be >= 1");
+  }
+  if (stats != nullptr) *stats = MinerStats{};
+  const ItemOrder item_order = options.item_order;
+  const bool elimination = options.item_elimination;
+  const TransactionOrder order = options.transaction_order;
   switch (options.algorithm) {
-    case Algorithm::kIsta: {
-      IstaOptions ista;
-      ista.min_support = options.min_support;
-      ista.item_order = options.item_order;
-      ista.transaction_order = options.transaction_order;
-      ista.item_elimination = options.item_elimination;
-      ista.num_threads = options.num_threads;
-      ista.timeline = options.timeline;
-      ista.perf_domains = options.perf_domains;
-      ista.memory = options.memory;
-      return MineClosedIsta(db, ista, callback, stats, trace);
-    }
+    case Algorithm::kIsta:
+      return Recipe{MineIsta, item_order, elimination, order, false};
+    case Algorithm::kCarpenterTable:
+      return Recipe{MineCarpenterTable, item_order, elimination, order, false};
     case Algorithm::kCarpenterLists:
-    case Algorithm::kCarpenterTable: {
-      CarpenterOptions carpenter;
-      carpenter.min_support = options.min_support;
-      carpenter.item_order = options.item_order;
-      carpenter.transaction_order = options.transaction_order;
-      carpenter.item_elimination = options.item_elimination;
-      carpenter.memory = options.memory;
-      if (options.algorithm == Algorithm::kCarpenterLists) {
-        return MineClosedCarpenterLists(db, carpenter, callback, stats);
-      }
-      return MineClosedCarpenterTable(db, carpenter, callback, stats);
-    }
-    case Algorithm::kFlatCumulative: {
-      FlatCumulativeOptions flat;
-      flat.min_support = options.min_support;
-      flat.item_elimination = options.item_elimination;
-      flat.transaction_order = options.transaction_order;
-      flat.memory = options.memory;
-      return MineClosedFlatCumulative(db, flat, callback, stats);
-    }
-    case Algorithm::kFpClose: {
-      FpCloseOptions fpclose;
-      fpclose.min_support = options.min_support;
-      fpclose.memory = options.memory;
-      return MineClosedFpClose(db, fpclose, callback, stats);
-    }
-    case Algorithm::kLcm: {
-      LcmOptions lcm;
-      lcm.min_support = options.min_support;
-      lcm.num_threads = options.num_threads;
-      lcm.memory = options.memory;
-      return MineClosedLcm(db, lcm, callback, stats);
-    }
-    case Algorithm::kCharm: {
-      CharmOptions charm;
-      charm.min_support = options.min_support;
-      charm.memory = options.memory;
-      return MineClosedCharm(db, charm, callback, stats);
-    }
-    case Algorithm::kTransposed: {
-      TransposedOptions transposed;
-      transposed.min_support = options.min_support;
-      transposed.memory = options.memory;
-      return MineClosedTransposed(db, transposed, callback, stats);
-    }
-    case Algorithm::kCobbler: {
-      CobblerOptions cobbler;
-      cobbler.min_support = options.min_support;
-      cobbler.item_order = options.item_order;
-      cobbler.transaction_order = options.transaction_order;
-      cobbler.item_elimination = options.item_elimination;
-      cobbler.memory = options.memory;
-      return MineClosedCobbler(db, cobbler, callback, stats);
-    }
+      return Recipe{MineCarpenterLists, item_order, elimination, order, false};
+    case Algorithm::kCobbler:
+      return Recipe{MineCobbler, item_order, elimination, order, false};
+    case Algorithm::kFlatCumulative:
+      return Recipe{MineFlatCumulative, ItemOrder::kNone, elimination, order,
+                    false};
+    case Algorithm::kLcm:
+      return Recipe{MineLcm, ItemOrder::kFrequencyDescending, true,
+                    TransactionOrder::kSizeAscending, false};
+    case Algorithm::kCharm:
+      return Recipe{MineCharm, ItemOrder::kFrequencyAscending, true,
+                    TransactionOrder::kNone, true};
+    case Algorithm::kFpClose:
+      return Recipe{MineFpClose, ItemOrder::kFrequencyDescending, true,
+                    TransactionOrder::kNone, true};
+    case Algorithm::kTransposed:
+      return Recipe{MineTransposed, ItemOrder::kNone, false,
+                    TransactionOrder::kNone, true};
   }
   return Status::InvalidArgument("unknown algorithm");
+}
+
+obs::TimelineLane* DriverLane(const MinerOptions& options) {
+  return options.timeline != nullptr ? options.timeline->driver() : nullptr;
+}
+
+/// The stage both entry points share once the stream is built: records
+/// it, and runs the core with the callback that decodes (and counts) the
+/// reported sets. With `stats`, also adds the kernel work of the core:
+/// every core joins its workers before returning, so the thread-local
+/// kernel counters are quiescent.
+void MineRows(const Recipe& recipe, const Recoding& recoding,
+              WeightedTransactions rows, const MinerOptions& options,
+              const ClosedSetCallback& callback, MinerStats* stats,
+              obs::Trace* trace) {
+  if (rows.NumRows() == 0) return;
+  if (options.memory != nullptr) {
+    options.memory->Record(rows.ApproxMemoryUsage());
+  }
+  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
+  if (stats == nullptr) {
+    recipe.core(std::move(rows), recoding.num_kept(), options, decoded,
+                nullptr, trace);
+    return;
+  }
+  stats->weighted_transactions = rows.NumRows();
+  const ClosedSetCallback counted =
+      [stats, &decoded](std::span<const ItemId> items, Support support) {
+        ++stats->sets_reported;
+        decoded(items, support);
+      };
+  const kernels::CounterSnapshot before = kernels::Counters();
+  recipe.core(std::move(rows), recoding.num_kept(), options, counted, stats,
+              trace);
+  const kernels::CounterSnapshot after = kernels::Counters();
+  stats->kernel_calls += after.calls - before.calls;
+  stats->kernel_elements_in += after.elements_in - before.elements_in;
+  stats->kernel_elements_out += after.elements_out - before.elements_out;
 }
 
 }  // namespace
@@ -140,28 +176,66 @@ Status MineClosedDispatch(const TransactionDatabase& db,
 Status MineClosed(const TransactionDatabase& db, const MinerOptions& options,
                   const ClosedSetCallback& callback, MinerStats* stats,
                   obs::Trace* trace) {
-  // Every algorithm mines inside one "mine" span (and one "mine"
-  // timeline event pair on the driver lane); IsTa nests its internal
-  // phases below it.
-  obs::TimelineLane* lane =
-      options.timeline != nullptr ? options.timeline->driver() : nullptr;
+  const Result<Recipe> prepared = Prepare(options, stats);
+  if (!prepared.ok()) return prepared.status();
+  const Recipe& recipe = prepared.value();
+
+  // Every algorithm mines inside one "mine" span (and one "mine" timeline
+  // event pair on the driver lane), with the input stage below it.
+  // Allocations of the driving thread are tagged kMine; the recoding
+  // tags its own kRecode, IsTa its prefix tree kIstaTree.
+  obs::TimelineLane* const lane = DriverLane(options);
   obs::Phase mine_phase(trace, lane, "mine");
-  // The per-family entry points reset *stats before filling it, so the
-  // kernel delta must be applied after the dispatch returns. The
-  // snapshots are exact here: every family joins its workers before
-  // returning, so all thread-local kernel counters are quiescent.
-  const kernels::CounterSnapshot before = kernels::Counters();
-  // Allocations of the driving thread during the mine are tagged kMine;
-  // IsTa tags its prefix tree kIstaTree.
   obs::MemDomainScope mem_domain(obs::MemDomain::kMine);
-  const Status status = MineClosedDispatch(db, options, callback, stats, trace);
-  if (stats != nullptr) {
-    const kernels::CounterSnapshot after = kernels::Counters();
-    stats->kernel_calls += after.calls - before.calls;
-    stats->kernel_elements_in += after.elements_in - before.elements_in;
-    stats->kernel_elements_out += after.elements_out - before.elements_out;
+
+  // Item codes, with the items that cannot occur in any frequent set
+  // dropped (paper §3.2, §3.4).
+  obs::Phase recode_phase(trace, lane, "recode");
+  const Recoding recoding = ComputeRecoding(db, recipe.item_order,
+                                            recipe.min_item_support(options));
+  recode_phase.End();
+
+  // Maps, folds and orders in one pass that copies only distinct rows.
+  obs::Phase dedup_phase(trace, lane, "dedup");
+  WeightedTransactions rows = [&] {
+    if (!recipe.fold_first) {
+      return ApplyRecodingWeighted(db, recoding, recipe.transaction_order,
+                                   options.num_threads, options.timeline);
+    }
+    const WeightedTransactions folded = FoldRows(db);
+    const WeightedTransactions* const tables[] = {&folded};
+    return RecodeTables(tables, recoding, recipe.transaction_order,
+                        options.num_threads, options.timeline);
+  }();
+  dedup_phase.End();
+  MineRows(recipe, recoding, std::move(rows), options, callback, stats, trace);
+  return Status::OK();
+}
+
+Status MineClosed(std::span<const WeightedTransactions* const> tables,
+                  std::size_t num_items, const MinerOptions& options,
+                  const ClosedSetCallback& callback, MinerStats* stats,
+                  obs::Trace* trace) {
+  const Result<Recipe> prepared = Prepare(options, stats);
+  if (!prepared.ok()) return prepared.status();
+  if (Status status = CheckTables(tables, num_items); !status.ok()) {
+    return status;
   }
-  return status;
+  const Recipe& recipe = prepared.value();
+
+  obs::TimelineLane* const lane = DriverLane(options);
+  obs::Phase recode_phase(trace, lane, "recode");
+  const Recoding recoding = ComputeRecoding(
+      tables, num_items, recipe.item_order, recipe.min_item_support(options));
+  recode_phase.End();
+
+  obs::Phase dedup_phase(trace, lane, "dedup");
+  WeightedTransactions rows =
+      RecodeTables(tables, recoding, recipe.transaction_order,
+                   options.num_threads, options.timeline);
+  dedup_phase.End();
+  MineRows(recipe, recoding, std::move(rows), options, callback, stats, trace);
+  return Status::OK();
 }
 
 Result<std::vector<ClosedItemset>> MineClosedCollect(

@@ -4,66 +4,28 @@
 #include <cstddef>
 #include <span>
 
+#include "api/miner.h"
 #include "common/status.h"
 #include "data/itemset.h"
 #include "data/recode.h"
 #include "data/transaction_database.h"
-#include "obs/miner_stats.h"
 
 namespace fim {
 
-namespace obs {
-class MemoryBreakdown;
-}  // namespace obs
-
-/// Options shared by both Carpenter variants (paper §3.1).
-struct CarpenterOptions {
-  /// Absolute minimum support; must be >= 1.
-  Support min_support = 1;
-
-  /// Item code assignment (affects only repository shape / speed).
-  ItemOrder item_order = ItemOrder::kFrequencyAscending;
-
-  /// Order in which transaction indices are enumerated.
-  TransactionOrder transaction_order = TransactionOrder::kSizeAscending;
-
-  /// The paper's §3.1.1 improvement: drop an item i from an intersection
-  /// as soon as |K| plus the number of remaining transactions containing
-  /// i cannot reach the minimum support. Never changes the output.
-  bool item_elimination = true;
-
-  /// Optional memory attribution (obs/memory.h): both variants record
-  /// the weighted stream they enumerate, the list variant its vertical
-  /// tid lists and duplicate repository, the table variant its
-  /// suffix-sum matrix and repository, at their largest.
-  /// Output-neutral; must outlive the call.
-  obs::MemoryBreakdown* memory = nullptr;
-};
-
-// Execution statistics (optional output): the unified MinerStats snapshot
-// (obs/miner_stats.h) under its historical name. Both variants populate
-// nodes_visited, repo_sets, repo_hits, and sets_reported.
-
-/// Carpenter with the vertical tid-list representation (paper §3.1.1):
-/// per item an array of indices into the distinct weighted rows plus
-/// per-branch cursors. It is the row enumeration of Cobbler (cobbler.h)
-/// with the column switch off.
-/// Reports every closed frequent item set exactly once (ascending
-/// original ids); the empty set is never reported.
-Status MineClosedCarpenterLists(const TransactionDatabase& db,
-                                const CarpenterOptions& options,
-                                const ClosedSetCallback& callback,
-                                CarpenterStats* stats = nullptr);
-
-/// Carpenter with the table-/matrix-based representation (paper §3.1.2,
-/// Table 1): a matrix over the distinct rows whose entry (k, i) is 0
-/// when item i is not in row k and otherwise the summed weight of the
-/// rows from k onward that contain i. Same output contract as the list
-/// variant.
-Status MineClosedCarpenterTable(const TransactionDatabase& db,
-                                const CarpenterOptions& options,
-                                const ClosedSetCallback& callback,
-                                CarpenterStats* stats = nullptr);
+/// The Carpenter table core (paper §3.1.2, Table 1), which MineClosed
+/// (api/miner.h) runs for Algorithm::kCarpenterTable on the weighted
+/// stream its recipe builds: transaction-set enumeration over a matrix of
+/// the distinct rows whose entry (k, i) is 0 when item i is not in row k
+/// and otherwise the summed weight of the rows from k onward that contain
+/// i; with item_elimination, the §3.1.1 bound drops an item from an
+/// intersection as soon as it cannot reach min_support. `stats` receives
+/// nodes_visited, repo_sets and repo_hits. The list variant
+/// (kCarpenterLists, §3.1.1) is Cobbler's core with the column switch
+/// off (cobbler.h).
+void MineCarpenterTable(WeightedTransactions rows, std::size_t num_items,
+                        const MinerOptions& options,
+                        const ClosedSetCallback& callback, MinerStats* stats,
+                        obs::Trace* trace);
 
 /// Builds the §3.1.2 suffix-sum matrix of `rows` over items
 /// [0, num_items) in row-major layout (row k at

@@ -85,8 +85,8 @@ namespace {
 class TableMiner {
  public:
   TableMiner(const WeightedTransactions& rows, std::size_t num_items,
-             const CarpenterOptions& options,
-             const ClosedSetCallback& callback, CarpenterStats* stats)
+             const MinerOptions& options, const ClosedSetCallback& callback,
+             MinerStats* stats)
       : matrix_(BuildCarpenterMatrix(rows, num_items)),
         weights_(rows.weights),
         n_(static_cast<Tid>(rows.NumRows())),
@@ -161,10 +161,7 @@ class TableMiner {
         ++stats_->repo_hits;
       }
     }
-    if (supp >= min_support_) {
-      if (stats_ != nullptr) ++stats_->sets_reported;
-      callback_(items, supp);
-    }
+    if (supp >= min_support_) callback_(items, supp);
   }
 
   std::vector<Support> matrix_;
@@ -175,38 +172,18 @@ class TableMiner {
   const bool item_elimination_;
   const ClosedSetCallback& callback_;
   ClosedSetRepository repo_;
-  CarpenterStats* stats_;
+  MinerStats* stats_;
 };
 
 }  // namespace
 
-Status MineClosedCarpenterTable(const TransactionDatabase& db,
-                                const CarpenterOptions& options,
-                                const ClosedSetCallback& callback,
-                                CarpenterStats* stats) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (stats != nullptr) *stats = CarpenterStats{};
-  if (db.NumTransactions() == 0) return Status::OK();
-
-  const Support min_item_support =
-      options.item_elimination ? options.min_support : 1;
-  const Recoding recoding =
-      ComputeRecoding(db, options.item_order, min_item_support);
-  const WeightedTransactions rows =
-      ApplyRecodingWeighted(db, recoding, options.transaction_order);
-  if (rows.NumRows() == 0) return Status::OK();
-
-  const ClosedSetCallback decoded =
-      MakeDecodingCallback(recoding, callback);
-  TableMiner miner(rows, recoding.num_kept(), options, decoded, stats);
+void MineCarpenterTable(WeightedTransactions rows, std::size_t num_items,
+                        const MinerOptions& options,
+                        const ClosedSetCallback& callback, MinerStats* stats,
+                        obs::Trace* /*trace*/) {
+  TableMiner miner(rows, num_items, options, callback, stats);
   miner.Run();
-  if (options.memory != nullptr) {
-    options.memory->Record(rows.ApproxMemoryUsage());
-    miner.RecordMemory(options.memory);
-  }
-  return Status::OK();
+  miner.RecordMemory(options.memory);
 }
 
 }  // namespace fim

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "carpenter/repository.h"
-#include "enumeration/lcm.h"
+#include "common/check.h"
 #include "obs/memory.h"
 
 namespace fim {
@@ -22,8 +22,8 @@ struct Entry {
 class CobblerMiner {
  public:
   CobblerMiner(const WeightedTransactions& rows, std::size_t num_items,
-               const CobblerOptions& options,
-               const ClosedSetCallback& callback, CarpenterStats* stats)
+               const MinerOptions& options, const ClosedSetCallback& callback,
+               MinerStats* stats)
       : rows_(rows),
         tidlists_(rows.BuildVertical(num_items)),
         n_(static_cast<Tid>(rows.NumRows())),
@@ -135,7 +135,6 @@ class CobblerMiner {
     if (supp >= options_.min_support) {
       key.clear();
       for (const Entry& e : sweep) key.push_back(e.item);
-      if (stats_ != nullptr) ++stats_->sets_reported;
       callback_(key, supp);
     }
     // Undo the absorptions recorded during this sweep.
@@ -182,7 +181,6 @@ class CobblerMiner {
     // transaction contains I.
     const Support current_support = count + rows_equal_to_current;
     if (current_support >= options_.min_support) {
-      if (stats_ != nullptr) ++stats_->sets_reported;
       callback_(current, current_support);
     }
     repo_.InsertIfAbsent(current);
@@ -191,10 +189,11 @@ class CobblerMiner {
     const Support sub_min =
         options_.min_support > count ? options_.min_support - count : 1;
 
-    LcmOptions lcm;
+    MinerOptions lcm;
+    lcm.algorithm = Algorithm::kLcm;
     lcm.min_support = sub_min;
     const WeightedTransactions* const tables[] = {&conditional.rows()};
-    Status status = MineClosedLcm(
+    FIM_CHECK_OK(MineClosed(
         tables, tidlists_.size(), lcm,
         [this, &current, count, l](std::span<const ItemId> items,
                                    Support sub_support) {
@@ -205,15 +204,11 @@ class CobblerMiner {
           std::vector<ItemId> set(items.begin(), items.end());
           if (!ContainedInEarlierUnchosen(set, l)) {
             const Support support = count + sub_support;
-            if (support >= options_.min_support) {
-              if (stats_ != nullptr) ++stats_->sets_reported;
-              callback_(set, support);
-            }
+            if (support >= options_.min_support) callback_(set, support);
           }
           // Either way the subtree around it is fully covered now.
           repo_.InsertIfAbsent(set);
-        });
-    (void)status;  // options validated by the caller; cannot fail here
+        }));
   }
 
   bool ContainedInEarlierUnchosen(const std::vector<ItemId>& set,
@@ -232,55 +227,22 @@ class CobblerMiner {
   std::vector<std::vector<Support>> suffix_weights_;
   std::vector<Support> rows_from_;  // weight of the rows from j on
   const Tid n_;
-  const CobblerOptions& options_;
+  const MinerOptions& options_;
   const ClosedSetCallback& callback_;
   ClosedSetRepository repo_;
-  CarpenterStats* stats_;
+  MinerStats* stats_;
   std::vector<Tid> chosen_;  // ascending: branch + absorbed transactions
 };
 
 }  // namespace
 
-Status MineClosedCobbler(const TransactionDatabase& db,
-                         const CobblerOptions& options,
-                         const ClosedSetCallback& callback,
-                         CarpenterStats* stats) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (stats != nullptr) *stats = CarpenterStats{};
-  if (db.NumTransactions() == 0) return Status::OK();
-
-  const Support min_item_support =
-      options.item_elimination ? options.min_support : 1;
-  const Recoding recoding =
-      ComputeRecoding(db, options.item_order, min_item_support);
-  const WeightedTransactions rows =
-      ApplyRecodingWeighted(db, recoding, options.transaction_order);
-  if (rows.NumRows() == 0) return Status::OK();
-
-  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
-  CobblerMiner miner(rows, recoding.num_kept(), options, decoded, stats);
+void MineCobbler(WeightedTransactions rows, std::size_t num_items,
+                 const MinerOptions& options,
+                 const ClosedSetCallback& callback, MinerStats* stats,
+                 obs::Trace* /*trace*/) {
+  CobblerMiner miner(rows, num_items, options, callback, stats);
   miner.Run();
-  if (options.memory != nullptr) {
-    options.memory->Record(rows.ApproxMemoryUsage());
-    miner.RecordMemory(options.memory);
-  }
-  return Status::OK();
-}
-
-Status MineClosedCarpenterLists(const TransactionDatabase& db,
-                                const CarpenterOptions& options,
-                                const ClosedSetCallback& callback,
-                                CarpenterStats* stats) {
-  CobblerOptions lists;
-  lists.min_support = options.min_support;
-  lists.item_order = options.item_order;
-  lists.transaction_order = options.transaction_order;
-  lists.item_elimination = options.item_elimination;
-  lists.switch_max_items = 0;
-  lists.memory = options.memory;
-  return MineClosedCobbler(db, lists, callback, stats);
+  miner.RecordMemory(options.memory);
 }
 
 }  // namespace fim

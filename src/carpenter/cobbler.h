@@ -1,38 +1,11 @@
 #ifndef FIM_CARPENTER_COBBLER_H_
 #define FIM_CARPENTER_COBBLER_H_
 
-#include "carpenter/carpenter.h"
-#include "common/status.h"
-#include "data/itemset.h"
-#include "data/transaction_database.h"
+#include <cstddef>
+
+#include "api/miner.h"
 
 namespace fim {
-
-/// Options of the Cobbler-style hybrid miner.
-struct CobblerOptions {
-  /// Absolute minimum support; must be >= 1.
-  Support min_support = 1;
-
-  /// Item code assignment / transaction order (as for Carpenter).
-  ItemOrder item_order = ItemOrder::kFrequencyAscending;
-  TransactionOrder transaction_order = TransactionOrder::kSizeAscending;
-
-  /// §3.1.1 item elimination (never changes the output).
-  bool item_elimination = true;
-
-  /// Switch from row enumeration to column enumeration when the current
-  /// intersection has at most this many items and at least
-  /// `switch_min_rows` unprocessed transactions remain. 0 disables
-  /// switching (pure Carpenter behaviour).
-  std::size_t switch_max_items = 24;
-  std::size_t switch_min_rows = 8;
-
-  /// Optional memory attribution (obs/memory.h): records the weighted
-  /// stream, the vertical tid lists with their suffix weights and the
-  /// duplicate repository at their largest. Output-neutral; must outlive
-  /// the call.
-  obs::MemoryBreakdown* memory = nullptr;
-};
 
 /// Cobbler-style hybrid of row and column enumeration (Pan et al.,
 /// SSDBM'04 — the companion algorithm the paper cites next to
@@ -50,10 +23,16 @@ struct CobblerOptions {
 /// an explicit backward check, so the output is exactly the closed
 /// frequent item sets — verified against the oracle like every other
 /// miner.
-Status MineClosedCobbler(const TransactionDatabase& db,
-                         const CobblerOptions& options,
-                         const ClosedSetCallback& callback,
-                         CarpenterStats* stats = nullptr);
+///
+/// The core MineClosed (api/miner.h) runs for Algorithm::kCobbler, and
+/// for kCarpenterLists with switch_max_items = 0: Carpenter with the
+/// vertical tid-list representation (paper §3.1.1), per item an array of
+/// indices into the distinct rows plus per-branch cursors. `stats`
+/// receives nodes_visited, repo_sets, repo_hits and column_switches.
+void MineCobbler(WeightedTransactions rows, std::size_t num_items,
+                 const MinerOptions& options,
+                 const ClosedSetCallback& callback, MinerStats* stats,
+                 obs::Trace* trace);
 
 }  // namespace fim
 

@@ -27,24 +27,10 @@ using Repository =
 
 }  // namespace
 
-Status MineClosedFlatCumulative(const TransactionDatabase& db,
-                                const FlatCumulativeOptions& options,
-                                const ClosedSetCallback& callback,
-                                MinerStats* stats) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (stats != nullptr) *stats = MinerStats{};
-  if (db.NumTransactions() == 0) return Status::OK();
-
-  const Support min_item_support =
-      options.item_elimination ? options.min_support : 1;
-  const Recoding recoding =
-      ComputeRecoding(db, ItemOrder::kNone, min_item_support);
-  const WeightedTransactions rows =
-      ApplyRecodingWeighted(db, recoding, options.transaction_order);
-  if (rows.NumRows() == 0) return Status::OK();
-
+void MineFlatCumulative(WeightedTransactions rows, std::size_t /*num_items*/,
+                        const MinerOptions& options,
+                        const ClosedSetCallback& callback, MinerStats* stats,
+                        obs::Trace* /*trace*/) {
   Repository repo;
   // Intersections of the new row with every stored set, keyed by the
   // resulting set; the value is the largest source support (the weight of
@@ -77,7 +63,6 @@ Status MineClosedFlatCumulative(const TransactionDatabase& db,
     stats->final_nodes = repo.size();
   }
   if (options.memory != nullptr) {
-    options.memory->Record(rows.ApproxMemoryUsage());
     // The flat repository is a node-based hash map; buckets and nodes
     // are estimated from the libstdc++ layout (one next pointer plus the
     // cached hash per node), the key buffers are exact.
@@ -94,7 +79,6 @@ Status MineClosedFlatCumulative(const TransactionDatabase& db,
     flat.children.emplace_back("keys", key_bytes);
     options.memory->Record(std::move(flat));
   }
-  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
   for (const auto& [items, support] : repo) {
     FIM_DCHECK(!items.empty() &&
                std::is_sorted(items.begin(), items.end()) &&
@@ -103,12 +87,8 @@ Status MineClosedFlatCumulative(const TransactionDatabase& db,
     FIM_DCHECK(support >= 1 && support <= total_weight)
         << "stored support " << support << " outside [1, " << total_weight
         << "]";
-    if (support >= options.min_support) {
-      if (stats != nullptr) ++stats->sets_reported;
-      decoded(items, support);
-    }
+    if (support >= options.min_support) callback(items, support);
   }
-  return Status::OK();
 }
 
 }  // namespace fim

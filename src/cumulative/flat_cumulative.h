@@ -1,34 +1,11 @@
 #ifndef FIM_CUMULATIVE_FLAT_CUMULATIVE_H_
 #define FIM_CUMULATIVE_FLAT_CUMULATIVE_H_
 
-#include "common/status.h"
-#include "data/itemset.h"
-#include "data/recode.h"
-#include "data/transaction_database.h"
-#include "obs/miner_stats.h"
+#include <cstddef>
+
+#include "api/miner.h"
 
 namespace fim {
-
-namespace obs {
-class MemoryBreakdown;
-}  // namespace obs
-
-/// Options of the flat cumulative baseline.
-struct FlatCumulativeOptions {
-  /// Absolute minimum support; must be >= 1.
-  Support min_support = 1;
-
-  /// Drop globally infrequent items up front (safe, see recode.h).
-  bool item_elimination = true;
-
-  /// Transaction processing order (kept for the §3.4 ablation).
-  TransactionOrder transaction_order = TransactionOrder::kSizeAscending;
-
-  /// Optional memory attribution (obs/memory.h): records the flat
-  /// repository at its final (largest) size. Output-neutral; must
-  /// outlive the call.
-  obs::MemoryBreakdown* memory = nullptr;
-};
 
 /// The cumulative intersection scheme of Mielikäinen (FIMI'03) with the
 /// flat repository the paper compares against (§5: "this implementation
@@ -37,12 +14,13 @@ struct FlatCumulativeOptions {
 /// as a hash map from item set to support. Exact but deliberately naive —
 /// this is the ablation baseline that motivates IsTa's prefix tree.
 /// `stats` (optional) receives isect_steps (pairwise set intersections
-/// computed), repo_sets (final repository size), final_nodes, and
-/// sets_reported; output-neutral.
-Status MineClosedFlatCumulative(const TransactionDatabase& db,
-                                const FlatCumulativeOptions& options,
-                                const ClosedSetCallback& callback,
-                                MinerStats* stats = nullptr);
+/// computed), repo_sets (final repository size) and final_nodes. The
+/// core MineClosed (api/miner.h) runs for Algorithm::kFlatCumulative on
+/// the weighted stream its recipe builds.
+void MineFlatCumulative(WeightedTransactions rows, std::size_t num_items,
+                        const MinerOptions& options,
+                        const ClosedSetCallback& callback, MinerStats* stats,
+                        obs::Trace* trace);
 
 }  // namespace fim
 

@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "data/recode.h"
 #include "kernels/intersect.h"
 #include "obs/memory.h"
 
@@ -110,7 +109,6 @@ class CharmMiner {
         return;  // subsumed: not closed
       }
     }
-    if (stats_ != nullptr) ++stats_->sets_reported;
     callback_(node.items, support);
     bucket.emplace_back(node.items, support);
   }
@@ -126,27 +124,11 @@ class CharmMiner {
 
 }  // namespace
 
-Status MineClosedCharm(const TransactionDatabase& db,
-                       const CharmOptions& options,
-                       const ClosedSetCallback& callback, MinerStats* stats) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (stats != nullptr) *stats = MinerStats{};
-  if (db.NumTransactions() == 0) return Status::OK();
-
-  const Recoding recoding = ComputeRecoding(
-      db, ItemOrder::kFrequencyAscending, options.min_support);
-  // Equal rows fold wherever they are and keep the input order.
-  const WeightedTransactions folded = FoldRows(db);
-  const WeightedTransactions* const tables[] = {&folded};
-  const WeightedTransactions rows =
-      RecodeTables(tables, recoding, TransactionOrder::kNone);
-  if (rows.NumRows() == 0) return Status::OK();
-
-  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
-  CharmMiner miner(options.min_support, rows, decoded, stats);
-  auto tidlists = rows.BuildVertical(recoding.num_kept());
+void MineCharm(WeightedTransactions rows, std::size_t num_items,
+               const MinerOptions& options, const ClosedSetCallback& callback,
+               MinerStats* stats, obs::Trace* /*trace*/) {
+  CharmMiner miner(options.min_support, rows, callback, stats);
+  auto tidlists = rows.BuildVertical(num_items);
   std::vector<Node> roots;
   roots.reserve(tidlists.size());
   for (std::size_t i = 0; i < tidlists.size(); ++i) {
@@ -158,7 +140,6 @@ Status MineClosedCharm(const TransactionDatabase& db,
   }
 
   if (options.memory != nullptr) {
-    options.memory->Record(rows.ApproxMemoryUsage());
     // Root itemset-tidset pairs: the largest vertical structure — child
     // tidsets are intersections of these, so strictly smaller.
     obs::MemoryComponent vertical("root-tidsets");
@@ -175,7 +156,6 @@ Status MineClosedCharm(const TransactionDatabase& db,
   }
 
   miner.Run(std::move(roots));
-  return Status::OK();
 }
 
 }  // namespace fim

@@ -1,27 +1,11 @@
 #ifndef FIM_ENUMERATION_CHARM_H_
 #define FIM_ENUMERATION_CHARM_H_
 
-#include "common/status.h"
-#include "data/itemset.h"
-#include "data/transaction_database.h"
-#include "obs/miner_stats.h"
+#include <cstddef>
+
+#include "api/miner.h"
 
 namespace fim {
-
-namespace obs {
-class MemoryBreakdown;
-}  // namespace obs
-
-/// Options of the CHARM baseline.
-struct CharmOptions {
-  /// Absolute minimum support; must be >= 1.
-  Support min_support = 1;
-
-  /// Optional memory attribution (obs/memory.h): records the root
-  /// itemset-tidset pairs after the vertical build. Output-neutral;
-  /// must outlive the call.
-  obs::MemoryBreakdown* memory = nullptr;
-};
 
 /// Closed frequent item set mining with a CHARM-style itemset-tidset
 /// search (Zaki & Hsiao): vertical tid sets, the four tidset-relation
@@ -29,12 +13,13 @@ struct CharmOptions {
 /// check before reporting. A third enumeration-side baseline next to
 /// FP-close and LCM. Same output contract as the other miners.
 /// `stats` (optional) receives extension_checks (tidset pairs examined),
-/// closure_checks (property-1/2 item merges), subsume_checks (bucket
-/// comparisons before reporting), and sets_reported; output-neutral.
-Status MineClosedCharm(const TransactionDatabase& db,
-                       const CharmOptions& options,
-                       const ClosedSetCallback& callback,
-                       MinerStats* stats = nullptr);
+/// closure_checks (property-1/2 item merges) and subsume_checks (bucket
+/// comparisons before reporting). The core MineClosed (api/miner.h) runs
+/// for Algorithm::kCharm on the weighted stream its recipe builds; the
+/// tids are its rows.
+void MineCharm(WeightedTransactions rows, std::size_t num_items,
+               const MinerOptions& options, const ClosedSetCallback& callback,
+               MinerStats* stats, obs::Trace* trace);
 
 }  // namespace fim
 

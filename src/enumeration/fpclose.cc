@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "data/recode.h"
 #include "enumeration/fptree.h"
 #include "obs/memory.h"
 
@@ -60,7 +59,7 @@ class FpCloseMiner {
 
     // Recurse over the non-perfect frequent items, least frequent first
     // (descending code, since codes ascend with frequency rank under
-    // kFrequencyDescending recoding the driver applies).
+    // the kFrequencyDescending recoding of the recipe).
     for (std::size_t idx = tree.num_items(); idx > 0; --idx) {
       const ItemId item = static_cast<ItemId>(idx - 1);
       const Support supp = tree.ItemSupport(item);
@@ -130,29 +129,13 @@ std::vector<Candidate> FilterClosed(std::vector<Candidate> candidates,
 
 }  // namespace
 
-Status MineClosedFpClose(const TransactionDatabase& db,
-                         const FpCloseOptions& options,
-                         const ClosedSetCallback& callback,
-                         MinerStats* stats) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (stats != nullptr) *stats = MinerStats{};
-  if (db.NumTransactions() == 0) return Status::OK();
-
-  const Recoding recoding = ComputeRecoding(
-      db, ItemOrder::kFrequencyDescending, options.min_support);
-  // Equal rows fold wherever they are and keep the input order.
-  const WeightedTransactions folded = FoldRows(db);
-  const WeightedTransactions* const tables[] = {&folded};
-  const WeightedTransactions rows =
-      RecodeTables(tables, recoding, TransactionOrder::kNone);
-  if (rows.NumRows() == 0) return Status::OK();
-
+void MineFpClose(WeightedTransactions rows, std::size_t num_items,
+                 const MinerOptions& options,
+                 const ClosedSetCallback& callback, MinerStats* stats,
+                 obs::Trace* /*trace*/) {
   FpCloseMiner miner(options.min_support, stats);
-  std::vector<Candidate> candidates = miner.Run(rows, recoding.num_kept());
+  std::vector<Candidate> candidates = miner.Run(rows, num_items);
   if (options.memory != nullptr) {
-    options.memory->Record(rows.ApproxMemoryUsage());
     // The candidate pool before the closed filter is the enumeration
     // side's largest structure (conditional trees are transient).
     obs::MemoryComponent pool("candidates");
@@ -164,12 +147,9 @@ Status MineClosedFpClose(const TransactionDatabase& db,
     pool.children.emplace_back("items", item_bytes);
     options.memory->Record(std::move(pool));
   }
-  std::vector<Candidate> closed = FilterClosed(std::move(candidates), stats);
-
-  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
-  if (stats != nullptr) stats->sets_reported = closed.size();
-  for (const auto& set : closed) decoded(set.items, set.support);
-  return Status::OK();
+  for (const auto& set : FilterClosed(std::move(candidates), stats)) {
+    callback(set.items, set.support);
+  }
 }
 
 }  // namespace fim

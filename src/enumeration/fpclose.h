@@ -1,26 +1,11 @@
 #ifndef FIM_ENUMERATION_FPCLOSE_H_
 #define FIM_ENUMERATION_FPCLOSE_H_
 
-#include "common/status.h"
-#include "data/itemset.h"
-#include "data/transaction_database.h"
-#include "obs/miner_stats.h"
+#include <cstddef>
+
+#include "api/miner.h"
 
 namespace fim {
-
-namespace obs {
-class MemoryBreakdown;
-}  // namespace obs
-
-/// Options of the FP-close baseline.
-struct FpCloseOptions {
-  /// Absolute minimum support; must be >= 1.
-  Support min_support = 1;
-
-  /// Optional memory attribution (obs/memory.h): records the root
-  /// FP-tree after the build. Output-neutral; must outlive the call.
-  obs::MemoryBreakdown* memory = nullptr;
-};
 
 /// Closed frequent item set mining via FP-growth (the enumeration-side
 /// baseline of the paper's experiments): recursive conditional FP-tree
@@ -30,12 +15,14 @@ struct FpCloseOptions {
 /// Same output contract as the intersection miners.
 /// `stats` (optional) receives conditional_trees (conditional FP-tree
 /// projections built), candidate_sets (candidates before the closed
-/// filter), subsume_checks (filter comparisons), and sets_reported;
-/// output-neutral.
-Status MineClosedFpClose(const TransactionDatabase& db,
-                         const FpCloseOptions& options,
-                         const ClosedSetCallback& callback,
-                         MinerStats* stats = nullptr);
+/// filter) and subsume_checks (filter comparisons). The core MineClosed
+/// (api/miner.h) runs for Algorithm::kFpClose on the weighted stream its
+/// recipe builds: codes by descending frequency, so the least frequent
+/// item has the largest code.
+void MineFpClose(WeightedTransactions rows, std::size_t num_items,
+                 const MinerOptions& options,
+                 const ClosedSetCallback& callback, MinerStats* stats,
+                 obs::Trace* trace);
 
 }  // namespace fim
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "data/recode.h"
 #include "obs/memory.h"
 
 namespace fim {
@@ -124,9 +123,7 @@ class LcmMiner {
 
   // Reports a prepared node's set (the root's may be empty).
   void Report(const Node& node, const ClosedSetCallback& sink) {
-    if (node.set.empty()) return;
-    if (stats_ != nullptr) ++stats_->sets_reported;
-    sink(node.set, node.support);
+    if (!node.set.empty()) sink(node.set, node.support);
   }
 
   // The extension test of slot s of a prepared node: adding items[s] is
@@ -287,70 +284,30 @@ void MineParallel(Node root, std::size_t num_items, Support min_support,
   }
 }
 
-// Mines the weighted stream `rows`, coded by `recoding`: the root's
-// closure and the search below it.
-Status MineRows(const Recoding& recoding, WeightedTransactions rows,
-                const LcmOptions& options, const ClosedSetCallback& callback,
-                MinerStats* stats) {
-  std::vector<ItemId> identity(recoding.num_kept());
+}  // namespace
+
+void MineLcm(WeightedTransactions rows, std::size_t num_items,
+             const MinerOptions& options, const ClosedSetCallback& callback,
+             MinerStats* stats, obs::Trace* /*trace*/) {
+  std::vector<ItemId> identity(num_items);
   std::iota(identity.begin(), identity.end(), 0);
   Node root;
   root.codes = identity;
   root.rows = std::move(rows);
-  if (options.memory != nullptr) {
-    options.memory->Record(root.rows.ApproxMemoryUsage());
-  }
   for (Support weight : root.rows.weights) root.support += weight;
-  if (root.support < options.min_support) return Status::OK();
+  if (root.support < options.min_support) return;
 
   // The root's preparation computes closure(empty set): the items of
   // summed weight equal to the total weight.
   if (stats != nullptr) ++stats->closure_checks;
-  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
   if (options.num_threads <= 1) {
-    LcmMiner miner(recoding.num_kept(), options.min_support, stats);
-    miner.Mine(std::move(root), decoded);
+    LcmMiner miner(num_items, options.min_support, stats);
+    miner.Mine(std::move(root), callback);
     miner.RecordMemory(options.memory);
   } else {
-    MineParallel(std::move(root), recoding.num_kept(), options.min_support,
-                 options.num_threads, decoded, stats, options.memory);
+    MineParallel(std::move(root), num_items, options.min_support,
+                 options.num_threads, callback, stats, options.memory);
   }
-  return Status::OK();
-}
-
-// LCM's output does not depend on the row order, and a size order folds
-// equal rows wherever they are (FoldFor).
-constexpr TransactionOrder kRowOrder = TransactionOrder::kSizeAscending;
-
-}  // namespace
-
-Status MineClosedLcm(const TransactionDatabase& db, const LcmOptions& options,
-                     const ClosedSetCallback& callback, MinerStats* stats) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (stats != nullptr) *stats = MinerStats{};
-  if (db.NumTransactions() == 0) return Status::OK();
-  const Recoding recoding = ComputeRecoding(
-      db, ItemOrder::kFrequencyDescending, options.min_support);
-  return MineRows(recoding, ApplyRecodingWeighted(db, recoding, kRowOrder),
-                  options, callback, stats);
-}
-
-Status MineClosedLcm(std::span<const WeightedTransactions* const> tables,
-                     std::size_t num_items, const LcmOptions& options,
-                     const ClosedSetCallback& callback, MinerStats* stats) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (Status status = CheckTables(tables, num_items); !status.ok()) {
-    return status;
-  }
-  if (stats != nullptr) *stats = MinerStats{};
-  const Recoding recoding = ComputeRecoding(
-      tables, num_items, ItemOrder::kFrequencyDescending, options.min_support);
-  return MineRows(recoding, RecodeTables(tables, recoding, kRowOrder),
-                  options, callback, stats);
 }
 
 }  // namespace fim

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "data/recode.h"
 #include "kernels/intersect.h"
 #include "obs/memory.h"
 
@@ -14,26 +13,20 @@ namespace {
 
 class TransposedMiner {
  public:
-  // The tids are the distinct rows of `db`, in the order of their first
-  // occurrence, and a tid set's support is its rows' summed weight.
-  TransposedMiner(const TransactionDatabase& db, Support min_support,
-                  const ClosedSetCallback& callback, MinerStats* stats)
+  // The tids are the rows of `stream`, and a tid set's support is its
+  // rows' summed weight. The transpose's transactions are the tid lists
+  // of the item codes, so row k of the transpose stands for code k.
+  TransposedMiner(WeightedTransactions stream, std::size_t num_items,
+                  Support min_support, const ClosedSetCallback& callback,
+                  MinerStats* stats)
       : min_support_(min_support),
         callback_(callback),
         stats_(stats),
-        stream_(FoldRows(db)) {
+        stream_(std::move(stream)),
+        rows_(stream_.BuildVertical(num_items)) {
     weight_from_.assign(stream_.NumRows() + 1, 0);
     for (std::size_t t = stream_.NumRows(); t > 0; --t) {
       weight_from_[t - 1] = weight_from_[t] + stream_.weights[t - 1];
-    }
-    // The transpose's transactions are the tid lists of the used items;
-    // remember which original item each corresponds to.
-    auto tidlists = stream_.BuildVertical(db.NumItems());
-    for (std::size_t i = 0; i < tidlists.size(); ++i) {
-      if (!tidlists[i].empty()) {
-        used_items_.push_back(static_cast<ItemId>(i));
-        rows_.push_back(std::move(tidlists[i]));
-      }
     }
   }
 
@@ -53,11 +46,8 @@ class TransposedMiner {
   // scratch vectors never exceed one row.
   void RecordMemory(obs::MemoryBreakdown* memory) const {
     if (memory == nullptr) return;
-    memory->Record(stream_.ApproxMemoryUsage());
     obs::MemoryComponent transpose("transposed-rows");
     transpose.children.emplace_back("rows", obs::NestedVectorBytes(rows_));
-    transpose.children.emplace_back(
-        "used-items", used_items_.capacity() * sizeof(ItemId));
     transpose.children.emplace_back(
         "scratch", order_.capacity() * sizeof(std::size_t) +
                        (inter_ping_.capacity() + inter_pong_.capacity()) *
@@ -129,14 +119,11 @@ class TransposedMiner {
            std::equal(p.begin(), pe, q.begin());
   }
 
-  // A closed tid set K of weight >= smin maps back to the original closed
-  // item set g(K) = occ's items, with K's weight as its support.
+  // A closed tid set K of weight >= smin maps back to the closed item set
+  // g(K) = occ's codes, with K's weight as its support.
   void Report(const std::vector<Tid>& k,
               const std::vector<std::size_t>& occ) {
-    std::vector<ItemId> items;
-    items.reserve(occ.size());
-    for (std::size_t row : occ) items.push_back(used_items_[row]);
-    if (stats_ != nullptr) ++stats_->sets_reported;
+    const std::vector<ItemId> items(occ.begin(), occ.end());
     callback_(items, stream_.Weight(k));
   }
 
@@ -144,9 +131,8 @@ class TransposedMiner {
   const ClosedSetCallback& callback_;
   MinerStats* stats_;
   const WeightedTransactions stream_;
+  const std::vector<std::vector<Tid>> rows_;
   std::vector<Support> weight_from_;  // weight of the tids from t on
-  std::vector<ItemId> used_items_;
-  std::vector<std::vector<Tid>> rows_;
   // IntersectRows scratch. Safe despite the recursion in Extend: each
   // IntersectRows call completes (and its result is copied out) before
   // the next one starts.
@@ -157,19 +143,14 @@ class TransposedMiner {
 
 }  // namespace
 
-Status MineClosedTransposed(const TransactionDatabase& db,
-                            const TransposedOptions& options,
-                            const ClosedSetCallback& callback,
-                            MinerStats* stats) {
-  if (options.min_support == 0) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (stats != nullptr) *stats = MinerStats{};
-  if (db.NumTransactions() == 0) return Status::OK();
-  TransposedMiner miner(db, options.min_support, callback, stats);
+void MineTransposed(WeightedTransactions rows, std::size_t num_items,
+                    const MinerOptions& options,
+                    const ClosedSetCallback& callback, MinerStats* stats,
+                    obs::Trace* /*trace*/) {
+  TransposedMiner miner(std::move(rows), num_items, options.min_support,
+                        callback, stats);
   miner.Run();
   miner.RecordMemory(options.memory);
-  return Status::OK();
 }
 
 }  // namespace fim

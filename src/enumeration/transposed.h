@@ -1,27 +1,11 @@
 #ifndef FIM_ENUMERATION_TRANSPOSED_H_
 #define FIM_ENUMERATION_TRANSPOSED_H_
 
-#include "common/status.h"
-#include "data/itemset.h"
-#include "data/transaction_database.h"
-#include "obs/miner_stats.h"
+#include <cstddef>
+
+#include "api/miner.h"
 
 namespace fim {
-
-namespace obs {
-class MemoryBreakdown;
-}  // namespace obs
-
-/// Options of the transposition miner.
-struct TransposedOptions {
-  /// Absolute minimum support; must be >= 1.
-  Support min_support = 1;
-
-  /// Optional memory attribution (obs/memory.h): records the transposed
-  /// database rows after the build. Output-neutral; must outlive the
-  /// call.
-  obs::MemoryBreakdown* memory = nullptr;
-};
 
 /// Transposition-based closed mining (Rioult et al., DMKD'03 — the [17]
 /// approach the paper's §2.5 builds on): by the Galois bijection, the
@@ -33,13 +17,15 @@ struct TransposedOptions {
 /// look-ahead bound — and maps each one back through g (the intersection
 /// of the selected transactions). Efficient exactly when the original
 /// database has few transactions, i.e. the same regime as IsTa/Carpenter.
-/// `stats` (optional) receives extension_checks (tid extensions
-/// examined), closure_checks (transpose closures computed), and
-/// sets_reported; output-neutral.
-Status MineClosedTransposed(const TransactionDatabase& db,
-                            const TransposedOptions& options,
-                            const ClosedSetCallback& callback,
-                            MinerStats* stats = nullptr);
+/// `stats` receives extension_checks (tid extensions examined) and
+/// closure_checks (transpose closures computed). The core MineClosed
+/// (api/miner.h) runs for Algorithm::kTransposed on the weighted stream
+/// its recipe builds: the tids are its rows, and every item code occurs
+/// in one of them.
+void MineTransposed(WeightedTransactions rows, std::size_t num_items,
+                    const MinerOptions& options,
+                    const ClosedSetCallback& callback, MinerStats* stats,
+                    obs::Trace* trace);
 
 }  // namespace fim
 

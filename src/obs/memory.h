@@ -64,7 +64,7 @@ struct MemoryComponent {
 };
 
 /// Thread-safe collector of top-level MemoryComponent snapshots, passed
-/// to miners via MinerOptions::memory (and the per-family options).
+/// to miners via MinerOptions::memory.
 ///
 /// Re-recording a name keeps whichever snapshot has the larger total —
 /// high-water semantics, so a breakdown recorded at several moments of

@@ -9,7 +9,7 @@
 namespace fim {
 
 /// The uniform execution-statistics snapshot every miner family fills
-/// (optional output of MineClosed and the per-family entry points).
+/// (optional output of MineClosed).
 /// Fields are plain counters written by the single thread that owns the
 /// respective mining state; parallel drivers keep one instance per
 /// worker and aggregate with MergeFrom at their merge/reduction stage,
@@ -30,6 +30,7 @@ struct MinerStats {
   std::size_t merge_calls = 0;     // pairwise repository merges (stream
                                    // snapshots; batch IsTa never merges)
   std::size_t weighted_transactions = 0;  // stream length after dedup
+                                          // (every family)
 
   // --- transaction-set enumeration family (Carpenter, Cobbler) ---------
   std::size_t nodes_visited = 0;    // row-enumeration nodes expanded
@@ -50,8 +51,7 @@ struct MinerStats {
 
   // --- intersection kernels (every family; see src/kernels/ and
   //     docs/PERFORMANCE.md). Filled by MineClosed as the delta of the
-  //     process-wide kernel counters across the run, so per-family entry
-  //     points called directly leave them zero. --------------------------
+  //     process-wide kernel counters across the miner's core. ------------
   std::size_t kernel_calls = 0;         // dispatched kernel invocations
   std::size_t kernel_elements_in = 0;   // input elements streamed
   std::size_t kernel_elements_out = 0;  // result elements produced
@@ -64,11 +64,6 @@ struct MinerStats {
   /// zero entries included, so exports always carry the whole schema.
   std::vector<std::pair<const char*, std::uint64_t>> Counters() const;
 };
-
-/// The historical per-family stats names are the same snapshot now;
-/// every `MineClosed...(..., IstaStats*)` call keeps compiling.
-using IstaStats = MinerStats;
-using CarpenterStats = MinerStats;
 
 }  // namespace fim
 

@@ -88,11 +88,16 @@ void ProfilerSignalHandler(int /*signum*/, siginfo_t* /*info*/,
 }  // namespace
 #endif
 
+// The sample buffers are allocated but not initialized: a page becomes
+// resident only when a sample is written to it, so an idle or short
+// profile does not add the full capacity to the peak RSS it reports.
 SamplingProfiler::SamplingProfiler(const ProfilerOptions& options)
     : options_(options),
-      frames_(options.max_samples * options.max_depth, nullptr),
-      depths_(options.max_samples, 0),
-      pcs_(options.max_samples, nullptr) {}
+      frames_(std::make_unique_for_overwrite<void*[]>(options.max_samples *
+                                                      options.max_depth)),
+      depths_(std::make_unique_for_overwrite<std::uint16_t[]>(
+          options.max_samples)),
+      pcs_(std::make_unique_for_overwrite<void*[]>(options.max_samples)) {}
 
 std::unique_ptr<SamplingProfiler> SamplingProfiler::Start(
     const ProfilerOptions& options, std::string* error) {
@@ -172,7 +177,7 @@ void SamplingProfiler::TakeSample(void* interrupted_pc) {
   const std::size_t index = count_.load(std::memory_order_relaxed);
   if (index < options_.max_samples) {
     const int depth = ::backtrace(
-        frames_.data() + index * options_.max_depth,
+        frames_.get() + index * options_.max_depth,
         static_cast<int>(options_.max_depth));
     depths_[index] = depth > 0 ? static_cast<std::uint16_t>(depth) : 0;
     pcs_[index] = interrupted_pc;
@@ -291,7 +296,7 @@ std::string SamplingProfiler::RenderCollapsed() {
   stacks.reserve(samples);
   for (std::size_t i = 0; i < samples; ++i) {
     const std::size_t depth = depths_[i];
-    void* const* frames = frames_.data() + i * options_.max_depth;
+    void* const* frames = frames_.get() + i * options_.max_depth;
     // The leaf is the interrupted function: drop the frames through the
     // signal trampoline.
     std::size_t first = kHandlerFrames;

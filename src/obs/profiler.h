@@ -105,9 +105,10 @@ class SamplingProfiler {
   friend void SampleActiveProfiler(void* interrupted_pc);
 
   const ProfilerOptions options_;
-  std::vector<void*> frames_;          // max_samples * max_depth slots
-  std::vector<std::uint16_t> depths_;  // frames captured per sample
-  std::vector<void*> pcs_;             // interrupted program counters
+  // Slots of the samples taken so far; the rest is never read.
+  std::unique_ptr<void*[]> frames_;  // max_samples * max_depth slots
+  std::unique_ptr<std::uint16_t[]> depths_;  // frames captured per sample
+  std::unique_ptr<void*[]> pcs_;             // interrupted program counters
   std::atomic<std::size_t> count_{0};
   std::atomic<std::size_t> dropped_{0};
   std::atomic<bool> busy_{false};  // serializes handler bodies

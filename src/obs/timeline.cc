@@ -12,7 +12,7 @@ namespace fim::obs {
 void TimelineLane::Push(TimelineEvent::Kind kind, std::string_view name,
                         double value) {
   const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  TimelineEvent& slot = slots_[head % slots_.size()];
+  TimelineEvent& slot = slots_[head % capacity_];
   slot.ts_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - epoch_)
@@ -23,13 +23,15 @@ void TimelineLane::Push(TimelineEvent::Kind kind, std::string_view name,
   // must not see even for zero bytes.
   const std::size_t n = std::min(name.size(), TimelineEvent::kNameCapacity);
   if (n > 0) std::memcpy(slot.name, name.data(), n);
-  slot.name[n] = '\0';
+  // Zero the rest of the name too: every byte of a written slot is set,
+  // so Snapshot() copies no uninitialized memory.
+  std::memset(slot.name + n, 0, sizeof(slot.name) - n);
   head_.store(head + 1, std::memory_order_release);
 }
 
 std::vector<TimelineEvent> TimelineLane::Snapshot() const {
   const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t capacity = slots_.size();
+  const std::uint64_t capacity = capacity_;
   const std::uint64_t first = head > capacity ? head - capacity : 0;
   std::vector<TimelineEvent> events;
   events.reserve(static_cast<std::size_t>(head - first));

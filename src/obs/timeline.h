@@ -18,7 +18,10 @@ namespace fim::obs {
 
 /// One recorded timeline event. Fixed 64-byte layout: the name is copied
 /// into the event (truncated if longer than kNameCapacity), so recording
-/// never allocates and never holds a reference into caller memory.
+/// never allocates and never holds a reference into caller memory. The
+/// fields have no initializers, so a lane's ring is allocated without
+/// being written (see TimelineLane); value-initialize a standalone event
+/// (`TimelineEvent event{};`).
 struct TimelineEvent {
   enum class Kind : std::uint8_t {
     kBegin,    // opens a phase on the lane's stack
@@ -29,17 +32,19 @@ struct TimelineEvent {
 
   static constexpr std::size_t kNameCapacity = 46;  // excl. terminator
 
-  std::uint64_t ts_ns = 0;  // nanoseconds since the Timeline epoch
-  double value = 0.0;       // kCounter only
-  Kind kind = Kind::kInstant;
-  char name[kNameCapacity + 1] = {};  // NUL-terminated, possibly truncated
+  std::uint64_t ts_ns;  // nanoseconds since the Timeline epoch
+  double value;         // kCounter only
+  Kind kind;
+  char name[kNameCapacity + 1];  // NUL-terminated, possibly truncated
 };
 static_assert(sizeof(TimelineEvent) == 64, "TimelineEvent should stay compact");
 
 /// A single-writer event lane, one per recording thread. Events go into a
 /// fixed-capacity ring: when the ring is full the oldest events are
 /// overwritten and counted — never a silent truncation; the exporter and
-/// DroppedEvents() expose the exact number lost.
+/// DroppedEvents() expose the exact number lost. The ring is allocated
+/// but not initialized, so only the slots written so far become resident
+/// and count towards the peak RSS; Snapshot() reads only those.
 ///
 /// Thread contract: exactly one thread calls the recording methods of a
 /// lane (the thread the lane was created for). The write index is
@@ -51,7 +56,10 @@ class TimelineLane {
  public:
   TimelineLane(std::string name, std::size_t capacity,
                std::chrono::steady_clock::time_point epoch)
-      : name_(std::move(name)), epoch_(epoch), slots_(capacity) {}
+      : name_(std::move(name)),
+        epoch_(epoch),
+        capacity_(capacity),
+        slots_(std::make_unique_for_overwrite<TimelineEvent[]>(capacity)) {}
 
   TimelineLane(const TimelineLane&) = delete;
   TimelineLane& operator=(const TimelineLane&) = delete;
@@ -82,7 +90,7 @@ class TimelineLane {
   /// Events lost to ring overwrite (the oldest ones).
   std::uint64_t DroppedEvents() const {
     const std::uint64_t head = head_.load(std::memory_order_acquire);
-    return head > slots_.size() ? head - slots_.size() : 0;
+    return head > capacity_ ? head - capacity_ : 0;
   }
 
   /// Copies the surviving events out in recording order. Only call after
@@ -94,7 +102,8 @@ class TimelineLane {
 
   const std::string name_;
   const std::chrono::steady_clock::time_point epoch_;
-  std::vector<TimelineEvent> slots_;
+  const std::size_t capacity_;
+  const std::unique_ptr<TimelineEvent[]> slots_;
   // Monotone write index; slot = head_ % capacity. Only the owning
   // thread writes it (release store after filling the slot).
   std::atomic<std::uint64_t> head_{0};

@@ -4,9 +4,9 @@
 #include <string>
 #include <utility>
 
+#include "api/miner.h"
 #include "common/check.h"
 #include "common/timer.h"
-#include "ista/ista.h"
 #include "obs/memory.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -104,11 +104,11 @@ Status StreamMiner::Query(Support min_support,
   tables.reserve(frozen.completed.size() + 1);
   for (const Pane& pane : frozen.completed) tables.push_back(pane.get());
   tables.push_back(&frozen.filling);
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = min_support;
   options.timeline = options_.timeline;
-  return MineClosedIsta(tables, options_.max_items, options, callback,
-                        /*stats=*/nullptr, options_.trace);
+  return MineClosed(tables, options_.max_items, options, callback,
+                    /*stats=*/nullptr, options_.trace);
 }
 
 Result<std::vector<ClosedItemset>> StreamMiner::QueryCollect(

@@ -89,7 +89,7 @@ struct StreamStats {
 ///  * `Query` takes the covered panes under the lock — pointers to the
 ///    completed panes and a copy of the filling pane's rows — and mines
 ///    them outside the lock with IsTa at the query's `min_support`
-///    (MineClosedIsta over tables, ista/ista.h). Mining at query time is
+///    (MineClosed over tables, api/miner.h). Mining at query time is
 ///    what lets item elimination (paper §3.2) drop every item below the
 ///    query's support, which no repository kept across queries could do.
 ///

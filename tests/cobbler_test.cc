@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "carpenter/cobbler.h"
+#include "api/miner.h"
 #include "data/generators.h"
 #include "verify/compare.h"
 #include "verify/oracle.h"
@@ -15,18 +15,18 @@
 namespace fim {
 namespace {
 
-std::vector<ClosedItemset> MineCobbler(const TransactionDatabase& db,
-                                       Support smin,
-                                       std::size_t switch_max_items,
-                                       std::size_t switch_min_rows,
-                                       CarpenterStats* stats = nullptr) {
-  CobblerOptions options;
+std::vector<ClosedItemset> MineWithSwitch(const TransactionDatabase& db,
+                                          Support smin,
+                                          std::size_t switch_max_items,
+                                          std::size_t switch_min_rows,
+                                          MinerStats* stats = nullptr) {
+  MinerOptions options;
+  options.algorithm = Algorithm::kCobbler;
   options.min_support = smin;
   options.switch_max_items = switch_max_items;
   options.switch_min_rows = switch_min_rows;
   ClosedSetCollector collector;
-  EXPECT_TRUE(
-      MineClosedCobbler(db, options, collector.AsCallback(), stats).ok());
+  EXPECT_TRUE(MineClosed(db, options, collector.AsCallback(), stats).ok());
   collector.SortCanonical();
   return collector.TakeSets();
 }
@@ -62,9 +62,9 @@ TEST(CobblerTest, AllSwitchThresholdsMatchOracle) {
         // once intersections shrink; 1000 = switch at the root.
         for (std::size_t max_items : {0u, 3u, 6u, 1000u}) {
           for (std::size_t min_rows : {1u, 6u}) {
-            CarpenterStats stats;
+            MinerStats stats;
             const auto mined =
-                MineCobbler(db, smin, max_items, min_rows, &stats);
+                MineWithSwitch(db, smin, max_items, min_rows, &stats);
             ASSERT_TRUE(SameResults(expected.value(), mined))
                 << "seed " << seed << " smin " << smin << " max_items "
                 << max_items << " min_rows " << min_rows << "\n"
@@ -85,15 +85,16 @@ TEST(CobblerTest, EliminationOnOffAgree) {
     const TransactionDatabase db =
         GenerateRandomDense(10, 10, 0.5, seed * 311);
     for (Support smin : {2u, 3u}) {
-      CobblerOptions on;
+      MinerOptions on;
+      on.algorithm = Algorithm::kCobbler;
       on.min_support = smin;
       on.switch_max_items = 4;
-      CobblerOptions off = on;
+      MinerOptions off = on;
       off.item_elimination = false;
       ClosedSetCollector a;
       ClosedSetCollector b;
-      ASSERT_TRUE(MineClosedCobbler(db, on, a.AsCallback()).ok());
-      ASSERT_TRUE(MineClosedCobbler(db, off, b.AsCallback()).ok());
+      ASSERT_TRUE(MineClosed(db, on, a.AsCallback()).ok());
+      ASSERT_TRUE(MineClosed(db, off, b.AsCallback()).ok());
       EXPECT_TRUE(SameResults(a.sets(), b.sets()))
           << DiffResults(a.sets(), b.sets());
     }
@@ -102,21 +103,22 @@ TEST(CobblerTest, EliminationOnOffAgree) {
 
 TEST(CobblerTest, StatsReported) {
   const TransactionDatabase db = GenerateRandomDense(12, 10, 0.5, 999);
-  CobblerOptions options;
+  MinerOptions options;
+  options.algorithm = Algorithm::kCobbler;
   options.min_support = 2;
   options.switch_max_items = 4;
-  CarpenterStats stats;
-  ASSERT_TRUE(
-      MineClosedCobbler(db, options, [](auto, auto) {}, &stats).ok());
+  MinerStats stats;
+  ASSERT_TRUE(MineClosed(db, options, [](auto, auto) {}, &stats).ok());
   EXPECT_GT(stats.nodes_visited, 0u);
   EXPECT_GT(stats.repo_sets, 0u);
 }
 
 TEST(CobblerTest, ZeroSupportRejected) {
-  CobblerOptions options;
+  MinerOptions options;
+  options.algorithm = Algorithm::kCobbler;
   options.min_support = 0;
-  EXPECT_FALSE(MineClosedCobbler(TransactionDatabase::FromTransactions({{0}}),
-                                 options, [](auto, auto) {})
+  EXPECT_FALSE(MineClosed(TransactionDatabase::FromTransactions({{0}}),
+                          options, [](auto, auto) {})
                    .ok());
 }
 

@@ -3,26 +3,109 @@
 // infeasible. All fast miners must agree pairwise, and the reference
 // output must pass the definitional soundness check. This tier exercises
 // the IsTa pruning and repository paths on much deeper trees than the
-// oracle-sized cases.
+// oracle-sized cases. Two checks need no reference miner, so they also
+// see a fault of the input stage that every miner shares: the database
+// handed over as folded tables, and with its items renamed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "api/miner.h"
 #include "common/rng.h"
 #include "data/expression.h"
 #include "data/generators.h"
-#include "ista/ista.h"
 #include "verify/closedness.h"
 #include "verify/compare.h"
 
 namespace fim {
 namespace {
 
+// The transactions of `db` cut into `parts` consecutive runs, each
+// folded into one table of weighted input rows.
+std::vector<WeightedTransactions> FoldedParts(const TransactionDatabase& db,
+                                              std::size_t parts) {
+  const auto& transactions = db.transactions();
+  std::vector<WeightedTransactions> tables;
+  for (std::size_t p = 0; p < parts; ++p) {
+    tables.push_back(FoldRows(TransactionDatabase::FromTransactions(
+        {transactions.begin() + p * transactions.size() / parts,
+         transactions.begin() + (p + 1) * transactions.size() / parts},
+        db.NumItems())));
+  }
+  return tables;
+}
+
+// For every algorithm: MineClosed over the database cut into one, two and
+// three folded tables gives `expected`, the sets of `db` at `smin`; and
+// the database with its items renamed by a random permutation gives the
+// renamed sets with the same supports.
+void CheckInputStage(const TransactionDatabase& db, Support smin,
+                     const std::vector<ClosedItemset>& expected,
+                     const std::string& label) {
+  std::vector<std::vector<WeightedTransactions>> splits;
+  for (std::size_t parts : {1u, 2u, 3u}) {
+    splits.push_back(FoldedParts(db, parts));
+  }
+  std::vector<ItemId> rename(db.NumItems());
+  std::iota(rename.begin(), rename.end(), 0);
+  Rng rng(db.NumTransactions() * 131 + smin);
+  for (std::size_t i = rename.size(); i > 1; --i) {
+    std::swap(rename[i - 1], rename[rng.Uniform(i)]);
+  }
+  auto renamed_items = [&rename](std::span<const ItemId> items) {
+    std::vector<ItemId> out;
+    for (ItemId i : items) out.push_back(rename[i]);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<std::vector<ItemId>> renamed_rows;
+  for (const auto& t : db.transactions()) {
+    renamed_rows.push_back(renamed_items(t));
+  }
+  const TransactionDatabase renamed =
+      TransactionDatabase::FromTransactions(renamed_rows, db.NumItems());
+  std::vector<ClosedItemset> renamed_expected = expected;
+  for (ClosedItemset& set : renamed_expected) {
+    set.items = renamed_items(set.items);
+  }
+
+  for (Algorithm algorithm : AllAlgorithms()) {
+    MinerOptions options;
+    options.algorithm = algorithm;
+    options.min_support = smin;
+    const std::string name = label + " " + AlgorithmName(algorithm);
+    for (const auto& tables : splits) {
+      std::vector<const WeightedTransactions*> pointers;
+      for (const WeightedTransactions& table : tables) {
+        pointers.push_back(&table);
+      }
+      ClosedSetCollector collector;
+      ASSERT_TRUE(MineClosed(pointers, db.NumItems(), options,
+                             collector.AsCallback())
+                      .ok())
+          << name;
+      ASSERT_TRUE(SameResults(expected, collector.sets()))
+          << name << " over " << tables.size() << " tables\n"
+          << DiffResults(expected, collector.sets());
+    }
+    auto mined = MineClosedCollect(renamed, options);
+    ASSERT_TRUE(mined.ok()) << name;
+    ASSERT_TRUE(SameResults(renamed_expected, mined.value()))
+        << name << " renamed\n"
+        << DiffResults(renamed_expected, mined.value());
+  }
+}
+
+// All miners agree with IsTa, whose output is sound; with
+// `check_input_stage` (at one support per database, to bound the run
+// time), also CheckInputStage.
 void CheckAllAgree(const TransactionDatabase& db, Support smin,
-                   const std::string& label) {
+                   const std::string& label, bool check_input_stage) {
   MinerOptions reference;
   reference.algorithm = Algorithm::kIsta;
   reference.min_support = smin;
@@ -46,14 +129,16 @@ void CheckAllAgree(const TransactionDatabase& db, Support smin,
   }
 
   // IsTa with pruning forced after every transaction must also agree.
-  IstaOptions aggressive;
+  MinerOptions aggressive;
   aggressive.min_support = smin;
   aggressive.prune_node_threshold = 0;
   ClosedSetCollector pruned;
-  ASSERT_TRUE(MineClosedIsta(db, aggressive, pruned.AsCallback()).ok());
+  ASSERT_TRUE(MineClosed(db, aggressive, pruned.AsCallback()).ok());
   ASSERT_TRUE(SameResults(expected.value(), pruned.sets()))
       << label << " ista-aggressive-prune\n"
       << DiffResults(expected.value(), pruned.sets());
+
+  if (check_input_stage) CheckInputStage(db, smin, expected.value(), label);
 }
 
 TEST(DifferentialLargeTest, MediumRandomDatabases) {
@@ -65,7 +150,8 @@ TEST(DifferentialLargeTest, MediumRandomDatabases) {
         CheckAllAgree(db, smin,
                       "random d=" + std::to_string(density) + " seed=" +
                           std::to_string(seed) + " smin=" +
-                          std::to_string(smin));
+                          std::to_string(smin),
+                      smin == 5);
       }
     }
   }
@@ -85,7 +171,8 @@ TEST(DifferentialLargeTest, ExpressionShapedDatabases) {
     const TransactionDatabase db = Discretize(
         matrix, ExpressionOrientation::kConditionsAsTransactions);
     for (Support smin : {3u, 8u}) {
-      CheckAllAgree(db, smin, "expression seed=" + std::to_string(seed));
+      CheckAllAgree(db, smin, "expression seed=" + std::to_string(seed),
+                    smin == 8);
     }
   }
 }
@@ -100,7 +187,8 @@ TEST(DifferentialLargeTest, MarketBasketShapedDatabases) {
     config.seed = seed * 53;
     const TransactionDatabase db = GenerateMarketBasket(config);
     for (Support smin : {3u, 10u}) {
-      CheckAllAgree(db, smin, "basket seed=" + std::to_string(seed));
+      CheckAllAgree(db, smin, "basket seed=" + std::to_string(seed),
+                    smin == 3);
     }
   }
 }
@@ -115,10 +203,12 @@ TEST(DifferentialLargeTest, RowCountsAroundBitsetWordBoundaries) {
     const std::set<std::vector<ItemId>> distinct(db.transactions().begin(),
                                                  db.transactions().end());
     ASSERT_EQ(distinct.size(), rows);
-    for (Support smin : {8u, static_cast<Support>(rows / 3)}) {
+    const Support high = static_cast<Support>(rows / 3);
+    for (Support smin : {8u, high}) {
       CheckAllAgree(db, smin,
                     "rows=" + std::to_string(rows) +
-                        " smin=" + std::to_string(smin));
+                        " smin=" + std::to_string(smin),
+                    smin == high);
     }
   }
 }
@@ -227,7 +317,7 @@ TEST(DifferentialLargeTest, NestedChainDatabases) {
   }
   const TransactionDatabase db = TransactionDatabase::FromTransactions(tx);
   for (Support smin : {1u, 2u, 10u, 40u}) {
-    CheckAllAgree(db, smin, "nested smin=" + std::to_string(smin));
+    CheckAllAgree(db, smin, "nested smin=" + std::to_string(smin), smin == 2);
   }
 }
 

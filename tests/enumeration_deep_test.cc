@@ -5,25 +5,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <utility>
 
-#include "enumeration/charm.h"
-#include "enumeration/fpclose.h"
-#include "enumeration/transposed.h"
+#include "api/miner.h"
 #include "verify/compare.h"
 #include "verify/oracle.h"
 
 namespace fim {
 namespace {
 
-std::vector<ClosedItemset> Collect(
-    const std::function<Status(const TransactionDatabase&,
-                               const ClosedSetCallback&)>& run,
-    const TransactionDatabase& db) {
-  ClosedSetCollector collector;
-  EXPECT_TRUE(run(db, collector.AsCallback()).ok());
-  collector.SortCanonical();
-  return collector.TakeSets();
+std::vector<ClosedItemset> Collect(Algorithm algorithm,
+                                   const TransactionDatabase& db,
+                                   Support min_support) {
+  MinerOptions options;
+  options.algorithm = algorithm;
+  options.min_support = min_support;
+  auto mined = MineClosedCollect(db, options);
+  EXPECT_TRUE(mined.ok());
+  return mined.ok() ? std::move(mined).value() : std::vector<ClosedItemset>{};
 }
 
 TEST(CharmDeepTest, IdenticalTidsetsMergeIntoOneClosedSet) {
@@ -31,13 +30,7 @@ TEST(CharmDeepTest, IdenticalTidsetsMergeIntoOneClosedSet) {
   // reporting {0,1} (and never {0} or {1} alone).
   const TransactionDatabase db = TransactionDatabase::FromTransactions(
       {{0, 1, 2}, {0, 1, 3}, {0, 1}});
-  CharmOptions options;
-  options.min_support = 1;
-  const auto sets = Collect(
-      [&](const TransactionDatabase& d, const ClosedSetCallback& cb) {
-        return MineClosedCharm(d, options, cb);
-      },
-      db);
+  const auto sets = Collect(Algorithm::kCharm, db, 1);
   for (const auto& set : sets) {
     const bool has0 = std::binary_search(set.items.begin(), set.items.end(),
                                          ItemId{0});
@@ -55,13 +48,7 @@ TEST(CharmDeepTest, SubsetTidsetAbsorbsSupersetItems) {
   // every closed set containing 0 must also contain 1.
   const TransactionDatabase db = TransactionDatabase::FromTransactions(
       {{0, 1}, {0, 1}, {1, 2}});
-  CharmOptions options;
-  options.min_support = 1;
-  const auto sets = Collect(
-      [&](const TransactionDatabase& d, const ClosedSetCallback& cb) {
-        return MineClosedCharm(d, options, cb);
-      },
-      db);
+  const auto sets = Collect(Algorithm::kCharm, db, 1);
   for (const auto& set : sets) {
     if (std::binary_search(set.items.begin(), set.items.end(), ItemId{0})) {
       EXPECT_TRUE(std::binary_search(set.items.begin(), set.items.end(),
@@ -76,13 +63,7 @@ TEST(TransposedDeepTest, SupportBecomesSizeConstraint) {
   // transposed enumeration prunes everything smaller by size look-ahead.
   const TransactionDatabase db = TransactionDatabase::FromTransactions(
       {{0, 1}, {0, 1}, {0, 1}, {0, 2}, {2}});
-  TransposedOptions options;
-  options.min_support = 3;
-  const auto sets = Collect(
-      [&](const TransactionDatabase& d, const ClosedSetCallback& cb) {
-        return MineClosedTransposed(d, options, cb);
-      },
-      db);
+  const auto sets = Collect(Algorithm::kTransposed, db, 3);
   auto expected = OracleClosedSets(db, 3);
   ASSERT_TRUE(expected.ok());
   EXPECT_TRUE(SameResults(expected.value(), sets))
@@ -94,13 +75,7 @@ TEST(TransposedDeepTest, SupportBecomesSizeConstraint) {
 TEST(TransposedDeepTest, HandlesItemOccurringNowhere) {
   TransactionDatabase db = TransactionDatabase::FromTransactions({{0, 2}});
   db.SetNumItems(10);  // items 3..9 never occur
-  TransposedOptions options;
-  options.min_support = 1;
-  const auto sets = Collect(
-      [&](const TransactionDatabase& d, const ClosedSetCallback& cb) {
-        return MineClosedTransposed(d, options, cb);
-      },
-      db);
+  const auto sets = Collect(Algorithm::kTransposed, db, 1);
   ASSERT_EQ(sets.size(), 1u);
   EXPECT_EQ(sets[0].items, (std::vector<ItemId>{0, 2}));
 }
@@ -110,13 +85,7 @@ TEST(FpCloseDeepTest, PerfectExtensionsFoldIntoCandidates) {
   // and must be inside EVERY reported closed set.
   const TransactionDatabase db = TransactionDatabase::FromTransactions(
       {{0, 2}, {1, 2}, {0, 1, 2}});
-  FpCloseOptions options;
-  options.min_support = 1;
-  const auto sets = Collect(
-      [&](const TransactionDatabase& d, const ClosedSetCallback& cb) {
-        return MineClosedFpClose(d, options, cb);
-      },
-      db);
+  const auto sets = Collect(Algorithm::kFpClose, db, 1);
   for (const auto& set : sets) {
     EXPECT_TRUE(
         std::binary_search(set.items.begin(), set.items.end(), ItemId{2}))
@@ -132,13 +101,7 @@ TEST(FpCloseDeepTest, SubsumptionFilterRemovesNonClosedCandidates) {
   // contains non-closed sets that the same-support filter must remove.
   const TransactionDatabase db = TransactionDatabase::FromTransactions(
       {{0, 1, 2, 3}, {0, 1, 2}, {0, 1}, {0}});
-  FpCloseOptions options;
-  options.min_support = 1;
-  const auto sets = Collect(
-      [&](const TransactionDatabase& d, const ClosedSetCallback& cb) {
-        return MineClosedFpClose(d, options, cb);
-      },
-      db);
+  const auto sets = Collect(Algorithm::kFpClose, db, 1);
   // Exactly the four nested prefixes, each closed with distinct support.
   ASSERT_EQ(sets.size(), 4u);
   for (std::size_t i = 0; i < sets.size(); ++i) {

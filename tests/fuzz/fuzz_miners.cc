@@ -9,10 +9,11 @@
 //              the row's item mask: its low four bits, then the next byte
 //
 // up to the oracle's 16 rows. Every miner must report exactly the
-// oracle's sets: all nine algorithms, IsTa at 4 threads, and a landmark
-// stream miner queried after a checkpoint round trip. Then the database
-// written twice, mined at twice the support, must give the same sets with
-// doubled supports. A mismatch traps.
+// oracle's sets: all nine algorithms, over the database and over the
+// database cut into one, two and three folded tables, IsTa at 4 threads,
+// and a landmark stream miner queried after a checkpoint round trip. Then
+// the database written twice, mined at twice the support, must give the
+// same sets with doubled supports. A mismatch traps.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,15 +39,44 @@ void RequireSame(const fim::Result<std::vector<ClosedItemset>>& mined,
   Require(mined.ok() && fim::SameResults(expected, mined.value()));
 }
 
-// Every batch miner, and IsTa at 4 threads, on `db` at `min_support`.
+// The transactions of `db` cut into `parts` consecutive runs, each
+// folded into one table of weighted input rows.
+std::vector<fim::WeightedTransactions> FoldedParts(
+    const fim::TransactionDatabase& db, std::size_t parts) {
+  const auto& transactions = db.transactions();
+  std::vector<fim::WeightedTransactions> tables;
+  for (std::size_t p = 0; p < parts; ++p) {
+    tables.push_back(fim::FoldRows(fim::TransactionDatabase::FromTransactions(
+        {transactions.begin() + p * transactions.size() / parts,
+         transactions.begin() + (p + 1) * transactions.size() / parts},
+        db.NumItems())));
+  }
+  return tables;
+}
+
+// Every batch miner over `db` and over its folded tables, and IsTa at 4
+// threads, on `db` at `min_support`.
 void RequireMinersAgree(const fim::TransactionDatabase& db,
                         fim::Support min_support,
                         const std::vector<ClosedItemset>& expected) {
+  std::vector<std::vector<fim::WeightedTransactions>> splits;
+  for (std::size_t parts : {1u, 2u, 3u}) {
+    splits.push_back(FoldedParts(db, parts));
+  }
   fim::MinerOptions options;
   options.min_support = min_support;
   for (fim::Algorithm algorithm : fim::AllAlgorithms()) {
     options.algorithm = algorithm;
     RequireSame(fim::MineClosedCollect(db, options), expected);
+    for (const auto& tables : splits) {
+      std::vector<const fim::WeightedTransactions*> pointers;
+      for (const auto& table : tables) pointers.push_back(&table);
+      fim::ClosedSetCollector collector;
+      Require(fim::MineClosed(pointers, db.NumItems(), options,
+                              collector.AsCallback())
+                  .ok());
+      Require(fim::SameResults(expected, collector.TakeSets()));
+    }
   }
   options.algorithm = fim::Algorithm::kIsta;
   options.num_threads = 4;

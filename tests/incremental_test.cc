@@ -1,20 +1,28 @@
-// Tests of the online/streaming IsTa wrapper: querying after every
-// prefix of the stream must match batch mining of that prefix.
+// Tests of online mining with the stream miner in landmark mode: querying
+// after every prefix of the stream must match batch mining of that
+// prefix.
 
 #include <gtest/gtest.h>
 
 #include "api/miner.h"
 #include "data/generators.h"
-#include "ista/incremental.h"
+#include "stream/stream_miner.h"
 #include "verify/compare.h"
 #include "verify/oracle.h"
 
 namespace fim {
 namespace {
 
+// Landmark mode: every query covers all the transactions seen so far.
+StreamMinerOptions Landmark(std::size_t max_items) {
+  StreamMinerOptions options;
+  options.max_items = max_items;
+  return options;
+}
+
 TEST(IncrementalTest, MatchesBatchAfterEveryPrefix) {
   const TransactionDatabase db = GenerateRandomDense(12, 10, 0.4, 2024);
-  IncrementalClosedSetMiner miner(db.NumItems());
+  StreamMiner miner(Landmark(db.NumItems()));
   TransactionDatabase prefix_db;
   prefix_db.SetNumItems(db.NumItems());
   for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
@@ -34,7 +42,7 @@ TEST(IncrementalTest, MatchesBatchAfterEveryPrefix) {
 }
 
 TEST(IncrementalTest, RejectsBadInput) {
-  IncrementalClosedSetMiner miner(5);
+  StreamMiner miner(Landmark(5));
   EXPECT_FALSE(miner.AddTransaction({}).ok());
   EXPECT_EQ(miner.AddTransaction({7}).code(), StatusCode::kOutOfRange);
   ASSERT_TRUE(miner.AddTransaction({1, 1, 4}).ok());  // duplicates fine
@@ -43,7 +51,7 @@ TEST(IncrementalTest, RejectsBadInput) {
 }
 
 TEST(IncrementalTest, QueryBeforeAnyTransaction) {
-  IncrementalClosedSetMiner miner(4);
+  StreamMiner miner(Landmark(4));
   auto result = miner.QueryCollect(1);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().empty());
@@ -51,7 +59,7 @@ TEST(IncrementalTest, QueryBeforeAnyTransaction) {
 }
 
 TEST(IncrementalTest, SupportsRepeatedQueriesWithoutSideEffects) {
-  IncrementalClosedSetMiner miner(6);
+  StreamMiner miner(Landmark(6));
   ASSERT_TRUE(miner.AddTransaction({0, 1, 2}).ok());
   ASSERT_TRUE(miner.AddTransaction({1, 2, 3}).ok());
   auto a = miner.QueryCollect(1);

@@ -19,7 +19,6 @@
 #include "carpenter/repository.h"
 #include "data/generators.h"
 #include "data/transaction_database.h"
-#include "ista/ista.h"
 #include "ista/prefix_tree.h"
 #include "kernels/tidset.h"
 #include "obs/export.h"
@@ -372,16 +371,14 @@ TEST(MemoryNeutralityTest, IstaParallelRecordsOneTree) {
   config.avg_transaction_size = 4.0;
   config.seed = 3;
   const TransactionDatabase db = GenerateMarketBasket(config);
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = 3;
   options.num_threads = 4;
   MemoryBreakdown memory;
   options.memory = &memory;
   std::size_t sets = 0;
-  ASSERT_TRUE(MineClosedIsta(db, options,
-                             [&sets](std::span<const ItemId>, Support) {
-                               ++sets;
-                             })
+  ASSERT_TRUE(MineClosed(db, options,
+                         [&sets](std::span<const ItemId>, Support) { ++sets; })
                   .ok());
   EXPECT_GT(sets, 0u);
   bool found_trees = false;

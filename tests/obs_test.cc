@@ -275,7 +275,8 @@ TEST(ExportTest, TextReportMentionsNonZeroCountersOnly) {
 
 // The core contract of the whole subsystem: mining with stats and trace
 // enabled produces bit-identical output to mining without, for every
-// algorithm, at 1 and 4 threads.
+// algorithm, at 1 and 4 threads; and every algorithm's "mine" span holds
+// the input stage's "recode" and "dedup".
 TEST(OutputNeutralityTest, StatsOnEqualsStatsOffForEveryMiner) {
   const TransactionDatabase db = GenerateRandomDense(60, 24, 0.3, 123);
   for (Algorithm algorithm : AllAlgorithms()) {
@@ -306,7 +307,13 @@ TEST(OutputNeutralityTest, StatsOnEqualsStatsOffForEveryMiner) {
           << AlgorithmName(algorithm) << " t=" << threads;
       EXPECT_EQ(trace.OpenDepth(), 0u);
       ASSERT_FALSE(trace.root().children.empty());
-      EXPECT_EQ(trace.root().children.front()->name, "mine");
+      const obs::SpanNode& mine = *trace.root().children.front();
+      EXPECT_EQ(mine.name, "mine");
+      // Every miner's input stage runs inside its "mine" span.
+      EXPECT_NE(mine.FindChild("recode"), nullptr)
+          << AlgorithmName(algorithm) << " t=" << threads;
+      EXPECT_NE(mine.FindChild("dedup"), nullptr)
+          << AlgorithmName(algorithm) << " t=" << threads;
     }
   }
 }

@@ -10,9 +10,9 @@
 #include <map>
 #include <vector>
 
+#include "api/miner.h"
 #include "data/generators.h"
 #include "data/profiles.h"
-#include "ista/ista.h"
 #include "ista/prefix_tree.h"
 #include "verify/compare.h"
 
@@ -20,16 +20,16 @@ namespace fim {
 namespace {
 
 std::vector<ClosedItemset> MineWith(const TransactionDatabase& db,
-                                    const IstaOptions& options,
-                                    IstaStats* stats = nullptr) {
+                                    const MinerOptions& options,
+                                    MinerStats* stats = nullptr) {
   ClosedSetCollector collector;
-  EXPECT_TRUE(MineClosedIsta(db, options, collector.AsCallback(), stats).ok());
+  EXPECT_TRUE(MineClosed(db, options, collector.AsCallback(), stats).ok());
   return collector.TakeSets();  // NOT canonicalized: order matters here
 }
 
 std::vector<ClosedItemset> MineWith(const TransactionDatabase& db, Support smin,
                                     unsigned threads) {
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = smin;
   options.num_threads = threads;
   return MineWith(db, options);
@@ -59,13 +59,13 @@ TEST(ParallelIstaTest, IdenticalOnMarketBasketData) {
   config.seed = 11;
   const TransactionDatabase db = GenerateMarketBasket(config);
   for (Support smin : {5u, 40u}) {
-    IstaOptions options;
+    MinerOptions options;
     options.min_support = smin;
-    IstaStats sequential_stats;
+    MinerStats sequential_stats;
     const auto sequential = MineWith(db, options, &sequential_stats);
     for (unsigned threads : {2u, 4u}) {
       options.num_threads = threads;
-      IstaStats stats;
+      MinerStats stats;
       const auto parallel = MineWith(db, options, &stats);
       ASSERT_EQ(sequential, parallel) << "smin " << smin << " threads "
                                       << threads;
@@ -94,7 +94,7 @@ TEST(ParallelIstaTest, IdenticalOnStructuredProfiles) {
 
 TEST(ParallelIstaTest, IdenticalWithoutItemElimination) {
   const TransactionDatabase db = GenerateRandomDense(30, 10, 0.5, 99);
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = 3;
   options.item_elimination = false;
   const auto sequential = MineWith(db, options);
@@ -111,7 +111,7 @@ TEST(ParallelIstaTest, IdenticalWithoutDuplicateMerging) {
   for (int copy = 0; copy < 5; ++copy) rows.push_back({1, 2, 3});
   rows.push_back({0, 3});
   const TransactionDatabase db = TransactionDatabase::FromTransactions(rows);
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = 2;
   const auto sequential = MineWith(db, options);
   for (unsigned threads : {2u, 4u, 8u}) {
@@ -130,7 +130,7 @@ TEST(ParallelIstaTest, IdenticalUnderEveryTransactionOrder) {
   config.num_patterns = 6;
   config.seed = 31;
   const TransactionDatabase db = GenerateMarketBasket(config);
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = 10;
   const auto default_order = MineWith(db, options);
   ASSERT_FALSE(default_order.empty());
@@ -138,13 +138,13 @@ TEST(ParallelIstaTest, IdenticalUnderEveryTransactionOrder) {
        {TransactionOrder::kNone, TransactionOrder::kSizeDescending}) {
     options.transaction_order = order;
     options.num_threads = 1;
-    IstaStats sequential_stats;
+    MinerStats sequential_stats;
     const auto sequential = MineWith(db, options, &sequential_stats);
     // The order changes the report order, never the sets.
     EXPECT_TRUE(SameResults(sequential, default_order))
         << DiffResults(sequential, default_order);
     options.num_threads = 4;
-    IstaStats stats;
+    MinerStats stats;
     ASSERT_EQ(sequential, MineWith(db, options, &stats))
         << "order " << static_cast<int>(order);
     EXPECT_EQ(stats.Counters(), sequential_stats.Counters())
@@ -162,13 +162,13 @@ TEST(ParallelIstaTest, ThresholdPruningKeepsOutputExact) {
   config.num_patterns = 8;
   config.seed = 23;
   const TransactionDatabase db = GenerateMarketBasket(config);
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = 30;
   const auto sequential = MineWith(db, options);
   options.prune_node_threshold = 16;
   for (unsigned threads : {1u, 4u}) {
     options.num_threads = threads;
-    IstaStats stats;
+    MinerStats stats;
     ASSERT_EQ(sequential, MineWith(db, options, &stats)) << "threads "
                                                          << threads;
     EXPECT_GT(stats.prune_calls, 0u);
@@ -204,11 +204,11 @@ Status MineTables(const std::vector<WeightedTransactions>& tables,
                   std::vector<ClosedItemset>* sets) {
   std::vector<const WeightedTransactions*> pointers;
   for (const WeightedTransactions& table : tables) pointers.push_back(&table);
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = 1;
   ClosedSetCollector collector;
-  const Status status = MineClosedIsta(pointers, num_items, options,
-                                       collector.AsCallback());
+  const Status status =
+      MineClosed(pointers, num_items, options, collector.AsCallback());
   *sets = collector.TakeSets();
   return status;
 }

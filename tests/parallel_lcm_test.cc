@@ -3,9 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/miner.h"
 #include "data/generators.h"
 #include "data/profiles.h"
-#include "enumeration/lcm.h"
 #include "verify/compare.h"
 
 namespace fim {
@@ -13,11 +13,12 @@ namespace {
 
 std::vector<ClosedItemset> MineWith(const TransactionDatabase& db, Support smin,
                                unsigned threads) {
-  LcmOptions options;
+  MinerOptions options;
+  options.algorithm = Algorithm::kLcm;
   options.min_support = smin;
   options.num_threads = threads;
   ClosedSetCollector collector;
-  EXPECT_TRUE(MineClosedLcm(db, options, collector.AsCallback()).ok());
+  EXPECT_TRUE(MineClosed(db, options, collector.AsCallback()).ok());
   return collector.TakeSets();  // NOT canonicalized: order matters here
 }
 

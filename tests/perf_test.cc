@@ -21,6 +21,7 @@
 #include "common/timer.h"
 #include "obs/perf.h"
 #include "obs/profiler.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
 
 namespace fim::obs {
@@ -509,6 +510,27 @@ TEST(SamplingProfilerTest, LeafIsTheInterruptedExportedFunction) {
   }
   EXPECT_GE(samples, 50u);
   EXPECT_GE(2 * in_spin, samples) << collapsed;
+}
+
+TEST(ObservabilityFootprintTest, UnwrittenBuffersStayOutOfThePeakRss) {
+  // 64 timeline lanes hold 128 MiB of ring slots at the default capacity,
+  // and the profiler 32 MiB of sample slots at the default options. Only
+  // written slots may become resident: observing a run must not inflate
+  // the peak RSS it reports.
+  const PeakRssResult before = PeakRssBytes();
+  if (!before.known) GTEST_SKIP() << "the platform hides the peak RSS";
+  Timeline timeline;
+  for (int lane = 1; lane < 64; ++lane) {
+    timeline.AddLane("lane-" + std::to_string(lane));
+  }
+  ASSERT_EQ(timeline.NumLanes(), 64u);
+  std::string error;
+  auto profiler = SamplingProfiler::Start(ProfilerOptions{}, &error);
+  ASSERT_NE(profiler, nullptr) << error;
+  profiler->Stop();
+  const std::size_t grown = PeakRssBytes().bytes - before.bytes;
+  EXPECT_LT(grown, std::size_t{32} << 20)
+      << "peak RSS grew by " << grown << " bytes";
 }
 
 }  // namespace

@@ -7,9 +7,7 @@
 #include <cstdio>
 
 #include "api/miner.h"
-#include "carpenter/carpenter.h"
 #include "data/generators.h"
-#include "ista/ista.h"
 #include "verify/closedness.h"
 #include "verify/compare.h"
 #include "verify/oracle.h"
@@ -81,18 +79,17 @@ TEST(IstaPruningTest, AggressivePruningNeverChangesOutput) {
     const TransactionDatabase db =
         GenerateRandomDense(10, 12, 0.45, seed * 77);
     for (Support smin : {1u, 2u, 3u, 5u, 8u}) {
-      IstaOptions base;
+      MinerOptions base;
       base.min_support = smin;
       base.prune_node_threshold = std::size_t{1} << 40;  // never prune
       ClosedSetCollector a;
-      ASSERT_TRUE(MineClosedIsta(db, base, a.AsCallback()).ok());
+      ASSERT_TRUE(MineClosed(db, base, a.AsCallback()).ok());
 
-      IstaOptions aggressive = base;
+      MinerOptions aggressive = base;
       aggressive.prune_node_threshold = 0;  // prune after every transaction
-      IstaStats stats;
+      MinerStats stats;
       ClosedSetCollector b;
-      ASSERT_TRUE(
-          MineClosedIsta(db, aggressive, b.AsCallback(), &stats).ok());
+      ASSERT_TRUE(MineClosed(db, aggressive, b.AsCallback(), &stats).ok());
 
       EXPECT_TRUE(SameResults(a.sets(), b.sets()))
           << "seed=" << seed << " smin=" << smin << "\n"
@@ -113,16 +110,17 @@ TEST(CarpenterEliminationTest, EliminationNeverChangesOutput) {
         GenerateRandomDense(9, 10, 0.5, seed * 131);
     for (Support smin : {1u, 2u, 3u, 4u, 6u}) {
       for (bool table : {false, true}) {
-        CarpenterOptions on;
+        MinerOptions on;
+        on.algorithm =
+            table ? Algorithm::kCarpenterTable : Algorithm::kCarpenterLists;
         on.min_support = smin;
         on.item_elimination = true;
-        CarpenterOptions off = on;
+        MinerOptions off = on;
         off.item_elimination = false;
         ClosedSetCollector with;
         ClosedSetCollector without;
-        auto run = table ? MineClosedCarpenterTable : MineClosedCarpenterLists;
-        ASSERT_TRUE(run(db, on, with.AsCallback(), nullptr).ok());
-        ASSERT_TRUE(run(db, off, without.AsCallback(), nullptr).ok());
+        ASSERT_TRUE(MineClosed(db, on, with.AsCallback()).ok());
+        ASSERT_TRUE(MineClosed(db, off, without.AsCallback()).ok());
         EXPECT_TRUE(SameResults(with.sets(), without.sets()))
             << (table ? "table" : "lists") << " seed=" << seed
             << " smin=" << smin << "\n"

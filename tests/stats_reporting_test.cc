@@ -3,25 +3,24 @@
 
 #include <gtest/gtest.h>
 
-#include "carpenter/carpenter.h"
+#include "api/miner.h"
 #include "data/generators.h"
-#include "ista/ista.h"
 
 namespace fim {
 namespace {
 
 TEST(IstaStatsTest, TracksNodesAndPrunes) {
   const TransactionDatabase db = GenerateRandomDense(20, 15, 0.4, 55);
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = 2;
   options.prune_node_threshold = 8;  // force several prunes
-  IstaStats stats;
+  MinerStats stats;
   std::size_t count = 0;
-  ASSERT_TRUE(MineClosedIsta(db, options,
-                             [&count](std::span<const ItemId>, Support) {
-                               ++count;
-                             },
-                             &stats)
+  ASSERT_TRUE(MineClosed(db, options,
+                         [&count](std::span<const ItemId>, Support) {
+                           ++count;
+                         },
+                         &stats)
                   .ok());
   EXPECT_GT(count, 0u);
   EXPECT_GT(stats.peak_nodes, 0u);
@@ -32,26 +31,28 @@ TEST(IstaStatsTest, TracksNodesAndPrunes) {
 
 TEST(IstaStatsTest, ResetBetweenRuns) {
   const TransactionDatabase db = GenerateRandomDense(5, 5, 0.5, 56);
-  IstaOptions options;
+  MinerOptions options;
   options.min_support = 1;
-  IstaStats stats;
+  MinerStats stats;
   stats.prune_calls = 999;  // stale value must be cleared
-  ASSERT_TRUE(
-      MineClosedIsta(db, options, [](auto, auto) {}, &stats).ok());
+  ASSERT_TRUE(MineClosed(db, options, [](auto, auto) {}, &stats).ok());
   EXPECT_LT(stats.prune_calls, 999u);
 }
 
 TEST(CarpenterStatsTest, CountsNodesAndRepoActivity) {
   const TransactionDatabase db = GenerateRandomDense(12, 10, 0.5, 57);
-  CarpenterOptions options;
+  MinerOptions options;
   options.min_support = 2;
   for (bool table : {false, true}) {
-    CarpenterStats stats;
+    options.algorithm =
+        table ? Algorithm::kCarpenterTable : Algorithm::kCarpenterLists;
+    MinerStats stats;
     std::size_t count = 0;
-    auto run = table ? MineClosedCarpenterTable : MineClosedCarpenterLists;
-    ASSERT_TRUE(run(db, options,
-                    [&count](std::span<const ItemId>, Support) { ++count; },
-                    &stats)
+    ASSERT_TRUE(MineClosed(db, options,
+                           [&count](std::span<const ItemId>, Support) {
+                             ++count;
+                           },
+                           &stats)
                     .ok());
     EXPECT_GT(stats.nodes_visited, 0u) << (table ? "table" : "lists");
     EXPECT_GT(stats.repo_sets, 0u);
@@ -67,12 +68,11 @@ TEST(CarpenterStatsTest, RepoHitsOccurOnOverlappingData) {
   std::size_t total_hits = 0;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     const TransactionDatabase db = GenerateRandomDense(10, 6, 0.6, seed);
-    CarpenterOptions options;
+    MinerOptions options;
+    options.algorithm = Algorithm::kCarpenterLists;
     options.min_support = 1;
-    CarpenterStats stats;
-    ASSERT_TRUE(MineClosedCarpenterLists(db, options, [](auto, auto) {},
-                                         &stats)
-                    .ok());
+    MinerStats stats;
+    ASSERT_TRUE(MineClosed(db, options, [](auto, auto) {}, &stats).ok());
     total_hits += stats.repo_hits;
   }
   EXPECT_GT(total_hits, 0u);

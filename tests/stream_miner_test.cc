@@ -6,12 +6,14 @@
 
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/miner.h"
 #include "common/sync.h"
 #include "data/generators.h"
+#include "obs/trace.h"
 #include "stream/stream_miner.h"
 #include "verify/compare.h"
 #include "verify/oracle.h"
@@ -405,6 +407,26 @@ TEST(StreamMinerTest, QueryMinesAndReportsWithoutTheLock) {
                   .ok());
   EXPECT_EQ(reported, (std::vector<ClosedItemset>{{{0, 1}, 2}}));
   EXPECT_EQ(miner.NumTransactions(), 3u);
+}
+
+TEST(StreamMinerTest, QuerySpansHoldTheInputStageAndIsta) {
+  // A query freezes the panes, then MineClosed's input stage and IsTa
+  // run below the query's own span, with no "mine" span of their own.
+  obs::Trace trace;
+  StreamMinerOptions options = Windowed(4, 2, 2);
+  options.trace = &trace;
+  StreamMiner miner(options);
+  for (const std::vector<ItemId>& row : Stream{{0, 1}, {0, 1}, {1, 2}}) {
+    ASSERT_TRUE(miner.AddTransaction(row).ok());
+  }
+  ASSERT_TRUE(miner.QueryCollect(1).ok());
+  const obs::SpanNode* query = trace.root().FindChild("query");
+  ASSERT_NE(query, nullptr);
+  std::vector<std::string> children;
+  for (const auto& child : query->children) children.push_back(child->name);
+  EXPECT_EQ(children,
+            (std::vector<std::string>{"query-freeze", "recode", "dedup",
+                                      "shard-mine", "report"}));
 }
 
 TEST(StreamMinerTest, RejectsBadInput) {

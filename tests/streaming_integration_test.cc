@@ -6,11 +6,18 @@
 
 #include "api/miner.h"
 #include "data/generators.h"
-#include "ista/incremental.h"
+#include "stream/stream_miner.h"
 #include "verify/compare.h"
 
 namespace fim {
 namespace {
+
+// Landmark mode: every query covers all the transactions seen so far.
+StreamMinerOptions Landmark(std::size_t max_items) {
+  StreamMinerOptions options;
+  options.max_items = max_items;
+  return options;
+}
 
 TEST(StreamingIntegrationTest, MatchesBatchOnMarketBasketCheckpoints) {
   MarketBasketConfig config;
@@ -20,7 +27,7 @@ TEST(StreamingIntegrationTest, MatchesBatchOnMarketBasketCheckpoints) {
   config.seed = 31;
   const TransactionDatabase db = GenerateMarketBasket(config);
 
-  IncrementalClosedSetMiner streaming(db.NumItems());
+  StreamMiner streaming(Landmark(db.NumItems()));
   TransactionDatabase prefix;
   prefix.SetNumItems(db.NumItems());
   const std::size_t checkpoint_every = 60;
@@ -45,7 +52,7 @@ TEST(StreamingIntegrationTest, MatchesBatchOnMarketBasketCheckpoints) {
 
 TEST(StreamingIntegrationTest, NodeCountGrowsMonotonically) {
   const TransactionDatabase db = GenerateRandomDense(30, 12, 0.3, 77);
-  IncrementalClosedSetMiner streaming(db.NumItems());
+  StreamMiner streaming(Landmark(db.NumItems()));
   std::size_t last = 0;
   for (const auto& t : db.transactions()) {
     ASSERT_TRUE(streaming.AddTransaction(t).ok());

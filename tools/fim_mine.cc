@@ -11,8 +11,9 @@
 //             fpclose | lcm | charm | transposed | cobbler (default: ista)
 //   -s N      absolute minimum support            (default: 2)
 //   -S P      relative minimum support in percent (overrides -s)
-//   -t N      worker threads for ista / lcm; output is identical to the
-//             sequential run                      (default: 1)
+//   -t N      worker threads of every algorithm's recoding, and of
+//             lcm's mining; output is identical to the sequential
+//             run                                 (default: 1)
 //   -m        report only maximal frequent item sets
 //   -q        quiet: no stats on stderr
 //   --kernel=NAME

@@ -68,7 +68,7 @@ int RunSelfCheck(const fim::TransactionDatabase& db,
   using namespace fim;
 
   // IsTa prefix tree: feed every weighted row (frequency-ascending codes,
-  // as MineClosedIsta does) and validate after the final insertion.
+  // as IsTa's recipe does) and validate after the final insertion.
   const Recoding recoding =
       ComputeRecoding(db, ItemOrder::kFrequencyAscending, 1);
   const WeightedTransactions rows =

@@ -202,7 +202,7 @@ class PerfSession {
     }
   }
 
-  /// The per-domain collector for MinerOptions/IstaOptions::perf_domains
+  /// The per-domain collector for MinerOptions::perf_domains
   /// (nullptr without --perf-counters).
   obs::PerfDomainCollector* domains() { return collector_.get(); }
 
@@ -276,7 +276,7 @@ class MemSession {
  public:
   explicit MemSession(const ObsFlags& flags) : enabled_(flags.mem_stats) {}
 
-  /// The collector for MinerOptions::memory and friends (nullptr
+  /// The collector for MinerOptions::memory (nullptr
   /// without --mem-stats — the run then skips all recording work).
   obs::MemoryBreakdown* breakdown() {
     return enabled_ ? &breakdown_ : nullptr;
