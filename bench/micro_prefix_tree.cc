@@ -1,10 +1,9 @@
-// Micro benchmarks of the IsTa prefix tree and the Carpenter repository
-// (google-benchmark): transaction insertion + intersection throughput,
-// repository insert/lookup, and the report pass.
+// Micro benchmarks of the IsTa prefix tree (google-benchmark):
+// transaction insertion + intersection throughput, the prune pass and
+// the report pass.
 
 #include <benchmark/benchmark.h>
 
-#include "carpenter/repository.h"
 #include "data/generators.h"
 #include "ista/prefix_tree.h"
 
@@ -57,33 +56,6 @@ void BM_IstaPrune(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IstaPrune)->Arg(2)->Arg(16);
-
-void BM_RepositoryInsert(benchmark::State& state) {
-  const auto db = MakeDb(static_cast<std::size_t>(state.range(0)), 300, 0.05,
-                         11);
-  for (auto _ : state) {
-    ClosedSetRepository repo(db.NumItems());
-    for (const auto& t : db.transactions()) {
-      benchmark::DoNotOptimize(repo.InsertIfAbsent(t));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(db.NumTransactions()));
-}
-BENCHMARK(BM_RepositoryInsert)->Arg(256)->Arg(2048);
-
-void BM_RepositoryContains(benchmark::State& state) {
-  const auto db = MakeDb(1024, 300, 0.05, 11);
-  ClosedSetRepository repo(db.NumItems());
-  for (const auto& t : db.transactions()) repo.InsertIfAbsent(t);
-  for (auto _ : state) {
-    for (const auto& t : db.transactions()) {
-      benchmark::DoNotOptimize(repo.Contains(t));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_RepositoryContains);
 
 }  // namespace
 

@@ -18,7 +18,8 @@ std::string TidsToString(const std::vector<Tid>& tids) {
   std::string s = "{";
   for (std::size_t i = 0; i < tids.size(); ++i) {
     if (i > 0) s += ", ";
-    s += "t" + std::to_string(tids[i] + 1);
+    s += 't';
+    s += std::to_string(tids[i] + 1);
   }
   return s + "}";
 }

@@ -18,8 +18,10 @@ namespace fim {
 /// the distinct rows whose entry (k, i) is 0 when item i is not in row k
 /// and otherwise the summed weight of the rows from k onward that contain
 /// i; with item_elimination, the §3.1.1 bound drops an item from an
-/// intersection as soon as it cannot reach min_support. `stats` receives
-/// nodes_visited, repo_sets and repo_hits. The list variant
+/// intersection as soon as it cannot reach min_support. The canonicity
+/// test of RowBitsets (row_bitsets.h) stands in for §3.1.1's repository
+/// of the intersections seen. `stats` receives nodes_visited and
+/// repo_hits (children the canonicity test prunes). The list variant
 /// (kCarpenterLists, §3.1.1) is Cobbler's core with the column switch
 /// off (cobbler.h).
 void MineCarpenterTable(WeightedTransactions rows, std::size_t num_items,

@@ -2,7 +2,7 @@
 #include <vector>
 
 #include "carpenter/carpenter.h"
-#include "carpenter/repository.h"
+#include "carpenter/row_bitsets.h"
 #include "common/check.h"
 #include "kernels/intersect.h"
 #include "obs/memory.h"
@@ -94,7 +94,7 @@ class TableMiner {
         min_support_(options.min_support),
         item_elimination_(options.item_elimination),
         callback_(callback),
-        repo_(num_items),
+        bitsets_(rows, num_items),
         stats_(stats) {
     FIM_DCHECK_OK(ValidateCarpenterMatrix(rows, num_items, matrix_));
   }
@@ -110,15 +110,13 @@ class TableMiner {
     }
     if (initial.empty() || n_ == 0) return;
     Mine(initial, 0, 0);
-    if (stats_ != nullptr) stats_->repo_sets = repo_.size();
   }
 
-  // The matrix is built once; the repository only grows, so everything
-  // is at its largest at the end of the run.
+  // The matrix and the row bitsets are built once and keep their size.
   void RecordMemory(obs::MemoryBreakdown* memory) const {
     if (memory == nullptr) return;
     memory->RecordBytes("matrix", matrix_.capacity() * sizeof(Support));
-    memory->Record(repo_.ApproxMemoryUsage());
+    memory->RecordBytes("row-bitsets", bitsets_.Bytes());
   }
 
  private:
@@ -145,6 +143,7 @@ class TableMiner {
       if (members.size() == items.size()) {
         // t_j contains I: absorb (perfect extension analog).
         supp += weights_[j];
+        bitsets_.Cover(j);
         continue;
       }
       child.clear();
@@ -155,11 +154,13 @@ class TableMiner {
         child.push_back(i);
       }
       if (child.empty()) continue;
-      if (repo_.InsertIfAbsent(child)) {
-        Mine(child, supp + weights_[j], j + 1);
-      } else if (stats_ != nullptr) {
-        ++stats_->repo_hits;
+      if (!bitsets_.IsCanonical(child, j)) {
+        if (stats_ != nullptr) ++stats_->repo_hits;
+        continue;
       }
+      bitsets_.Cover(j);
+      Mine(child, supp + weights_[j], j + 1);
+      bitsets_.UncoverFrom(j);
     }
     if (supp >= min_support_) callback_(items, supp);
   }
@@ -171,7 +172,7 @@ class TableMiner {
   const Support min_support_;
   const bool item_elimination_;
   const ClosedSetCallback& callback_;
-  ClosedSetRepository repo_;
+  RowBitsets bitsets_;  // duplicate check; covers the rows of the path
   MinerStats* stats_;
 };
 

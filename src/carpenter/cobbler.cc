@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "carpenter/repository.h"
+#include "carpenter/row_bitsets.h"
 #include "common/check.h"
 #include "obs/memory.h"
 
@@ -29,7 +29,7 @@ class CobblerMiner {
         n_(static_cast<Tid>(rows.NumRows())),
         options_(options),
         callback_(callback),
-        repo_(num_items),
+        bitsets_(rows, num_items),
         stats_(stats) {
     rows_from_.assign(n_ + 1, 0);
     for (Tid j = n_; j > 0; --j) {
@@ -56,24 +56,24 @@ class CobblerMiner {
     }
     if (initial.empty()) return;
     Mine(initial, 0, 0);
-    if (stats_ != nullptr) stats_->repo_sets = repo_.size();
   }
 
-  // Tid lists (with their suffix weights) are built once, the repository
-  // only grows: largest at the end of the run.
+  // Tid lists (with their suffix weights) and row bitsets are built once
+  // and keep their size.
   void RecordMemory(obs::MemoryBreakdown* memory) const {
     if (memory == nullptr) return;
     memory->RecordBytes("tid-lists",
                         obs::NestedVectorBytes(tidlists_) +
                             obs::NestedVectorBytes(suffix_weights_));
-    memory->Record(repo_.ApproxMemoryUsage());
+    memory->RecordBytes("row-bitsets", bitsets_.Bytes());
   }
 
  private:
-  // Row-enumeration node, identical contract to the list-based
-  // Carpenter: `entries` is the current intersection I (= intersection
-  // of the chosen rows, which are exactly `chosen_`), `count` = their
-  // summed weight, cursors point at the first row >= l.
+  // Row-enumeration node, identical contract to the table Carpenter:
+  // `entries` is the current intersection I (= intersection of the
+  // chosen rows, which with the absorbed ones are the cover of
+  // `bitsets_`), `count` = their summed weight, cursors point at the
+  // first row >= l.
   void Mine(const std::vector<Entry>& entries, Support count, Tid l) {
     if (stats_ != nullptr) ++stats_->nodes_visited;
 
@@ -105,7 +105,7 @@ class CobblerMiner {
       }
       if (members.size() == sweep.size()) {
         supp += rows_.weights[j];  // absorbed: t_j contains I
-        chosen_.push_back(j);
+        bitsets_.Cover(j);
         continue;
       }
 
@@ -123,13 +123,13 @@ class CobblerMiner {
       if (child.empty()) continue;
       key.clear();
       for (const Entry& e : child) key.push_back(e.item);
-      if (repo_.InsertIfAbsent(key)) {
-        chosen_.push_back(j);
-        Mine(child, supp + rows_.weights[j], j + 1);
-        chosen_.pop_back();
-      } else if (stats_ != nullptr) {
-        ++stats_->repo_hits;
+      if (!bitsets_.IsCanonical(key, j)) {
+        if (stats_ != nullptr) ++stats_->repo_hits;
+        continue;
       }
+      bitsets_.Cover(j);
+      Mine(child, supp + rows_.weights[j], j + 1);
+      bitsets_.UncoverFrom(j);
     }
 
     if (supp >= options_.min_support) {
@@ -137,8 +137,6 @@ class CobblerMiner {
       for (const Entry& e : sweep) key.push_back(e.item);
       callback_(key, supp);
     }
-    // Undo the absorptions recorded during this sweep.
-    while (!chosen_.empty() && chosen_.back() >= l) chosen_.pop_back();
   }
 
   // Counts the transactions left as the database with one row per
@@ -155,9 +153,9 @@ class CobblerMiner {
   // Column-enumeration takeover of the whole subtree: the closed sets
   // below this node are exactly the closed sets of the conditional
   // database {t_j ∩ I : j >= l}, each completed with `count` chosen
-  // transactions — except for sets also contained in an earlier,
-  // not-chosen transaction, which an earlier branch has already produced
-  // with their full support (the backward check below discards those).
+  // transactions — except for sets also contained in an earlier row
+  // outside the cover, whose canonical path runs through an earlier
+  // branch (the canonicity test at row l discards those).
   void MineConditionalByColumns(const std::vector<Entry>& entries,
                                 Support count, Tid l) {
     std::vector<ItemId> current;
@@ -176,14 +174,13 @@ class CobblerMiner {
     }
 
     // I itself: supported by the chosen transactions plus the rows that
-    // equal it (the absorptions plain Carpenter would have made). The
-    // repository invariant already guarantees no earlier unchosen
-    // transaction contains I.
+    // equal it (the absorptions plain Carpenter would have made). This
+    // node passed the canonicity test, so no earlier row outside the
+    // cover contains I.
     const Support current_support = count + rows_equal_to_current;
     if (current_support >= options_.min_support) {
       callback_(current, current_support);
     }
-    repo_.InsertIfAbsent(current);
 
     if (conditional.rows().NumRows() == 0) return;
     const Support sub_min =
@@ -198,26 +195,10 @@ class CobblerMiner {
         [this, &current, count, l](std::span<const ItemId> items,
                                    Support sub_support) {
           if (items.size() == current.size()) return;  // I handled above
-          // Backward check: an earlier transaction outside the chosen
-          // set that contains the candidate means an earlier branch owns
-          // it (with its complete support).
-          std::vector<ItemId> set(items.begin(), items.end());
-          if (!ContainedInEarlierUnchosen(set, l)) {
-            const Support support = count + sub_support;
-            if (support >= options_.min_support) callback_(set, support);
-          }
-          // Either way the subtree around it is fully covered now.
-          repo_.InsertIfAbsent(set);
+          if (!bitsets_.IsCanonical(items, l)) return;  // an earlier owner
+          const Support support = count + sub_support;
+          if (support >= options_.min_support) callback_(items, support);
         }));
-  }
-
-  bool ContainedInEarlierUnchosen(const std::vector<ItemId>& set,
-                                  Tid l) const {
-    for (Tid j = 0; j < l; ++j) {
-      if (std::binary_search(chosen_.begin(), chosen_.end(), j)) continue;
-      if (IsSubsetSorted(set, rows_.Row(j))) return true;
-    }
-    return false;
   }
 
   const WeightedTransactions& rows_;
@@ -229,9 +210,8 @@ class CobblerMiner {
   const Tid n_;
   const MinerOptions& options_;
   const ClosedSetCallback& callback_;
-  ClosedSetRepository repo_;
+  RowBitsets bitsets_;  // duplicate check; covers the rows of the path
   MinerStats* stats_;
-  std::vector<Tid> chosen_;  // ascending: branch + absorbed transactions
 };
 
 }  // namespace

@@ -1,0 +1,44 @@
+#include "carpenter/row_bitsets.h"
+
+#include <algorithm>
+
+namespace fim {
+
+RowBitsets::RowBitsets(const WeightedTransactions& rows,
+                       std::size_t num_items)
+    : words_((rows.NumRows() + 63) / 64),
+      columns_(num_items * words_, 0),
+      cover_(words_, 0) {
+  for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+    const uint64_t bit = uint64_t{1} << (r & 63);
+    for (ItemId i : rows.Row(r)) columns_[i * words_ + (r >> 6)] |= bit;
+  }
+}
+
+void RowBitsets::UncoverFrom(Tid j) {
+  const std::size_t w = j >> 6;
+  if (w >= words_) return;
+  cover_[w] &= (uint64_t{1} << (j & 63)) - 1;
+  std::fill(cover_.begin() + static_cast<std::ptrdiff_t>(w) + 1, cover_.end(),
+            0);
+}
+
+bool RowBitsets::IsCanonical(std::span<const ItemId> items, Tid j) const {
+  if (j == 0) return true;
+  std::size_t w = (j - 1) >> 6;
+  // Rows before j in word w: bits 0 .. (j - 1) mod 64.
+  uint64_t before = ~uint64_t{0} >> (63 - ((j - 1) & 63));
+  for (;;) {
+    uint64_t witnesses = before & ~cover_[w];
+    for (ItemId i : items) {
+      if (witnesses == 0) break;
+      witnesses &= columns_[i * words_ + w];
+    }
+    if (witnesses != 0) return false;
+    if (w == 0) return true;
+    --w;
+    before = ~uint64_t{0};
+  }
+}
+
+}  // namespace fim

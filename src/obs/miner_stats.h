@@ -34,8 +34,8 @@ struct MinerStats {
 
   // --- transaction-set enumeration family (Carpenter, Cobbler) ---------
   std::size_t nodes_visited = 0;    // row-enumeration nodes expanded
-  std::size_t repo_sets = 0;        // intersections stored for dup pruning
-  std::size_t repo_hits = 0;        // branches pruned via the repository
+  std::size_t repo_sets = 0;        // flat cumulative: distinct sets stored
+  std::size_t repo_hits = 0;        // children the canonicity test prunes
   std::size_t column_switches = 0;  // Cobbler row->column switch-overs
 
   // --- item-set enumeration family (LCM, CHARM, FP-close, transposed,

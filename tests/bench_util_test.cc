@@ -81,9 +81,18 @@ TEST(BenchUtilTest, CsvOutput) {
 }
 
 TEST(BenchUtilTest, JsonOutput) {
+  const auto point = [](const char* algorithm, double seconds, bool ran) {
+    JsonPoint p;
+    p.algorithm = algorithm;
+    p.min_support = 5;
+    p.seconds = seconds;
+    p.num_sets = 42;
+    p.ran = ran;
+    return p;
+  };
   std::vector<JsonPoint> points;
-  points.push_back(JsonPoint{"ista-1t", 5, 1.25, 42, true});
-  points.push_back(JsonPoint{"ista-4t", 5, 0.5, 42, false});
+  points.push_back(point("ista-1t", 1.25, true));
+  points.push_back(point("ista-4t", 0.5, false));
   const std::string path = ::testing::TempDir() + "/sweep.json";
   WriteJson(path, "parallel_ista", 0.5, points);
   std::ifstream in(path);

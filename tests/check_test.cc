@@ -1,8 +1,8 @@
 // Tests for the FIM_CHECK/FIM_DCHECK framework and the structural
-// validators of the prefix-tree repository, the Carpenter duplicate
-// repository, and the Carpenter occurrence matrix. The corruption tests
-// damage one invariant at a time through a test-peer hook and confirm the
-// validator reports that specific breakage.
+// validators of the prefix-tree repository and the Carpenter occurrence
+// matrix. The corruption tests damage one invariant at a time through a
+// test-peer hook and confirm the validator reports that specific
+// breakage.
 
 #include <cstdint>
 #include <vector>
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "carpenter/carpenter.h"
-#include "carpenter/repository.h"
 #include "common/check.h"
 #include "data/transaction_database.h"
 #include "ista/prefix_tree.h"
@@ -41,27 +40,9 @@ struct IstaPrefixTreeTestPeer {
   }
 };
 
-// Friend of ClosedSetRepository with the same purpose.
-struct ClosedSetRepositoryTestPeer {
-  using Node = ClosedSetRepository::Node;
-
-  static constexpr uint32_t kNil = ClosedSetRepository::kNil;
-
-  static Node& At(ClosedSetRepository& repo, uint32_t index) {
-    return repo.nodes_[index];
-  }
-  static uint32_t Top(ClosedSetRepository& repo, ItemId item) {
-    return repo.top_[item];
-  }
-  static void SetTop(ClosedSetRepository& repo, ItemId item, uint32_t node) {
-    repo.top_[item] = node;
-  }
-};
-
 namespace {
 
 using PrefixPeer = IstaPrefixTreeTestPeer;
-using RepoPeer = ClosedSetRepositoryTestPeer;
 
 // ---------------------------------------------------------------------------
 // FIM_CHECK / FIM_DCHECK semantics
@@ -225,89 +206,6 @@ TEST(PrefixTreeValidatorDeathTest, CorruptionTripsWiredDcheckOnMutation) {
   EXPECT_DEATH(tree.AddTransaction(t), "step stamp");
 }
 #endif  // FIM_ENABLE_DCHECKS
-
-// ---------------------------------------------------------------------------
-// ClosedSetRepository::ValidateInvariants
-
-ClosedSetRepository MakeRepo(
-    std::size_t num_items,
-    const std::vector<std::vector<ItemId>>& sets) {
-  ClosedSetRepository repo(num_items);
-  for (const auto& s : sets) repo.InsertIfAbsent(s);
-  EXPECT_TRUE(repo.ValidateInvariants().ok());
-  return repo;
-}
-
-TEST(RepositoryValidatorTest, AcceptsHealthyRepository) {
-  ClosedSetRepository repo =
-      MakeRepo(4, {{0, 1}, {0, 1, 2}, {1, 3}, {2}, {0, 3}});
-  EXPECT_TRUE(repo.ValidateInvariants().ok());
-}
-
-TEST(RepositoryValidatorTest, DetectsTopSlotItemMismatch) {
-  ClosedSetRepository repo = MakeRepo(3, {{1}});
-  RepoPeer::At(repo, RepoPeer::Top(repo, 1)).item = 0;
-  const Status status = repo.ValidateInvariants();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("instead of item"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(RepositoryValidatorTest, DetectsTopLevelSibling) {
-  ClosedSetRepository repo = MakeRepo(3, {{1}, {2}});
-  RepoPeer::At(repo, RepoPeer::Top(repo, 2)).sibling =
-      RepoPeer::Top(repo, 1);
-  const Status status = repo.ValidateInvariants();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("has a sibling"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(RepositoryValidatorTest, DetectsSiblingOrderViolation) {
-  // Children of the item-2 top node are [1, 0]; duplicating item 0 breaks
-  // strict descent.
-  ClosedSetRepository repo = MakeRepo(3, {{1, 2}, {0, 2}});
-  const uint32_t top = RepoPeer::Top(repo, 2);
-  const uint32_t head = RepoPeer::At(repo, top).children;
-  RepoPeer::At(repo, head).item = 0;
-  const Status status = repo.ValidateInvariants();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("not strictly descending"),
-            std::string::npos)
-      << status.ToString();
-}
-
-TEST(RepositoryValidatorTest, DetectsChildCodeBoundViolation) {
-  ClosedSetRepository repo = MakeRepo(3, {{0, 1}});
-  const uint32_t top = RepoPeer::Top(repo, 1);
-  const uint32_t child = RepoPeer::At(repo, top).children;
-  RepoPeer::At(repo, child).item = 1;
-  const Status status = repo.ValidateInvariants();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("lower code than its parent"),
-            std::string::npos)
-      << status.ToString();
-}
-
-TEST(RepositoryValidatorTest, DetectsTerminalCountMismatch) {
-  // {0, 1} stores one set; the top node of item 1 is a non-terminal
-  // interior node, so flipping its flag desynchronizes size().
-  ClosedSetRepository repo = MakeRepo(3, {{0, 1}});
-  RepoPeer::At(repo, RepoPeer::Top(repo, 1)).terminal = 1;
-  const Status status = repo.ValidateInvariants();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("terminal-node count"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(RepositoryValidatorTest, DetectsUnreachableNodes) {
-  ClosedSetRepository repo = MakeRepo(3, {{0, 1}});
-  RepoPeer::SetTop(repo, 1, RepoPeer::kNil);
-  const Status status = repo.ValidateInvariants();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("unreachable"), std::string::npos)
-      << status.ToString();
-}
 
 // ---------------------------------------------------------------------------
 // ValidateCarpenterMatrix

@@ -110,7 +110,8 @@ TEST(CobblerTest, StatsReported) {
   MinerStats stats;
   ASSERT_TRUE(MineClosed(db, options, [](auto, auto) {}, &stats).ok());
   EXPECT_GT(stats.nodes_visited, 0u);
-  EXPECT_GT(stats.repo_sets, 0u);
+  EXPECT_GT(stats.repo_hits, 0u);  // children the canonicity test prunes
+  EXPECT_EQ(stats.repo_sets, 0u);
 }
 
 TEST(CobblerTest, ZeroSupportRejected) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "api/miner.h"
-#include "carpenter/repository.h"
 #include "data/generators.h"
 #include "data/transaction_database.h"
 #include "ista/prefix_tree.h"
@@ -141,13 +140,32 @@ TEST(ApproxMemoryUsageTest, PrefixTreeSplitsLiveAndGarbage) {
   EXPECT_GT(component.TotalBytes(), 0u);
 }
 
-TEST(ApproxMemoryUsageTest, RepositoryReportsArenaCapacity) {
-  ClosedSetRepository repo(8);
-  repo.InsertIfAbsent(std::vector<ItemId>{1, 3});
-  repo.InsertIfAbsent(std::vector<ItemId>{2, 3, 5});
-  const MemoryComponent component = repo.ApproxMemoryUsage();
-  EXPECT_EQ(component.name, "repository");
-  EXPECT_GT(component.TotalBytes(), 0u);
+TEST(ApproxMemoryUsageTest, RowEnumerationRecordsRowBitsets) {
+  // Every item of 100 random rows over 10 items is frequent at support 1:
+  // one column of ⌈rows / 64⌉ words per item, plus the cover.
+  const TransactionDatabase db = GenerateRandomDense(100, 10, 0.5, 5);
+  for (const Algorithm algorithm :
+       {Algorithm::kCarpenterTable, Algorithm::kCarpenterLists,
+        Algorithm::kCobbler}) {
+    MinerOptions options;
+    options.algorithm = algorithm;
+    options.min_support = 1;
+    MemoryBreakdown memory;
+    options.memory = &memory;
+    MinerStats stats;
+    ASSERT_TRUE(MineClosed(db, options, [](auto, auto) {}, &stats).ok());
+    const std::size_t words = (stats.weighted_transactions + 63) / 64;
+    const auto& components = memory.Components();
+    const auto bitsets =
+        std::find_if(components.begin(), components.end(),
+                     [](const MemoryComponent& c) {
+                       return c.name == "row-bitsets";
+                     });
+    ASSERT_NE(bitsets, components.end()) << AlgorithmName(algorithm);
+    EXPECT_EQ(bitsets->TotalBytes(),
+              (db.NumItems() + 1) * words * sizeof(uint64_t))
+        << AlgorithmName(algorithm);
+  }
 }
 
 TEST(ApproxMemoryUsageTest, StreamMinerBreaksDownLiveTreeAndSegments) {

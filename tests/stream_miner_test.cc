@@ -21,6 +21,7 @@
 namespace fim {
 namespace {
 
+// Landmark mode: every query covers all the transactions seen so far.
 StreamMinerOptions Landmark(std::size_t max_items) {
   StreamMinerOptions options;
   options.max_items = max_items;
@@ -366,8 +367,9 @@ TEST(StreamMinerTest, CheckpointsDuringConcurrentIngest) {
 // (RotateLocked etc.): FIM_REQUIRES makes "caller holds the
 // mutex" machine-checked at every call site under FIM_THREAD_SAFETY,
 // and the lock-rank checker enforces it dynamically in debug builds.
-std::uint64_t IncrementHolding(Mutex& mutex, std::uint64_t& value)
-    FIM_REQUIRES(mutex) {
+// The mutex is named only by the annotation, which gcc does not read.
+std::uint64_t IncrementHolding([[maybe_unused]] Mutex& mutex,
+                               std::uint64_t& value) FIM_REQUIRES(mutex) {
   return ++value;
 }
 
@@ -439,6 +441,104 @@ TEST(StreamMinerTest, RejectsBadInput) {
   auto empty = StreamMiner(Landmark(3)).QueryCollect(1);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty.value().empty());
+}
+
+// --- landmark mode against the subset oracle, after every prefix ------
+
+TEST(IncrementalTest, MatchesBatchAfterEveryPrefix) {
+  const TransactionDatabase db = GenerateRandomDense(12, 10, 0.4, 2024);
+  StreamMiner miner(Landmark(db.NumItems()));
+  TransactionDatabase prefix_db;
+  prefix_db.SetNumItems(db.NumItems());
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    ASSERT_TRUE(miner.AddTransaction(db.transaction(k)).ok());
+    prefix_db.AddTransaction(db.transaction(k));
+    EXPECT_EQ(miner.NumTransactions(), k + 1);
+    for (Support smin : {1u, 2u, 3u}) {
+      auto streamed = miner.QueryCollect(smin);
+      ASSERT_TRUE(streamed.ok());
+      auto expected = OracleClosedSets(prefix_db, smin);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_TRUE(SameResults(expected.value(), streamed.value()))
+          << "prefix " << (k + 1) << " smin " << smin << "\n"
+          << DiffResults(expected.value(), streamed.value());
+    }
+  }
+}
+
+TEST(IncrementalTest, RejectsBadInput) {
+  StreamMiner miner(Landmark(5));
+  EXPECT_FALSE(miner.AddTransaction({}).ok());
+  EXPECT_EQ(miner.AddTransaction({7}).code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(miner.AddTransaction({1, 1, 4}).ok());  // duplicates fine
+  EXPECT_EQ(miner.NumTransactions(), 1u);
+  EXPECT_FALSE(miner.Query(0, [](auto, auto) {}).ok());
+}
+
+TEST(IncrementalTest, QueryBeforeAnyTransaction) {
+  StreamMiner miner(Landmark(4));
+  auto result = miner.QueryCollect(1);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().empty());
+  EXPECT_EQ(miner.NodeCount(), 0u);
+}
+
+TEST(IncrementalTest, SupportsRepeatedQueriesWithoutSideEffects) {
+  StreamMiner miner(Landmark(6));
+  ASSERT_TRUE(miner.AddTransaction({0, 1, 2}).ok());
+  ASSERT_TRUE(miner.AddTransaction({1, 2, 3}).ok());
+  auto a = miner.QueryCollect(1);
+  auto b = miner.QueryCollect(1);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a.value(), b.value());
+  // {1,2} supp 2 plus the two transactions.
+  EXPECT_EQ(a.value().size(), 3u);
+}
+
+// --- landmark mode on structured data beyond the oracle's reach:
+//     batch IsTa at sampled checkpoints --------------------------------
+
+TEST(StreamingIntegrationTest, MatchesBatchOnMarketBasketCheckpoints) {
+  MarketBasketConfig config;
+  config.num_items = 40;
+  config.num_transactions = 240;
+  config.avg_transaction_size = 6.0;
+  config.seed = 31;
+  const TransactionDatabase db = GenerateMarketBasket(config);
+
+  StreamMiner streaming(Landmark(db.NumItems()));
+  TransactionDatabase prefix;
+  prefix.SetNumItems(db.NumItems());
+  const std::size_t checkpoint_every = 60;
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    ASSERT_TRUE(streaming.AddTransaction(db.transaction(k)).ok());
+    prefix.AddTransaction(db.transaction(k));
+    if ((k + 1) % checkpoint_every != 0) continue;
+    for (Support smin : {2u, 5u, 10u}) {
+      auto streamed = streaming.QueryCollect(smin);
+      ASSERT_TRUE(streamed.ok());
+      MinerOptions options;
+      options.min_support = smin;
+      options.algorithm = Algorithm::kIsta;
+      auto batch = MineClosedCollect(prefix, options);
+      ASSERT_TRUE(batch.ok());
+      EXPECT_TRUE(SameResults(batch.value(), streamed.value()))
+          << "checkpoint " << (k + 1) << " smin " << smin << "\n"
+          << DiffResults(batch.value(), streamed.value());
+    }
+  }
+}
+
+TEST(StreamingIntegrationTest, NodeCountGrowsMonotonically) {
+  const TransactionDatabase db = GenerateRandomDense(30, 12, 0.3, 77);
+  StreamMiner streaming(Landmark(db.NumItems()));
+  std::size_t last = 0;
+  for (const auto& t : db.transactions()) {
+    ASSERT_TRUE(streaming.AddTransaction(t).ok());
+    EXPECT_GE(streaming.NodeCount(), last);
+    last = streaming.NodeCount();
+  }
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //   fim-verify [-s minsupp] [--stats[=text|json]] [--stats-out=PATH]
 //              [--trace-out=PATH] [--perf-counters] [--mem-stats]
 //              [--profile[=PATH]] data.fimi result.txt
-//   fim-verify --self-check [-s minsupp] data.fimi
+//   fim-verify --self-check data.fimi
 //
 // --stats emits the reference miner's execution-statistics report (see
 // docs/OBSERVABILITY.md) on stderr — or to PATH with --stats-out — after
@@ -22,9 +22,10 @@
 //
 // --self-check feeds the database, folded into the weighted rows the
 // miners mine, through the library's core data structures (IsTa prefix
-// tree, Carpenter occurrence matrix and duplicate repository) and runs
-// their structural-invariant validators — the same checks FIM_DCHECK
-// wires into debug builds, on demand in any build.
+// tree and Carpenter occurrence matrix) and runs their
+// structural-invariant validators — the same checks FIM_DCHECK wires
+// into debug builds, on demand in any build. It mines nothing, so -s
+// does not affect it.
 //
 // Exit code 0 = result is exactly the closed frequent item sets (or all
 // self-checks passed); 1 = verification failed (details on stderr);
@@ -38,7 +39,6 @@
 
 #include "api/miner.h"
 #include "carpenter/carpenter.h"
-#include "carpenter/repository.h"
 #include "common/timer.h"
 #include "data/binary_io.h"
 #include "data/fimi_io.h"
@@ -58,13 +58,12 @@ void Usage() {
                "usage: fim-verify [-s minsupp] [--stats[=text|json]] "
                "[--stats-out=PATH] [--trace-out=PATH] [--perf-counters] "
                "[--mem-stats] [--profile[=PATH]] data.fimi result\n"
-               "       fim-verify --self-check [-s minsupp] data.fimi\n");
+               "       fim-verify --self-check data.fimi\n");
 }
 
 // Runs the structural-invariant validators of the core data structures
 // over `db`. Returns the process exit code.
-int RunSelfCheck(const fim::TransactionDatabase& db,
-                 fim::Support min_support) {
+int RunSelfCheck(const fim::TransactionDatabase& db) {
   using namespace fim;
 
   // IsTa prefix tree: feed every weighted row (frequency-ascending codes,
@@ -98,28 +97,6 @@ int RunSelfCheck(const fim::TransactionDatabase& db,
   std::fprintf(stderr, "fim-verify: carpenter matrix OK (%zu x %zu)\n",
                rows.NumRows(), recoding.num_kept());
 
-  // Duplicate repository: store every mined closed set, then validate.
-  MinerOptions options;
-  options.min_support = min_support;
-  auto mined = MineClosedCollect(db, options);
-  if (!mined.ok()) {
-    std::fprintf(stderr, "reference mining failed: %s\n",
-                 mined.status().ToString().c_str());
-    return 1;
-  }
-  ClosedSetRepository repo(db.NumItems());
-  for (const auto& set : mined.value()) {
-    if (!set.items.empty()) repo.InsertIfAbsent(set.items);
-  }
-  status = repo.ValidateInvariants();
-  if (!status.ok()) {
-    std::fprintf(stderr, "SELF-CHECK FAILURE (repository): %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "fim-verify: repository OK (%zu sets, %zu nodes)\n",
-               repo.size(), repo.NodeCount());
   std::fprintf(stderr, "fim-verify: self-check OK\n");
   return 0;
 }
@@ -178,7 +155,7 @@ int main(int argc, char** argv) {
                  db.status().ToString().c_str());
     return 1;
   }
-  if (self_check) return RunSelfCheck(db.value(), min_support);
+  if (self_check) return RunSelfCheck(db.value());
   auto claimed = ReadClosedSetsFile(result_path);
   if (!claimed.ok()) {
     std::fprintf(stderr, "error reading %s: %s\n", result_path.c_str(),
