@@ -4,27 +4,20 @@
 //   balanced   na = nb, lengths 64..262144, ~25% selectivity
 //   skew       nb = 65536 fixed, na = nb / ratio for ratios 1..256
 //              (crosses the adaptive kGallopRatio cutover)
-//   dense      bitset word-AND over universes 4K..1M words vs the
-//              sorted-list merge at the TidSet density cutover
+//   dense      the sorted-list merge on half-full universes 4K..1M
 //
 // Writes the committed BENCH_kernels.json report (schema
-// fim-bench-kernels-v1): top level records hardware_threads, the CPU
-// feature flags the numbers were measured under, and whether hardware
-// counters were readable; each point carries the operation, series
-// (kernel tier), shape, the measured million-elements-per-second
-// throughput, and a "perf" object with the kernel's IPC and LLC miss
-// rate over the timed loop — numbers where perf_event_open works, null
-// on denied hosts (VMs without a virtualized PMU, perf_event_paranoid),
-// so the schema is identical everywhere. Regenerate with
+// fim-bench-kernels-v1): top level records hardware_threads and the CPU
+// feature flags the numbers were measured under; each point carries the
+// operation, series (kernel tier), shape and the measured
+// million-elements-per-second throughput. Regenerate with
 //
 //   ./build/bench/bench_kernels --json=BENCH_kernels.json
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +26,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "kernels/intersect.h"
-#include "obs/perf.h"
 
 namespace {
 
@@ -53,7 +45,7 @@ U32s SortedUnique(std::size_t size, std::size_t universe, std::uint64_t seed) {
 }
 
 struct Point {
-  std::string op;       // "intersect" | "gallop" | "bitset_and"
+  std::string op;       // "intersect" | "gallop"
   std::string series;   // kernel tier or "gallop"
   std::size_t na = 0;
   std::size_t nb = 0;
@@ -61,58 +53,22 @@ struct Point {
   double seconds_per_call = 0.0;
   double melems_per_sec = 0.0;
   std::size_t out_elems = 0;
-  // NaN = not measured (PMU denied); rendered as JSON null, never 0.
-  double ipc = std::numeric_limits<double>::quiet_NaN();
-  double llc_miss_rate = std::numeric_limits<double>::quiet_NaN();
 };
-
-/// One counter group for the whole bench (single-threaded, so one
-/// per-thread group covers every timed loop); unavailable on hosts
-/// without PMU access, in which case the perf fields stay NaN/null.
-obs::PerfCounterSet& BenchCounters() {
-  static obs::PerfCounterSet& counters = []() -> obs::PerfCounterSet& {
-    auto* set = new obs::PerfCounterSet();
-    set->Start();
-    return *set;
-  }();
-  return counters;
-}
 
 /// Repeats `call` (which returns the per-call element count) until the
 /// measurement is long enough to trust, and returns seconds per call.
-/// The final (longest) timed loop's hardware-counter delta lands in
-/// `point`'s ipc / llc_miss_rate — measured over exactly the iterations
-/// that produced the reported throughput number.
 template <typename Fn>
-double TimeCall(Point* point, Fn&& call) {
+double TimeCall(Fn&& call) {
   call();  // warm up (page in buffers, prime the branch predictors)
-  obs::PerfCounterSet& counters = BenchCounters();
   std::size_t iters = 1;
   for (;;) {
-    const obs::PerfCounts before = counters.Read();
     WallTimer timer;
     for (std::size_t i = 0; i < iters; ++i) call();
     const double seconds = timer.Seconds();
     if (seconds > 0.02 || iters > (std::size_t{1} << 24)) {
-      if (counters.available()) {
-        const obs::PerfCounts delta = counters.Read().DeltaSince(before);
-        point->ipc = delta.Ipc();
-        point->llc_miss_rate = delta.LlcMissRate();
-      }
       return seconds / static_cast<double>(iters);
     }
     iters *= 4;
-  }
-}
-
-/// A rate cell: "%.4f" where measured, "null" where the PMU was denied.
-void AppendRate(std::ofstream& out, double value) {
-  if (std::isfinite(value)) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.4f", value);
-    out << buf;
-  } else {
-    out << "null";
   }
 }
 
@@ -136,11 +92,7 @@ void WritePoint(std::ofstream& out, const Point& p, bool last) {
   std::snprintf(thr, sizeof thr, "%.1f", p.melems_per_sec);
   out << ", \"seconds\": " << sec << ", \"melems_per_sec\": " << thr
       << ", \"ran\": true, \"counters\": {\"out_elems\": " << p.out_elems
-      << "}, \"perf\": {\"ipc\": ";
-  AppendRate(out, p.ipc);
-  out << ", \"llc_miss_rate\": ";
-  AppendRate(out, p.llc_miss_rate);
-  out << "}}" << (last ? "" : ",") << "\n";
+      << "}}" << (last ? "" : ",") << "\n";
 }
 
 }  // namespace
@@ -167,7 +119,7 @@ int main(int argc, char** argv) {
     for (const kernels::IntersectKernel* kernel : kernels) {
       std::size_t produced = 0;
       Point p{"intersect", kernel->name, a.size(), b.size()};
-      const double seconds = TimeCall(&p, [&] {
+      const double seconds = TimeCall([&] {
         produced = kernel->intersect(a.data(), a.size(), b.data(), b.size(),
                                      out.data());
       });
@@ -193,7 +145,7 @@ int main(int argc, char** argv) {
       for (const kernels::IntersectKernel* kernel : kernels) {
         std::size_t produced = 0;
         Point p{"intersect", kernel->name, a.size(), b.size()};
-        const double seconds = TimeCall(&p, [&] {
+        const double seconds = TimeCall([&] {
           produced = kernel->intersect(a.data(), a.size(), b.data(), b.size(),
                                        out.data());
         });
@@ -206,7 +158,7 @@ int main(int argc, char** argv) {
       {
         std::size_t produced = 0;
         Point p{"gallop", "gallop", a.size(), b.size()};
-        const double seconds = TimeCall(&p, [&] {
+        const double seconds = TimeCall([&] {
           produced = kernels::GallopIntersect(a.data(), a.size(), b.data(),
                                               b.size(), out.data());
         });
@@ -222,30 +174,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- dense sweep: word-AND vs the sorted merge at high density ------
+  // --- dense sweep: the sorted merge on half-full universes -----------
   for (const std::size_t universe :
        {std::size_t{4096}, std::size_t{65536}, std::size_t{1048576}}) {
-    const std::size_t words = universe / 64;
-    // Half-full bitsets: the regime TidSet switches representations for.
-    std::vector<std::uint64_t> wa(words), wb(words), wout(words);
-    Rng rng(universe);
-    for (auto& w : wa) w = rng.Next() | rng.Next();
-    for (auto& w : wb) w = rng.Next() | rng.Next();
-    for (const kernels::IntersectKernel* kernel : kernels) {
-      std::size_t produced = 0;
-      Point p{"bitset_and", kernel->name, universe, universe};
-      const double seconds = TimeCall(&p, [&] {
-        produced = kernel->bitset_and(wa.data(), wb.data(), words, wout.data());
-      });
-      p.density = 0.5;
-      p.seconds_per_call = seconds;
-      p.melems_per_sec = static_cast<double>(2 * universe) / seconds / 1e6;
-      p.out_elems = produced;
-      points.push_back(p);
-      std::printf("  bitset_and %-6s universe=%-8zu %8.1f Melem/s\n",
-                  kernel->name, universe, p.melems_per_sec);
-    }
-    // The sparse merge over the same sets, for the crossover picture.
     const U32s a = SortedUnique(universe / 2, universe, 5);
     const U32s b = SortedUnique(universe / 2, universe, 6);
     U32s out(std::min(a.size(), b.size()) + kernels::kIntersectPad);
@@ -253,7 +184,7 @@ int main(int argc, char** argv) {
     std::size_t produced = 0;
     Point p{"intersect", std::string(best->name) + "-dense", a.size(),
             b.size()};
-    const double seconds = TimeCall(&p, [&] {
+    const double seconds = TimeCall([&] {
       produced =
           best->intersect(a.data(), a.size(), b.data(), b.size(), out.data());
     });
@@ -280,8 +211,6 @@ int main(int argc, char** argv) {
   out << "  \"cpu\": {\"avx2\": "
       << (kernels::CpuSupports(kernels::KernelId::kAvx2) ? "true" : "false")
       << "},\n";
-  out << "  \"perf_counters\": "
-      << (BenchCounters().available() ? "true" : "false") << ",\n";
   out << "  \"kernels\": [";
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     out << (i ? ", " : "") << "\"" << kernels[i]->name << "\"";

@@ -9,13 +9,11 @@
 #include <thread>
 
 #include "common/timer.h"
+#include "obs/perf.h"
 
 namespace fim::bench {
 
-double ProcessCpuSeconds() {
-  const obs::ResourceUsage usage = obs::ReadResourceUsage();
-  return usage.user_seconds + usage.system_seconds;
-}
+double ProcessCpuSeconds() { return obs::ReadResourceUsage().CpuSeconds(); }
 
 const SweepPoint* SweepResult::Find(Algorithm algorithm,
                                     Support min_support) const {
@@ -39,11 +37,6 @@ SweepResult RunSweep(const TransactionDatabase& db,
         miner.algorithm = algorithm;
         miner.min_support = smin;
         std::size_t count = 0;
-        // One counter group per point: the deltas cover exactly the
-        // mining call, not the generator or the previous point.
-        obs::PerfCounterSet counters;
-        counters.Start();
-        const obs::PerfCounts before = counters.Read();
         WallTimer timer;
         const double cpu_before = ProcessCpuSeconds();
         Status status = MineClosed(
@@ -52,10 +45,6 @@ SweepResult RunSweep(const TransactionDatabase& db,
             &point.stats);
         point.seconds = timer.Seconds();
         point.cpu_seconds = ProcessCpuSeconds() - cpu_before;
-        if (counters.available()) {
-          point.perf = counters.Read().DeltaSince(before);
-          point.hw_valid = true;
-        }
         if (status.ok()) {
           point.ran = true;
           point.num_sets = count;
@@ -136,16 +125,6 @@ void WriteCsv(const std::string& path, const SweepResult& result) {
   }
 }
 
-/// `value` or `null` — a rate the host could not measure must stay
-/// distinguishable from a measured 0 in the committed reports.
-static void AppendNumberOrNull(std::ofstream& out, double value) {
-  if (std::isfinite(value)) {
-    out << value;
-  } else {
-    out << "null";
-  }
-}
-
 void WriteJson(const std::string& path, const std::string& bench, double scale,
                const std::vector<JsonPoint>& points) {
   std::ofstream out(path, std::ios::trunc);
@@ -161,13 +140,6 @@ void WriteJson(const std::string& path, const std::string& bench, double scale,
     // The observability payload is appended only when present, so legacy
     // points keep the historical format byte for byte.
     if (p.cpu_seconds > 0.0) out << ", \"cpu_seconds\": " << p.cpu_seconds;
-    if (p.has_perf) {
-      out << ", \"perf\": {\"ipc\": ";
-      AppendNumberOrNull(out, p.perf_ipc);
-      out << ", \"llc_miss_rate\": ";
-      AppendNumberOrNull(out, p.perf_llc_miss_rate);
-      out << "}";
-    }
     if (p.has_mem) {
       out << ", \"mem\": {\"accounted_bytes\": " << p.mem_accounted_bytes
           << ", \"peak_rss_bytes\": " << p.mem_peak_rss_bytes << "}";
@@ -201,11 +173,6 @@ void WriteJson(const std::string& path, const std::string& bench, double scale,
     point.cpu_seconds = p.cpu_seconds;
     point.stats = p.stats;
     point.has_stats = p.ran;
-    point.has_perf = p.ran;
-    if (p.hw_valid) {
-      point.perf_ipc = p.perf.Ipc();
-      point.perf_llc_miss_rate = p.perf.LlcMissRate();
-    }
     points.push_back(std::move(point));
   }
   WriteJson(path, bench, scale, points);

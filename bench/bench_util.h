@@ -1,13 +1,11 @@
 #ifndef FIM_BENCH_BENCH_UTIL_H_
 #define FIM_BENCH_BENCH_UTIL_H_
 
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "api/miner.h"
 #include "data/transaction_database.h"
-#include "obs/perf.h"
 
 namespace fim::bench {
 
@@ -35,10 +33,6 @@ struct SweepPoint {
   double cpu_seconds = 0.0;  // process CPU of the run, every thread
                              // included (ProcessCpuSeconds)
   MinerStats stats;          // per-miner counters of the run (ran only)
-  /// Hardware counters over the mining call; hw_valid is false where the
-  /// host denies the PMU (the bench still runs, the report carries null).
-  bool hw_valid = false;
-  obs::PerfCounts perf;
 };
 
 struct SweepResult {
@@ -77,14 +71,6 @@ struct JsonPoint {
   double cpu_seconds = 0.0;  // emitted when > 0
   MinerStats stats;          // emitted when has_stats
   bool has_stats = false;
-  /// Hardware-counter payload: with has_perf the point carries a "perf"
-  /// object whose ipc / llc_miss_rate members are numbers where
-  /// measured and null where the host denied the PMU — present-but-null
-  /// keeps the schema identical across hosts, and fim-stats-diff skips
-  /// the nulls instead of comparing fake zeros.
-  bool has_perf = false;
-  double perf_ipc = std::numeric_limits<double>::quiet_NaN();
-  double perf_llc_miss_rate = std::numeric_limits<double>::quiet_NaN();
   /// Memory payload: with has_mem the point carries a "mem" object
   /// attributing the run's footprint — the self-measured breakdown sum
   /// (MemoryBreakdown::AccountedBytes) next to the process peak RSS, so

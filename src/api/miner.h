@@ -89,12 +89,10 @@ struct MinerOptions {
   /// must outlive the call.
   obs::Timeline* timeline = nullptr;
 
-  /// Optional per-domain hardware-counter attribution (obs/perf.h):
-  /// IsTa's tree building records a PerfDomainSample
-  /// (thread CPU + intersection steps, plus PMU deltas when the
-  /// collector has hardware counting enabled and the kernel allows
-  /// it). Feeds the `perf.domains` stats section and the fim-prof
-  /// work-inflation table. Output-neutral; must outlive the call.
+  /// Optional per-domain attribution (obs/perf.h): IsTa's tree
+  /// building records a PerfDomainSample (thread CPU and intersection
+  /// steps). No tool sets it; fimbench reads it for its per-layer
+  /// metrics. Output-neutral; must outlive the call.
   obs::PerfDomainCollector* perf_domains = nullptr;
 
   /// Optional memory attribution (obs/memory.h): every algorithm

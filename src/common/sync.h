@@ -88,7 +88,7 @@ enum class LockRank : std::uint32_t {
   /// block in/out or summing a snapshot.
   kKernelCounters = 350,
 
-  /// obs::PerfDomainCollector::mutex_ — per-domain hardware-counter
+  /// obs::PerfDomainCollector::mutex_ — per-domain CPU and work-step
   /// sample appends from worker threads. A leaf: Record copies one
   /// sample into a vector and takes no other lock.
   kPerfDomains = 375,

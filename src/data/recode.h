@@ -50,8 +50,8 @@ Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
 
 /// The recoded database with one row per transaction: the rows of
 /// ApplyRecodingWeighted below, each repeated by its weight, so the rows
-/// and their order are the same. Eclat, dEclat and fimbench's
-/// `data.recode*` probe use it; the closed miners mine the weighted rows.
+/// and their order are the same. Only fimbench's `data.recode*` probe
+/// uses it; the closed miners mine the weighted rows.
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
                                   TransactionOrder transaction_order,

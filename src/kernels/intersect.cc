@@ -7,10 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "common/sync.h"
 
@@ -102,18 +102,6 @@ std::size_t ScalarIntersect(const std::uint32_t* a, std::size_t na,
   return k;
 }
 
-std::size_t ScalarBitsetAnd(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t words, std::uint64_t* out) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t v = a[w] & b[w];
-    out[w] = v;
-    count += static_cast<std::size_t>(std::popcount(v));
-  }
-  CountCall(2 * 64 * words, count);
-  return count;
-}
-
 std::size_t ScalarFilterNonzero(const std::uint32_t* items, std::size_t n,
                                 const std::uint32_t* row, std::uint32_t* out) {
   std::size_t k = 0;
@@ -127,7 +115,7 @@ std::size_t ScalarFilterNonzero(const std::uint32_t* items, std::size_t n,
 
 constexpr IntersectKernel kScalarKernel = {
     KernelId::kScalar, "scalar",
-    &ScalarIntersect, &ScalarBitsetAnd, &ScalarFilterNonzero,
+    &ScalarIntersect, &ScalarFilterNonzero,
 };
 
 // ---------------------------------------------------------------------------
@@ -169,12 +157,6 @@ const IntersectKernel* SelectAtStartup() {
   return selected;
 }
 
-std::atomic<const IntersectKernel*>& ActiveSlot() {
-  static std::atomic<const IntersectKernel*>& slot =
-      *new std::atomic<const IntersectKernel*>(SelectAtStartup());
-  return slot;
-}
-
 }  // namespace
 
 void CountCall(std::size_t elements_in, std::size_t elements_out) {
@@ -201,14 +183,8 @@ bool CpuSupports(KernelId id) {
 }
 
 const IntersectKernel& Active() {
-  return *ActiveSlot().load(std::memory_order_acquire);
-}
-
-bool ForceKernel(std::string_view name) {
-  const IntersectKernel* kernel = FindByName(name);
-  if (!Supported(kernel)) return false;
-  ActiveSlot().store(kernel, std::memory_order_release);
-  return true;
+  static const IntersectKernel* const selected = SelectAtStartup();
+  return *selected;
 }
 
 std::vector<const IntersectKernel*> AvailableKernels() {
@@ -295,32 +271,6 @@ void IntersectInto(std::span<const std::uint32_t> a,
   const std::size_t n =
       Intersect(a.data(), a.size(), b.data(), b.size(), out->data());
   out->resize(n);
-}
-
-void DifferenceInto(std::span<const std::uint32_t> a,
-                    std::span<const std::uint32_t> b,
-                    std::vector<std::uint32_t>* out) {
-  out->resize(a.size());
-  std::uint32_t* dst = out->data();
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t k = 0;
-  while (i < a.size() && j < b.size()) {
-    const std::uint32_t va = a[i];
-    const std::uint32_t vb = b[j];
-    if (va < vb) {
-      dst[k++] = va;
-      ++i;
-    } else if (vb < va) {
-      ++j;
-    } else {
-      ++i;
-      ++j;
-    }
-  }
-  while (i < a.size()) dst[k++] = a[i++];
-  CountCall(a.size() + b.size(), k);
-  out->resize(k);
 }
 
 }  // namespace fim::kernels

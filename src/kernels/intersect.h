@@ -4,17 +4,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 namespace fim::kernels {
 
 /// Runtime-dispatched intersection kernels for the hot paths (see
 /// docs/PERFORMANCE.md). Every miner that intersects sorted u32 id
-/// sequences — tid lists, item lists, diffsets — goes through this
-/// interface; the implementation behind it is chosen once per process,
-/// at first use, from the CPU's feature set (CPUID) or the FIM_KERNEL
-/// environment variable / ForceKernel override.
+/// sequences — tid lists, item lists — goes through this interface; the
+/// implementation behind it is chosen once per process, at first use,
+/// from the CPU's feature set (CPUID) or the FIM_KERNEL environment
+/// variable.
 ///
 /// Contract: all kernels are EXACT drop-in replacements for
 /// std::set_intersection over sorted, duplicate-free uint32_t ranges —
@@ -56,12 +55,6 @@ struct IntersectKernel {
                            const std::uint32_t* b, std::size_t nb,
                            std::uint32_t* out);
 
-  /// ANDs `words` 64-bit words of `a` and `b` into `out` (aliasing with
-  /// either input allowed) and returns the population count of the
-  /// result.
-  std::size_t (*bitset_and)(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t words, std::uint64_t* out);
-
   /// Copies the elements i of `items` with row[i] != 0 to `out`
   /// (capacity >= n), preserving order; returns the count. This is the
   /// occurrence-row filter of Carpenter's matrix path. `out == items` is
@@ -75,12 +68,6 @@ struct IntersectKernel {
 /// supported tier, with a warning on stderr, if the named tier is not
 /// available on this CPU), otherwise picks the best tier CPUID reports.
 const IntersectKernel& Active();
-
-/// Overrides the active tier by name. Returns false (and changes
-/// nothing) if the name is unknown or the tier is not supported on this
-/// CPU. Not thread-safe against concurrent mining: call between runs
-/// (tests, tool flag parsing).
-bool ForceKernel(std::string_view name);
 
 /// The tiers supported on this machine, scalar first.
 std::vector<const IntersectKernel*> AvailableKernels();
@@ -116,14 +103,6 @@ std::size_t Intersect(const std::uint32_t* a, std::size_t na,
 void IntersectInto(std::span<const std::uint32_t> a,
                    std::span<const std::uint32_t> b,
                    std::vector<std::uint32_t>* out);
-
-/// Sorted set difference a \ b into `out` (same reuse semantics as
-/// IntersectInto). Scalar — the dEclat diffset loops are bound by the
-/// allocation churn this interface removes, not by the subtraction —
-/// but counted like every other kernel call.
-void DifferenceInto(std::span<const std::uint32_t> a,
-                    std::span<const std::uint32_t> b,
-                    std::vector<std::uint32_t>* out);
 
 /// Galloping intersection (exposed for the bench and the property
 /// tests; Intersect() calls it automatically). Requires na <= nb.

@@ -1,6 +1,5 @@
-// AVX2 tier: 8-wide shuffle-based sorted-u32 intersection, 256-bit
-// word-at-a-time bitset AND, and a gather-based occurrence-row filter
-// for Carpenter's matrix path. The block intersection compares every
+// AVX2 tier: 8-wide shuffle-based sorted-u32 intersection and a
+// gather-based occurrence-row filter for Carpenter's matrix path. The block intersection compares every
 // lane of one 8-element block with every lane of the other (8-lane
 // permutes) and left-packs the matches through a 256-entry permutation
 // table. Compiled with -mavx2 (see src/CMakeLists.txt); the runtime
@@ -97,31 +96,6 @@ std::size_t Avx2Intersect(const std::uint32_t* a, std::size_t na,
   return k;
 }
 
-std::size_t Avx2BitsetAnd(const std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t words, std::uint64_t* out) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w),
-                        _mm256_and_si256(va, vb));
-    count += static_cast<std::size_t>(std::popcount(out[w])) +
-             static_cast<std::size_t>(std::popcount(out[w + 1])) +
-             static_cast<std::size_t>(std::popcount(out[w + 2])) +
-             static_cast<std::size_t>(std::popcount(out[w + 3]));
-  }
-  for (; w < words; ++w) {
-    const std::uint64_t v = a[w] & b[w];
-    out[w] = v;
-    count += static_cast<std::size_t>(std::popcount(v));
-  }
-  CountCall(2 * 64 * words, count);
-  return count;
-}
-
 std::size_t Avx2FilterNonzero(const std::uint32_t* items, std::size_t n,
                               const std::uint32_t* row, std::uint32_t* out) {
   std::size_t i = 0;
@@ -153,7 +127,7 @@ std::size_t Avx2FilterNonzero(const std::uint32_t* items, std::size_t n,
 
 constexpr IntersectKernel kAvx2Kernel = {
     KernelId::kAvx2, "avx2",
-    &Avx2Intersect, &Avx2BitsetAnd, &Avx2FilterNonzero,
+    &Avx2Intersect, &Avx2FilterNonzero,
 };
 
 }  // namespace

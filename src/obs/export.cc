@@ -9,8 +9,8 @@ namespace fim::obs {
 
 namespace {
 
-/// Emits `value` or null — the perf sections never render a fake 0 for
-/// an event or rate that did not actually count.
+/// Emits `value` or null — a value that was not measured never renders
+/// as a fake 0.
 void NumberOrNull(JsonWriter* writer, double value, bool valid) {
   if (valid && std::isfinite(value)) {
     writer->Number(value);
@@ -19,167 +19,40 @@ void NumberOrNull(JsonWriter* writer, double value, bool valid) {
   }
 }
 
-void CountOrNull(JsonWriter* writer, std::uint64_t value, unsigned mask,
-                 PerfEvent event) {
-  if ((mask & PerfEventBit(event)) != 0) {
-    writer->Number(value);
-  } else {
-    writer->Null();
-  }
-}
-
-/// The event counters + derived rates of one PerfCounts, as the body of
-/// an open JSON object (shared by the totals, spans and domain rows).
-void AppendPerfCountsFields(const PerfCounts& counts, JsonWriter* writer) {
-  const unsigned mask = counts.opened_mask;
-  writer->Key("cycles");
-  CountOrNull(writer, counts.cycles, mask, PerfEvent::kCycles);
-  writer->Key("instructions");
-  CountOrNull(writer, counts.instructions, mask, PerfEvent::kInstructions);
-  writer->Key("cache_references");
-  CountOrNull(writer, counts.cache_references, mask,
-              PerfEvent::kCacheReferences);
-  writer->Key("cache_misses");
-  CountOrNull(writer, counts.cache_misses, mask, PerfEvent::kCacheMisses);
-  writer->Key("branch_instructions");
-  CountOrNull(writer, counts.branch_instructions, mask,
-              PerfEvent::kBranchInstructions);
-  writer->Key("branch_misses");
-  CountOrNull(writer, counts.branch_misses, mask, PerfEvent::kBranchMisses);
-  writer->Key("l1d_misses");
-  CountOrNull(writer, counts.l1d_misses, mask, PerfEvent::kL1dMisses);
-  writer->Key("ipc");
-  NumberOrNull(writer, counts.Ipc(), true);
-  writer->Key("llc_miss_rate");
-  NumberOrNull(writer, counts.LlcMissRate(), true);
-  writer->Key("branch_miss_rate");
-  NumberOrNull(writer, counts.BranchMissRate(), true);
-  writer->Key("multiplex_scale");
-  NumberOrNull(writer, counts.MultiplexScale(), true);
-}
-
-void AppendPerfJson(const PerfReport& perf, JsonWriter* writer) {
-  writer->Key("perf");
-  writer->BeginObject();
-  writer->Key("available");
-  writer->Bool(perf.availability.available);
-  if (!perf.availability.available) {
-    writer->Key("unavailable_reason");
-    writer->String(perf.availability.reason);
-  }
-  if (!perf.kernel_tier.empty()) {
-    writer->Key("kernel_tier");
-    writer->String(perf.kernel_tier);
-  }
-  writer->Key("counters");
-  if (perf.total_valid) {
-    writer->BeginObject();
-    AppendPerfCountsFields(perf.total, writer);
-    writer->EndObject();
-  } else {
-    writer->Null();
-  }
+void AppendRusageJson(const ResourceUsage& rusage, JsonWriter* writer) {
   writer->Key("rusage");
-  if (perf.rusage.known) {
-    writer->BeginObject();
-    writer->Key("user_seconds");
-    writer->Number(perf.rusage.user_seconds);
-    writer->Key("system_seconds");
-    writer->Number(perf.rusage.system_seconds);
-    writer->Key("minor_faults");
-    writer->Number(perf.rusage.minor_faults);
-    writer->Key("major_faults");
-    writer->Number(perf.rusage.major_faults);
-    writer->Key("voluntary_ctx_switches");
-    writer->Number(perf.rusage.voluntary_ctx_switches);
-    writer->Key("involuntary_ctx_switches");
-    writer->Number(perf.rusage.involuntary_ctx_switches);
-    writer->Key("peak_rss_bytes");
-    if (perf.peak_rss.known) {
-      writer->Number(static_cast<std::uint64_t>(perf.peak_rss.bytes));
-    } else {
-      writer->Null();
-    }
-    writer->EndObject();
-  } else {
+  if (!rusage.known) {
     writer->Null();
+    return;
   }
-  writer->Key("domains");
-  writer->BeginArray();
-  for (const auto& domain : perf.domains) {
-    writer->BeginObject();
-    writer->Key("name");
-    writer->String(domain.name);
-    writer->Key("work_steps");
-    writer->Number(domain.work_steps);
-    writer->Key("cpu_seconds");
-    writer->Number(domain.cpu_seconds);
-    if (domain.hw_valid) {
-      AppendPerfCountsFields(domain.counts, writer);
-    } else {
-      writer->Key("cycles");
-      writer->Null();
-    }
-    writer->EndObject();
-  }
-  writer->EndArray();
+  writer->BeginObject();
+  writer->Key("user_seconds");
+  writer->Number(rusage.user_seconds);
+  writer->Key("system_seconds");
+  writer->Number(rusage.system_seconds);
+  writer->Key("minor_faults");
+  writer->Number(rusage.minor_faults);
+  writer->Key("major_faults");
+  writer->Number(rusage.major_faults);
+  writer->Key("voluntary_ctx_switches");
+  writer->Number(rusage.voluntary_ctx_switches);
+  writer->Key("involuntary_ctx_switches");
+  writer->Number(rusage.involuntary_ctx_switches);
   writer->EndObject();
 }
 
-void AppendPerfText(const PerfReport& perf, std::string* out) {
+void AppendRusageText(const ResourceUsage& rusage, std::string* out) {
   char line[256];
-  if (!perf.availability.available) {
-    out->append("  perf: unavailable — ");
-    out->append(perf.availability.reason);
-    out->push_back('\n');
-  } else if (perf.total_valid) {
-    const PerfCounts& c = perf.total;
-    std::snprintf(line, sizeof(line),
-                  "  perf: %.2e cycles, %.2e instructions, ipc %.2f, "
-                  "llc miss %.1f%%, branch miss %.1f%% (scale %.2f%s)\n",
-                  static_cast<double>(c.cycles),
-                  static_cast<double>(c.instructions), c.Ipc(),
-                  c.LlcMissRate() * 100.0, c.BranchMissRate() * 100.0,
-                  c.MultiplexScale(),
-                  perf.kernel_tier.empty()
-                      ? ""
-                      : (", kernel " + perf.kernel_tier).c_str());
-    out->append(line);
-  }
-  if (perf.rusage.known) {
-    std::snprintf(line, sizeof(line),
-                  "  rusage: user %.3fs, sys %.3fs, faults %llu+%llu, "
-                  "ctx %llu+%llu\n",
-                  perf.rusage.user_seconds, perf.rusage.system_seconds,
-                  static_cast<unsigned long long>(perf.rusage.minor_faults),
-                  static_cast<unsigned long long>(perf.rusage.major_faults),
-                  static_cast<unsigned long long>(
-                      perf.rusage.voluntary_ctx_switches),
-                  static_cast<unsigned long long>(
-                      perf.rusage.involuntary_ctx_switches));
-    out->append(line);
-  }
-  if (!perf.domains.empty()) {
-    out->append("  perf domains:\n");
-    for (const auto& domain : perf.domains) {
-      if (domain.hw_valid) {
-        std::snprintf(
-            line, sizeof(line),
-            "    %-20s %12llu steps  %8.3fs cpu  %.2e cyc  ipc %.2f\n",
-            domain.name.c_str(),
-            static_cast<unsigned long long>(domain.work_steps),
-            domain.cpu_seconds, static_cast<double>(domain.counts.cycles),
-            domain.counts.Ipc());
-      } else {
-        std::snprintf(line, sizeof(line),
-                      "    %-20s %12llu steps  %8.3fs cpu\n",
-                      domain.name.c_str(),
-                      static_cast<unsigned long long>(domain.work_steps),
-                      domain.cpu_seconds);
-      }
-      out->append(line);
-    }
-  }
+  std::snprintf(line, sizeof(line),
+                "  rusage: user %.3fs, sys %.3fs, faults %llu+%llu, "
+                "ctx %llu+%llu\n",
+                rusage.user_seconds, rusage.system_seconds,
+                static_cast<unsigned long long>(rusage.minor_faults),
+                static_cast<unsigned long long>(rusage.major_faults),
+                static_cast<unsigned long long>(rusage.voluntary_ctx_switches),
+                static_cast<unsigned long long>(
+                    rusage.involuntary_ctx_switches));
+  out->append(line);
 }
 
 void AppendMemoryComponentJson(const MemoryComponent& component,
@@ -346,12 +219,6 @@ void AppendSpanJson(const SpanNode& node, JsonWriter* writer) {
   writer->Number(node.cpu_seconds);
   writer->Key("count");
   writer->Number(static_cast<std::uint64_t>(node.count));
-  if (node.perf_valid) {
-    writer->Key("perf");
-    writer->BeginObject();
-    AppendPerfCountsFields(node.perf, writer);
-    writer->EndObject();
-  }
   writer->Key("children");
   writer->BeginArray();
   for (const auto& child : node.children) AppendSpanJson(*child, writer);
@@ -387,7 +254,7 @@ std::string RenderStatsText(const StatsReport& report) {
                   static_cast<unsigned long long>(value));
     out.append(line);
   }
-  if (report.perf != nullptr) AppendPerfText(*report.perf, &out);
+  if (report.rusage.known) AppendRusageText(report.rusage, &out);
   if (report.memory != nullptr) AppendMemoryText(*report.memory, &out);
   if (report.trace != nullptr && !report.trace->root().children.empty()) {
     out.append("  spans:\n");
@@ -419,6 +286,9 @@ std::string RenderStatsJson(const StatsReport& report) {
   writer.Number(report.cpu_seconds);
   writer.Key("peak_rss_bytes");
   writer.Number(static_cast<std::uint64_t>(report.peak_rss_bytes));
+  writer.Key("kernel_tier");
+  writer.String(report.kernel_tier);
+  AppendRusageJson(report.rusage, &writer);
   writer.Key("counters");
   writer.BeginObject();
   // The full catalog, zeros included: consumers can rely on every key
@@ -440,7 +310,6 @@ std::string RenderStatsJson(const StatsReport& report) {
     }
     writer.EndArray();
   }
-  if (report.perf != nullptr) AppendPerfJson(*report.perf, &writer);
   if (report.memory != nullptr) AppendMemoryJson(*report.memory, &writer);
   writer.EndObject();
   std::string out = std::move(writer).Take();

@@ -24,8 +24,11 @@ struct StatsReport {
   unsigned num_threads = 1;
   std::size_t num_sets = 0;
   double wall_seconds = 0.0;
-  double cpu_seconds = 0.0;          // driving thread's CPU time
+  double cpu_seconds = 0.0;          // process CPU time, every thread
+                                     // (getrusage user + system delta)
   std::size_t peak_rss_bytes = 0;    // 0 when the platform hides it
+  ResourceUsage rusage;              // process totals at the report
+  std::string kernel_tier;           // kernels::Active().name
   MinerStats miner;
   const Trace* trace = nullptr;
 
@@ -33,10 +36,6 @@ struct StatsReport {
   /// catalog, in list order (e.g. fim-stream's `stream.*` counters).
   /// Names are dot-qualified, so they never collide with the catalog's.
   std::vector<std::pair<const char*, std::uint64_t>> extra_counters;
-
-  /// Optional: hardware-counter report (`--perf-counters`); adds the
-  /// "perf" section. May be nullptr.
-  const PerfReport* perf = nullptr;
 
   /// Optional: memory-attribution report (`--mem-stats`); adds the
   /// "memory" section. May be nullptr.
@@ -54,27 +53,16 @@ std::string RenderStatsText(const StatsReport& report);
 ///     "tool": "...", "algorithm": "...",
 ///     "min_support": N, "threads": N, "num_sets": N,
 ///     "wall_seconds": F, "cpu_seconds": F, "peak_rss_bytes": N,
+///     "kernel_tier": "avx2",
+///     "rusage": { "user_seconds": F, "system_seconds": F,
+///                 "minor_faults": N, "major_faults": N,
+///                 "voluntary_ctx_switches": N,
+///                 "involuntary_ctx_switches": N } | null,
 ///     "counters": { "<name>": N, ... },           // full catalog,
 ///                                                 // then extra_counters
 ///     "spans": [ { "name": "...", "wall_seconds": F,
 ///                  "cpu_seconds": F, "count": N,
-///                  "perf": { "cycles": N, ... },  // attached sets only
 ///                  "children": [ ... ] }, ... ],  // omitted w/o trace
-///     "perf": {                                   // with --perf-counters
-///       "available": B, "unavailable_reason": "...",  // reason iff !B
-///       "kernel_tier": "avx2",
-///       "counters": { "cycles": N|null, ..., "ipc": F|null,
-///                     "llc_miss_rate": F|null,
-///                     "branch_miss_rate": F|null,
-///                     "multiplex_scale": F|null } | null,
-///       "rusage": { "user_seconds": F, "system_seconds": F,
-///                   "minor_faults": N, "major_faults": N,
-///                   "voluntary_ctx_switches": N,
-///                   "involuntary_ctx_switches": N,
-///                   "peak_rss_bytes": N|null },
-///       "domains": [ { "name": "shard-0", "work_steps": N,
-///                      "cpu_seconds": F, "cycles": N|null, ... } ]
-///     },
 ///     "memory": {                                 // with --mem-stats
 ///       "accounted_bytes": N, "high_water_bytes": N,
 ///       "peak_rss_bytes": N|null, "rss_coverage": F|null,
@@ -91,10 +79,10 @@ std::string RenderStatsText(const StatsReport& report);
 ///   }
 ///
 /// v1 -> v2: an optional "distributions" section was added; no report
-/// carries it any more. The optional "perf" section (and per-span
-/// "perf" objects) joined v2 later without a version bump — sections
-/// stay optional and unknown-key tolerant; counters that did not count
-/// render as null, never as a fake 0.
+/// carries it any more. Fields join v2 without a version bump (the
+/// optional hardware-counter "perf" section came and went that way):
+/// readers stay unknown-key tolerant, and a value that was not measured
+/// renders as null, never as a fake 0.
 std::string RenderStatsJson(const StatsReport& report);
 
 }  // namespace fim::obs

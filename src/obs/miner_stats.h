@@ -38,8 +38,7 @@ struct MinerStats {
   std::size_t repo_hits = 0;        // children the canonicity test prunes
   std::size_t column_switches = 0;  // Cobbler row->column switch-overs
 
-  // --- item-set enumeration family (LCM, CHARM, FP-close, transposed,
-  //     Eclat/dEclat) ---------------------------------------------------
+  // --- item-set enumeration family (LCM, CHARM, FP-close, transposed) --
   std::size_t extension_checks = 0;   // candidate extensions examined
   std::size_t closure_checks = 0;     // closure computations / merges
   std::size_t subsume_checks = 0;     // subsumption comparisons

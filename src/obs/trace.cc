@@ -26,7 +26,6 @@ SpanNode* Trace::Begin(std::string_view name) {
     node->name = std::string(name);
   }
   open_.push_back(node);
-  if (perf_ != nullptr) perf_open_.push_back(perf_->Read());
   return node;
 }
 
@@ -37,11 +36,6 @@ void Trace::End(double wall_seconds, double cpu_seconds) {
   node->wall_seconds += wall_seconds;
   node->cpu_seconds += cpu_seconds;
   ++node->count;
-  if (perf_ != nullptr && !perf_open_.empty()) {
-    node->perf.Accumulate(perf_->Read().DeltaSince(perf_open_.back()));
-    node->perf_valid = true;
-    perf_open_.pop_back();
-  }
 }
 
 }  // namespace fim::obs

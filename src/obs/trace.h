@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/timer.h"
-#include "obs/perf.h"
 
 namespace fim::obs {
 
@@ -23,13 +22,6 @@ struct SpanNode {
   double cpu_seconds = 0.0;
   std::size_t count = 0;
   std::vector<std::unique_ptr<SpanNode>> children;
-
-  /// Hardware-counter delta accumulated over the span (valid only when
-  /// perf_valid — a PerfCounterSet was attached to the trace and
-  /// counting worked). Exclusive of nothing: like the timings, a
-  /// parent's delta includes its children's.
-  PerfCounts perf;
-  bool perf_valid = false;
 
   /// The direct child named `child_name`, or nullptr.
   const SpanNode* FindChild(std::string_view child_name) const;
@@ -52,16 +44,6 @@ class Trace {
   /// Number of spans currently open (0 = quiescent).
   std::size_t OpenDepth() const { return open_.size() - 1; }
 
-  /// Attaches a hardware counter set: every span opened afterwards also
-  /// records the counter delta across its lifetime into its SpanNode
-  /// (one group read per Begin/End). The set must be counting
-  /// (Start()ed), opened on the tracing thread, and outlive the spans;
-  /// an unavailable set leaves the trace untouched. nullptr detaches.
-  void AttachPerfCounters(PerfCounterSet* counters) {
-    perf_ = (counters != nullptr && counters->available()) ? counters
-                                                           : nullptr;
-  }
-
  private:
   friend class Span;
 
@@ -76,9 +58,6 @@ class Trace {
   std::vector<SpanNode*> open_;  // root at the bottom; node storage is
                                  // unique_ptr-stable, pointers survive
                                  // sibling insertions
-  PerfCounterSet* perf_ = nullptr;
-  std::vector<PerfCounts> perf_open_;  // parallel to open_[1..]: the
-                                       // counter snapshot at Begin
 };
 
 /// RAII phase timer: opens a span on construction, records wall + thread

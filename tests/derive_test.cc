@@ -1,4 +1,6 @@
-// Tests of maximal-set filtering and frequent-set reconstruction (§2.3).
+// Tests of maximal-set filtering and frequent-set reconstruction (§2.3),
+// against the definition: every subset of the item base, counted with
+// TransactionDatabase::CountSupport.
 
 #include <gtest/gtest.h>
 
@@ -6,11 +8,32 @@
 
 #include "api/miner.h"
 #include "data/generators.h"
-#include "enumeration/eclat.h"
 #include "rules/derive.h"
 
 namespace fim {
 namespace {
+
+using FrequentMap = std::map<std::vector<ItemId>, Support>;
+
+FrequentMap BruteForceFrequent(const TransactionDatabase& db, Support smin) {
+  // Enumerate all subsets of the item base (small tests only).
+  std::vector<ItemId> used;
+  const auto freq = db.ItemFrequencies();
+  for (std::size_t i = 0; i < freq.size(); ++i) {
+    if (freq[i] > 0) used.push_back(static_cast<ItemId>(i));
+  }
+  FrequentMap out;
+  const std::size_t limit = std::size_t{1} << used.size();
+  for (std::size_t mask = 1; mask < limit; ++mask) {
+    std::vector<ItemId> items;
+    for (std::size_t b = 0; b < used.size(); ++b) {
+      if (mask & (std::size_t{1} << b)) items.push_back(used[b]);
+    }
+    const Support s = db.CountSupport(items);
+    if (s >= smin) out.emplace(std::move(items), s);
+  }
+  return out;
+}
 
 TEST(FilterMaximalTest, DropsSubsumedSets) {
   std::vector<ClosedItemset> closed = {
@@ -60,7 +83,7 @@ TEST(FilterMaximalTest, MaximalPropertyOnRandomData) {
   }
 }
 
-TEST(ExpandToAllFrequentTest, MatchesEclatExactly) {
+TEST(ExpandToAllFrequentTest, MatchesBruteForceExactly) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     const TransactionDatabase db =
         GenerateRandomDense(10, 8, 0.45, seed * 31);
@@ -73,19 +96,7 @@ TEST(ExpandToAllFrequentTest, MatchesEclatExactly) {
     auto expanded = ExpandToAllFrequent(index);
     ASSERT_TRUE(expanded.ok());
 
-    std::map<std::vector<ItemId>, Support> expected;
-    EclatOptions eclat;
-    eclat.min_support = smin;
-    ASSERT_TRUE(MineFrequentEclat(
-                    db, eclat,
-                    [&expected](std::span<const ItemId> items,
-                                Support support) {
-                      expected.emplace(std::vector<ItemId>(items.begin(),
-                                                           items.end()),
-                                       support);
-                    })
-                    .ok());
-
+    const FrequentMap expected = BruteForceFrequent(db, smin);
     ASSERT_EQ(expanded.value().size(), expected.size()) << "seed " << seed;
     for (const auto& set : expanded.value()) {
       auto it = expected.find(set.items);
@@ -93,6 +104,41 @@ TEST(ExpandToAllFrequentTest, MatchesEclatExactly) {
       EXPECT_EQ(it->second, set.support);
     }
   }
+}
+
+TEST(FrequentMinersTest, ClosedSetsAreExactlyClosureImagesOfFrequentSets) {
+  // Every frequent set's support must equal the support of some closed
+  // frequent superset, and every closed set must itself be frequent.
+  const TransactionDatabase db = GenerateRandomDense(11, 9, 0.45, 777);
+  const Support smin = 2;
+
+  MinerOptions options;
+  options.min_support = smin;
+  auto closed = MineClosedCollect(db, options);
+  ASSERT_TRUE(closed.ok());
+  const auto& closed_sets = closed.value();
+
+  const FrequentMap frequent = BruteForceFrequent(db, smin);
+
+  // (a) every closed set is frequent with matching support;
+  for (const auto& set : closed_sets) {
+    auto it = frequent.find(set.items);
+    ASSERT_NE(it, frequent.end());
+    EXPECT_EQ(it->second, set.support);
+  }
+  // (b) every frequent set has a closed superset with the same support.
+  for (const auto& [items, support] : frequent) {
+    bool found = false;
+    for (const auto& set : closed_sets) {
+      if (set.support == support && IsSubsetSorted(items, set.items)) {
+        found = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(found) << ItemsToString(items);
+  }
+  // (c) closed sets are a (usually strict) subset of frequent sets.
+  EXPECT_LE(closed_sets.size(), frequent.size());
 }
 
 TEST(ExpandToAllFrequentTest, RespectsMaxSets) {

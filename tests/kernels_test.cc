@@ -3,11 +3,9 @@
 // with std::set_intersection on sorted duplicate-free uint32_t inputs —
 // the contract that keeps the miners' closed-set output bit-identical
 // under every FIM_KERNEL setting. Also covers the galloping kernel, the
-// adaptive front door, DifferenceInto, the TidSet dense/sparse
-// conversion boundary, and the selection API.
+// adaptive front door, the occurrence-row filter and the selection API.
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -17,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "kernels/intersect.h"
-#include "kernels/tidset.h"
 
 namespace fim::kernels {
 namespace {
@@ -184,49 +181,6 @@ TEST(KernelsTest, IntersectIntoReusesBufferAndTrims) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(KernelsTest, DifferenceIntoMatchesSetDifference) {
-  std::mt19937 rng(11);
-  for (int round = 0; round < 50; ++round) {
-    std::uniform_int_distribution<std::size_t> len(0, 300);
-    const U32s a = SortedUnique(rng, len(rng), 2048);
-    const U32s b = SortedUnique(rng, len(rng), 2048);
-    U32s want;
-    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(want));
-    U32s got;
-    DifferenceInto(a, b, &got);
-    EXPECT_EQ(got, want) << "round " << round;
-  }
-}
-
-TEST(KernelsTest, BitsetAndMatchesScalarAndCountsBits) {
-  std::mt19937_64 rng(5);
-  for (const IntersectKernel* kernel : AvailableKernels()) {
-    for (const std::size_t words :
-         {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-          std::size_t{7}, std::size_t{64}, std::size_t{65}}) {
-      std::vector<std::uint64_t> a(words), b(words), out(words, ~0ull);
-      for (auto& w : a) w = rng();
-      for (auto& w : b) w = rng();
-      std::size_t want_count = 0;
-      std::vector<std::uint64_t> want(words);
-      for (std::size_t w = 0; w < words; ++w) {
-        want[w] = a[w] & b[w];
-        want_count += static_cast<std::size_t>(std::popcount(want[w]));
-      }
-      const std::size_t count =
-          kernel->bitset_and(a.data(), b.data(), words, out.data());
-      EXPECT_EQ(count, want_count) << kernel->name << " words=" << words;
-      EXPECT_EQ(out, want) << kernel->name << " words=" << words;
-      // Aliasing with an input is allowed.
-      const std::size_t aliased =
-          kernel->bitset_and(a.data(), b.data(), words, a.data());
-      EXPECT_EQ(aliased, want_count);
-      EXPECT_EQ(a, want);
-    }
-  }
-}
-
 TEST(KernelsTest, FilterNonzeroMatchesScalarAndAllowsInPlace) {
   std::mt19937 rng(17);
   std::vector<std::uint32_t> row(1024);
@@ -254,82 +208,6 @@ TEST(KernelsTest, FilterNonzeroMatchesScalarAndAllowsInPlace) {
   }
 }
 
-// --- TidSet dense/sparse boundary -------------------------------------
-
-std::vector<Tid> TidsOf(const TidSet& set) {
-  std::vector<Tid> scratch;
-  const auto span = set.Tids(&scratch);
-  return std::vector<Tid>(span.begin(), span.end());
-}
-
-TEST(TidSetTest, RepresentationIsTransparentAcrossTheCutover) {
-  const Tid universe = 1024;
-  std::mt19937 rng(23);
-  // Sweep counts across the dense cutover (universe / kDensityCutover =
-  // 32) including the exact boundary and both neighbours.
-  const std::size_t cutover = universe / TidSet::kDensityCutover;
-  for (const std::size_t count :
-       {std::size_t{0}, std::size_t{1}, cutover - 1, cutover, cutover + 1,
-        std::size_t{500}, static_cast<std::size_t>(universe)}) {
-    std::vector<Tid> tids = SortedUnique(rng, count, universe - 1);
-    TidSet set = TidSet::FromSorted(tids, universe);
-    EXPECT_EQ(set.Count(), tids.size());
-    EXPECT_EQ(TidsOf(set), tids) << "count " << count;
-  }
-}
-
-TEST(TidSetTest, IntersectAgreesWithReferenceAcrossAllRepresentationPairs) {
-  const Tid universe = 2048;
-  std::mt19937 rng(29);
-  // Sizes chosen so every pairing occurs: sparse∩sparse, sparse∩dense,
-  // dense∩dense — plus results that land on either side of the cutover.
-  const std::vector<std::size_t> sizes = {0,  3,   40,  63,  64,
-                                          65, 200, 1024, 2000};
-  for (const std::size_t sa : sizes) {
-    for (const std::size_t sb : sizes) {
-      const std::vector<Tid> ta = SortedUnique(rng, sa, universe - 1);
-      const std::vector<Tid> tb = SortedUnique(rng, sb, universe - 1);
-      const TidSet a = TidSet::FromSorted(ta, universe);
-      const TidSet b = TidSet::FromSorted(tb, universe);
-      TidSet result;
-      TidSet::Intersect(a, b, &result);
-      const std::vector<Tid> want = Reference(ta, tb);
-      EXPECT_EQ(result.Count(), want.size())
-          << "sa=" << sa << " sb=" << sb << " (dense " << a.dense() << "/"
-          << b.dense() << ")";
-      EXPECT_EQ(TidsOf(result), want)
-          << "sa=" << sa << " sb=" << sb << " (dense " << a.dense() << "/"
-          << b.dense() << ")";
-    }
-  }
-}
-
-TEST(TidSetTest, ConversionBoundaryFuzz) {
-  // Fuzz seeds pinned around the density boundary: repeated intersections
-  // must stay exact while results convert dense->sparse and operands mix
-  // representations.
-  for (const std::uint32_t seed : {1u, 2u, 3u, 5u, 8u, 13u}) {
-    std::mt19937 rng(seed);
-    const Tid universe = 512 + seed * 64;
-    const std::size_t cutover = universe / TidSet::kDensityCutover;
-    std::uniform_int_distribution<std::size_t> jitter(0, 2 * cutover);
-    std::vector<Tid> current = SortedUnique(
-        rng, universe / 2, universe - 1);  // start dense
-    TidSet acc = TidSet::FromSorted(current, universe);
-    for (int step = 0; step < 12; ++step) {
-      const std::vector<Tid> other_tids =
-          SortedUnique(rng, cutover + jitter(rng), universe - 1);
-      const TidSet other = TidSet::FromSorted(other_tids, universe);
-      TidSet next;
-      TidSet::Intersect(acc, other, &next);
-      current = Reference(current, other_tids);
-      ASSERT_EQ(TidsOf(next), current) << "seed " << seed << " step " << step;
-      acc = next;
-      if (current.empty()) break;
-    }
-  }
-}
-
 // --- selection API ----------------------------------------------------
 
 TEST(KernelsTest, AvailableKernelsStartsWithScalar) {
@@ -340,17 +218,6 @@ TEST(KernelsTest, AvailableKernelsStartsWithScalar) {
   for (const IntersectKernel* kernel : kernels) {
     EXPECT_TRUE(CpuSupports(kernel->id)) << kernel->name;
   }
-}
-
-TEST(KernelsTest, ForceKernelSwitchesAndRejectsUnknownNames) {
-  const IntersectKernel& original = Active();
-  EXPECT_FALSE(ForceKernel("not-a-kernel"));
-  EXPECT_STREQ(Active().name, original.name);  // unchanged on failure
-  for (const IntersectKernel* kernel : AvailableKernels()) {
-    ASSERT_TRUE(ForceKernel(kernel->name));
-    EXPECT_EQ(Active().id, kernel->id);
-  }
-  ASSERT_TRUE(ForceKernel(original.name));  // restore for other tests
 }
 
 TEST(KernelsTest, CountersAdvanceWithWork) {

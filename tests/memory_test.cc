@@ -19,7 +19,6 @@
 #include "data/generators.h"
 #include "data/transaction_database.h"
 #include "ista/prefix_tree.h"
-#include "kernels/tidset.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/memory.h"
@@ -108,22 +107,6 @@ TEST(ApproxMemoryUsageTest, DatabaseMatchesManualCapacitySum) {
     expected += t.capacity() * sizeof(ItemId);
   }
   EXPECT_EQ(component.TotalBytes(), expected);
-}
-
-TEST(ApproxMemoryUsageTest, TidSetCountsWhateverBuffersExist) {
-  std::vector<Tid> sparse_tids = {1, 9, 17};
-  const kernels::TidSet sparse =
-      kernels::TidSet::FromSorted(sparse_tids, /*universe=*/4096);
-  EXPECT_FALSE(sparse.dense());
-  EXPECT_GE(sparse.ApproxMemoryUsage(), sparse_tids.size() * sizeof(Tid));
-  // A dense set owns a bit-vector; the reported bytes track the
-  // representation, not go stale.
-  std::vector<Tid> dense_tids(512);
-  for (Tid t = 0; t < 512; ++t) dense_tids[t] = t;
-  const kernels::TidSet dense =
-      kernels::TidSet::FromSorted(dense_tids, /*universe=*/512);
-  EXPECT_TRUE(dense.dense());
-  EXPECT_GE(dense.ApproxMemoryUsage(), 512 / 8);
 }
 
 TEST(ApproxMemoryUsageTest, PrefixTreeSplitsLiveAndGarbage) {

@@ -6,11 +6,13 @@
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/miner.h"
 #include "data/fimi_io.h"
@@ -197,7 +199,7 @@ TEST(ToolsPipelineTest, SelfCheckPassesOnRepeatedRows) {
     std::ofstream out(data);
     out << "0 1 2\n0 1 2\n0 1 2\n1 3\n0 1 2\n2 3\n2 3\n";
   }
-  ASSERT_EQ(ExitCode(std::string(FIM_VERIFY_BINARY) + " --self-check -s 2 " +
+  ASSERT_EQ(ExitCode(std::string(FIM_VERIFY_BINARY) + " --self-check " +
                      data + " 2>" + log),
             0);
   std::ifstream in(log);
@@ -207,6 +209,33 @@ TEST(ToolsPipelineTest, SelfCheckPassesOnRepeatedRows) {
       << text.str();
   EXPECT_NE(text.str().find("fim-verify: self-check OK"), std::string::npos)
       << text.str();
+}
+
+// --self-check mines nothing: a minimum support or an observability flag
+// would be dropped silently, so each is a usage error (exit 2) that
+// writes no report.
+TEST(ToolsPipelineTest, SelfCheckRejectsTheFlagsItIgnores) {
+  const std::string data = TempPath("pipeline_selfcheck_flags.fimi");
+  const std::string stats = TempPath("pipeline_selfcheck_flags.json");
+  {
+    std::ofstream out(data);
+    out << "0 1 2\n1 3\n2 3\n";
+  }
+  std::remove(stats.c_str());
+  const std::string verify =
+      std::string(FIM_VERIFY_BINARY) + " --self-check ";
+  const std::vector<std::string> flags = {
+      "-s 7", "--stats", "--stats=json", "--stats-out=" + stats,
+      "--trace-out=" + stats, "--mem-stats", "--profile",
+      "--profile=" + stats};
+  for (const std::string& flag : flags) {
+    EXPECT_EQ(ExitCode(verify + flag + " " + data + " 2>/dev/null"), 2)
+        << flag;
+    EXPECT_EQ(ExitCode(verify + data + " " + flag + " 2>/dev/null"), 2)
+        << flag;
+  }
+  EXPECT_FALSE(std::ifstream(stats).good());
+  EXPECT_EQ(ExitCode(verify + data + " 2>/dev/null"), 0);
 }
 
 TEST(ToolsPipelineTest, RulesToolEmitsValidRules) {
@@ -507,6 +536,50 @@ TEST(ToolsPipelineTest, StatsDiffGatesRegressions) {
   EXPECT_EQ(ExitCode(diff + baseline + " " + baseline + ".nope 2>/dev/null"),
             2);
 
+  // Zero baseline: any increase has infinite relative growth, so it
+  // fails under the default tolerances, but an absolute tolerance wide
+  // enough to cover the increase admits it.
+  const std::string zero_base = TempPath("pipeline_diff_zero.json");
+  const std::string one_more = TempPath("pipeline_diff_one.json");
+  write(zero_base,
+        R"({"schema":"fim-stats-v2","num_sets":7,)"
+        R"("counters":{"isect_steps":100,"prune_calls":0}})");
+  write(one_more,
+        R"({"schema":"fim-stats-v2","num_sets":7,)"
+        R"("counters":{"isect_steps":100,"prune_calls":1}})");
+  EXPECT_EQ(ExitCode(diff + zero_base + " " + one_more + " 2>/dev/null"), 1);
+  EXPECT_EQ(ExitCode(diff + "--abs-tol=2 " + zero_base + " " + one_more +
+                     " 2>/dev/null"),
+            0);
+
+  // Non-finite guard: the JSON layer rejects Inf-valued numbers
+  // outright (1e999 overflows strtod), so a poisoned report is a parse
+  // error (exit 2), never a silent pass or a bogus comparison.
+  const std::string inf_report = TempPath("pipeline_diff_inf.json");
+  write(inf_report,
+        R"({"schema":"fim-stats-v2","num_sets":7,)"
+        R"("counters":{"isect_steps":1e999}})");
+  EXPECT_EQ(ExitCode(diff + inf_report + " " + inf_report + " 2>/dev/null"),
+            2);
+
+  // Schema-version skew: a v1 baseline still gates a v2 candidate —
+  // shared counters compare, newer top-level fields ride along.
+  const std::string v1_base = TempPath("pipeline_diff_v1.json");
+  const std::string v2_same = TempPath("pipeline_diff_v2_same.json");
+  const std::string v2_regressed = TempPath("pipeline_diff_v2_regressed.json");
+  write(v1_base,
+        R"({"schema":"fim-stats-v1","num_sets":7,)"
+        R"("counters":{"isect_steps":100}})");
+  write(v2_same,
+        R"({"schema":"fim-stats-v2","num_sets":7,"kernel_tier":"avx2",)"
+        R"("counters":{"isect_steps":100}})");
+  write(v2_regressed,
+        R"({"schema":"fim-stats-v2","num_sets":7,"kernel_tier":"avx2",)"
+        R"("counters":{"isect_steps":250}})");
+  EXPECT_EQ(ExitCode(diff + v1_base + " " + v2_same + " 2>/dev/null"), 0);
+  EXPECT_EQ(ExitCode(diff + v1_base + " " + v2_regressed + " 2>/dev/null"),
+            1);
+
   // End to end: a real fim-mine report diffed against itself passes,
   // including the timing fields.
   const std::string data = TempPath("pipeline_diff.fimi");
@@ -523,16 +596,16 @@ TEST(ToolsPipelineTest, StatsDiffGatesRegressions) {
             0);
 }
 
-TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsPerfSection) {
+TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsRusage) {
   const std::string data = TempPath("pipeline_prof.fimi");
   ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p basket -c 0.02 -r 53 " +
                    data + " 2>/dev/null"),
             0);
 
-  // The acceptance contract: --profile --perf-counters succeeds on any
-  // host (PMU or not), changes nothing about the mined output at 1 and
-  // 4 threads, writes a valid fim-prof-v1 collapsed-stack file, and the
-  // stats report carries a well-formed `perf` section either way.
+  // The acceptance contract: --profile succeeds on any host, changes
+  // nothing about the mined output at 1 and 4 threads, writes a valid
+  // fim-prof-v1 collapsed-stack file, and the stats report carries the
+  // process's rusage and the kernel tier.
   for (const int threads : {1, 4}) {
     const std::string suffix = "_t" + std::to_string(threads);
     const std::string plain_out = TempPath("pipeline_prof_plain" + suffix);
@@ -543,8 +616,8 @@ TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsPerfSection) {
                              std::to_string(threads) + " ";
     ASSERT_EQ(RunCmd(mine + data + " " + plain_out), 0);
     ASSERT_EQ(RunCmd(mine + "--profile=" + collapsed +
-                     " --perf-counters --stats=json --stats-out=" + stats +
-                     " " + data + " " + prof_out + " 2>/dev/null"),
+                     " --stats=json --stats-out=" + stats + " " + data + " " +
+                     prof_out + " 2>/dev/null"),
               0);
 
     // Output neutrality end to end: profiling never changes the result.
@@ -562,186 +635,112 @@ TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsPerfSection) {
     ASSERT_TRUE(std::getline(stacks_in, header)) << collapsed;
     EXPECT_EQ(header.rfind("# fim-prof-v1 ", 0), 0u) << header;
 
-    // The stats report carries the perf section: availability is
-    // explicit, and an unavailable host names its reason instead of
-    // failing the run or rendering fake zeros.
+    // The rusage object and the kernel tier are top-level fields of
+    // every report (this is Linux/POSIX in CI).
     std::ifstream stats_in(stats);
     std::stringstream buffer;
     buffer << stats_in.rdbuf();
     auto parsed = obs::ParseJson(buffer.str());
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(parsed.value().Find("schema")->AsString(), "fim-stats-v2");
-    const obs::JsonValue* perf = parsed.value().Find("perf");
-    ASSERT_NE(perf, nullptr);
-    const obs::JsonValue* available = perf->Find("available");
-    ASSERT_NE(available, nullptr);
-    if (available->AsBool()) {
-      const obs::JsonValue* counters = perf->Find("counters");
-      ASSERT_NE(counters, nullptr);
-      ASSERT_TRUE(counters->is_object());
-      EXPECT_GT(counters->Find("cycles")->AsNumber(), 0.0);
-    } else {
-      ASSERT_NE(perf->Find("unavailable_reason"), nullptr);
-      EXPECT_FALSE(perf->Find("unavailable_reason")->AsString().empty());
-      EXPECT_TRUE(perf->Find("counters")->is_null());
-    }
-    // The rusage fallback tier and the RSS high-water mark are always
-    // there (this is Linux/POSIX in CI), PMU or not.
-    const obs::JsonValue* rusage = perf->Find("rusage");
+    const obs::JsonValue& report = parsed.value();
+    EXPECT_EQ(report.Find("schema")->AsString(), "fim-stats-v2");
+    EXPECT_EQ(report.Find("perf"), nullptr);
+    const obs::JsonValue* tier = report.Find("kernel_tier");
+    ASSERT_NE(tier, nullptr);
+    EXPECT_TRUE(tier->AsString() == "scalar" || tier->AsString() == "avx2")
+        << tier->AsString();
+    const obs::JsonValue* rusage = report.Find("rusage");
     ASSERT_NE(rusage, nullptr);
     ASSERT_TRUE(rusage->is_object());
-    EXPECT_GT(rusage->Find("peak_rss_bytes")->AsNumber(), 0.0);
-    // Domain attribution: one sample for the single repository at every
-    // thread count, carrying its software work counter.
-    const obs::JsonValue* domains = perf->Find("domains");
-    ASSERT_NE(domains, nullptr);
-    ASSERT_TRUE(domains->is_array());
-    std::size_t shards = 0;
-    for (const obs::JsonValue& domain : domains->AsArray()) {
-      const std::string name = domain.Find("name")->AsString();
-      if (name.rfind("shard-", 0) == 0) ++shards;
-      ASSERT_NE(domain.Find("work_steps"), nullptr) << name;
+    for (const char* key :
+         {"user_seconds", "system_seconds", "minor_faults", "major_faults",
+          "voluntary_ctx_switches", "involuntary_ctx_switches"}) {
+      ASSERT_NE(rusage->Find(key), nullptr) << key;
+      EXPECT_GE(rusage->Find(key)->AsNumber(), 0.0) << key;
     }
-    EXPECT_EQ(shards, 1u);
+    EXPECT_GT(rusage->Find("minor_faults")->AsNumber(), 0.0);
+    // cpu_seconds is a delta of the same process totals.
+    EXPECT_LE(report.Find("cpu_seconds")->AsNumber(),
+              rusage->Find("user_seconds")->AsNumber() +
+                  rusage->Find("system_seconds")->AsNumber());
 
-    // fim-prof renders the work-inflation table from that report.
+    // fim-prof renders only the memory section, which this report lacks:
+    // it refuses the report with a pointed error (exit 1).
     EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " " + stats +
                        " >/dev/null 2>&1"),
-              0);
+              1);
   }
 
-  // A report taken without --perf-counters has no perf section and
-  // fim-prof refuses it with a pointed error (exit 1).
-  const std::string bare_stats = TempPath("pipeline_prof_bare.json");
-  ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -s 5 --stats=json " +
-                   "--stats-out=" + bare_stats + " " + data + " /dev/null"),
+  // A --mem-stats report has the section, and fim-prof renders it.
+  const std::string mem_stats = TempPath("pipeline_prof_mem.json");
+  ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -s 5 --mem-stats " +
+                   "--stats=json --stats-out=" + mem_stats + " " + data +
+                   " /dev/null"),
             0);
-  EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " " + bare_stats +
+  EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " " + mem_stats +
                      " >/dev/null 2>&1"),
-            1);
+            0);
+  EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " --baseline=" +
+                     mem_stats + " " + mem_stats + " >/dev/null 2>&1"),
+            0);
 }
 
-TEST(ToolsPipelineTest, StatsDiffPerfSectionEdgeCases) {
-  auto write = [](const std::string& path, const std::string& body) {
-    std::ofstream out(path);
-    out << body;
-  };
-  const std::string diff = std::string(FIM_STATS_DIFF_BINARY) + " ";
-
-  // perf.* metrics are host-dependent: a baseline without the section
-  // (older schema, or a PMU-denied host) diffs cleanly against a
-  // candidate that has it — in both directions and in structure-only
-  // mode — unlike ordinary counters, whose absence is a MISSING failure.
-  const std::string no_perf = TempPath("diff_perf_none.json");
-  const std::string with_perf = TempPath("diff_perf_full.json");
-  write(no_perf,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":100}})");
-  write(with_perf,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":100},)"
-        R"("perf":{"available":true,"counters":{"cycles":5000,)"
-        R"("instructions":9000,"ipc":1.8,"llc_miss_rate":0.02}}})");
-  EXPECT_EQ(ExitCode(diff + no_perf + " " + with_perf + " 2>/dev/null"), 0);
-  EXPECT_EQ(ExitCode(diff + with_perf + " " + no_perf + " 2>/dev/null"), 0);
-  EXPECT_EQ(ExitCode(diff + "--structure-only " + no_perf + " " +
-                     with_perf + " 2>/dev/null"),
+// cpu_seconds is the CPU of every thread of the process over the timed
+// run (getrusage), not the driving thread's clock: at 4 threads LCM
+// mines its subtrees on worker threads, so the report's CPU clearly
+// exceeds the CPU the driving thread spends in its `mine` span.
+TEST(ToolsPipelineTest, CpuSecondsCountsWorkerThreads) {
+  const std::string data = TempPath("pipeline_cpu.fimi");
+  const std::string stats = TempPath("pipeline_cpu.json");
+  ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p yeast -c 0.5 -r 42 " +
+                   data + " 2>/dev/null"),
             0);
-
-  // available:false suppresses the whole section — nulls and stale
-  // counters under it must not be compared as numbers.
-  const std::string denied = TempPath("diff_perf_denied.json");
-  write(denied,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":100},)"
-        R"("perf":{"available":false,"unavailable_reason":"no PMU",)"
-        R"("counters":null}})");
-  EXPECT_EQ(ExitCode(diff + with_perf + " " + denied + " 2>/dev/null"), 0);
-
-  // perf.ipc is higher-is-better: a drop beyond tolerance is the
-  // regression, a rise is an improvement.
-  const std::string ipc_drop = TempPath("diff_perf_ipc_drop.json");
-  const std::string ipc_rise = TempPath("diff_perf_ipc_rise.json");
-  write(ipc_drop,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":100},)"
-        R"("perf":{"available":true,"counters":{"ipc":0.9,)"
-        R"("llc_miss_rate":0.02}}})");
-  write(ipc_rise,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":100},)"
-        R"("perf":{"available":true,"counters":{"ipc":2.4,)"
-        R"("llc_miss_rate":0.02}}})");
-  EXPECT_EQ(ExitCode(diff + with_perf + " " + ipc_drop + " 2>/dev/null"), 1);
-  EXPECT_EQ(ExitCode(diff + with_perf + " " + ipc_rise + " 2>/dev/null"), 0);
-  // A 50% drop passes once the tolerance covers it.
-  EXPECT_EQ(ExitCode(diff + "--rel-tol=0.6 " + with_perf + " " + ipc_drop +
-                     " 2>/dev/null"),
+  ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -a lcm -s 20 -t 4 " +
+                   "--stats=json --stats-out=" + stats + " " + data +
+                   " /dev/null"),
             0);
+  std::ifstream in(stats);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  auto parsed = obs::ParseJson(buffer.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const obs::JsonValue& report = parsed.value();
+  double mine_cpu = -1.0;
+  for (const auto& span : report.Find("spans")->AsArray()) {
+    if (span.Find("name")->AsString() == "mine") {
+      mine_cpu = span.Find("cpu_seconds")->AsNumber();
+    }
+  }
+  ASSERT_GE(mine_cpu, 0.0);
+  const double cpu = report.Find("cpu_seconds")->AsNumber();
+  EXPECT_GT(cpu, 1.5 * mine_cpu) << "cpu_seconds " << cpu
+                                 << ", driving thread's mine span "
+                                 << mine_cpu;
+}
 
-  // Zero-baseline rate: any increase has infinite relative growth, so
-  // it fails under the default tolerances but an absolute tolerance
-  // wide enough to cover the increase admits it.
-  const std::string zero_rate = TempPath("diff_perf_zero.json");
-  const std::string small_rate = TempPath("diff_perf_small.json");
-  write(zero_rate,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":100},)"
-        R"("perf":{"available":true,"counters":{"llc_miss_rate":0}}})");
-  write(small_rate,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":100},)"
-        R"("perf":{"available":true,"counters":{"llc_miss_rate":0.01}}})");
-  EXPECT_EQ(ExitCode(diff + zero_rate + " " + small_rate + " 2>/dev/null"),
-            1);
-  EXPECT_EQ(ExitCode(diff + "--abs-tol=0.05 " + zero_rate + " " +
-                     small_rate + " 2>/dev/null"),
-            0);
-
-  // perf.cycles is timing-class (scales with wall time and multiplex
-  // correction): gated only with --time.
-  const std::string more_cycles = TempPath("diff_perf_cycles.json");
-  write(more_cycles,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":100},)"
-        R"("perf":{"available":true,"counters":{"cycles":50000,)"
-        R"("instructions":9000,"ipc":1.8,"llc_miss_rate":0.02}}})");
-  EXPECT_EQ(ExitCode(diff + with_perf + " " + more_cycles + " 2>/dev/null"),
-            0);
-  EXPECT_EQ(ExitCode(diff + "--time " + with_perf + " " + more_cycles +
-                     " 2>/dev/null"),
-            1);
-
-  // Non-finite guard: the JSON layer rejects Inf-valued numbers
-  // outright (1e999 overflows strtod), so a poisoned report is a parse
-  // error (exit 2), never a silent pass or a bogus comparison.
-  const std::string inf_report = TempPath("diff_perf_inf.json");
-  write(inf_report,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":1e999}})");
-  EXPECT_EQ(ExitCode(diff + inf_report + " " + inf_report + " 2>/dev/null"),
+// Retired flags fail loudly instead of being taken for file names.
+TEST(ToolsPipelineTest, RetiredFlagsAreUsageErrors) {
+  const std::string data = TempPath("pipeline_retired.fimi");
+  {
+    std::ofstream out(data);
+    out << "0 1\n0 1\n";
+  }
+  const std::string quiet = " " + data + " /dev/null >/dev/null 2>&1";
+  EXPECT_EQ(ExitCode(std::string(FIM_MINE_BINARY) + " --perf-counters" +
+                     quiet),
             2);
-
-  // Schema-version skew: a v1 baseline (pre-distributions, no perf)
-  // still gates a v2 candidate — shared counters compare, new optional
-  // sections ride along.
-  const std::string v1_base = TempPath("diff_perf_v1.json");
-  const std::string v2_same = TempPath("diff_perf_v2_same.json");
-  const std::string v2_regressed = TempPath("diff_perf_v2_regressed.json");
-  write(v1_base,
-        R"({"schema":"fim-stats-v1","num_sets":7,)"
-        R"("counters":{"isect_steps":100}})");
-  write(v2_same,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":100},)"
-        R"("perf":{"available":true,"counters":{"ipc":1.8}}})");
-  write(v2_regressed,
-        R"({"schema":"fim-stats-v2","num_sets":7,)"
-        R"("counters":{"isect_steps":250},)"
-        R"("perf":{"available":true,"counters":{"ipc":1.8}}})");
-  EXPECT_EQ(ExitCode(diff + v1_base + " " + v2_same + " 2>/dev/null"), 0);
-  EXPECT_EQ(ExitCode(diff + v1_base + " " + v2_regressed + " 2>/dev/null"),
-            1);
+  EXPECT_EQ(ExitCode(std::string(FIM_MINE_BINARY) + " --kernel=scalar" +
+                     quiet),
+            2);
+  EXPECT_EQ(ExitCode(std::string(FIM_VERIFY_BINARY) + " --perf-counters" +
+                     quiet),
+            2);
+  EXPECT_EQ(ExitCode(std::string(FIM_STREAM_BINARY) + " --perf-counters" +
+                     quiet),
+            2);
+  EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " --memory " + data +
+                     " >/dev/null 2>&1"),
+            2);
 }
 
 }  // namespace

@@ -3,9 +3,8 @@
 // programs.
 //
 //   fim-mine [-a algorithm] [-s minsupp | -S percent] [-t threads] [-m] [-q]
-//            [--kernel=NAME] [--stats[=text|json]] [--stats-out=PATH]
-//            [--trace-out=PATH] [--perf-counters] [--profile[=PATH]]
-//            input [output]
+//            [--stats[=text|json]] [--stats-out=PATH] [--trace-out=PATH]
+//            [--profile[=PATH]] [--mem-stats] input [output]
 //
 //   -a NAME   ista | carpenter-lists | carpenter-table | flat-cumulative |
 //             fpclose | lcm | charm | transposed | cobbler (default: ista)
@@ -16,17 +15,12 @@
 //             run                                 (default: 1)
 //   -m        report only maximal frequent item sets
 //   -q        quiet: no stats on stderr
-//   --kernel=NAME
-//             pin the intersection-kernel tier (scalar | avx2)
-//             instead of auto-selecting by CPUID; same effect as the
-//             FIM_KERNEL environment variable, but an unsupported name
-//             is a hard error here rather than a fallback. Output is
-//             bit-identical across tiers (see docs/PERFORMANCE.md).
 //   --stats[=text|json]
-//             emit an execution-statistics report (per-phase spans +
-//             per-miner counters, see docs/OBSERVABILITY.md) after
-//             mining; text (default) or JSON. Goes to stderr unless
-//             --stats-out is given, so the result output is unchanged.
+//             emit an execution-statistics report (per-phase spans,
+//             per-miner counters, process CPU of every thread, rusage
+//             and kernel tier; see docs/OBSERVABILITY.md) after mining;
+//             text (default) or JSON. Goes to stderr unless --stats-out
+//             is given, so the result output is unchanged.
 //   --stats-out=PATH
 //             write the stats report to PATH instead of stderr
 //   --trace-out=PATH
@@ -34,13 +28,6 @@
 //             lane per recoding worker) and write it as
 //             Chrome trace-event JSON to PATH — load in chrome://tracing
 //             or https://ui.perfetto.dev
-//   --perf-counters
-//             measure hardware counters (cycles, instructions, LLC/L1d
-//             and branch misses via perf_event_open) over the run and
-//             per phase/domain, and add the `perf` section to the stats
-//             report (implies --stats). Where the kernel denies the PMU
-//             the run still succeeds and the section carries an explicit
-//             unavailable reason plus the rusage fallback.
 //   --profile[=PATH]
 //             sampling self-profiler (SIGPROF + backtrace): collapsed
 //             stacks (`fim-prof-v1`, flamegraph.pl-compatible) written
@@ -56,7 +43,9 @@
 //
 // Output lines: the items of a set separated by spaces, followed by the
 // absolute support in parentheses, e.g. "3 17 42 (57)". The mined output
-// is bit-identical with and without --stats / --trace-out.
+// is bit-identical with and without --stats / --trace-out, and under
+// every intersection-kernel tier (FIM_KERNEL=scalar|avx2, see
+// docs/PERFORMANCE.md).
 
 #include <cmath>
 #include <cstdio>
@@ -68,7 +57,6 @@
 
 #include "api/miner.h"
 #include "common/timer.h"
-#include "kernels/intersect.h"
 #include "data/binary_io.h"
 #include "data/fimi_io.h"
 #include "data/stats.h"
@@ -83,9 +71,9 @@ namespace {
 void Usage() {
   std::fprintf(stderr,
                "usage: fim-mine [-a algorithm] [-s minsupp | -S percent] "
-               "[-t threads] [-m] [-q] [--kernel=NAME] [--stats[=text|json]] "
-               "[--stats-out=PATH] [--trace-out=PATH] [--perf-counters] "
-               "[--profile[=PATH]] [--mem-stats] input [output]\n");
+               "[-t threads] [-m] [-q] [--stats[=text|json]] "
+               "[--stats-out=PATH] [--trace-out=PATH] [--profile[=PATH]] "
+               "[--mem-stats] input [output]\n");
 }
 
 }  // namespace
@@ -134,19 +122,6 @@ int main(int argc, char** argv) {
       maximal_only = true;
     } else if (std::strcmp(arg, "-q") == 0) {
       quiet = true;
-    } else if (std::strncmp(arg, "--kernel=", 9) == 0) {
-      const char* name = arg + 9;
-      if (!kernels::ForceKernel(name)) {
-        std::fprintf(stderr,
-                     "error: --kernel=%s is unknown or not supported on this "
-                     "CPU; available:",
-                     name);
-        for (const auto* kernel : kernels::AvailableKernels()) {
-          std::fprintf(stderr, " %s", kernel->name);
-        }
-        std::fprintf(stderr, "\n");
-        return 2;
-      }
     } else if (obs_flags.Parse(arg)) {
       // one of --stats / --stats-out / --trace-out
     } else if (std::strcmp(arg, "-h") == 0 ||
@@ -175,15 +150,15 @@ int main(int argc, char** argv) {
   obs_flags.Finish();
 
   WallTimer total;
-  CpuTimer total_cpu;
+  const obs::ResourceUsage start_usage = obs::ReadResourceUsage();
   obs::Trace trace_storage;
   obs::Trace* trace = obs_flags.WantStats() ? &trace_storage : nullptr;
   MinerStats miner_stats;
   MinerStats* stats = obs_flags.WantStats() ? &miner_stats : nullptr;
   std::unique_ptr<obs::Timeline> timeline;
   if (obs_flags.WantTrace()) timeline = std::make_unique<obs::Timeline>();
-  tools::PerfSession perf_session;
-  perf_session.Start(obs_flags, trace, timeline.get());
+  tools::ProfileSession profile_session;
+  profile_session.Start(obs_flags, timeline.get());
   tools::MemSession mem_session(obs_flags);
 
   obs::Span load_span(trace, "load");
@@ -211,7 +186,6 @@ int main(int argc, char** argv) {
   options.min_support = min_support;
   options.num_threads = num_threads;
   options.timeline = timeline.get();
-  options.perf_domains = perf_session.domains();
   options.memory = mem_session.breakdown();
 
   std::ofstream file_out;
@@ -263,9 +237,9 @@ int main(int argc, char** argv) {
                  total.Seconds());
   }
 
-  // Stop the measurement layer (counters + profiler) before any export
-  // touches the timeline the profiler may still be writing to.
-  const obs::PerfReport* perf_report = perf_session.Finish();
+  // Stop the profiler before any export touches the timeline it may
+  // still be writing to.
+  profile_session.Stop();
   if (mem_session.breakdown() != nullptr) {
     // The tool owns the original database; the miners record only what
     // they build themselves.
@@ -289,15 +263,13 @@ int main(int argc, char** argv) {
     report.num_threads = num_threads;
     report.num_sets = count;
     report.wall_seconds = total.Seconds();
-    report.cpu_seconds = total_cpu.Seconds();
-    report.peak_rss_bytes = PeakRss();
+    tools::FillProcessUsage(start_usage, &report);
     report.miner = miner_stats;
     report.trace = &trace_storage;
-    report.perf = perf_report;
     report.memory = mem_report;
     if (int rc = tools::EmitStatsReport(obs_flags, report); rc != 0) {
       return rc;
     }
   }
-  return perf_session.EmitProfile(obs_flags);
+  return profile_session.EmitProfile(obs_flags);
 }

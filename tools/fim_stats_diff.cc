@@ -36,21 +36,11 @@
 // baseline by more than both tolerances; decreases are reported as
 // improvements and never fail.
 //
-// Reports with a `perf` section (--perf-counters) additionally
-// contribute perf.ipc / perf.llc_miss_rate / perf.branch_miss_rate —
-// miss-rate increases gate like any cost counter, while perf.ipc is a
-// higher-is-better metric, so a *decrease* beyond the tolerances is the
-// regression. perf.cycles and perf.instructions are timing-class (gated
-// only with --time: both scale with wall time and multiplexing). All
-// perf.* metrics are host-dependent, so one side missing them (older
-// baseline schema, PMU denied, null counters) is never a structure
-// failure — they are simply not compared; non-finite values (NaN/Inf
-// from a zero-division) are skipped too.
-//
-// Bytes-class metrics behave the same way: lower is better, absence on
+// Bytes-class metrics are host-dependent: lower is better, absence on
 // either side (older schema, run without --mem-stats, platform hiding
 // RSS) is never a mismatch, and they gate under their own --mem-rel-tol
-// / --mem-abs-tol pair instead of the counter tolerances.
+// / --mem-abs-tol pair instead of the counter tolerances. Non-finite
+// values are skipped.
 //
 // Exit code 0 = no regression; 1 = regression or structure mismatch
 // (details on stderr); 2 = usage or parse error.
@@ -83,30 +73,20 @@ void Usage() {
 using Row = std::map<std::string, double>;
 using Rows = std::map<std::string, Row>;
 
-/// Whether the metric is gated with --time only. The raw hardware
-/// counts ride along: cycles track wall time and both scale with the
-/// multiplexing correction, unlike the ratios derived from them.
+/// Whether the metric is gated with --time only.
 bool IsTimingMetric(const std::string& name) {
   return name == "wall_seconds" || name == "cpu_seconds" ||
-         name == "seconds" || name == "perf.cycles" ||
-         name == "perf.instructions";
+         name == "seconds";
 }
 
 /// Bytes-class metrics: memory footprints (RSS, accounted breakdown
 /// bytes). Lower is better; they gate under the --mem-* tolerances.
+/// They are host-dependent (RSS visibility, schema age, runs without
+/// --mem-stats), so their absence on either side is tolerated rather
+/// than a MISSING failure.
 bool IsBytesMetric(const std::string& name) {
   return name == "peak_rss_bytes" || name.rfind("memory.", 0) == 0;
 }
-
-/// perf.* and bytes-class metrics are host-dependent (PMU access, RSS
-/// visibility, schema age, runs without --mem-stats), so their absence
-/// on either side is tolerated rather than a MISSING failure.
-bool IsOptionalMetric(const std::string& name) {
-  return name.rfind("perf.", 0) == 0 || IsBytesMetric(name);
-}
-
-/// Metrics where bigger is better; a *decrease* is the regression.
-bool IsHigherBetter(const std::string& name) { return name == "perf.ipc"; }
 
 /// Copies the bytes-class metrics out of a `memory` object into `row`
 /// as memory.<name>. Handles both shapes: the stats report's memory
@@ -119,28 +99,6 @@ void ExtractMemoryMetrics(const JsonValue& memory, Row* row) {
     const JsonValue* value = memory.Find(name);
     if (value != nullptr && value->kind() == JsonValue::Kind::kNumber) {
       (*row)[std::string("memory.") + name] = value->AsNumber();
-    }
-  }
-}
-
-/// Copies the comparable hardware-counter metrics out of a `perf`
-/// object into `row` as perf.<name>. Handles both shapes: the stats
-/// report (counters nested under "counters", guarded by "available")
-/// and a flat bench-point object. Null and non-numeric values are
-/// skipped — a null is "not measured", never 0.
-void ExtractPerfMetrics(const JsonValue& perf, Row* row) {
-  if (!perf.is_object()) return;
-  const JsonValue* available = perf.Find("available");
-  if (available != nullptr && !available->AsBool()) return;
-  const JsonValue* counters = perf.Find("counters");
-  const JsonValue& source =
-      counters != nullptr && counters->is_object() ? *counters : perf;
-  for (const char* name :
-       {"cycles", "instructions", "ipc", "llc_miss_rate",
-        "branch_miss_rate"}) {
-    const JsonValue* value = source.Find(name);
-    if (value != nullptr && value->kind() == JsonValue::Kind::kNumber) {
-      (*row)[std::string("perf.") + name] = value->AsNumber();
     }
   }
 }
@@ -171,9 +129,6 @@ bool ExtractRows(const JsonValue& doc, const std::string& label, Rows* rows) {
     }
     if (const JsonValue* cpu = doc.Find("cpu_seconds")) {
       row["cpu_seconds"] = cpu->AsNumber();
-    }
-    if (const JsonValue* perf = doc.Find("perf")) {
-      ExtractPerfMetrics(*perf, &row);
     }
     if (const JsonValue* rss = doc.Find("peak_rss_bytes");
         rss != nullptr && rss->kind() == JsonValue::Kind::kNumber &&
@@ -218,9 +173,6 @@ bool ExtractRows(const JsonValue& doc, const std::string& label, Rows* rows) {
       }
       if (const JsonValue* cpu = point.Find("cpu_seconds")) {
         row["cpu_seconds"] = cpu->AsNumber();
-      }
-      if (const JsonValue* perf = point.Find("perf")) {
-        ExtractPerfMetrics(*perf, &row);
       }
       if (const JsonValue* mem = point.Find("mem")) {
         ExtractMemoryMetrics(*mem, &row);
@@ -332,7 +284,7 @@ int main(int argc, char** argv) {
     }
     for (const auto& [name, base_value] : row) {
       if (it->second.find(name) == it->second.end()) {
-        if (IsTimingMetric(name) || IsOptionalMetric(name)) continue;
+        if (IsTimingMetric(name) || IsBytesMetric(name)) continue;
         std::fprintf(stderr, "MISSING: %s: counter %s absent from %s\n",
                      RowName(key), name.c_str(), current_path.c_str());
         ++regressions;
@@ -340,7 +292,7 @@ int main(int argc, char** argv) {
     }
     for (const auto& [name, cur_value] : it->second) {
       if (row.find(name) == row.end() && !IsTimingMetric(name) &&
-          !IsOptionalMetric(name)) {
+          !IsBytesMetric(name)) {
         std::fprintf(stderr, "MISSING: %s: counter %s absent from %s\n",
                      RowName(key), name.c_str(), baseline_path.c_str());
         ++regressions;
@@ -383,10 +335,7 @@ int main(int argc, char** argv) {
           }
           continue;
         }
-        // For higher-is-better metrics (perf.ipc) the harmful direction
-        // flips: the gated quantity is the decrease.
-        const double harm = IsHigherBetter(name) ? base_value - cur_value
-                                                 : cur_value - base_value;
+        const double harm = cur_value - base_value;
         if (harm <= 0.0) {
           if (harm < 0.0) ++improvements;
           continue;
@@ -400,11 +349,10 @@ int main(int argc, char** argv) {
         const double use_abs = IsBytesMetric(name) ? mem_abs_tol : abs_tol;
         if (harm > use_abs && rel > use_rel) {
           std::fprintf(stderr,
-                       "REGRESSION: %s: %s %g -> %g (%s%.2f%%, rel-tol "
+                       "REGRESSION: %s: %s %g -> %g (+%.2f%%, rel-tol "
                        "%.2f%%, abs-tol %g)\n",
                        RowName(key), name.c_str(), base_value, cur_value,
-                       IsHigherBetter(name) ? "-" : "+", 100.0 * rel,
-                       100.0 * use_rel, use_abs);
+                       100.0 * rel, 100.0 * use_rel, use_abs);
           ++regressions;
         }
       }

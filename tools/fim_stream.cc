@@ -6,8 +6,8 @@
 //   fim-stream [-s minsupp] [--pane=N --window=W] [--query-every=N]
 //              [--checkpoint=PATH] [--checkpoint-every=N] [--resume=PATH]
 //              [--max-items=N] [-q] [--stats[=text|json]]
-//              [--stats-out=PATH] [--trace-out=PATH] [--perf-counters]
-//              [--mem-stats] [--profile[=PATH]] [input [output]]
+//              [--stats-out=PATH] [--trace-out=PATH] [--mem-stats]
+//              [--profile[=PATH]] [input [output]]
 //
 //   -s N        minimum support of every snapshot query (default: 2)
 //   --pane=N    transactions per tumbling pane (sliding-window mode;
@@ -42,12 +42,6 @@
 //               record the miner's event timeline (pane rotations and
 //               seals, query phases, checkpoints) and write Chrome
 //               trace-event JSON to PATH
-//   --perf-counters
-//               measure hardware counters over the whole run and per
-//               phase span, adding the `perf` section to the stats
-//               report (implies --stats; degrades to an explicit
-//               unavailable reason + rusage fallback where the kernel
-//               denies the PMU)
 //   --mem-stats
 //               collect the per-structure memory breakdown (completed
 //               panes, the filling pane) and add the `memory`
@@ -89,8 +83,8 @@ void Usage() {
       "usage: fim-stream [-s minsupp] [--pane=N --window=W] "
       "[--query-every=N] [--checkpoint=PATH] [--checkpoint-every=N] "
       "[--resume=PATH] [--max-items=N] [-q] [--stats[=text|json]] "
-      "[--stats-out=PATH] [--trace-out=PATH] [--perf-counters] "
-      "[--mem-stats] [--profile[=PATH]] [input [output]]\n");
+      "[--stats-out=PATH] [--trace-out=PATH] [--mem-stats] "
+      "[--profile[=PATH]] [input [output]]\n");
 }
 
 struct Args {
@@ -185,9 +179,9 @@ int ParseArgs(int argc, char** argv, Args* args) {
 
 int EmitStats(const Args& args, fim::StreamMiner& miner,
               const fim::obs::Trace* trace,
-              const fim::obs::PerfReport* perf,
               const fim::obs::MemoryReport* memory, std::size_t num_sets,
-              double wall_seconds, double cpu_seconds) {
+              double wall_seconds,
+              const fim::obs::ResourceUsage& start_usage) {
   fim::obs::StatsReport report;
   report.tool = "fim-stream";
   report.algorithm =
@@ -196,8 +190,7 @@ int EmitStats(const Args& args, fim::StreamMiner& miner,
   report.num_threads = 1;
   report.num_sets = num_sets;
   report.wall_seconds = wall_seconds;
-  report.cpu_seconds = cpu_seconds;
-  report.peak_rss_bytes = fim::PeakRss();
+  fim::tools::FillProcessUsage(start_usage, &report);
   // The miner's own counters, sorted by name.
   const fim::StreamStats stats = miner.Stats();
   report.extra_counters = {
@@ -212,7 +205,6 @@ int EmitStats(const Args& args, fim::StreamMiner& miner,
       {"stream.weighted_additions", stats.weighted_additions},
   };
   report.trace = trace;
-  report.perf = perf;
   report.memory = memory;
   return fim::tools::EmitStatsReport(args.obs, report);
 }
@@ -285,13 +277,13 @@ int main(int argc, char** argv) {
   if (int rc = ParseArgs(argc, argv, &args); rc >= 0) return rc;
 
   WallTimer total;
-  CpuTimer total_cpu;
+  const obs::ResourceUsage start_usage = obs::ReadResourceUsage();
   obs::Trace trace_storage;
   obs::Trace* trace = args.obs.WantStats() ? &trace_storage : nullptr;
   std::unique_ptr<obs::Timeline> timeline;
   if (args.obs.WantTrace()) timeline = std::make_unique<obs::Timeline>();
-  tools::PerfSession perf_session;
-  perf_session.Start(args.obs, trace, timeline.get());
+  tools::ProfileSession profile_session;
+  profile_session.Start(args.obs, timeline.get());
   tools::MemSession mem_session(args.obs);
 
   std::unique_ptr<StreamMiner> miner;
@@ -401,9 +393,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The measurement layer (counters + profiler) stops before any export
-  // touches the timeline the profiler may still be writing to.
-  const obs::PerfReport* perf_report = perf_session.Finish();
+  // The profiler stops before any export touches the timeline it may
+  // still be writing to.
+  profile_session.Stop();
   if (mem_session.breakdown() != nullptr) {
     mem_session.breakdown()->Record(miner->ApproxMemoryUsage());
   }
@@ -431,11 +423,11 @@ int main(int argc, char** argv) {
         num_sets, args.min_support, miner->NodeCount(), total.Seconds());
   }
   if (args.obs.WantStats()) {
-    if (int rc = EmitStats(args, *miner, trace, perf_report, mem_report,
-                           num_sets, total.Seconds(), total_cpu.Seconds());
+    if (int rc = EmitStats(args, *miner, trace, mem_report, num_sets,
+                           total.Seconds(), start_usage);
         rc != 0) {
       return rc;
     }
   }
-  return perf_session.EmitProfile(args.obs);
+  return profile_session.EmitProfile(args.obs);
 }

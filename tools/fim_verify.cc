@@ -4,28 +4,25 @@
 // validating external miner implementations (FIMI-contest style).
 //
 //   fim-verify [-s minsupp] [--stats[=text|json]] [--stats-out=PATH]
-//              [--trace-out=PATH] [--perf-counters] [--mem-stats]
-//              [--profile[=PATH]] data.fimi result.txt
+//              [--trace-out=PATH] [--mem-stats] [--profile[=PATH]]
+//              data.fimi result.txt
 //   fim-verify --self-check data.fimi
 //
 // --stats emits the reference miner's execution-statistics report (see
 // docs/OBSERVABILITY.md) on stderr — or to PATH with --stats-out — after
 // verification; --trace-out additionally records the reference run's
-// event timeline as Chrome trace-event JSON. --perf-counters measures
-// hardware counters over the reference run (perf section in the stats
-// report; explicit unavailable reason + rusage fallback where the PMU is
-// denied); --mem-stats collects the reference run's per-structure memory
-// breakdown (memory section); --profile[=PATH] runs the sampling
-// self-profiler and writes fim-prof-v1 collapsed stacks. The verdict and
-// exit code are unaffected by any of them (only an unwritable output
-// path is an error).
+// event timeline as Chrome trace-event JSON. --mem-stats collects the
+// reference run's per-structure memory breakdown (memory section);
+// --profile[=PATH] runs the sampling self-profiler and writes
+// fim-prof-v1 collapsed stacks. The verdict and exit code are unaffected
+// by any of them (only an unwritable output path is an error).
 //
 // --self-check feeds the database, folded into the weighted rows the
 // miners mine, through the library's core data structures (IsTa prefix
 // tree and Carpenter occurrence matrix) and runs their
 // structural-invariant validators — the same checks FIM_DCHECK wires
-// into debug builds, on demand in any build. It mines nothing, so -s
-// does not affect it.
+// into debug builds, on demand in any build. It mines nothing, so it
+// rejects -s and every observability flag (exit 2).
 //
 // Exit code 0 = result is exactly the closed frequent item sets (or all
 // self-checks passed); 1 = verification failed (details on stderr);
@@ -56,8 +53,8 @@ namespace {
 void Usage() {
   std::fprintf(stderr,
                "usage: fim-verify [-s minsupp] [--stats[=text|json]] "
-               "[--stats-out=PATH] [--trace-out=PATH] [--perf-counters] "
-               "[--mem-stats] [--profile[=PATH]] data.fimi result\n"
+               "[--stats-out=PATH] [--trace-out=PATH] [--mem-stats] "
+               "[--profile[=PATH]] data.fimi result\n"
                "       fim-verify --self-check data.fimi\n");
 }
 
@@ -111,18 +108,20 @@ int main(int argc, char** argv) {
   std::string result_path;
   bool self_check = false;
   tools::ObsFlags obs_flags;
+  const char* mining_flag = nullptr;  // the last flag only mining uses
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--self-check") == 0) {
       self_check = true;
     } else if (obs_flags.Parse(arg)) {
-      // one of --stats / --stats-out / --trace-out
+      mining_flag = arg;
     } else if (std::strcmp(arg, "-s") == 0) {
       if (i + 1 >= argc) {
         Usage();
         return 2;
       }
+      mining_flag = arg;
       min_support = tools::ParseCount<Support>("-s", argv[++i]);
     } else if (std::strcmp(arg, "-h") == 0 ||
                std::strcmp(arg, "--help") == 0) {
@@ -145,6 +144,12 @@ int main(int argc, char** argv) {
   if (data_path.empty() || (result_path.empty() && !self_check) ||
       (self_check && !result_path.empty())) {
     Usage();
+    return 2;
+  }
+  if (self_check && mining_flag != nullptr) {
+    std::fprintf(stderr,
+                 "error: --self-check mines nothing, so it takes no %s\n",
+                 mining_flag);
     return 2;
   }
   obs_flags.Finish();
@@ -180,13 +185,11 @@ int main(int argc, char** argv) {
   if (obs_flags.WantTrace()) timeline = std::make_unique<obs::Timeline>();
   options.timeline = timeline.get();
   WallTimer mine_wall;
-  CpuTimer mine_cpu;
+  const obs::ResourceUsage start_usage = obs::ReadResourceUsage();
   MinerStats miner_stats;
   obs::Trace trace;
-  tools::PerfSession perf_session;
-  perf_session.Start(obs_flags, want_stats ? &trace : nullptr,
-                     timeline.get());
-  options.perf_domains = perf_session.domains();
+  tools::ProfileSession profile_session;
+  profile_session.Start(obs_flags, timeline.get());
   tools::MemSession mem_session(obs_flags);
   options.memory = mem_session.breakdown();
   auto expected = MineClosedCollect(db.value(), options,
@@ -197,9 +200,9 @@ int main(int argc, char** argv) {
                  expected.status().ToString().c_str());
     return 1;
   }
-  // Stop the measurement layer (counters + profiler) before any export
-  // touches the timeline the profiler may still be writing to.
-  const obs::PerfReport* perf_report = perf_session.Finish();
+  // Stop the profiler before any export touches the timeline it may
+  // still be writing to.
+  profile_session.Stop();
   if (mem_session.breakdown() != nullptr) {
     // The tool owns the original database; the reference miner records
     // only what it builds itself.
@@ -222,17 +225,15 @@ int main(int argc, char** argv) {
     report.num_threads = options.num_threads;
     report.num_sets = expected.value().size();
     report.wall_seconds = mine_wall.Seconds();
-    report.cpu_seconds = mine_cpu.Seconds();
-    report.peak_rss_bytes = PeakRss();
+    tools::FillProcessUsage(start_usage, &report);
     report.miner = miner_stats;
     report.trace = &trace;
-    report.perf = perf_report;
     report.memory = mem_report;
     if (int rc = tools::EmitStatsReport(obs_flags, report); rc != 0) {
       return rc;
     }
   }
-  if (int rc = perf_session.EmitProfile(obs_flags); rc != 0) return rc;
+  if (int rc = profile_session.EmitProfile(obs_flags); rc != 0) return rc;
   if (!SameResults(expected.value(), claimed.value())) {
     std::fprintf(stderr, "COMPLETENESS FAILURE:\n%s",
                  DiffResults(expected.value(), claimed.value(), 20).c_str());

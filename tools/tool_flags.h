@@ -10,12 +10,6 @@
 //   --trace-out=PATH      write a Chrome trace-event JSON timeline
 //                         (fim-trace-v1; load in chrome://tracing or
 //                         https://ui.perfetto.dev)
-//   --perf-counters       measure hardware counters (cycles, IPC,
-//                         cache/branch misses) and add the `perf`
-//                         section to the stats report (implies --stats;
-//                         degrades to an explicit unavailable reason +
-//                         rusage fallback where the kernel denies the
-//                         PMU — never fails the run)
 //   --profile[=PATH]      sampling self-profiler: SIGPROF stacks folded
 //                         to fim-prof-v1 collapsed format (flamegraph.pl
 //                         compatible) on stderr or into PATH
@@ -25,7 +19,7 @@
 //                         appears only in FIM_MEM_PROFILE builds)
 //
 // Tools parse them through ObsFlags::Parse and run them through a
-// PerfSession + EmitStatsReport / EmitChromeTrace so the behaviour
+// ProfileSession + EmitStatsReport / EmitChromeTrace so the behaviour
 // cannot drift apart.
 
 #include <algorithm>
@@ -105,7 +99,6 @@ struct ObsFlags {
   StatsFormat stats_format = StatsFormat::kNone;
   std::string stats_out;
   std::string trace_out;
-  bool perf_counters = false;
   bool profile = false;
   std::string profile_out;  // empty = collapsed stacks to stderr
   bool mem_stats = false;
@@ -132,10 +125,6 @@ struct ObsFlags {
       trace_out = arg + 12;
       return true;
     }
-    if (std::strcmp(arg, "--perf-counters") == 0) {
-      perf_counters = true;
-      return true;
-    }
     if (std::strcmp(arg, "--mem-stats") == 0) {
       mem_stats = true;
       return true;
@@ -153,76 +142,47 @@ struct ObsFlags {
   }
 
   /// Call once after the argument loop: --stats-out alone implies
-  /// --stats (text), and --perf-counters / --mem-stats imply --stats —
-  /// their sections need a report to live in.
+  /// --stats (text), and --mem-stats implies --stats — its section
+  /// needs a report to live in.
   void Finish() {
     if (stats_format == StatsFormat::kNone &&
-        (!stats_out.empty() || perf_counters || mem_stats)) {
+        (!stats_out.empty() || mem_stats)) {
       stats_format = StatsFormat::kText;
     }
   }
 };
 
-/// Everything --perf-counters / --profile set up around one measured
-/// run, shared by fim-mine / fim-stream / fim-verify:
+/// Everything --profile sets up around one measured run, shared by
+/// fim-mine / fim-stream / fim-verify:
 ///
-///   PerfSession perf_session;
-///   perf_session.Start(flags, trace, timeline);   // before the work
+///   ProfileSession profile_session;
+///   profile_session.Start(flags, timeline);          // before the work
 ///   ... run ...
-///   report.perf = perf_session.Finish();          // before EmitStats
-///   exit_code |= perf_session.EmitProfile(flags); // after the work
+///   profile_session.Stop();                          // before the exports
+///   exit_code |= profile_session.EmitProfile(flags); // after the work
 ///
-/// Both features degrade gracefully (unavailable reason in the report /
-/// a warning on stderr) and never fail the run by themselves; only an
-/// unwritable --profile=PATH is an error at EmitProfile time.
-class PerfSession {
+/// A profiler that cannot start prints a warning and never fails the
+/// run by itself; only an unwritable --profile=PATH is an error at
+/// EmitProfile time.
+class ProfileSession {
  public:
-  /// Opens counters and/or arms the profiler per `flags`. `trace`
-  /// (nullable) gets the counter set attached so every span carries
-  /// hardware deltas; `timeline` (nullable) gets a "profiler" lane so
-  /// samples fold into the Chrome-trace export. Call before the
-  /// measured work, on the driving thread.
-  void Start(const ObsFlags& flags, obs::Trace* trace,
-             obs::Timeline* timeline) {
-    if (flags.perf_counters) {
-      counters_ = std::make_unique<obs::PerfCounterSet>();
-      counters_->Start();
-      if (trace != nullptr) trace->AttachPerfCounters(counters_.get());
-      collector_ = std::make_unique<obs::PerfDomainCollector>(
-          counters_->available());
-    }
-    if (flags.profile) {
-      obs::ProfilerOptions options;
-      if (timeline != nullptr) options.lane = timeline->AddLane("profiler");
-      profiler_ = obs::SamplingProfiler::Start(options, &profiler_error_);
-      if (profiler_ == nullptr) {
-        std::fprintf(stderr, "warning: profiling disabled: %s\n",
-                     profiler_error_.c_str());
-      }
+  /// Arms the profiler per `flags`. `timeline` (nullable) gets a
+  /// "profiler" lane so samples fold into the Chrome-trace export. Call
+  /// before the measured work, on the driving thread.
+  void Start(const ObsFlags& flags, obs::Timeline* timeline) {
+    if (!flags.profile) return;
+    obs::ProfilerOptions options;
+    if (timeline != nullptr) options.lane = timeline->AddLane("profiler");
+    profiler_ = obs::SamplingProfiler::Start(options, &profiler_error_);
+    if (profiler_ == nullptr) {
+      std::fprintf(stderr, "warning: profiling disabled: %s\n",
+                   profiler_error_.c_str());
     }
   }
 
-  /// The per-domain collector for MinerOptions::perf_domains
-  /// (nullptr without --perf-counters).
-  obs::PerfDomainCollector* domains() { return collector_.get(); }
-
-  /// Stops measuring and assembles the `perf` stats section. Returns
-  /// nullptr without --perf-counters; the pointer stays valid for the
-  /// session's lifetime.
-  const obs::PerfReport* Finish() {
+  /// Stops sampling, so no export races the profiler's timeline lane.
+  void Stop() {
     if (profiler_ != nullptr) profiler_->Stop();
-    if (counters_ == nullptr) return nullptr;
-    report_.availability = counters_->availability();
-    if (counters_->available()) {
-      counters_->Stop();
-      report_.total = counters_->Read();
-      report_.total_valid = true;
-    }
-    report_.kernel_tier = kernels::Active().name;
-    report_.rusage = obs::ReadResourceUsage();
-    report_.peak_rss = PeakRssBytes();
-    if (collector_ != nullptr) report_.domains = collector_->Samples();
-    return &report_;
   }
 
   /// Writes the collapsed-stack profile to stderr or
@@ -258,15 +218,12 @@ class PerfSession {
   }
 
  private:
-  std::unique_ptr<obs::PerfCounterSet> counters_;
-  std::unique_ptr<obs::PerfDomainCollector> collector_;
   std::unique_ptr<obs::SamplingProfiler> profiler_;
   std::string profiler_error_;
-  obs::PerfReport report_;
 };
 
 /// Everything --mem-stats sets up around one measured run, shared by
-/// the tools the same way PerfSession is:
+/// the tools the same way ProfileSession is:
 ///
 ///   MemSession mem_session(flags);
 ///   options.memory = mem_session.breakdown();      // nullptr w/o flag
@@ -296,6 +253,17 @@ class MemSession {
   obs::MemoryBreakdown breakdown_;
   obs::MemoryReport report_;
 };
+
+/// Fills the process-wide fields of `report`: the getrusage totals, the
+/// CPU seconds of every thread since `start`, the peak RSS and the
+/// kernel tier.
+inline void FillProcessUsage(const obs::ResourceUsage& start,
+                             obs::StatsReport* report) {
+  report->rusage = obs::ReadResourceUsage();
+  report->cpu_seconds = report->rusage.CpuSeconds() - start.CpuSeconds();
+  report->peak_rss_bytes = PeakRss();
+  report->kernel_tier = kernels::Active().name;
+}
 
 /// Renders `report` in the selected format and writes it to stderr or
 /// `flags.stats_out`. Returns 0, or 1 when the output file cannot be
