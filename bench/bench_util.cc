@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -10,6 +11,7 @@
 
 #include "common/timer.h"
 #include "obs/perf.h"
+#include "tool_flags.h"
 
 namespace fim::bench {
 
@@ -126,25 +128,20 @@ void WriteCsv(const std::string& path, const SweepResult& result) {
 }
 
 void WriteJson(const std::string& path, const std::string& bench, double scale,
-               const std::vector<JsonPoint>& points) {
+               const SweepResult& result) {
   std::ofstream out(path, std::ios::trunc);
   out << "{\n  \"bench\": \"" << bench << "\",\n  \"scale\": " << scale
       << ",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
       << ",\n  \"peak_rss_bytes\": " << PeakRss() << ",\n  \"points\": [";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const JsonPoint& p = points[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"algorithm\": \"" << p.algorithm
-        << "\", \"min_support\": " << p.min_support
-        << ", \"seconds\": " << p.seconds << ", \"num_sets\": " << p.num_sets
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    const SweepPoint& p = result.points[i];
+    out << (i == 0 ? "" : ",") << "\n    {\"algorithm\": \""
+        << AlgorithmName(p.algorithm) << "\", \"min_support\": "
+        << p.min_support << ", \"seconds\": " << p.seconds
+        << ", \"num_sets\": " << p.num_sets
         << ", \"ran\": " << (p.ran ? "true" : "false");
-    // The observability payload is appended only when present, so legacy
-    // points keep the historical format byte for byte.
-    if (p.cpu_seconds > 0.0) out << ", \"cpu_seconds\": " << p.cpu_seconds;
-    if (p.has_mem) {
-      out << ", \"mem\": {\"accounted_bytes\": " << p.mem_accounted_bytes
-          << ", \"peak_rss_bytes\": " << p.mem_peak_rss_bytes << "}";
-    }
-    if (p.has_stats) {
+    if (p.ran) {
+      if (p.cpu_seconds > 0.0) out << ", \"cpu_seconds\": " << p.cpu_seconds;
       out << ", \"counters\": {";
       bool first = true;
       for (const auto& [name, value] : p.stats.Counters()) {
@@ -159,33 +156,14 @@ void WriteJson(const std::string& path, const std::string& bench, double scale,
   out << "\n  ]\n}\n";
 }
 
-void WriteJson(const std::string& path, const std::string& bench, double scale,
-               const SweepResult& result) {
-  std::vector<JsonPoint> points;
-  points.reserve(result.points.size());
-  for (const auto& p : result.points) {
-    JsonPoint point;
-    point.algorithm = AlgorithmName(p.algorithm);
-    point.min_support = p.min_support;
-    point.seconds = p.seconds;
-    point.num_sets = p.num_sets;
-    point.ran = p.ran;
-    point.cpu_seconds = p.cpu_seconds;
-    point.stats = p.stats;
-    point.has_stats = p.ran;
-    points.push_back(std::move(point));
-  }
-  WriteJson(path, bench, scale, points);
-}
-
 BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--scale=", 8) == 0) {
-      args.scale = std::atof(arg + 8);
+      args.scale = tools::ParseNonNegative("--scale", arg + 8);
     } else if (std::strncmp(arg, "--limit=", 8) == 0) {
-      args.limit = std::atof(arg + 8);
+      args.limit = tools::ParseNonNegative("--limit", arg + 8);
     } else if (std::strncmp(arg, "--csv=", 6) == 0) {
       args.csv_path = arg + 6;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
@@ -193,7 +171,11 @@ BenchArgs ParseBenchArgs(int argc, char** argv) {
     } else if (std::strcmp(arg, "--full") == 0) {
       args.scale = 1.0;
     } else {
-      std::fprintf(stderr, "ignoring unknown argument '%s'\n", arg);
+      std::fprintf(stderr,
+                   "error: unknown argument %s\nusage: %s [--scale=F] "
+                   "[--limit=S] [--csv=PATH] [--json=PATH] [--full]\n",
+                   arg, argv[0]);
+      std::exit(2);
     }
   }
   return args;

@@ -56,44 +56,13 @@ void PrintSweepTable(const std::string& title, const SweepOptions& options,
 /// CSV with columns algorithm,min_support,seconds,num_sets,ran.
 void WriteCsv(const std::string& path, const SweepResult& result);
 
-/// One timing point of a JSON bench report. `algorithm` is a free-form
-/// series label (e.g. "ista" or "ista-4t"), so benches that sweep
-/// something other than the Algorithm enum — thread counts, ablation
-/// variants — can use the same report format.
-struct JsonPoint {
-  std::string algorithm;
-  Support min_support = 0;
-  double seconds = 0.0;
-  std::size_t num_sets = 0;
-  bool ran = false;
-  /// Optional observability payload: emitted only when set, so reports
-  /// without it keep the historical point format byte for byte.
-  double cpu_seconds = 0.0;  // emitted when > 0
-  MinerStats stats;          // emitted when has_stats
-  bool has_stats = false;
-  /// Memory payload: with has_mem the point carries a "mem" object
-  /// attributing the run's footprint — the self-measured breakdown sum
-  /// (MemoryBreakdown::AccountedBytes) next to the process peak RSS, so
-  /// committed bench reports say *which* bytes a compression tier moved,
-  /// and fim-stats-diff gates both under its bytes-class tolerances.
-  bool has_mem = false;
-  std::size_t mem_accounted_bytes = 0;
-  std::size_t mem_peak_rss_bytes = 0;
-};
-
 /// Writes `{"bench": ..., "scale": ..., "hardware_threads": ...,
 /// "peak_rss_bytes": ..., "points": [{"algorithm", "min_support",
-/// "seconds", "num_sets", "ran"}, ...]}`. Points carry "cpu_seconds"
-/// when measured, a "counters" object (the non-zero MinerStats
-/// entries) when mined with stats, and a "mem" object when measured
-/// with a memory breakdown. `hardware_threads` records the
-/// machine's concurrency so speedup numbers are interpretable (a 1-core
-/// container cannot show wall-clock speedup no matter how well a
-/// parallel run scales).
-void WriteJson(const std::string& path, const std::string& bench, double scale,
-               const std::vector<JsonPoint>& points);
-
-/// Same report for a figure sweep: points are labeled AlgorithmName(...).
+/// "seconds", "num_sets", "ran"}, ...]}`, one point per sweep cell,
+/// labeled AlgorithmName(...). Points that ran also carry
+/// "cpu_seconds" when measured and a "counters" object (the non-zero
+/// MinerStats entries). `hardware_threads` records the machine's
+/// concurrency so timings are interpretable.
 void WriteJson(const std::string& path, const std::string& bench, double scale,
                const SweepResult& result);
 
@@ -103,6 +72,9 @@ void WriteJson(const std::string& path, const std::string& bench, double scale,
 ///   --csv=<path>  also write the sweep as CSV
 ///   --json=<path> also write the sweep as a JSON report
 ///   --full        shorthand for --scale=1.0
+/// Any other argument, and a scale or limit that is not a finite number
+/// >= 0, is a usage error: ParseBenchArgs prints it and exits with
+/// status 2, as the fim-* tools do.
 struct BenchArgs {
   double scale = -1.0;  // < 0: keep the bench's default
   double limit = -1.0;

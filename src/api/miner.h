@@ -99,8 +99,8 @@ struct MinerOptions {
   /// records the self-measured byte breakdown of its major structures
   /// (the weighted stream it mines, IsTa prefix trees, tid lists,
   /// Carpenter matrices, duplicate repositories) at the moments they are
-  /// largest. Feeds the `memory` stats section, fim-prof --memory and
-  /// the bench mem payloads. Output-neutral; must outlive the call.
+  /// largest. Feeds the `memory` stats section. Output-neutral; must
+  /// outlive the call.
   obs::MemoryBreakdown* memory = nullptr;
 };
 

@@ -1,8 +1,10 @@
 #include "data/binary_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 #include "data/fimi_io.h"
 
@@ -53,14 +55,40 @@ Result<TransactionDatabase> ReadBinaryFile(const std::string& path) {
   if (!ReadPod(in, &num_items) || !ReadPod(in, &num_transactions)) {
     return Status::InvalidArgument("truncated FIMB header");
   }
+  // Item ids lie below kInvalidItem, as in ParseFimi.
+  if (num_items > kInvalidItem) {
+    return Status::InvalidArgument("FIMB num_items " +
+                                   std::to_string(num_items) +
+                                   " beyond the item-id range");
+  }
+  // The header's counts are checked against the bytes the file holds
+  // before anything is sized by them.
+  const std::streamoff body_begin = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(body_begin);
+  if (!in || body_begin < 0 || file_end < body_begin) {
+    return Status::IoError("cannot determine the size of " + path);
+  }
+  uint64_t bytes_left = static_cast<uint64_t>(file_end - body_begin);
 
   TransactionDatabase db;
   std::vector<ItemId> items;
   for (uint64_t k = 0; k < num_transactions; ++k) {
     uint32_t length = 0;
-    if (!ReadPod(in, &length)) {
+    if (bytes_left < sizeof(length) || !ReadPod(in, &length)) {
       return Status::InvalidArgument("truncated FIMB transaction header");
     }
+    bytes_left -= sizeof(length);
+    if (length > num_items || length * sizeof(ItemId) > bytes_left) {
+      return Status::InvalidArgument(
+          "FIMB transaction " + std::to_string(k) + " claims " +
+          std::to_string(length) + " items; at most " +
+          std::to_string(std::min<uint64_t>(num_items,
+                                            bytes_left / sizeof(ItemId))) +
+          " fit the item base and the file");
+    }
+    bytes_left -= length * sizeof(ItemId);
     items.resize(length);
     in.read(reinterpret_cast<char*>(items.data()),
             static_cast<std::streamsize>(length * sizeof(ItemId)));

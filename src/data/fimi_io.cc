@@ -9,11 +9,8 @@
 
 namespace fim {
 
-namespace {
-
-// Parses one FIMI line into `items`. Returns false on malformed input.
-bool ParseLine(std::string_view line, std::vector<ItemId>* items,
-               std::string* error) {
+bool ParseFimiLine(std::string_view line, std::vector<ItemId>* items,
+                   std::string* error) {
   items->clear();
   std::size_t pos = 0;
   while (pos < line.size()) {
@@ -41,8 +38,6 @@ bool ParseLine(std::string_view line, std::vector<ItemId>* items,
   return true;
 }
 
-}  // namespace
-
 Result<TransactionDatabase> ParseFimi(std::string_view text) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kReader);
   TransactionDatabase db;
@@ -60,7 +55,7 @@ Result<TransactionDatabase> ParseFimi(std::string_view text) {
       if (end == text.size()) break;
       continue;
     }
-    if (!ParseLine(line, &items, &error)) {
+    if (!ParseFimiLine(line, &items, &error)) {
       return Status::InvalidArgument("line " + std::to_string(line_no) + ": " +
                                      error);
     }

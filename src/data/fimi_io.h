@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "data/transaction_database.h"
@@ -16,6 +17,14 @@ Result<TransactionDatabase> ReadFimiFile(const std::string& path);
 
 /// Parses FIMI text from a string (same format as ReadFimiFile).
 Result<TransactionDatabase> ParseFimi(std::string_view text);
+
+/// Scans one FIMI line (without its newline) into `items`: the
+/// whitespace-separated decimal item ids in file order, unsorted. Returns
+/// false with the reason in `error` on any other character or on an id
+/// of kInvalidItem or above. The one scanner of FIMI-style lines:
+/// ParseFimi, fim-stream and the result reader all use it.
+bool ParseFimiLine(std::string_view line, std::vector<ItemId>* items,
+                   std::string* error);
 
 /// Writes a database in FIMI text format. Overwrites `path`.
 Status WriteFimiFile(const TransactionDatabase& db, const std::string& path);

@@ -3,7 +3,10 @@
 #include <cctype>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
+
+#include "data/fimi_io.h"
 
 namespace fim {
 
@@ -33,56 +36,39 @@ Status WriteClosedSetsFile(const std::vector<ClosedItemset>& sets,
 
 namespace {
 
+// Parses "3 17 42 (57)": the items are a FIMI line, scanned by
+// ParseFimiLine; the support is a decimal count in parentheses, and
+// nothing but whitespace may follow it.
 bool ParseLine(std::string_view line, ClosedItemset* set,
                std::string* error) {
-  set->items.clear();
-  set->support = 0;
-  std::size_t pos = 0;
-  bool saw_support = false;
-  while (pos < line.size()) {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-    if (pos >= line.size()) break;
-    if (line[pos] == '(') {
-      ++pos;
-      uint64_t value = 0;
-      bool digits = false;
-      while (pos < line.size() &&
-             std::isdigit(static_cast<unsigned char>(line[pos]))) {
-        value = value * 10 + static_cast<uint64_t>(line[pos] - '0');
-        digits = true;
-        ++pos;
-      }
-      if (!digits || pos >= line.size() || line[pos] != ')') {
-        *error = "malformed support";
-        return false;
-      }
-      ++pos;
-      set->support = static_cast<Support>(value);
-      saw_support = true;
-    } else if (std::isdigit(static_cast<unsigned char>(line[pos]))) {
-      if (saw_support) {
-        *error = "items after the support";
-        return false;
-      }
-      uint64_t value = 0;
-      while (pos < line.size() &&
-             std::isdigit(static_cast<unsigned char>(line[pos]))) {
-        value = value * 10 + static_cast<uint64_t>(line[pos] - '0');
-        ++pos;
-      }
-      set->items.push_back(static_cast<ItemId>(value));
-    } else {
-      *error = "unexpected character '" + std::string(1, line[pos]) + "'";
-      return false;
-    }
-  }
-  if (!saw_support) {
+  const std::size_t open = line.find('(');
+  if (!ParseFimiLine(line.substr(0, open), &set->items, error)) return false;
+  if (open == std::string_view::npos) {
     *error = "missing support";
     return false;
   }
+  const std::size_t digits_begin = open + 1;
+  std::size_t pos = digits_begin;
+  uint64_t value = 0;
+  while (pos < line.size() &&
+         std::isdigit(static_cast<unsigned char>(line[pos]))) {
+    value = value * 10 + static_cast<uint64_t>(line[pos] - '0');
+    if (value > std::numeric_limits<Support>::max()) {
+      *error = "support out of range";
+      return false;
+    }
+    ++pos;
+  }
+  if (pos == digits_begin || pos >= line.size() || line[pos] != ')') {
+    *error = "malformed support";
+    return false;
+  }
+  if (line.find_first_not_of(" \t\n\v\f\r", pos + 1) !=
+      std::string_view::npos) {
+    *error = "text after the support";
+    return false;
+  }
+  set->support = static_cast<Support>(value);
   NormalizeItems(&set->items);
   return true;
 }

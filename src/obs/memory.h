@@ -30,8 +30,8 @@
 // The allocator-counted domain totals are the ground truth the
 // self-measured component sums are tested against (accounting
 // exactness, tests/memory_test.cc); the component trees are what ships
-// in every build and feeds the `memory` stats section, fim-prof
-// --memory and the bench reports.
+// in every build and feeds the `memory` stats section, which
+// fim-stats-diff gates per structure.
 
 #include <array>
 #include <cstddef>

@@ -1,10 +1,10 @@
 // Tests of the benchmark sweep harness itself: DNF skipping, per-support
-// count agreement, process CPU, CSV output, and flag parsing.
+// count agreement, process CPU, CSV and JSON output, and flag parsing.
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -80,9 +80,16 @@ TEST(BenchUtilTest, CsvOutput) {
   EXPECT_EQ(row.rfind("ista,2,", 0), 0u);
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 TEST(BenchUtilTest, JsonOutput) {
-  const auto point = [](const char* algorithm, double seconds, bool ran) {
-    JsonPoint p;
+  const auto point = [](Algorithm algorithm, double seconds, bool ran) {
+    SweepPoint p;
     p.algorithm = algorithm;
     p.min_support = 5;
     p.seconds = seconds;
@@ -90,22 +97,22 @@ TEST(BenchUtilTest, JsonOutput) {
     p.ran = ran;
     return p;
   };
-  std::vector<JsonPoint> points;
-  points.push_back(point("ista-1t", 1.25, true));
-  points.push_back(point("ista-4t", 0.5, false));
+  SweepResult result;
+  result.points.push_back(point(Algorithm::kIsta, 1.25, true));
+  result.points.push_back(point(Algorithm::kLcm, 0.5, false));
   const std::string path = ::testing::TempDir() + "/sweep.json";
-  WriteJson(path, "parallel_ista", 0.5, points);
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
-  EXPECT_NE(json.find("\"bench\": \"parallel_ista\""), std::string::npos);
+  WriteJson(path, "mini", 0.5, result);
+  const std::string json = ReadFile(path);
+  EXPECT_NE(json.find("\"bench\": \"mini\""), std::string::npos);
   EXPECT_NE(json.find("\"scale\": 0.5"), std::string::npos);
   EXPECT_NE(json.find("\"hardware_threads\": "), std::string::npos);
-  EXPECT_NE(json.find("{\"algorithm\": \"ista-1t\", \"min_support\": 5, "
-                      "\"seconds\": 1.25, \"num_sets\": 42, \"ran\": true}"),
+  EXPECT_NE(json.find("{\"algorithm\": \"ista\", \"min_support\": 5, "
+                      "\"seconds\": 1.25, \"num_sets\": 42, \"ran\": true"),
             std::string::npos);
-  EXPECT_NE(json.find("\"ran\": false"), std::string::npos);
+  // A skipped point carries no payload.
+  EXPECT_NE(json.find("{\"algorithm\": \"lcm\", \"min_support\": 5, "
+                      "\"seconds\": 0.5, \"num_sets\": 42, \"ran\": false}"),
+            std::string::npos);
   // Well-formed: one '[' and one ']', balanced braces.
   EXPECT_EQ(std::count(json.begin(), json.end(), '['), 1);
   EXPECT_EQ(std::count(json.begin(), json.end(), ']'), 1);
@@ -114,9 +121,8 @@ TEST(BenchUtilTest, JsonOutput) {
 }
 
 TEST(BenchUtilTest, JsonOutputCarriesObservabilityPayloadWhenPresent) {
-  std::vector<JsonPoint> points;
-  JsonPoint p;
-  p.algorithm = "ista-2t";
+  SweepPoint p;
+  p.algorithm = Algorithm::kIsta;
   p.min_support = 3;
   p.seconds = 0.75;
   p.num_sets = 9;
@@ -124,14 +130,11 @@ TEST(BenchUtilTest, JsonOutputCarriesObservabilityPayloadWhenPresent) {
   p.cpu_seconds = 1.5;
   p.stats.isect_steps = 123;
   p.stats.sets_reported = 9;
-  p.has_stats = true;
-  points.push_back(p);
+  SweepResult result;
+  result.points.push_back(p);
   const std::string path = ::testing::TempDir() + "/sweep_stats.json";
-  WriteJson(path, "parallel_ista", 1.0, points);
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
+  WriteJson(path, "mini", 1.0, result);
+  const std::string json = ReadFile(path);
   EXPECT_NE(json.find("\"peak_rss_bytes\": "), std::string::npos);
   EXPECT_NE(json.find("\"cpu_seconds\": 1.5"), std::string::npos);
   EXPECT_NE(json.find("\"counters\": {\"isect_steps\": 123, "
@@ -163,16 +166,14 @@ TEST(BenchUtilTest, JsonOutputFromSweep) {
   const SweepResult result = RunSweep(db, options);
   const std::string path = ::testing::TempDir() + "/sweep2.json";
   WriteJson(path, "mini", 1.0, result);
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_NE(buffer.str().find("\"algorithm\": \"ista\""), std::string::npos);
+  EXPECT_NE(ReadFile(path).find("\"algorithm\": \"ista\""),
+            std::string::npos);
 }
 
 TEST(BenchUtilTest, ParseBenchArgs) {
   const char* argv[] = {"prog", "--scale=0.5", "--limit=12",
-                        "--csv=/tmp/x.csv", "--json=/tmp/x.json", "--junk"};
-  BenchArgs args = ParseBenchArgs(6, const_cast<char**>(argv));
+                        "--csv=/tmp/x.csv", "--json=/tmp/x.json"};
+  BenchArgs args = ParseBenchArgs(5, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(args.scale, 0.5);
   EXPECT_DOUBLE_EQ(args.limit, 12.0);
   EXPECT_EQ(args.csv_path, "/tmp/x.csv");
@@ -187,6 +188,19 @@ TEST(BenchUtilTest, ParseBenchArgs) {
   EXPECT_LT(defaults.limit, 0.0);
   EXPECT_TRUE(defaults.csv_path.empty());
   EXPECT_TRUE(defaults.json_path.empty());
+
+  // What the benches do not know is a usage error, as in the tools: a
+  // misspelt --json must not run a bench that writes no report.
+  const auto parse = [](const char* arg) {
+    const char* bad_argv[] = {"prog", arg};
+    ParseBenchArgs(2, const_cast<char**>(bad_argv));
+  };
+  EXPECT_EXIT(parse("--junk"), ::testing::ExitedWithCode(2), "--junk");
+  EXPECT_EXIT(parse("--jsn=f8.json"), ::testing::ExitedWithCode(2), "--jsn");
+  for (const char* bad : {"--scale=abc", "--scale=nan", "--scale=-1",
+                          "--limit=1e999", "--limit=5s"}) {
+    EXPECT_EXIT(parse(bad), ::testing::ExitedWithCode(2), "") << bad;
+  }
 }
 
 }  // namespace

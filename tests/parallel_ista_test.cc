@@ -77,6 +77,87 @@ TEST(ParallelIstaTest, IdenticalOnMarketBasketData) {
   }
 }
 
+// Three basket shapes at a tenth of their benchmark size: junk-heavy
+// baskets that deduplicate weakly, and two pattern-dominated streams
+// whose rows fold onto a few thousand weighted transactions.
+struct BasketShape {
+  const char* name;
+  MarketBasketConfig config;
+  Support min_support;
+};
+
+std::vector<BasketShape> BasketShapes() {
+  BasketShape junky{"basket-junky", {}, 30};
+  junky.config.num_items = 100;
+  junky.config.num_transactions = 300;
+  junky.config.avg_transaction_size = 6.0;
+  junky.config.num_patterns = 20;
+  junky.config.avg_pattern_size = 4;
+  junky.config.seed = 7;
+
+  BasketShape patterns{"basket-patterns", {}, 100};
+  patterns.config.num_items = 200;
+  patterns.config.num_transactions = 20000;
+  patterns.config.avg_transaction_size = 1.0;
+  patterns.config.num_patterns = 20;
+  patterns.config.pattern_probability = 1.0;
+  patterns.config.pattern_keep_probability = 0.9;
+  patterns.config.avg_pattern_size = 6;
+  patterns.config.seed = 7;
+
+  BasketShape large = patterns;
+  large.name = "basket-large";
+  large.config.num_transactions = 200000;
+  large.min_support = 500;
+  return {junky, patterns, large};
+}
+
+// IsTa mines one repository at every thread count: the threads change
+// neither the sets nor their order, nor the work done on the way.
+void ExpectThreadInvariant(const TransactionDatabase& db,
+                           MinerOptions options, const char* name) {
+  options.num_threads = 1;
+  MinerStats sequential_stats;
+  const auto sequential = MineWith(db, options, &sequential_stats);
+  ASSERT_FALSE(sequential.empty()) << name;
+  for (unsigned threads : {2u, 4u, 8u}) {
+    options.num_threads = threads;
+    MinerStats stats;
+    ASSERT_EQ(sequential, MineWith(db, options, &stats))
+        << name << " threads " << threads;
+    EXPECT_EQ(stats.isect_steps, sequential_stats.isect_steps)
+        << name << " threads " << threads;
+    EXPECT_EQ(stats.peak_nodes, sequential_stats.peak_nodes)
+        << name << " threads " << threads;
+    EXPECT_EQ(stats.prune_calls, sequential_stats.prune_calls)
+        << name << " threads " << threads;
+    EXPECT_EQ(stats.weighted_transactions,
+              sequential_stats.weighted_transactions)
+        << name << " threads " << threads;
+  }
+}
+
+TEST(ParallelIstaTest, SameSetsAndWorkAtEveryThreadCountOnBasketShapes) {
+  for (const BasketShape& shape : BasketShapes()) {
+    MinerOptions options;
+    options.min_support = shape.min_support;
+    ExpectThreadInvariant(GenerateMarketBasket(shape.config), options,
+                          shape.name);
+  }
+}
+
+TEST(ParallelIstaTest, SameSetsAndWorkAtEveryThreadCountWhilePruning) {
+  const BasketShape junky = BasketShapes().front();
+  const TransactionDatabase db = GenerateMarketBasket(junky.config);
+  MinerOptions options;
+  options.min_support = junky.min_support;
+  options.prune_node_threshold = 64;
+  MinerStats stats;
+  MineWith(db, options, &stats);
+  ASSERT_GT(stats.prune_calls, 0u);
+  ExpectThreadInvariant(db, options, "basket-junky, pruning");
+}
+
 TEST(ParallelIstaTest, IdenticalOnStructuredProfiles) {
   {
     const TransactionDatabase db = MakeYeastLike(0.05, 42);

@@ -30,6 +30,27 @@ TEST(ResultIoTest, ParseRejectsMalformed) {
   EXPECT_FALSE(ParseClosedSets("1 (2) 3\n").ok());      // trailing items
   EXPECT_FALSE(ParseClosedSets("a (2)\n").ok());        // bad item
   EXPECT_FALSE(ParseClosedSets("1 (2\n").ok());         // unclosed paren
+  EXPECT_FALSE(ParseClosedSets("1 (2) (3)\n").ok());    // two supports
+  EXPECT_FALSE(ParseClosedSets("+1 (2)\n").ok());       // signed item
+}
+
+// Item ids and supports are 32-bit: a value past either range is an
+// error naming its line, never a wrap-around that passes for another set
+// ("4294967296 (3)" for "0 (3)").
+TEST(ResultIoTest, ParseRejectsValuesPastTheirRange) {
+  auto item = ParseClosedSets("0 1 (2)\n4294967296 (3)\n");
+  ASSERT_FALSE(item.ok());
+  EXPECT_EQ(item.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(item.status().message(), "line 2: item id out of range");
+  auto support = ParseClosedSets("# forged\n0 1 (2)\n0 (4294967299)\n");
+  ASSERT_FALSE(support.ok());
+  EXPECT_EQ(support.status().message(), "line 3: support out of range");
+  EXPECT_FALSE(ParseClosedSets("0 (18446744073709551619)\n").ok());
+  // The largest id and the largest support still parse.
+  auto widest = ParseClosedSets("4294967294 (4294967295)\n");
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest.value()[0].items, (std::vector<ItemId>{4294967294u}));
+  EXPECT_EQ(widest.value()[0].support, 4294967295u);
 }
 
 TEST(ResultIoTest, EmptyItemsAllowedOnParse) {

@@ -528,13 +528,23 @@ TEST(ToolsPipelineTest, StatsDiffGatesRegressions) {
   EXPECT_EQ(ExitCode(diff + "--rel-tol=9 --abs-tol=9 " + baseline + " " +
                      fewer_sets + " 2>/dev/null"),
             1);
-  // A vanished counter is a structure mismatch even in structure-only
-  // mode; unreadable input is a usage/parse error (exit 2).
-  EXPECT_EQ(ExitCode(diff + "--structure-only " + baseline + " " + missing +
-                     " 2>/dev/null"),
-            1);
+  // A vanished counter is a structure mismatch; unreadable input is a
+  // usage/parse error (exit 2).
+  EXPECT_EQ(ExitCode(diff + baseline + " " + missing + " 2>/dev/null"), 1);
   EXPECT_EQ(ExitCode(diff + baseline + " " + baseline + ".nope 2>/dev/null"),
             2);
+
+  // Tolerances are checked: a value that is not a finite number >= 0
+  // would switch the gate off (nan, 1e999) or read as 0 (abc), so it is
+  // a usage error, not a pass over the +100% regression.
+  for (const char* flag :
+       {"--rel-tol=nan", "--abs-tol=1e999", "--rel-tol=abc", "--abs-tol=-1",
+        "--mem-rel-tol=inf", "--mem-abs-tol=64k", "--rel-tol="}) {
+    EXPECT_EQ(ExitCode(diff + flag + " " + baseline + " " + regressed +
+                       " 2>/dev/null"),
+              2)
+        << flag;
+  }
 
   // Zero baseline: any increase has infinite relative growth, so it
   // fails under the default tolerances, but an absolute tolerance wide
@@ -594,6 +604,148 @@ TEST(ToolsPipelineTest, StatsDiffGatesRegressions) {
   EXPECT_EQ(ExitCode(diff + "--time " + report + " " + report +
                      " 2>/dev/null"),
             0);
+}
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+}
+
+/// A leaf of a memory components tree as the JSON report renders it.
+std::string RenderLeaf(const std::string& name, long long self_bytes,
+                       long long total_bytes) {
+  return "{\"name\":\"" + name + "\",\"self_bytes\":" +
+         std::to_string(self_bytes) + ",\"total_bytes\":" +
+         std::to_string(total_bytes) + ",\"children\":[]}";
+}
+
+/// The largest leaf of a memory components tree.
+struct MemoryLeaf {
+  std::string name;
+  std::string path;  // slash-joined component names
+  long long bytes = -1;
+};
+
+void FindLargestLeaf(const obs::JsonValue& component,
+                     const std::string& prefix, MemoryLeaf* leaf) {
+  const std::string& name = component.Find("name")->AsString();
+  const auto& children = component.Find("children")->AsArray();
+  for (const obs::JsonValue& child : children) {
+    FindLargestLeaf(child, prefix + name + "/", leaf);
+  }
+  const auto bytes =
+      static_cast<long long>(component.Find("total_bytes")->AsNumber());
+  if (children.empty() && bytes > leaf->bytes) {
+    *leaf = {name, prefix + name, bytes};
+  }
+}
+
+// fim-stats-diff gates every structure of a --mem-stats report: the
+// REGRESSION line names the component that grew, by its path in the
+// breakdown tree, and a structure one side lacks is tolerated.
+TEST(ToolsPipelineTest, StatsDiffNamesTheStructureThatGrew) {
+  const std::string data = TempPath("pipeline_structure.fimi");
+  const std::string report = TempPath("pipeline_structure.json");
+  const std::string grown = TempPath("pipeline_structure_grown.json");
+  const std::string removed = TempPath("pipeline_structure_removed.json");
+  const std::string err = TempPath("pipeline_structure.err");
+  ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p basket -c 0.05 -r 42 " +
+                   data + " 2>/dev/null"),
+            0);
+  ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -s 5 --mem-stats " +
+                   "--stats=json --stats-out=" + report + " " + data +
+                   " /dev/null"),
+            0);
+  const std::string text = ReadText(report);
+  auto parsed = obs::ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  MemoryLeaf leaf;
+  for (const obs::JsonValue& component :
+       parsed.value().Find("memory")->Find("components")->AsArray()) {
+    FindLargestLeaf(component, "", &leaf);
+  }
+  // The leaf is large enough to clear the absolute floor when doubled,
+  // and its rendering picks it out of the report.
+  ASSERT_GT(leaf.bytes, 65536) << leaf.path;
+  const std::string rendered = RenderLeaf(leaf.name, leaf.bytes, leaf.bytes);
+  const std::size_t at = text.find(rendered);
+  ASSERT_NE(at, std::string::npos) << rendered;
+  ASSERT_EQ(text.find(rendered, at + 1), std::string::npos) << rendered;
+
+  // Double the leaf's total_bytes, and only that.
+  WriteText(grown,
+            std::string(text).replace(
+                at, rendered.size(),
+                RenderLeaf(leaf.name, leaf.bytes, 2 * leaf.bytes)));
+  const std::string diff =
+      std::string(FIM_STATS_DIFF_BINARY) + " --mem-abs-tol=65536 ";
+  EXPECT_EQ(ExitCode(diff + report + " " + grown + " 2>" + err), 1);
+  const std::string lines = ReadText(err);
+  EXPECT_NE(lines.find("REGRESSION: report: memory." + leaf.path + " "),
+            std::string::npos)
+      << lines;
+  EXPECT_EQ(lines.find("REGRESSION", lines.find("REGRESSION") + 1),
+            std::string::npos)
+      << lines;
+
+  // Drop the leaf, with the comma that separates it from a sibling, from
+  // one side: absence is never a mismatch.
+  std::size_t begin = at;
+  std::size_t end = at + rendered.size();
+  if (text[begin - 1] == ',') {
+    --begin;
+  } else if (text[end] == ',') {
+    ++end;
+  }
+  const std::string without = std::string(text).erase(begin, end - begin);
+  ASSERT_TRUE(obs::ParseJson(without).ok());
+  WriteText(removed, without);
+  EXPECT_EQ(ExitCode(diff + report + " " + removed + " 2>/dev/null"), 0);
+  EXPECT_EQ(ExitCode(diff + removed + " " + report + " 2>/dev/null"), 0);
+}
+
+// Values past the 32-bit range fail loudly in every reader of FIMI-style
+// lines, instead of wrapping around into another set.
+TEST(ToolsPipelineTest, OutOfRangeIdsAndSupportsAreRejected) {
+  const std::string data = TempPath("pipeline_range.fimi");
+  WriteText(data, "0 1\n0 1\n0 2\n");
+  const std::string verify =
+      std::string(FIM_VERIFY_BINARY) + " -s 2 " + data + " ";
+  const std::string honest = TempPath("pipeline_range_honest.txt");
+  WriteText(honest, "0 (3)\n0 1 (2)\n");
+  EXPECT_EQ(ExitCode(verify + honest + " 2>/dev/null"), 0);
+  // 4294967296 wraps to item 0 and 4294967299 to support 3: both forged
+  // files would pass for the honest one.
+  const std::string forged_item = TempPath("pipeline_range_item.txt");
+  const std::string forged_support = TempPath("pipeline_range_support.txt");
+  WriteText(forged_item, "4294967296 (3)\n0 1 (2)\n");
+  WriteText(forged_support, "0 (4294967299)\n0 1 (2)\n");
+  EXPECT_EQ(ExitCode(verify + forged_item + " 2>/dev/null"), 1);
+  EXPECT_EQ(ExitCode(verify + forged_support + " 2>/dev/null"), 1);
+
+  // fim-stream takes and refuses exactly the lines fim-mine does, with
+  // the same message.
+  const std::string wide = TempPath("pipeline_range_wide.fimi");
+  WriteText(wide, "0 1\n4294967296 1\n0 1\n");
+  const std::string mine_err = TempPath("pipeline_range_mine.err");
+  const std::string stream_err = TempPath("pipeline_range_stream.err");
+  EXPECT_EQ(ExitCode(std::string(FIM_MINE_BINARY) + " -q -s 2 " + wide +
+                     " /dev/null 2>" + mine_err),
+            1);
+  EXPECT_EQ(ExitCode(std::string(FIM_STREAM_BINARY) + " -q -s 2 " + wide +
+                     " /dev/null 2>" + stream_err),
+            1);
+  EXPECT_NE(ReadText(mine_err).find("line 2: item id out of range"),
+            std::string::npos)
+      << ReadText(mine_err);
+  EXPECT_EQ(ReadText(stream_err), ReadText(mine_err));
 }
 
 TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsRusage) {
@@ -663,26 +815,7 @@ TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsRusage) {
     EXPECT_LE(report.Find("cpu_seconds")->AsNumber(),
               rusage->Find("user_seconds")->AsNumber() +
                   rusage->Find("system_seconds")->AsNumber());
-
-    // fim-prof renders only the memory section, which this report lacks:
-    // it refuses the report with a pointed error (exit 1).
-    EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " " + stats +
-                       " >/dev/null 2>&1"),
-              1);
   }
-
-  // A --mem-stats report has the section, and fim-prof renders it.
-  const std::string mem_stats = TempPath("pipeline_prof_mem.json");
-  ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -s 5 --mem-stats " +
-                   "--stats=json --stats-out=" + mem_stats + " " + data +
-                   " /dev/null"),
-            0);
-  EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " " + mem_stats +
-                     " >/dev/null 2>&1"),
-            0);
-  EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " --baseline=" +
-                     mem_stats + " " + mem_stats + " >/dev/null 2>&1"),
-            0);
 }
 
 // cpu_seconds is the CPU of every thread of the process over the timed
@@ -738,8 +871,8 @@ TEST(ToolsPipelineTest, RetiredFlagsAreUsageErrors) {
   EXPECT_EQ(ExitCode(std::string(FIM_STREAM_BINARY) + " --perf-counters" +
                      quiet),
             2);
-  EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " --memory " + data +
-                     " >/dev/null 2>&1"),
+  EXPECT_EQ(ExitCode(std::string(FIM_STATS_DIFF_BINARY) +
+                     " --structure-only" + quiet),
             2);
 }
 

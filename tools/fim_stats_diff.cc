@@ -5,7 +5,7 @@
 //
 //   fim-stats-diff [--rel-tol=F] [--abs-tol=F] [--time]
 //                  [--mem-rel-tol=F] [--mem-abs-tol=N]
-//                  [--structure-only] baseline.json current.json
+//                  baseline.json current.json
 //
 //   --rel-tol=F   allowed relative increase per counter (fraction, e.g.
 //                 0.05 = +5%; default 0: any increase fails)
@@ -13,19 +13,16 @@
 //                 both tolerances must be exceeded for a regression
 //   --mem-rel-tol=F, --mem-abs-tol=N
 //                 tolerances of the bytes-class metrics (peak_rss_bytes
-//                 and the memory.* fields of --mem-stats reports /
-//                 bench "mem" payloads). Defaults 0.25 and 1048576:
+//                 and the memory.* metrics of --mem-stats reports).
+//                 Defaults 0.25 and 1048576:
 //                 allocator and RSS numbers jitter across runs and
 //                 hosts, so they get a wider gate than the
 //                 deterministic work counters. Both must be exceeded to
 //                 fail; decreases are improvements.
 //   --time        also gate the timing fields (wall/cpu seconds) —
 //                 off by default because wall time is noisy
-//   --structure-only
-//                 only require the two files to have the same shape
-//                 (same bench points, same counter key sets); skip the
-//                 numeric comparison. For comparing runs at different
-//                 scales or on different hardware.
+//
+// Every tolerance must be a finite number >= 0 (exit 2 otherwise).
 //
 // Both files must be of the same kind. A fim-stats report is one row of
 // counters; a bench file contributes one row per executed point, matched
@@ -38,9 +35,15 @@
 //
 // Bytes-class metrics are host-dependent: lower is better, absence on
 // either side (older schema, run without --mem-stats, platform hiding
-// RSS) is never a mismatch, and they gate under their own --mem-rel-tol
-// / --mem-abs-tol pair instead of the counter tolerances. Non-finite
-// values are skipped.
+// RSS, a structure one run did not build) is never a mismatch, and they
+// gate under their own --mem-rel-tol / --mem-abs-tol pair instead of the
+// counter tolerances. A --mem-stats report's memory section gives the
+// totals memory.accounted_bytes, memory.high_water_bytes and
+// memory.peak_rss_bytes, plus one metric per node of its components
+// tree, named by the slash-joined path of component names and holding
+// the node's total_bytes (memory.prefix-trees/shard-0/link-arena), so a
+// memory regression names the structure that grew. Non-finite values
+// are skipped.
 //
 // Exit code 0 = no regression; 1 = regression or structure mismatch
 // (details on stderr); 2 = usage or parse error.
@@ -65,7 +68,7 @@ void Usage() {
   std::fprintf(stderr,
                "usage: fim-stats-diff [--rel-tol=F] [--abs-tol=F] [--time] "
                "[--mem-rel-tol=F] [--mem-abs-tol=N] "
-               "[--structure-only] baseline.json current.json\n");
+               "baseline.json current.json\n");
 }
 
 /// One comparable row: a named bag of numeric metrics. A stats report is
@@ -88,10 +91,27 @@ bool IsBytesMetric(const std::string& name) {
   return name == "peak_rss_bytes" || name.rfind("memory.", 0) == 0;
 }
 
-/// Copies the bytes-class metrics out of a `memory` object into `row`
-/// as memory.<name>. Handles both shapes: the stats report's memory
-/// section and a bench point's "mem" payload. Null values (peak RSS on
-/// platforms that hide it) are skipped — "not measured", never 0.
+/// Sets memory.<path> = total_bytes for `component` and, recursively,
+/// its children, whose paths extend `prefix` by their names.
+void FlattenComponent(const JsonValue& component, const std::string& prefix,
+                      Row* row) {
+  const JsonValue* name = component.Find("name");
+  const JsonValue* total = component.Find("total_bytes");
+  if (name == nullptr || total == nullptr) return;
+  const std::string path = prefix + name->AsString();
+  (*row)["memory." + path] = total->AsNumber();
+  if (const JsonValue* children = component.Find("children");
+      children != nullptr && children->is_array()) {
+    for (const JsonValue& child : children->AsArray()) {
+      FlattenComponent(child, path + "/", row);
+    }
+  }
+}
+
+/// Copies the bytes-class metrics of a stats report's memory section
+/// into `row`: its three totals as memory.<name> and every node of its
+/// components tree as memory.<path>. Null values (peak RSS on platforms
+/// that hide it) are skipped — "not measured", never 0.
 void ExtractMemoryMetrics(const JsonValue& memory, Row* row) {
   if (!memory.is_object()) return;
   for (const char* name :
@@ -99,6 +119,12 @@ void ExtractMemoryMetrics(const JsonValue& memory, Row* row) {
     const JsonValue* value = memory.Find(name);
     if (value != nullptr && value->kind() == JsonValue::Kind::kNumber) {
       (*row)[std::string("memory.") + name] = value->AsNumber();
+    }
+  }
+  if (const JsonValue* components = memory.Find("components");
+      components != nullptr && components->is_array()) {
+    for (const JsonValue& component : components->AsArray()) {
+      FlattenComponent(component, "", row);
     }
   }
 }
@@ -174,9 +200,6 @@ bool ExtractRows(const JsonValue& doc, const std::string& label, Rows* rows) {
       if (const JsonValue* cpu = point.Find("cpu_seconds")) {
         row["cpu_seconds"] = cpu->AsNumber();
       }
-      if (const JsonValue* mem = point.Find("mem")) {
-        ExtractMemoryMetrics(*mem, &row);
-      }
       (*rows)[key.str()] = std::move(row);
     }
     return true;
@@ -217,7 +240,6 @@ int main(int argc, char** argv) {
   double mem_rel_tol = 0.25;
   double mem_abs_tol = 1024.0 * 1024.0;
   bool gate_time = false;
-  bool structure_only = false;
   std::string baseline_path;
   std::string current_path;
 
@@ -225,17 +247,15 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--rel-tol=", 10) == 0) {
-      rel_tol = std::atof(arg + 10);
+      rel_tol = fim::tools::ParseNonNegative("--rel-tol", arg + 10);
     } else if (std::strncmp(arg, "--abs-tol=", 10) == 0) {
-      abs_tol = std::atof(arg + 10);
+      abs_tol = fim::tools::ParseNonNegative("--abs-tol", arg + 10);
     } else if (std::strncmp(arg, "--mem-rel-tol=", 14) == 0) {
-      mem_rel_tol = std::atof(arg + 14);
+      mem_rel_tol = fim::tools::ParseNonNegative("--mem-rel-tol", arg + 14);
     } else if (std::strncmp(arg, "--mem-abs-tol=", 14) == 0) {
-      mem_abs_tol = std::atof(arg + 14);
+      mem_abs_tol = fim::tools::ParseNonNegative("--mem-abs-tol", arg + 14);
     } else if (std::strcmp(arg, "--time") == 0) {
       gate_time = true;
-    } else if (std::strcmp(arg, "--structure-only") == 0) {
-      structure_only = true;
     } else if (std::strcmp(arg, "-h") == 0 ||
                std::strcmp(arg, "--help") == 0) {
       Usage();
@@ -254,8 +274,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (baseline_path.empty() || current_path.empty() || rel_tol < 0.0 ||
-      abs_tol < 0.0 || mem_rel_tol < 0.0 || mem_abs_tol < 0.0) {
+  if (baseline_path.empty() || current_path.empty()) {
     Usage();
     return 2;
   }
@@ -307,62 +326,59 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!structure_only) {
-    for (const auto& [key, base_row] : baseline) {
-      auto row_it = current.find(key);
-      if (row_it == current.end()) continue;
-      for (const auto& [name, base_value] : base_row) {
-        auto it = row_it->second.find(name);
-        if (it == row_it->second.end()) continue;
-        if (IsTimingMetric(name) && !gate_time) continue;
-        const double cur_value = it->second;
-        // A non-finite value (NaN ratio from a zero division, an Inf
-        // from overflow) cannot be gated meaningfully; skip rather than
-        // poison the comparison — every arithmetic test below would be
-        // false for NaN, silently passing a broken metric.
-        if (!std::isfinite(base_value) || !std::isfinite(cur_value)) {
-          continue;
-        }
-        ++compared;
-        if (name == "num_sets") {
-          // Output cardinality: must match exactly, both directions.
-          if (cur_value != base_value) {
-            std::fprintf(stderr,
-                         "REGRESSION: %s: num_sets %g -> %g (output "
-                         "mismatch)\n",
-                         RowName(key), base_value, cur_value);
-            ++regressions;
-          }
-          continue;
-        }
-        const double harm = cur_value - base_value;
-        if (harm <= 0.0) {
-          if (harm < 0.0) ++improvements;
-          continue;
-        }
-        const double rel =
-            base_value > 0.0 ? harm / base_value
-                             : std::numeric_limits<double>::infinity();
-        // Bytes-class metrics jitter with the allocator and the host, so
-        // they gate under their own (wider) tolerance pair.
-        const double use_rel = IsBytesMetric(name) ? mem_rel_tol : rel_tol;
-        const double use_abs = IsBytesMetric(name) ? mem_abs_tol : abs_tol;
-        if (harm > use_abs && rel > use_rel) {
+  for (const auto& [key, base_row] : baseline) {
+    auto row_it = current.find(key);
+    if (row_it == current.end()) continue;
+    for (const auto& [name, base_value] : base_row) {
+      auto it = row_it->second.find(name);
+      if (it == row_it->second.end()) continue;
+      if (IsTimingMetric(name) && !gate_time) continue;
+      const double cur_value = it->second;
+      // A non-finite value (NaN ratio from a zero division, an Inf
+      // from overflow) cannot be gated meaningfully; skip rather than
+      // poison the comparison — every arithmetic test below would be
+      // false for NaN, silently passing a broken metric.
+      if (!std::isfinite(base_value) || !std::isfinite(cur_value)) {
+        continue;
+      }
+      ++compared;
+      if (name == "num_sets") {
+        // Output cardinality: must match exactly, both directions.
+        if (cur_value != base_value) {
           std::fprintf(stderr,
-                       "REGRESSION: %s: %s %g -> %g (+%.2f%%, rel-tol "
-                       "%.2f%%, abs-tol %g)\n",
-                       RowName(key), name.c_str(), base_value, cur_value,
-                       100.0 * rel, 100.0 * use_rel, use_abs);
+                       "REGRESSION: %s: num_sets %g -> %g (output "
+                       "mismatch)\n",
+                       RowName(key), base_value, cur_value);
           ++regressions;
         }
+        continue;
+      }
+      const double harm = cur_value - base_value;
+      if (harm <= 0.0) {
+        if (harm < 0.0) ++improvements;
+        continue;
+      }
+      const double rel =
+          base_value > 0.0 ? harm / base_value
+                           : std::numeric_limits<double>::infinity();
+      // Bytes-class metrics jitter with the allocator and the host, so
+      // they gate under their own (wider) tolerance pair.
+      const double use_rel = IsBytesMetric(name) ? mem_rel_tol : rel_tol;
+      const double use_abs = IsBytesMetric(name) ? mem_abs_tol : abs_tol;
+      if (harm > use_abs && rel > use_rel) {
+        std::fprintf(stderr,
+                     "REGRESSION: %s: %s %g -> %g (+%.2f%%, rel-tol "
+                     "%.2f%%, abs-tol %g)\n",
+                     RowName(key), name.c_str(), base_value, cur_value,
+                     100.0 * rel, 100.0 * use_rel, use_abs);
+        ++regressions;
       }
     }
   }
 
   std::fprintf(stderr,
                "fim-stats-diff: %zu row(s), %d metric(s) compared, %d "
-               "improvement(s), %d regression(s)%s\n",
-               baseline.size(), compared, improvements, regressions,
-               structure_only ? " [structure only]" : "");
+               "improvement(s), %d regression(s)\n",
+               baseline.size(), compared, improvements, regressions);
   return regressions > 0 ? 1 : 0;
 }

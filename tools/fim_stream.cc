@@ -68,6 +68,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "data/fimi_io.h"
 #include "data/itemset.h"
 #include "obs/export.h"
 #include "obs/timeline.h"
@@ -199,37 +200,12 @@ int EmitStats(const Args& args, fim::StreamMiner& miner,
       {"stream.panes_expired", stats.panes_expired},
       {"stream.panes_rotated", stats.panes_rotated},
       {"stream.queries", stats.queries},
-      {"stream.segments_compacted", stats.segments_compacted},
-      {"stream.snapshot_merges", stats.snapshot_merges},
       {"stream.transactions_ingested", stats.transactions_ingested},
       {"stream.weighted_additions", stats.weighted_additions},
   };
   report.trace = trace;
   report.memory = memory;
   return fim::tools::EmitStatsReport(args.obs, report);
-}
-
-/// Parses one FIMI line into items. Returns false for blank/comment
-/// lines; a negative token is reported as a parse error via `error`.
-bool ParseLine(const std::string& line, std::vector<fim::ItemId>* items,
-               bool* error) {
-  items->clear();
-  *error = false;
-  const char* p = line.c_str();
-  while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
-  if (*p == '\0' || *p == '#') return false;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const long long value = std::strtoll(p, &end, 10);
-    if (end == p || value < 0) {
-      *error = true;
-      return false;
-    }
-    items->push_back(static_cast<fim::ItemId>(value));
-    p = end;
-    while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
-  }
-  return !items->empty();
 }
 
 int PrintSnapshot(fim::StreamMiner& miner, fim::Support min_support,
@@ -334,21 +310,24 @@ int main(int argc, char** argv) {
     out = &file_out;
   }
 
+  // Lines are read as ParseFimi reads them: empty and '#' lines are
+  // skipped, the rest go through the same scanner, and a line without
+  // items adds nothing.
   std::string line;
+  std::string error;
   std::vector<ItemId> items;
   std::uint64_t line_number = 0;
   while (std::getline(*in, line)) {
     ++line_number;
-    bool parse_error = false;
-    if (!ParseLine(line, &items, &parse_error)) {
-      if (parse_error) {
-        std::fprintf(stderr, "error: %s line %llu: not a FIMI transaction\n",
-                     args.input.c_str(),
-                     static_cast<unsigned long long>(line_number));
-        return 1;
-      }
-      continue;  // blank or comment line
+    if (line.empty() || line[0] == '#') continue;
+    if (!ParseFimiLine(line, &items, &error)) {
+      const Status status = Status::InvalidArgument(
+          "line " + std::to_string(line_number) + ": " + error);
+      std::fprintf(stderr, "error reading %s: %s\n", args.input.c_str(),
+                   status.ToString().c_str());
+      return 1;
     }
+    if (items.empty()) continue;
     Status status = miner->AddTransaction(items);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s line %llu: %s\n", args.input.c_str(),

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -76,6 +77,22 @@ inline double ParsePercent(const char* flag, const char* text) {
       value > 100.0) {
     std::fprintf(stderr,
                  "error: %s expects a percentage in [0, 100], got \"%s\"\n",
+                 flag, text);
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Parses a tolerance, scale or time limit: the whole of `text` must be
+/// a finite number >= 0 (strtod turns an overflow into infinity).
+/// Exits with status 2 otherwise, like ParseCount — "nan" or "1e999"
+/// would switch a gate off, and "abc" would silently read as 0.
+inline double ParseNonNegative(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+    std::fprintf(stderr,
+                 "error: %s expects a finite number >= 0, got \"%s\"\n",
                  flag, text);
     std::exit(2);
   }
