@@ -1,6 +1,5 @@
 #include "api/miner.h"
 
-#include "kernels/intersect.h"
 #include "obs/memory.h"
 #include "obs/timeline.h"
 
@@ -139,9 +138,7 @@ obs::TimelineLane* DriverLane(const MinerOptions& options) {
 
 /// The stage both entry points share once the stream is built: records
 /// it, and runs the core with the callback that decodes (and counts) the
-/// reported sets. With `stats`, also adds the kernel work of the core:
-/// every core joins its workers before returning, so the thread-local
-/// kernel counters are quiescent.
+/// reported sets.
 void MineRows(const Recipe& recipe, const Recoding& recoding,
               WeightedTransactions rows, const MinerOptions& options,
               const ClosedSetCallback& callback, MinerStats* stats,
@@ -162,13 +159,8 @@ void MineRows(const Recipe& recipe, const Recoding& recoding,
         ++stats->sets_reported;
         decoded(items, support);
       };
-  const kernels::CounterSnapshot before = kernels::Counters();
   recipe.core(std::move(rows), recoding.num_kept(), options, counted, stats,
               trace);
-  const kernels::CounterSnapshot after = kernels::Counters();
-  stats->kernel_calls += after.calls - before.calls;
-  stats->kernel_elements_in += after.elements_in - before.elements_in;
-  stats->kernel_elements_out += after.elements_out - before.elements_out;
 }
 
 }  // namespace
@@ -182,11 +174,8 @@ Status MineClosed(const TransactionDatabase& db, const MinerOptions& options,
 
   // Every algorithm mines inside one "mine" span (and one "mine" timeline
   // event pair on the driver lane), with the input stage below it.
-  // Allocations of the driving thread are tagged kMine; the recoding
-  // tags its own kRecode, IsTa its prefix tree kIstaTree.
   obs::TimelineLane* const lane = DriverLane(options);
   obs::Phase mine_phase(trace, lane, "mine");
-  obs::MemDomainScope mem_domain(obs::MemDomain::kMine);
 
   // Item codes, with the items that cannot occur in any frequent set
   // dropped (paper §3.2, §3.4).

@@ -98,9 +98,9 @@ struct MinerOptions {
   /// Optional memory attribution (obs/memory.h): every algorithm
   /// records the self-measured byte breakdown of its major structures
   /// (the weighted stream it mines, IsTa prefix trees, tid lists,
-  /// Carpenter matrices, duplicate repositories) at the moments they are
-  /// largest. Feeds the `memory` stats section. Output-neutral; must
-  /// outlive the call.
+  /// Carpenter matrices, row bitsets) at the moments they are largest.
+  /// Feeds the `memory` stats section. Output-neutral; must outlive the
+  /// call.
   obs::MemoryBreakdown* memory = nullptr;
 };
 

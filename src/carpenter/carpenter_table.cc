@@ -139,6 +139,9 @@ class TableMiner {
       members.resize(items.size());
       members.resize(kernels::Active().filter_nonzero(
           items.data(), items.size(), row, members.data()));
+      if (stats_ != nullptr) {
+        stats_->CountKernelCall(items.size(), members.size());
+      }
       if (members.empty()) continue;
       if (members.size() == items.size()) {
         // t_j contains I: absorb (perfect extension analog).

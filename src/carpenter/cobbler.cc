@@ -166,7 +166,11 @@ class CobblerMiner {
     RowFolder conditional(RowFold::kHash);
     Support rows_equal_to_current = 0;
     for (Tid j = l; j < n_; ++j) {
-      const std::vector<ItemId> row = IntersectSorted(current, rows_.Row(j));
+      const std::span<const ItemId> t = rows_.Row(j);
+      const std::vector<ItemId> row = IntersectSorted(current, t);
+      if (stats_ != nullptr) {
+        stats_->CountKernelCall(current.size() + t.size(), row.size());
+      }
       if (row.size() == current.size()) {
         rows_equal_to_current += rows_.weights[j];
       }

@@ -83,11 +83,6 @@ enum class LockRank : std::uint32_t {
   /// Timeline::mutex_ — lane registration only (recording is lock-free).
   kTimeline = 300,
 
-  /// kernels::CounterRegistry mutex — thread-local counter-block
-  /// registration and snapshots. A leaf: held only while splicing a TLS
-  /// block in/out or summing a snapshot.
-  kKernelCounters = 350,
-
   /// obs::PerfDomainCollector::mutex_ — per-domain CPU and work-step
   /// sample appends from worker threads. A leaf: Record copies one
   /// sample into a vector and takes no other lock.

@@ -44,6 +44,9 @@ void MineFlatCumulative(WeightedTransactions rows, std::size_t /*num_items*/,
     if (stats != nullptr) stats->isect_steps += repo.size();
     for (const auto& [stored, support] : repo) {
       std::vector<ItemId> inter = IntersectSorted(stored, t);
+      if (stats != nullptr) {
+        stats->CountKernelCall(stored.size() + t.size(), inter.size());
+      }
       if (inter.empty()) continue;
       auto [it, inserted] = updates.emplace(std::move(inter), support);
       if (!inserted && it->second < support) it->second = support;

@@ -5,8 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/memory.h"
-
 namespace fim {
 
 bool ParseFimiLine(std::string_view line, std::vector<ItemId>* items,
@@ -39,7 +37,6 @@ bool ParseFimiLine(std::string_view line, std::vector<ItemId>* items,
 }
 
 Result<TransactionDatabase> ParseFimi(std::string_view text) {
-  obs::MemDomainScope mem_domain(obs::MemDomain::kReader);
   TransactionDatabase db;
   std::vector<ItemId> items;
   std::string error;
@@ -66,7 +63,6 @@ Result<TransactionDatabase> ParseFimi(std::string_view text) {
 }
 
 Result<TransactionDatabase> ReadFimiFile(const std::string& path) {
-  obs::MemDomainScope mem_domain(obs::MemDomain::kReader);
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path);
   std::ostringstream buffer;

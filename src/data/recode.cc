@@ -68,7 +68,6 @@ void RunChunks(std::size_t num_chunks, obs::Timeline* timeline,
   workers.reserve(num_chunks);
   for (std::size_t c = 0; c < num_chunks; ++c) {
     workers.emplace_back([&, c]() {
-      obs::MemDomainScope worker_mem_domain(obs::MemDomain::kRecode);
       obs::TimelineLane* lane =
           timeline != nullptr
               ? timeline->AddLane("recode-" + name + "-" + std::to_string(c))
@@ -273,7 +272,6 @@ WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
                                            TransactionOrder transaction_order,
                                            unsigned num_threads,
                                            obs::Timeline* timeline) {
-  obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
   const auto& transactions = db.transactions();
   const std::size_t num_chunks = std::max<std::size_t>(
       std::min<std::size_t>(num_threads, transactions.size()), 1);
@@ -296,7 +294,6 @@ WeightedTransactions RecodeTables(
     std::span<const WeightedTransactions* const> tables,
     const Recoding& recoding, TransactionOrder transaction_order,
     unsigned num_threads, obs::Timeline* timeline) {
-  obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
   obs::TimelineLane* const lane =
       timeline != nullptr ? timeline->driver() : nullptr;
   const RowFold fold = FoldFor(transaction_order);

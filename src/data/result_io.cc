@@ -1,5 +1,6 @@
 #include "data/result_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <fstream>
@@ -37,8 +38,8 @@ Status WriteClosedSetsFile(const std::vector<ClosedItemset>& sets,
 namespace {
 
 // Parses "3 17 42 (57)": the items are a FIMI line, scanned by
-// ParseFimiLine; the support is a decimal count in parentheses, and
-// nothing but whitespace may follow it.
+// ParseFimiLine, in any order but none twice; the support is a decimal
+// count in parentheses, and nothing but whitespace may follow it.
 bool ParseLine(std::string_view line, ClosedItemset* set,
                std::string* error) {
   const std::size_t open = line.find('(');
@@ -69,7 +70,13 @@ bool ParseLine(std::string_view line, ClosedItemset* set,
     return false;
   }
   set->support = static_cast<Support>(value);
-  NormalizeItems(&set->items);
+  std::sort(set->items.begin(), set->items.end());
+  const auto repeat =
+      std::adjacent_find(set->items.begin(), set->items.end());
+  if (repeat != set->items.end()) {
+    *error = "item " + std::to_string(*repeat) + " repeats";
+    return false;
+  }
   return true;
 }
 

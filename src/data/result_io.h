@@ -20,6 +20,8 @@ Status WriteClosedSetsFile(const std::vector<ClosedItemset>& sets,
 std::string ClosedSetsToString(const std::vector<ClosedItemset>& sets);
 
 /// Parses the format back (for result pipelines and round-trip tests).
+/// The items of a line come back ascending; a line that repeats an item
+/// is InvalidArgument naming the line and the item.
 Result<std::vector<ClosedItemset>> ParseClosedSets(std::string_view text);
 
 /// Reads a result file written by WriteClosedSetsFile / fim-mine.

@@ -52,8 +52,12 @@ class CharmMiner {
       for (std::size_t j = i + 1; j < nodes->size(); ++j) {
         Node& other = (*nodes)[j];
         if (other.items.empty()) continue;
-        if (stats_ != nullptr) ++stats_->extension_checks;
         kernels::IntersectInto(current.tids, other.tids, &inter);
+        if (stats_ != nullptr) {
+          ++stats_->extension_checks;
+          stats_->CountKernelCall(current.tids.size() + other.tids.size(),
+                                  inter.size());
+        }
         const bool covers_current = inter.size() == current.tids.size();
         const bool covers_other = inter.size() == other.tids.size();
         if (covers_current && covers_other) {

@@ -257,7 +257,6 @@ void MineParallel(Node root, std::size_t num_items, Support min_support,
   std::vector<MinerStats> worker_stats(n);
   std::atomic<std::size_t> next{0};
   auto worker = [&](std::size_t w) {
-    obs::MemDomainScope mem_domain(obs::MemDomain::kMine);
     LcmMiner miner(num_items, min_support,
                    stats != nullptr ? &worker_stats[w] : nullptr);
     for (;;) {

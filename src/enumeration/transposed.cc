@@ -76,7 +76,11 @@ class TransposedMiner {
     for (std::size_t k = 1; k < order_.size() && !current->empty(); ++k) {
       std::vector<Tid>* out = bufs[which];
       which ^= 1;
-      kernels::IntersectInto(*current, rows_[order_[k]], out);
+      const std::vector<Tid>& row = rows_[order_[k]];
+      kernels::IntersectInto(*current, row, out);
+      if (stats_ != nullptr) {
+        stats_->CountKernelCall(current->size() + row.size(), out->size());
+      }
       current = out;
     }
     return *current;  // the caller owns its result; copy out of the scratch

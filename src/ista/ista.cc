@@ -60,7 +60,6 @@ void MineIsta(WeightedTransactions rows, std::size_t num_items,
   obs::Phase mine_phase(trace, lane, "shard-mine");
   const IstaPrefixTree tree = [&] {
     obs::PerfDomainScope domain(options.perf_domains, "shard-0");
-    obs::MemDomainScope mem_domain(obs::MemDomain::kIstaTree);
     IstaPrefixTree mined = MineStream(rows, num_items, options, lane);
     domain.AddWorkSteps(mined.IsectSteps());
     return mined;

@@ -86,9 +86,8 @@ class IstaPrefixTree {
   /// the link arena each split into "live" (slots of reachable nodes)
   /// and "garbage" (allocated-but-dead slots plus capacity slack —
   /// vectors never shrink, so this is the pruning/growth overhead),
-  /// plus the transaction-flag and Isect-stack scratch. The total
-  /// matches what the FIM_MEM_PROFILE allocation tracker counts for the
-  /// tree's domain. O(1).
+  /// plus the transaction-flag and Isect-stack scratch. The total is the
+  /// capacity bytes of those vectors, exactly. O(1).
   obs::MemoryComponent ApproxMemoryUsage() const;
 
   /// Exhaustively checks the structural invariants of the repository

@@ -1,4 +1,4 @@
-// Kernel registry, runtime dispatch, counters, and the scalar reference
+// Kernel registry, runtime dispatch and the scalar reference
 // implementations. The AVX2 tier lives in its own translation unit
 // (intersect_avx2.cc) compiled with -mavx2; this file must stay
 // buildable on any CPU.
@@ -6,13 +6,10 @@
 #include "kernels/intersect.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
-
-#include "common/sync.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define FIM_KERNELS_X86 1
@@ -23,58 +20,6 @@
 namespace fim::kernels {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Per-thread counters. The hot loops pay one non-RMW relaxed store per
-// kernel call (single writer: the owning thread); snapshots sum the
-// registered blocks plus the totals of exited threads. TSan-clean.
-
-struct LocalCounters;
-
-struct CounterRegistry {
-  Mutex mutex{LockRank::kKernelCounters, "KernelCounters"};
-  std::vector<LocalCounters*> live FIM_GUARDED_BY(mutex);
-  CounterSnapshot retired FIM_GUARDED_BY(mutex);
-};
-
-CounterRegistry& Registry() {
-  static CounterRegistry& registry = *new CounterRegistry();
-  return registry;
-}
-
-struct LocalCounters {
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::uint64_t> elements_in{0};
-  std::atomic<std::uint64_t> elements_out{0};
-
-  LocalCounters() {
-    CounterRegistry& registry = Registry();
-    const MutexLock lock(registry.mutex);
-    registry.live.push_back(this);
-  }
-
-  ~LocalCounters() {
-    CounterRegistry& registry = Registry();
-    const MutexLock lock(registry.mutex);
-    registry.retired.calls += calls.load(std::memory_order_relaxed);
-    registry.retired.elements_in +=
-        elements_in.load(std::memory_order_relaxed);
-    registry.retired.elements_out +=
-        elements_out.load(std::memory_order_relaxed);
-    std::erase(registry.live, this);
-  }
-};
-
-LocalCounters& Local() {
-  thread_local LocalCounters counters;
-  return counters;
-}
-
-// Single-writer relaxed add: no lock prefix, safe to read racily.
-void Bump(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
-  counter.store(counter.load(std::memory_order_relaxed) + n,
-                std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels.
@@ -98,7 +43,6 @@ std::size_t ScalarIntersect(const std::uint32_t* a, std::size_t na,
       ++j;
     }
   }
-  CountCall(na + nb, k);
   return k;
 }
 
@@ -109,7 +53,6 @@ std::size_t ScalarFilterNonzero(const std::uint32_t* items, std::size_t n,
     const std::uint32_t item = items[i];
     if (row[item] != 0) out[k++] = item;
   }
-  CountCall(n, k);
   return k;
 }
 
@@ -159,13 +102,6 @@ const IntersectKernel* SelectAtStartup() {
 
 }  // namespace
 
-void CountCall(std::size_t elements_in, std::size_t elements_out) {
-  LocalCounters& local = Local();
-  Bump(local.calls, 1);
-  Bump(local.elements_in, elements_in);
-  Bump(local.elements_out, elements_out);
-}
-
 const IntersectKernel* ScalarKernel() { return &kScalarKernel; }
 
 bool CpuSupports(KernelId id) {
@@ -194,20 +130,6 @@ std::vector<const IntersectKernel*> AvailableKernels() {
     kernels.push_back(avx2);
   }
   return kernels;
-}
-
-CounterSnapshot Counters() {
-  CounterRegistry& registry = Registry();
-  const MutexLock lock(registry.mutex);
-  CounterSnapshot snapshot = registry.retired;
-  for (const LocalCounters* local : registry.live) {
-    snapshot.calls += local->calls.load(std::memory_order_relaxed);
-    snapshot.elements_in +=
-        local->elements_in.load(std::memory_order_relaxed);
-    snapshot.elements_out +=
-        local->elements_out.load(std::memory_order_relaxed);
-  }
-  return snapshot;
 }
 
 std::size_t GallopIntersect(const std::uint32_t* a, std::size_t na,
@@ -243,7 +165,6 @@ std::size_t GallopIntersect(const std::uint32_t* a, std::size_t na,
       ++lo;
     }
   }
-  CountCall(na + nb, k);
   return k;
 }
 

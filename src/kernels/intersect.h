@@ -21,6 +21,10 @@ namespace fim::kernels {
 /// tests/kernels_test.cc enforce element-for-element agreement, which is
 /// what keeps the miners' closed-set output bit-identical under every
 /// FIM_KERNEL setting.
+///
+/// The kernels are pure functions: apart from the tier chosen once,
+/// they keep no state. A miner that calls one counts the call in its
+/// own MinerStats (MinerStats::CountKernelCall).
 
 /// Identifies one registered implementation tier.
 enum class KernelId : int {
@@ -72,16 +76,6 @@ const IntersectKernel& Active();
 /// The tiers supported on this machine, scalar first.
 std::vector<const IntersectKernel*> AvailableKernels();
 
-/// Cumulative kernel-call counters, summed over all threads that ever
-/// ran a kernel (cheap thread-local counting; exact once those threads
-/// are quiescent, e.g. after a mining run joined its workers).
-struct CounterSnapshot {
-  std::uint64_t calls = 0;        // kernel invocations (any op)
-  std::uint64_t elements_in = 0;  // input elements consumed (na + nb)
-  std::uint64_t elements_out = 0; // elements produced
-};
-CounterSnapshot Counters();
-
 // ---------------------------------------------------------------------------
 // Adaptive front doors used by the miners.
 
@@ -120,9 +114,6 @@ const IntersectKernel* Avx2Kernel();  // null unless compiled for x86 AVX2
 
 /// True when the running CPU supports the tier (always true for scalar).
 bool CpuSupports(KernelId id);
-
-/// Internal: counting helper shared by the tier tables and front doors.
-void CountCall(std::size_t elements_in, std::size_t elements_out);
 
 }  // namespace fim::kernels
 

@@ -92,7 +92,6 @@ std::size_t Avx2Intersect(const std::uint32_t* a, std::size_t na,
       ++j;
     }
   }
-  CountCall(na + nb, k);
   return k;
 }
 
@@ -121,7 +120,6 @@ std::size_t Avx2FilterNonzero(const std::uint32_t* items, std::size_t n,
     const std::uint32_t item = items[i];
     if (row[item] != 0) out[k++] = item;
   }
-  CountCall(n, k);
   return k;
 }
 

@@ -94,48 +94,6 @@ void AppendMemoryJson(const MemoryReport& memory, JsonWriter* writer) {
     AppendMemoryComponentJson(component, writer);
   }
   writer->EndArray();
-  writer->Key("profile");
-  if (memory.profile.enabled) {
-    writer->BeginObject();
-    writer->Key("live_bytes");
-    writer->Number(memory.profile.live_bytes);
-    writer->Key("peak_live_bytes");
-    writer->Number(memory.profile.peak_live_bytes);
-    writer->Key("alloc_bytes");
-    writer->Number(memory.profile.alloc_bytes);
-    writer->Key("allocs");
-    writer->Number(memory.profile.allocs);
-    writer->Key("frees");
-    writer->Number(memory.profile.frees);
-    writer->Key("foreign_frees");
-    writer->Number(memory.profile.foreign_frees);
-    writer->Key("domains");
-    writer->BeginArray();
-    for (std::size_t d = 0; d < kNumMemDomains; ++d) {
-      const MemDomainStats& stats = memory.profile.domains[d];
-      // Skip domains that never allocated: the table stays short and
-      // the absent-vs-zero distinction survives.
-      if (stats.allocs == 0 && stats.frees == 0) continue;
-      writer->BeginObject();
-      writer->Key("name");
-      writer->String(MemDomainName(static_cast<MemDomain>(d)));
-      writer->Key("live_bytes");
-      writer->Number(stats.live_bytes);
-      writer->Key("peak_live_bytes");
-      writer->Number(stats.peak_live_bytes);
-      writer->Key("alloc_bytes");
-      writer->Number(stats.alloc_bytes);
-      writer->Key("allocs");
-      writer->Number(stats.allocs);
-      writer->Key("frees");
-      writer->Number(stats.frees);
-      writer->EndObject();
-    }
-    writer->EndArray();
-    writer->EndObject();
-  } else {
-    writer->Null();
-  }
   writer->EndObject();
 }
 
@@ -171,30 +129,6 @@ void AppendMemoryText(const MemoryReport& memory, std::string* out) {
   out->append(line);
   for (const auto& component : memory.components) {
     AppendMemoryComponentText(component, 0, out);
-  }
-  if (memory.profile.enabled) {
-    std::snprintf(line, sizeof(line),
-                  "  alloc domains: %.2f MiB live, %.2f MiB peak, "
-                  "%llu allocs, %llu frees, %llu foreign\n",
-                  BytesToMib(memory.profile.live_bytes),
-                  BytesToMib(memory.profile.peak_live_bytes),
-                  static_cast<unsigned long long>(memory.profile.allocs),
-                  static_cast<unsigned long long>(memory.profile.frees),
-                  static_cast<unsigned long long>(
-                      memory.profile.foreign_frees));
-    out->append(line);
-    for (std::size_t d = 0; d < kNumMemDomains; ++d) {
-      const MemDomainStats& stats = memory.profile.domains[d];
-      if (stats.allocs == 0 && stats.frees == 0) continue;
-      std::snprintf(line, sizeof(line),
-                    "    %-28s %10.2f MiB peak  %10.2f MiB cum  %10llu "
-                    "allocs\n",
-                    MemDomainName(static_cast<MemDomain>(d)),
-                    BytesToMib(stats.peak_live_bytes),
-                    BytesToMib(stats.alloc_bytes),
-                    static_cast<unsigned long long>(stats.allocs));
-      out->append(line);
-    }
   }
 }
 

@@ -68,19 +68,14 @@ std::string RenderStatsText(const StatsReport& report);
 ///       "peak_rss_bytes": N|null, "rss_coverage": F|null,
 ///       "components": [ { "name": "...", "self_bytes": N,
 ///                         "total_bytes": N,
-///                         "children": [ ... ] }, ... ],
-///       "profile": {                              // FIM_MEM_PROFILE only
-///         "live_bytes": N, "peak_live_bytes": N, "alloc_bytes": N,
-///         "allocs": N, "frees": N, "foreign_frees": N,
-///         "domains": [ { "name": "ista-tree", "live_bytes": N,
-///                        "peak_live_bytes": N, "alloc_bytes": N,
-///                        "allocs": N, "frees": N }, ... ] } | null
+///                         "children": [ ... ] }, ... ]
 ///     }
 ///   }
 ///
 /// v1 -> v2: an optional "distributions" section was added; no report
 /// carries it any more. Fields join v2 without a version bump (the
-/// optional hardware-counter "perf" section came and went that way):
+/// optional hardware-counter "perf" section and the memory section's
+/// allocation-domain "profile" came and went that way):
 /// readers stay unknown-key tolerant, and a value that was not measured
 /// renders as null, never as a fake 0.
 std::string RenderStatsJson(const StatsReport& report);

@@ -1,12 +1,5 @@
 #include "obs/memory.h"
 
-#include <atomic>
-
-#ifdef FIM_MEM_PROFILE
-#include <cstdlib>
-#include <new>
-#endif
-
 namespace fim::obs {
 
 std::size_t MemoryComponent::TotalBytes() const {
@@ -60,28 +53,6 @@ std::size_t MemoryBreakdown::HighWaterBytes() const {
   return high_water_bytes_;
 }
 
-const char* MemDomainName(MemDomain domain) {
-  switch (domain) {
-    case MemDomain::kUntagged:
-      return "untagged";
-    case MemDomain::kReader:
-      return "reader";
-    case MemDomain::kRecode:
-      return "recode";
-    case MemDomain::kIstaTree:
-      return "ista-tree";
-    case MemDomain::kMine:
-      return "mine";
-    case MemDomain::kStream:
-      return "stream";
-    case MemDomain::kCheckpoint:
-      return "checkpoint";
-    case MemDomain::kObs:
-      return "obs";
-  }
-  return "unknown";
-}
-
 double MemoryReport::RssCoverage() const {
   if (!peak_rss.known || peak_rss.bytes == 0) return -1.0;
   return static_cast<double>(accounted_bytes) /
@@ -94,237 +65,7 @@ MemoryReport BuildMemoryReport(const MemoryBreakdown& breakdown) {
   report.accounted_bytes = breakdown.AccountedBytes();
   report.high_water_bytes = breakdown.HighWaterBytes();
   report.peak_rss = PeakRssBytes();
-  report.profile = SnapshotMemProfile();
   return report;
 }
 
-#ifndef FIM_MEM_PROFILE
-
-MemProfileSnapshot SnapshotMemProfile() { return MemProfileSnapshot{}; }
-
-#else  // FIM_MEM_PROFILE
-
-namespace {
-
-// Every counter is a constant-initialized relaxed atomic: the tracker
-// must be usable from the very first allocation (before main, before
-// any dynamic initializer) and from any thread without locks.
-struct DomainCounters {
-  std::atomic<std::uint64_t> live{0};
-  std::atomic<std::uint64_t> peak{0};
-  std::atomic<std::uint64_t> allocated{0};
-  std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> frees{0};
-};
-constinit DomainCounters g_domains[kNumMemDomains];
-constinit std::atomic<std::uint64_t> g_total_live{0};
-constinit std::atomic<std::uint64_t> g_total_peak{0};
-constinit std::atomic<std::uint64_t> g_foreign_frees{0};
-
-// The calling thread's current domain tag. Constant-initialized, so
-// early allocations on any thread count as untagged rather than
-// touching a lazily-constructed TLS object from inside operator new.
-constinit thread_local MemDomain t_mem_domain = MemDomain::kUntagged;
-
-void AtomicMax(std::atomic<std::uint64_t>* target, std::uint64_t value) {
-  std::uint64_t observed = target->load(std::memory_order_relaxed);
-  while (observed < value &&
-         !target->compare_exchange_weak(observed, value,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-// Each tracked block carries a header directly before the user
-// pointer: the raw malloc pointer (the user pointer is shifted and
-// possibly over-aligned), the requested size and the allocating
-// domain. The magic tag distinguishes our blocks from foreign memory
-// on the free path, where a mismatch falls back to plain free()
-// instead of corrupting the heap.
-//
-// The header lives at `user - sizeof(BlockHeader)` where `user` is
-// only guaranteed max_align_t-aligned, so it must not demand more
-// alignment than that; the alignas pads sizeof to a max_align_t
-// multiple so the user block behind it stays malloc-aligned.
-struct alignas(alignof(std::max_align_t)) BlockHeader {
-  void* raw;
-  std::size_t size;
-  std::uint32_t domain;
-  std::uint32_t magic;
-};
-static_assert(sizeof(BlockHeader) % alignof(std::max_align_t) == 0,
-              "header must preserve malloc alignment for the user block");
-constexpr std::uint32_t kBlockMagic = 0x464d4d50u;  // "PMMF"
-
-}  // namespace
-
-namespace internal {
-
-void* AllocateTracked(std::size_t size, std::size_t alignment) noexcept {
-  if (alignment < alignof(std::max_align_t)) {
-    alignment = alignof(std::max_align_t);
-  }
-  // Room for the header plus the worst-case shift to reach `alignment`
-  // from the (max_align_t-aligned) malloc result.
-  const std::size_t slack =
-      alignment > alignof(BlockHeader) ? alignment : 0;
-  void* raw = std::malloc(size + sizeof(BlockHeader) + slack);
-  if (raw == nullptr) return nullptr;
-  std::uintptr_t user =
-      reinterpret_cast<std::uintptr_t>(raw) + sizeof(BlockHeader);
-  user = (user + alignment - 1) & ~(static_cast<std::uintptr_t>(alignment) - 1);
-  auto* header = reinterpret_cast<BlockHeader*>(user) - 1;
-  const MemDomain domain = t_mem_domain;
-  header->raw = raw;
-  header->size = size;
-  header->domain = static_cast<std::uint32_t>(domain);
-  header->magic = kBlockMagic;
-
-  DomainCounters& counters = g_domains[static_cast<unsigned>(domain)];
-  const std::uint64_t live =
-      counters.live.fetch_add(size, std::memory_order_relaxed) + size;
-  AtomicMax(&counters.peak, live);
-  counters.allocated.fetch_add(size, std::memory_order_relaxed);
-  counters.allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t total =
-      g_total_live.fetch_add(size, std::memory_order_relaxed) + size;
-  AtomicMax(&g_total_peak, total);
-  return reinterpret_cast<void*>(user);
-}
-
-void FreeTracked(void* ptr) noexcept {
-  if (ptr == nullptr) return;
-  auto* header = reinterpret_cast<BlockHeader*>(ptr) - 1;
-  if (header->magic != kBlockMagic) {
-    // Not one of ours (e.g. handed over from a module whose operator
-    // new did not resolve to this replacement). Only plain free() is
-    // safe here; count it so the snapshot exposes the leak in
-    // attribution coverage.
-    g_foreign_frees.fetch_add(1, std::memory_order_relaxed);
-    std::free(ptr);
-    return;
-  }
-  header->magic = 0;  // double-free of this block now reads as foreign
-  const std::size_t size = header->size;
-  DomainCounters& counters = g_domains[header->domain % kNumMemDomains];
-  counters.live.fetch_sub(size, std::memory_order_relaxed);
-  counters.frees.fetch_add(1, std::memory_order_relaxed);
-  g_total_live.fetch_sub(size, std::memory_order_relaxed);
-  std::free(header->raw);
-}
-
-}  // namespace internal
-
-MemProfileSnapshot SnapshotMemProfile() {
-  MemProfileSnapshot snapshot;
-  snapshot.enabled = true;
-  snapshot.foreign_frees = g_foreign_frees.load(std::memory_order_relaxed);
-  snapshot.peak_live_bytes = g_total_peak.load(std::memory_order_relaxed);
-  snapshot.live_bytes = g_total_live.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kNumMemDomains; ++i) {
-    const DomainCounters& counters = g_domains[i];
-    MemDomainStats& stats = snapshot.domains[i];
-    stats.live_bytes = counters.live.load(std::memory_order_relaxed);
-    stats.peak_live_bytes = counters.peak.load(std::memory_order_relaxed);
-    stats.alloc_bytes = counters.allocated.load(std::memory_order_relaxed);
-    stats.allocs = counters.allocs.load(std::memory_order_relaxed);
-    stats.frees = counters.frees.load(std::memory_order_relaxed);
-    snapshot.alloc_bytes += stats.alloc_bytes;
-    snapshot.allocs += stats.allocs;
-    snapshot.frees += stats.frees;
-  }
-  return snapshot;
-}
-
-MemDomainScope::MemDomainScope(MemDomain domain) : saved_(t_mem_domain) {
-  t_mem_domain = domain;
-}
-
-MemDomainScope::~MemDomainScope() { t_mem_domain = saved_; }
-
-#endif  // FIM_MEM_PROFILE
-
 }  // namespace fim::obs
-
-#ifdef FIM_MEM_PROFILE
-
-// Replacement global allocation functions. Defined at global scope in
-// this one TU; the linker picks them over the libstdc++ defaults for
-// the whole program (including operator new calls made inside
-// libstdc++.so — the executable exports the symbols it defines that
-// shared dependencies need), so every new/delete pair goes through the
-// same accounting. Sanitizers intercept the underlying malloc/free, so
-// ASan/TSan still see every block.
-
-namespace {
-
-void* TrackedNewOrThrow(std::size_t size, std::size_t alignment) {
-  void* ptr = fim::obs::internal::AllocateTracked(size, alignment);
-  if (ptr == nullptr) throw std::bad_alloc();
-  return ptr;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  return TrackedNewOrThrow(size, alignof(std::max_align_t));
-}
-void* operator new[](std::size_t size) {
-  return TrackedNewOrThrow(size, alignof(std::max_align_t));
-}
-void* operator new(std::size_t size, std::align_val_t alignment) {
-  return TrackedNewOrThrow(size, static_cast<std::size_t>(alignment));
-}
-void* operator new[](std::size_t size, std::align_val_t alignment) {
-  return TrackedNewOrThrow(size, static_cast<std::size_t>(alignment));
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return fim::obs::internal::AllocateTracked(size, alignof(std::max_align_t));
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return fim::obs::internal::AllocateTracked(size, alignof(std::max_align_t));
-}
-void* operator new(std::size_t size, std::align_val_t alignment,
-                   const std::nothrow_t&) noexcept {
-  return fim::obs::internal::AllocateTracked(size, static_cast<std::size_t>(alignment));
-}
-void* operator new[](std::size_t size, std::align_val_t alignment,
-                     const std::nothrow_t&) noexcept {
-  return fim::obs::internal::AllocateTracked(size, static_cast<std::size_t>(alignment));
-}
-
-void operator delete(void* ptr) noexcept { fim::obs::internal::FreeTracked(ptr); }
-void operator delete[](void* ptr) noexcept { fim::obs::internal::FreeTracked(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-void operator delete[](void* ptr, std::size_t) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-void operator delete(void* ptr, std::align_val_t) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-void operator delete[](void* ptr, std::align_val_t) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-void operator delete(void* ptr, const std::nothrow_t&) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-void operator delete(void* ptr, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-void operator delete[](void* ptr, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  fim::obs::internal::FreeTracked(ptr);
-}
-
-#endif  // FIM_MEM_PROFILE

@@ -48,12 +48,20 @@ struct MinerStats {
   // --- universal --------------------------------------------------------
   std::size_t sets_reported = 0;  // closed sets delivered to the callback
 
-  // --- intersection kernels (every family; see src/kernels/ and
-  //     docs/PERFORMANCE.md). Filled by MineClosed as the delta of the
-  //     process-wide kernel counters across the miner's core. ------------
-  std::size_t kernel_calls = 0;         // dispatched kernel invocations
+  // --- intersection kernels (src/kernels/, docs/PERFORMANCE.md): counted
+  //     by the miners that call them (Carpenter table, CHARM, transposed,
+  //     flat cumulative, Cobbler's column switch) through CountKernelCall.
+  std::size_t kernel_calls = 0;         // kernel invocations
   std::size_t kernel_elements_in = 0;   // input elements streamed
   std::size_t kernel_elements_out = 0;  // result elements produced
+
+  /// Counts one kernel call that read `elements_in` elements and wrote
+  /// `elements_out`.
+  void CountKernelCall(std::size_t elements_in, std::size_t elements_out) {
+    ++kernel_calls;
+    kernel_elements_in += elements_in;
+    kernel_elements_out += elements_out;
+  }
 
   /// Aggregates a worker's snapshot into this one:
   /// peak_nodes and final_nodes take the maximum, everything else sums.

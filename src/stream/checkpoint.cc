@@ -27,7 +27,6 @@
 #include <utility>
 
 #include "data/binary_io.h"
-#include "obs/memory.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "stream/stream_miner.h"
@@ -122,7 +121,6 @@ Status ReadPane(std::istream& in, uint64_t pane, uint64_t weight,
 }  // namespace
 
 Status StreamMiner::CheckpointTo(std::ostream& out) {
-  obs::MemDomainScope mem_domain(obs::MemDomain::kCheckpoint);
   obs::Phase checkpoint_phase(options_.trace, lane_, "checkpoint");
   FrozenState frozen;
   {
@@ -177,7 +175,6 @@ Status StreamMiner::Checkpoint(const std::string& path) {
 
 Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
     std::istream& in, obs::Trace* trace, obs::Timeline* timeline) {
-  obs::MemDomainScope mem_domain(obs::MemDomain::kCheckpoint);
   const std::streampos begin = in.tellg();
   char magic[4];
   in.read(magic, sizeof(magic));

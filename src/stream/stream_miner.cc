@@ -24,7 +24,6 @@ StreamMiner::StreamMiner(const StreamMinerOptions& options)
 }
 
 Status StreamMiner::AddTransaction(std::vector<ItemId> items) {
-  obs::MemDomainScope mem_domain(obs::MemDomain::kStream);
   NormalizeItems(&items);
   if (items.empty()) {
     return Status::InvalidArgument("empty transaction");
@@ -89,7 +88,6 @@ Status StreamMiner::Query(Support min_support,
   if (min_support == 0) {
     return Status::InvalidArgument("min_support must be >= 1");
   }
-  obs::MemDomainScope mem_domain(obs::MemDomain::kStream);
   obs::Phase query_phase(options_.trace, lane_, "query");
   FrozenState frozen;
   {

@@ -220,17 +220,5 @@ TEST(KernelsTest, AvailableKernelsStartsWithScalar) {
   }
 }
 
-TEST(KernelsTest, CountersAdvanceWithWork) {
-  const CounterSnapshot before = Counters();
-  const U32s a{1, 2, 3, 4, 5};
-  const U32s b{2, 4, 6};
-  U32s out;
-  IntersectInto(a, b, &out);
-  const CounterSnapshot after = Counters();
-  EXPECT_GE(after.calls, before.calls + 1);
-  EXPECT_GE(after.elements_in, before.elements_in + a.size() + b.size());
-  EXPECT_GE(after.elements_out, before.elements_out + 2);
-}
-
 }  // namespace
 }  // namespace fim::kernels

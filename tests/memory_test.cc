@@ -1,11 +1,10 @@
 // Tests of the memory-attribution layer (obs/memory.h): breakdown
 // collector semantics (keep-max re-records, high-water of the sum),
 // self-measurement exactness of the structure ApproxMemoryUsage()
-// methods against manually computed capacities and — in FIM_MEM_PROFILE
-// builds — against the allocation-domain tracker's ground truth, the
-// report assembly and its JSON rendering, and output-neutrality: a
-// mining run records the identical closed sets with and without a
-// breakdown collector attached, at 1 and 4 threads.
+// methods against manually computed capacities, the report assembly
+// and its JSON rendering, and output-neutrality: a mining run records
+// the identical closed sets with and without a breakdown collector
+// attached, at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +24,25 @@
 #include "stream/stream_miner.h"
 
 namespace fim {
+
+// Capacity bytes of the vectors an IstaPrefixTree owns, read directly.
+struct IstaPrefixTreeTestPeer {
+  template <typename T>
+  static std::size_t Bytes(const std::vector<T>& v) {
+    return v.capacity() * sizeof(T);
+  }
+  static std::size_t ColumnBytes(const IstaPrefixTree& tree) {
+    return Bytes(tree.node_step_) + Bytes(tree.node_item_) +
+           Bytes(tree.node_supp_);
+  }
+  static std::size_t LinkBytes(const IstaPrefixTree& tree) {
+    return Bytes(tree.links_);
+  }
+  static std::size_t ScratchBytes(const IstaPrefixTree& tree) {
+    return Bytes(tree.in_transaction_) + Bytes(tree.isect_stack_);
+  }
+};
+
 namespace {
 
 using obs::MemoryBreakdown;
@@ -123,6 +141,43 @@ TEST(ApproxMemoryUsageTest, PrefixTreeSplitsLiveAndGarbage) {
   EXPECT_GT(component.TotalBytes(), 0u);
 }
 
+// The tree's footprint is exactly the capacity bytes of its columns, its
+// link arena and its scratch, each in its own child: when empty, after
+// growth, and after a prune has rebuilt it.
+TEST(ApproxMemoryUsageTest, PrefixTreeTotalIsItsCapacityBytes) {
+  using Peer = IstaPrefixTreeTestPeer;
+  IstaPrefixTree tree(64);
+  const auto check = [&tree](const char* when) {
+    const MemoryComponent component = tree.ApproxMemoryUsage();
+    EXPECT_EQ(component.TotalBytes(), Peer::ColumnBytes(tree) +
+                                          Peer::LinkBytes(tree) +
+                                          Peer::ScratchBytes(tree))
+        << when;
+    ASSERT_EQ(component.children.size(), 3u) << when;
+    EXPECT_EQ(component.children[0].name, "node-columns");
+    EXPECT_EQ(component.children[0].TotalBytes(), Peer::ColumnBytes(tree))
+        << when;
+    EXPECT_EQ(component.children[1].name, "link-arena");
+    EXPECT_EQ(component.children[1].TotalBytes(), Peer::LinkBytes(tree))
+        << when;
+    EXPECT_EQ(component.children[2].name, "scratch");
+    EXPECT_EQ(component.children[2].TotalBytes(), Peer::ScratchBytes(tree))
+        << when;
+  };
+  check("empty");
+  for (ItemId base = 0; base < 32; ++base) {
+    tree.AddTransaction(
+        std::vector<ItemId>{base, ItemId(base + 8), ItemId(base + 16)});
+  }
+  EXPECT_GT(tree.NodeCount(), 32u);
+  check("after 32 transactions");
+  const std::size_t grown = tree.ApproxMemoryUsage().TotalBytes();
+  tree.Prune(/*min_support=*/2, std::vector<Support>(64, 0));
+  EXPECT_EQ(tree.PruneCount(), 1u);
+  check("after a prune");
+  EXPECT_LT(tree.ApproxMemoryUsage().TotalBytes(), grown);
+}
+
 TEST(ApproxMemoryUsageTest, RowEnumerationRecordsRowBitsets) {
   // Every item of 100 random rows over 10 items is frequent at support 1:
   // one column of ⌈rows / 64⌉ words per item, plus the cover.
@@ -169,82 +224,6 @@ TEST(ApproxMemoryUsageTest, StreamMinerBreaksDownLiveTreeAndSegments) {
   EXPECT_EQ(names, (std::set<std::string>{"filling-pane", "pane-2",
                                           "pane-list"}));
   EXPECT_GT(component.TotalBytes(), 0u);
-}
-
-// --- allocation-domain tracker ----------------------------------------
-
-TEST(MemProfileTest, SnapshotDisabledWithoutBuildFlag) {
-  const obs::MemProfileSnapshot snapshot = obs::SnapshotMemProfile();
-  EXPECT_EQ(snapshot.enabled, obs::MemProfileCompiled());
-  if (!obs::MemProfileCompiled()) {
-    EXPECT_EQ(snapshot.live_bytes, 0u);
-    EXPECT_EQ(snapshot.allocs, 0u);
-  }
-}
-
-// Accounting exactness: the self-measured capacity bytes of a structure
-// built inside a domain scope must match the allocator-counted live
-// bytes of that domain within a small tolerance (the allocator side
-// additionally sees short-lived scratch vectors; the capacity side is
-// a subset of what was requested).
-TEST(MemProfileTest, SelfMeasurementMatchesDomainLiveBytes) {
-  if (!obs::MemProfileCompiled()) {
-    GTEST_SKIP() << "FIM_MEM_PROFILE not compiled in";
-  }
-  const auto domain_live = [](obs::MemDomain domain) {
-    return obs::SnapshotMemProfile()
-        .domains[static_cast<std::size_t>(domain)]
-        .live_bytes;
-  };
-  const std::uint64_t before = domain_live(obs::MemDomain::kIstaTree);
-  auto* tree = [] {
-    obs::MemDomainScope scope(obs::MemDomain::kIstaTree);
-    auto* t = new IstaPrefixTree(64);
-    for (ItemId base = 0; base < 32; ++base) {
-      t->AddTransaction(std::vector<ItemId>{base, ItemId(base + 8),
-                                            ItemId(base + 16)});
-    }
-    return t;
-  }();
-  const std::uint64_t after = domain_live(obs::MemDomain::kIstaTree);
-  const std::uint64_t tracked = after - before;
-  const std::size_t measured = tree->ApproxMemoryUsage().TotalBytes();
-  // The tracker additionally counts the IstaPrefixTree object itself and
-  // any live scratch; the capacity sum must cover the bulk of it.
-  EXPECT_LE(measured, tracked);
-  EXPECT_GE(measured + 4096, tracked * 8 / 10)
-      << "measured " << measured << " vs tracked " << tracked;
-  {
-    obs::MemDomainScope scope(obs::MemDomain::kIstaTree);
-    delete tree;
-  }
-  // Frees are attributed to the allocating domain: the domain returns
-  // to its starting live count no matter where the delete ran.
-  EXPECT_EQ(domain_live(obs::MemDomain::kIstaTree), before);
-}
-
-TEST(MemProfileTest, ScopeNestingRestoresPreviousTag) {
-  if (!obs::MemProfileCompiled()) {
-    GTEST_SKIP() << "FIM_MEM_PROFILE not compiled in";
-  }
-  const auto reader_live = [] {
-    return obs::SnapshotMemProfile()
-        .domains[static_cast<std::size_t>(obs::MemDomain::kReader)]
-        .live_bytes;
-  };
-  const std::uint64_t before = reader_live();
-  std::vector<char>* block = nullptr;
-  {
-    obs::MemDomainScope outer(obs::MemDomain::kReader);
-    {
-      obs::MemDomainScope inner(obs::MemDomain::kRecode);
-      // Allocations here belong to kRecode, not kReader.
-    }
-    block = new std::vector<char>(1 << 14);
-  }
-  EXPECT_GE(reader_live(), before + (1 << 14));
-  delete block;
-  EXPECT_EQ(reader_live(), before);
 }
 
 // --- report assembly and rendering ------------------------------------
@@ -296,10 +275,6 @@ TEST(MemoryReportTest, JsonSectionParsesAndSumsConsistently) {
   }
   EXPECT_EQ(first.Find("total_bytes")->AsNumber(),
             first.Find("self_bytes")->AsNumber() + child_total);
-  // The profile member is the object or null, never absent.
-  const obs::JsonValue* profile = section->Find("profile");
-  ASSERT_NE(profile, nullptr);
-  EXPECT_EQ(profile->is_object(), obs::MemProfileCompiled());
 }
 
 TEST(MemoryReportTest, TextRenderingShowsBreakdownTree) {

@@ -1,11 +1,13 @@
 // Tests of the observability subsystem: span nesting and aggregation,
 // JSON writer/parser round-trips, the MinerStats snapshot, the stats
-// report renderers, and — the core contract — that requesting stats or
-// a trace never changes any miner's output at any thread count.
+// report renderers, the miners' own count of their kernel work, and —
+// the core contract — that requesting stats or a trace never changes
+// any miner's output at any thread count.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -336,10 +338,94 @@ TEST(OutputNeutralityTest, ParallelIstaFillsIntersectionCounters) {
   EXPECT_EQ(stats.sets_reported, result.value().size());
 }
 
+// --- kernel work -----------------------------------------------------
+
+MinerStats MineWithStats(const TransactionDatabase& db, Algorithm algorithm,
+                         Support min_support,
+                         std::size_t switch_max_items = 24) {
+  MinerOptions options;
+  options.algorithm = algorithm;
+  options.min_support = min_support;
+  options.switch_max_items = switch_max_items;
+  MinerStats stats;
+  EXPECT_TRUE(MineClosed(db, options, [](auto, auto) {}, &stats).ok())
+      << AlgorithmName(algorithm);
+  return stats;
+}
+
+// The miners that call a kernel count each call in their own stats; the
+// others report none.
+TEST(KernelWorkTest, CountedByTheMinersThatCallKernels) {
+  const TransactionDatabase db = GenerateRandomDense(40, 16, 0.4, 29);
+  for (const Algorithm algorithm :
+       {Algorithm::kCarpenterTable, Algorithm::kCharm,
+        Algorithm::kTransposed, Algorithm::kFlatCumulative}) {
+    const MinerStats stats = MineWithStats(db, algorithm, 3);
+    EXPECT_GT(stats.kernel_calls, 0u) << AlgorithmName(algorithm);
+    EXPECT_GE(stats.kernel_elements_in, stats.kernel_elements_out)
+        << AlgorithmName(algorithm);
+  }
+  // One intersection per extension check, and one per stored set.
+  const MinerStats charm = MineWithStats(db, Algorithm::kCharm, 3);
+  EXPECT_EQ(charm.kernel_calls, charm.extension_checks);
+  const MinerStats flat = MineWithStats(db, Algorithm::kFlatCumulative, 3);
+  EXPECT_EQ(flat.kernel_calls, flat.isect_steps);
+
+  // Cobbler switching at the root intersects every row with the item set
+  // of the root, once.
+  const MinerStats cobbler =
+      MineWithStats(db, Algorithm::kCobbler, 3, /*switch_max_items=*/1000);
+  ASSERT_GE(cobbler.weighted_transactions, 8u);
+  EXPECT_EQ(cobbler.column_switches, 1u);
+  EXPECT_EQ(cobbler.kernel_calls, cobbler.weighted_transactions);
+  EXPECT_GE(cobbler.kernel_elements_in, cobbler.kernel_elements_out);
+
+  for (const Algorithm algorithm :
+       {Algorithm::kIsta, Algorithm::kLcm, Algorithm::kFpClose,
+        Algorithm::kCarpenterLists}) {
+    const MinerStats stats = MineWithStats(db, algorithm, 3);
+    EXPECT_EQ(stats.kernel_calls, 0u) << AlgorithmName(algorithm);
+    EXPECT_EQ(stats.kernel_elements_in, 0u) << AlgorithmName(algorithm);
+    EXPECT_EQ(stats.kernel_elements_out, 0u) << AlgorithmName(algorithm);
+  }
+}
+
+// Two runs on two threads at once each count their own kernel work
+// only: the same counts as alone.
+TEST(KernelWorkTest, ConcurrentRunsCountOnlyTheirOwnWork) {
+  const TransactionDatabase db = GenerateRandomDense(120, 40, 0.3, 31);
+  const Algorithm algorithms[] = {Algorithm::kCarpenterTable,
+                                  Algorithm::kCharm};
+  MinerStats solo[2];
+  for (int k = 0; k < 2; ++k) solo[k] = MineWithStats(db, algorithms[k], 4);
+  ASSERT_GT(solo[0].kernel_calls, 0u);
+  ASSERT_GT(solo[1].kernel_calls, 0u);
+  for (int round = 0; round < 3; ++round) {
+    MinerStats together[2];
+    std::latch start(2);
+    std::vector<std::thread> threads;
+    for (int k = 0; k < 2; ++k) {
+      threads.emplace_back([&, k] {
+        start.arrive_and_wait();
+        together[k] = MineWithStats(db, algorithms[k], 4);
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (int k = 0; k < 2; ++k) {
+      const char* name = AlgorithmName(algorithms[k]);
+      EXPECT_EQ(together[k].kernel_calls, solo[k].kernel_calls) << name;
+      EXPECT_EQ(together[k].kernel_elements_in, solo[k].kernel_elements_in)
+          << name;
+      EXPECT_EQ(together[k].kernel_elements_out, solo[k].kernel_elements_out)
+          << name;
+    }
+  }
+}
+
 // --- annotated synchronization ---------------------------------------
 
-// Same contract style as the kernel counter registry's internals: the
-// helper demands the registry-rank mutex via FIM_REQUIRES, so the
+// Same contract style as MemoryBreakdown's internals: the helper demands
+// a mutex of the breakdown's leaf rank via FIM_REQUIRES, so the
 // FIM_THREAD_SAFETY CI job rejects any call site that forgot the lock.
 // The mutex is named only by the annotation, which gcc does not read.
 void AppendHolding([[maybe_unused]] Mutex& mutex, std::vector<int>& log,
@@ -348,7 +434,7 @@ void AppendHolding([[maybe_unused]] Mutex& mutex, std::vector<int>& log,
 }
 
 TEST(SyncTest, RequiresAnnotatedHelperUnderRegistryRankMutex) {
-  Mutex mutex(LockRank::kKernelCounters, "obs-helper");
+  Mutex mutex(LockRank::kMemoryBreakdown, "obs-helper");
   std::vector<int> log;
   std::vector<std::thread> threads;
   threads.reserve(4);

@@ -53,6 +53,21 @@ TEST(ResultIoTest, ParseRejectsValuesPastTheirRange) {
   EXPECT_EQ(widest.value()[0].support, 4294967295u);
 }
 
+// A set holds an item once: a line that repeats one is an error naming
+// the line and the item, not a set with the repeat dropped. Items in
+// another order still parse, ascending.
+TEST(ResultIoTest, ParseRejectsARepeatedItem) {
+  auto repeated = ParseClosedSets("0 1 (2)\n3 0 3 (3)\n");
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(repeated.status().message(), "line 2: item 3 repeats");
+  EXPECT_EQ(ParseClosedSets("0 0 (3)\n").status().message(),
+            "line 1: item 0 repeats");
+  auto unordered = ParseClosedSets("7 2 5 (4)\n");
+  ASSERT_TRUE(unordered.ok()) << unordered.status().ToString();
+  EXPECT_EQ(unordered.value()[0].items, (std::vector<ItemId>{2, 5, 7}));
+}
+
 TEST(ResultIoTest, EmptyItemsAllowedOnParse) {
   // "(4)" parses as the empty set with support 4 (tools may emit it for
   // diagnostic purposes); the miners themselves never produce it.

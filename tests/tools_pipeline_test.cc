@@ -748,6 +748,71 @@ TEST(ToolsPipelineTest, OutOfRangeIdsAndSupportsAreRejected) {
   EXPECT_EQ(ReadText(stream_err), ReadText(mine_err));
 }
 
+// A set holds an item once: fim-verify fails on a result line that
+// repeats one, naming the line and the item, where dropping the repeat
+// made this file pass for the honest "0 (3)" / "0 1 (2)".
+TEST(ToolsPipelineTest, VerifyRejectsARepeatedItem) {
+  const std::string data = TempPath("pipeline_repeat.fimi");
+  WriteText(data, "0 1\n0 1\n0 2\n");
+  const std::string result = TempPath("pipeline_repeat.txt");
+  WriteText(result, "0 0 (3)\n0 1 (2)\n");
+  const std::string err = TempPath("pipeline_repeat.err");
+  EXPECT_EQ(ExitCode(std::string(FIM_VERIFY_BINARY) + " -s 2 " + data + " " +
+                     result + " >/dev/null 2>" + err),
+            1);
+  EXPECT_NE(ReadText(err).find("line 1: item 0 repeats"), std::string::npos)
+      << ReadText(err);
+}
+
+// Real-valued flags and the thread count are checked against the ranges
+// the usage texts give: a value outside is a usage error (exit 2) before
+// any work — "nan" passed the old `scale <= 0` test and crashed fim-gen,
+// "abc" mined at confidence 0. The thread counts are rejected before a
+// thread starts, on a two-row input.
+TEST(ToolsPipelineTest, NumericFlagsOutsideTheirRangeAreUsageErrors) {
+  const std::string data = TempPath("pipeline_flags.fimi");
+  WriteText(data, "0 1\n0 1\n");
+  const std::string matrix = TempPath("pipeline_flags.tsv");
+  ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p expression -c 0.02 " +
+                   matrix + " 2>/dev/null"),
+            0);
+  const std::string quiet = " >/dev/null 2>&1";
+  const std::string gen_out = TempPath("pipeline_flags_gen.fimi");
+  for (const char* scale : {"nan", "abc", "0", "-1", "1.5", "1e9", "inf"}) {
+    EXPECT_EQ(ExitCode(std::string(FIM_GEN_BINARY) + " -p basket -c " +
+                       scale + " " + gen_out + quiet),
+              2)
+        << "fim-gen -c " << scale;
+  }
+  const std::string rules = std::string(FIM_RULES_BINARY) + " -s 1 ";
+  for (const char* confidence : {"abc", "nan", "-0.1", "1.5", "inf"}) {
+    EXPECT_EQ(ExitCode(rules + "-c " + confidence + " " + data +
+                       " /dev/null" + quiet),
+              2)
+        << "fim-rules -c " << confidence;
+  }
+  EXPECT_EQ(ExitCode(rules + "-c 0.5 " + data + " /dev/null" + quiet), 0);
+  const std::string discretize = std::string(FIM_DISCRETIZE_BINARY) + " ";
+  const std::string discretized = TempPath("pipeline_flags_disc.fimi");
+  for (const char* flag :
+       {"-o nan", "-o inf", "-o abc", "-u nan", "-u -inf", "-u 1x",
+        "-Q abc", "-Q nan", "-Q 0", "-Q 0.5", "-Q -0.1"}) {
+    EXPECT_EQ(ExitCode(discretize + flag + " " + matrix + " " + discretized +
+                       quiet),
+              2)
+        << "fim-discretize " << flag;
+  }
+  EXPECT_EQ(ExitCode(discretize + "-Q 0.1 " + matrix + " " + discretized +
+                     quiet),
+            0);
+  for (const char* threads : {"1025", "4294967295"}) {
+    EXPECT_EQ(ExitCode(std::string(FIM_MINE_BINARY) + " -t " + threads +
+                       " " + data + " /dev/null" + quiet),
+              2)
+        << "fim-mine -t " << threads;
+  }
+}
+
 TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsRusage) {
   const std::string data = TempPath("pipeline_prof.fimi");
   ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p basket -c 0.02 -r 53 " +

@@ -27,8 +27,8 @@ namespace {
 
 void Usage() {
   std::fprintf(stderr,
-               "usage: fim-discretize [-o over] [-u under] [-t] input.tsv "
-               "output.fimi\n");
+               "usage: fim-discretize [-o over] [-u under] [-Q tail] [-t] "
+               "input.tsv output.fimi\n");
 }
 
 }  // namespace
@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   auto orientation = ExpressionOrientation::kGenesAsTransactions;
   std::string input;
   std::string output;
+  const auto finite = [](double) { return true; };  // ParseReal checks it
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -53,11 +54,12 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(arg, "-o") == 0) {
-      over = std::atof(next_value());
+      over = tools::ParseReal("-o", next_value(), "a finite number", finite);
     } else if (std::strcmp(arg, "-u") == 0) {
-      under = std::atof(next_value());
+      under = tools::ParseReal("-u", next_value(), "a finite number", finite);
     } else if (std::strcmp(arg, "-Q") == 0) {
-      quantile = std::atof(next_value());
+      quantile = tools::ParseReal("-Q", next_value(), "a fraction in (0, 0.5)",
+                                  [](double v) { return v > 0.0 && v < 0.5; });
     } else if (std::strcmp(arg, "-t") == 0) {
       orientation = ExpressionOrientation::kConditionsAsTransactions;
     } else if (std::strcmp(arg, "-h") == 0 ||

@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "-p") == 0) {
       profile = next_value();
     } else if (std::strcmp(arg, "-c") == 0) {
-      scale = std::atof(next_value());
+      scale = tools::ParseReal("-c", next_value(), "a scale in (0, 1]",
+                               [](double v) { return v > 0.0 && v <= 1.0; });
     } else if (std::strcmp(arg, "-r") == 0) {
       seed = tools::ParseCount<uint64_t>("-r", next_value());
     } else if (std::strcmp(arg, "-b") == 0) {
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (output.empty() || scale <= 0.0) {
+  if (output.empty()) {
     Usage();
     return 2;
   }

@@ -11,8 +11,8 @@
 //   -s N      absolute minimum support            (default: 2)
 //   -S P      relative minimum support in percent (overrides -s)
 //   -t N      worker threads of every algorithm's recoding, and of
-//             lcm's mining; output is identical to the sequential
-//             run                                 (default: 1)
+//             lcm's mining, at most 1024; output is identical to the
+//             sequential run                      (default: 1)
 //   -m        report only maximal frequent item sets
 //   -q        quiet: no stats on stderr
 //   --stats[=text|json]
@@ -114,8 +114,9 @@ int main(int argc, char** argv) {
       percent = tools::ParsePercent("-S", next_value());
     } else if (std::strcmp(arg, "-t") == 0) {
       num_threads = tools::ParseCount<unsigned>("-t", next_value());
-      if (num_threads < 1) {
-        std::fprintf(stderr, "error: -t needs a thread count >= 1\n");
+      if (num_threads < 1 || num_threads > tools::kMaxThreads) {
+        std::fprintf(stderr, "error: -t needs a thread count in [1, %u]\n",
+                     tools::kMaxThreads);
         return 2;
       }
     } else if (std::strcmp(arg, "-m") == 0) {

@@ -73,7 +73,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "-S") == 0) {
       percent = tools::ParsePercent("-S", next_value());
     } else if (std::strcmp(arg, "-c") == 0) {
-      min_confidence = std::atof(next_value());
+      min_confidence =
+          tools::ParseReal("-c", next_value(), "a confidence in [0, 1]",
+                           [](double v) { return v >= 0.0 && v <= 1.0; });
     } else if (std::strcmp(arg, "-k") == 0) {
       max_rules = tools::ParseCount<std::size_t>("-k", next_value());
     } else if (std::strcmp(arg, "-h") == 0 ||

@@ -15,8 +15,7 @@
 //                         compatible) on stderr or into PATH
 //   --mem-stats           collect the per-structure memory breakdown and
 //                         add the `memory` section to the stats report
-//                         (implies --stats; the allocation-domain table
-//                         appears only in FIM_MEM_PROFILE builds)
+//                         (implies --stats)
 //
 // Tools parse them through ObsFlags::Parse and run them through a
 // ProfileSession + EmitStatsReport / EmitChromeTrace so the behaviour
@@ -66,38 +65,45 @@ T ParseCount(const char* flag, const char* text) {
   return static_cast<T>(value);
 }
 
-/// Parses a relative minimum support in percent: the whole of `text`
-/// must be a number in [0, 100]. Exits with status 2 otherwise, like
-/// ParseCount.
-inline double ParsePercent(const char* flag, const char* text) {
+/// Parses a real-valued flag: the whole of `text` must be a finite
+/// number that a double holds (no overflow or underflow) for which
+/// `in_range` holds; `range` names the range in the error message.
+/// Exits with status 2 otherwise, like ParseCount — std::atof reports
+/// no error, so "nan" would pass every `<=` test and "abc" would read
+/// as 0.
+template <typename InRange>
+double ParseReal(const char* flag, const char* text, const char* range,
+                 InRange in_range) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text, &end);
-  if (errno == ERANGE || end == text || *end != '\0' || !(value >= 0.0) ||
-      value > 100.0) {
-    std::fprintf(stderr,
-                 "error: %s expects a percentage in [0, 100], got \"%s\"\n",
-                 flag, text);
+  if (errno == ERANGE || end == text || *end != '\0' ||
+      !std::isfinite(value) || !in_range(value)) {
+    std::fprintf(stderr, "error: %s expects %s, got \"%s\"\n", flag, range,
+                 text);
     std::exit(2);
   }
   return value;
 }
 
-/// Parses a tolerance, scale or time limit: the whole of `text` must be
-/// a finite number >= 0 (strtod turns an overflow into infinity).
-/// Exits with status 2 otherwise, like ParseCount — "nan" or "1e999"
-/// would switch a gate off, and "abc" would silently read as 0.
-inline double ParseNonNegative(const char* flag, const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
-    std::fprintf(stderr,
-                 "error: %s expects a finite number >= 0, got \"%s\"\n",
-                 flag, text);
-    std::exit(2);
-  }
-  return value;
+/// Parses a relative minimum support in percent, in [0, 100].
+inline double ParsePercent(const char* flag, const char* text) {
+  return ParseReal(flag, text, "a percentage in [0, 100]",
+                   [](double v) { return v >= 0.0 && v <= 100.0; });
 }
+
+/// Parses a tolerance, scale or time limit: a finite number >= 0 ("nan"
+/// or "1e999" would switch a gate off).
+inline double ParseNonNegative(const char* flag, const char* text) {
+  return ParseReal(flag, text, "a finite number >= 0",
+                   [](double v) { return v >= 0.0; });
+}
+
+/// The most threads a tool may be asked for. The recoding starts one
+/// thread per chunk, min(threads, rows) of them, so a larger count
+/// would start that many threads on a large input; every caller in the
+/// repository uses at most 8.
+inline constexpr unsigned kMaxThreads = 1024;
 
 /// True when `arg` is spelled like a flag (a leading '-', other than "-"
 /// for stdin / stdout); then it also prints an error naming it. Tools
@@ -256,9 +262,9 @@ class MemSession {
     return enabled_ ? &breakdown_ : nullptr;
   }
 
-  /// Assembles the `memory` stats section (breakdown + RSS coverage +
-  /// allocation-domain snapshot). Returns nullptr without --mem-stats;
-  /// the pointer stays valid for the session's lifetime.
+  /// Assembles the `memory` stats section (breakdown + RSS coverage).
+  /// Returns nullptr without --mem-stats; the pointer stays valid for
+  /// the session's lifetime.
   const obs::MemoryReport* Finish() {
     if (!enabled_) return nullptr;
     report_ = obs::BuildMemoryReport(breakdown_);
