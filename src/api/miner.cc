@@ -4,11 +4,9 @@
 #include "obs/timeline.h"
 
 #include "carpenter/carpenter.h"
-#include "carpenter/cobbler.h"
 #include "cumulative/flat_cumulative.h"
 #include "enumeration/charm.h"
 #include "enumeration/fpclose.h"
-#include "enumeration/transposed.h"
 #include "enumeration/lcm.h"
 #include "ista/ista.h"
 
@@ -30,10 +28,6 @@ const char* AlgorithmName(Algorithm algorithm) {
       return "lcm";
     case Algorithm::kCharm:
       return "charm";
-    case Algorithm::kTransposed:
-      return "transposed";
-    case Algorithm::kCobbler:
-      return "cobbler";
   }
   return "unknown";
 }
@@ -50,8 +44,7 @@ const std::vector<Algorithm>& AllAlgorithms() {
       Algorithm::kIsta,          Algorithm::kCarpenterLists,
       Algorithm::kCarpenterTable, Algorithm::kFlatCumulative,
       Algorithm::kFpClose,       Algorithm::kLcm,
-      Algorithm::kCharm,         Algorithm::kTransposed,
-      Algorithm::kCobbler,
+      Algorithm::kCharm,
   };
   return all;
 }
@@ -67,31 +60,21 @@ using MinerCore = void (*)(WeightedTransactions rows, std::size_t num_items,
                            MinerStats* stats, obs::Trace* trace);
 
 /// How an algorithm's weighted stream is built, and the core that mines
-/// it (docs/ALGORITHMS.md gives the reasons for each order). The rows
-/// come from ApplyRecodingWeighted, or with `fold_first` from FoldRows
-/// and then RecodeTables, which keeps the order of first occurrence.
+/// it (docs/ALGORITHMS.md gives the reasons for each order). A database's
+/// transactions are folded under FoldFor(transaction_order) in one chunk
+/// per thread, or with `fold_by_hash` by hash in one chunk, which keeps
+/// the order of first occurrence; RecodeTables then builds the rows.
 struct Recipe {
   MinerCore core;
   ItemOrder item_order;
   bool drop_infrequent;  // the items below min_support, up front (§3.2)
   TransactionOrder transaction_order;
-  bool fold_first;
+  bool fold_by_hash;
 
   Support min_item_support(const MinerOptions& options) const {
     return drop_infrequent ? options.min_support : 1;
   }
 };
-
-// Carpenter with tid lists (paper §3.1.1) is Cobbler without the column
-// switch.
-void MineCarpenterLists(WeightedTransactions rows, std::size_t num_items,
-                        const MinerOptions& options,
-                        const ClosedSetCallback& callback, MinerStats* stats,
-                        obs::Trace* trace) {
-  MinerOptions lists = options;
-  lists.switch_max_items = 0;
-  MineCobbler(std::move(rows), num_items, lists, callback, stats, trace);
-}
 
 /// The checks both entry points make before any work, and the reset of
 /// `*stats`: the recipe of `options`, or InvalidArgument for a support of
@@ -111,8 +94,6 @@ Result<Recipe> Prepare(const MinerOptions& options, MinerStats* stats) {
       return Recipe{MineCarpenterTable, item_order, elimination, order, false};
     case Algorithm::kCarpenterLists:
       return Recipe{MineCarpenterLists, item_order, elimination, order, false};
-    case Algorithm::kCobbler:
-      return Recipe{MineCobbler, item_order, elimination, order, false};
     case Algorithm::kFlatCumulative:
       return Recipe{MineFlatCumulative, ItemOrder::kNone, elimination, order,
                     false};
@@ -125,15 +106,31 @@ Result<Recipe> Prepare(const MinerOptions& options, MinerStats* stats) {
     case Algorithm::kFpClose:
       return Recipe{MineFpClose, ItemOrder::kFrequencyDescending, true,
                     TransactionOrder::kNone, true};
-    case Algorithm::kTransposed:
-      return Recipe{MineTransposed, ItemOrder::kNone, false,
-                    TransactionOrder::kNone, true};
   }
   return Status::InvalidArgument("unknown algorithm");
 }
 
 obs::TimelineLane* DriverLane(const MinerOptions& options) {
   return options.timeline != nullptr ? options.timeline->driver() : nullptr;
+}
+
+/// The input stage both entry points share once the input is folded into
+/// tables of weighted raw rows: the item codes from the tables' weighted
+/// item counts (span "recode"), then the rows mapped, folded across the
+/// tables and ordered (span "dedup").
+WeightedTransactions RecodeRows(
+    const Recipe& recipe, std::span<const WeightedTransactions* const> tables,
+    std::size_t num_items, const MinerOptions& options, obs::Trace* trace,
+    Recoding* recoding) {
+  obs::TimelineLane* const lane = DriverLane(options);
+  obs::Phase recode_phase(trace, lane, "recode");
+  *recoding = ComputeRecoding(tables, num_items, recipe.item_order,
+                              recipe.min_item_support(options));
+  recode_phase.End();
+
+  obs::Phase dedup_phase(trace, lane, "dedup");
+  return RecodeTables(tables, *recoding, recipe.transaction_order,
+                      options.num_threads, options.timeline);
 }
 
 /// The stage both entry points share once the stream is built: records
@@ -177,26 +174,23 @@ Status MineClosed(const TransactionDatabase& db, const MinerOptions& options,
   obs::TimelineLane* const lane = DriverLane(options);
   obs::Phase mine_phase(trace, lane, "mine");
 
-  // Item codes, with the items that cannot occur in any frequent set
-  // dropped (paper §3.2, §3.4).
-  obs::Phase recode_phase(trace, lane, "recode");
-  const Recoding recoding = ComputeRecoding(db, recipe.item_order,
-                                            recipe.min_item_support(options));
-  recode_phase.End();
-
-  // Maps, folds and orders in one pass that copies only distinct rows.
-  obs::Phase dedup_phase(trace, lane, "dedup");
+  // The transactions are folded first, so the database is read once: the
+  // item counts and the mapping read only the folded rows. The folded
+  // tables are freed before the core runs.
+  Recoding recoding;
   WeightedTransactions rows = [&] {
-    if (!recipe.fold_first) {
-      return ApplyRecodingWeighted(db, recoding, recipe.transaction_order,
-                                   options.num_threads, options.timeline);
-    }
-    const WeightedTransactions folded = FoldRows(db);
-    const WeightedTransactions* const tables[] = {&folded};
-    return RecodeTables(tables, recoding, recipe.transaction_order,
-                        options.num_threads, options.timeline);
+    obs::Phase fold_phase(trace, lane, "dedup");
+    const std::vector<WeightedTransactions> folded =
+        recipe.fold_by_hash
+            ? FoldRows(db)
+            : FoldRows(db, FoldFor(recipe.transaction_order),
+                       options.num_threads, options.timeline);
+    fold_phase.End();
+    std::vector<const WeightedTransactions*> tables;
+    for (const WeightedTransactions& table : folded) tables.push_back(&table);
+    return RecodeRows(recipe, tables, db.NumItems(), options, trace,
+                      &recoding);
   }();
-  dedup_phase.End();
   MineRows(recipe, recoding, std::move(rows), options, callback, stats, trace);
   return Status::OK();
 }
@@ -211,18 +205,9 @@ Status MineClosed(std::span<const WeightedTransactions* const> tables,
     return status;
   }
   const Recipe& recipe = prepared.value();
-
-  obs::TimelineLane* const lane = DriverLane(options);
-  obs::Phase recode_phase(trace, lane, "recode");
-  const Recoding recoding = ComputeRecoding(
-      tables, num_items, recipe.item_order, recipe.min_item_support(options));
-  recode_phase.End();
-
-  obs::Phase dedup_phase(trace, lane, "dedup");
+  Recoding recoding;
   WeightedTransactions rows =
-      RecodeTables(tables, recoding, recipe.transaction_order,
-                   options.num_threads, options.timeline);
-  dedup_phase.End();
+      RecodeRows(recipe, tables, num_items, options, trace, &recoding);
   MineRows(recipe, recoding, std::move(rows), options, callback, stats, trace);
   return Status::OK();
 }

@@ -31,10 +31,6 @@ enum class Algorithm {
   kFpClose,         // item set enumeration via FP-growth (baseline)
   kLcm,             // item set enumeration via closure extension (baseline)
   kCharm,           // item set enumeration via tidset properties (baseline)
-  kTransposed,      // closed tid sets over the transpose, mapped back
-                    // through the Galois bijection (Rioult et al. [17])
-  kCobbler,         // Carpenter rows with column-enumeration switch-over
-                    // (Pan et al., SSDBM'04)
 };
 
 /// Stable lower-case name ("ista", "carpenter-lists", ...).
@@ -57,15 +53,15 @@ struct MinerOptions {
 
   /// §3.1.1/§3.2 item elimination for the intersection miners: drop the
   /// items below min_support up front, and prune IsTa's repository and
-  /// Carpenter's and Cobbler's intersections. Never changes the output.
+  /// Carpenter's intersections. Never changes the output.
   bool item_elimination = true;
 
   /// §3.4 orders for the intersection miners.
   ItemOrder item_order = ItemOrder::kFrequencyAscending;
   TransactionOrder transaction_order = TransactionOrder::kSizeAscending;
 
-  /// Threads of every algorithm's recoding (ApplyRecodingWeighted's chunks
-  /// and RecodeTables' mapping); LCM also fans out first-level subtrees.
+  /// Threads of every algorithm's input stage (FoldRows' chunks and
+  /// RecodeTables' mapping); LCM also fans out first-level subtrees.
   /// The other miners mine on the calling thread. Output is identical to
   /// the sequential run for every thread count.
   unsigned num_threads = 1;
@@ -73,13 +69,6 @@ struct MinerOptions {
   /// IsTa: the repository is pruned when its node count exceeds this
   /// threshold (the threshold then doubles). Only with item_elimination.
   std::size_t prune_node_threshold = std::size_t{1} << 16;
-
-  /// Cobbler: switch from row to column enumeration when the current
-  /// intersection has at most `switch_max_items` items and at least
-  /// `switch_min_rows` transactions remain. 0 disables the switch (pure
-  /// Carpenter, which is how MineClosed runs kCarpenterLists).
-  std::size_t switch_max_items = 24;
-  std::size_t switch_min_rows = 8;
 
   /// Optional per-thread event timeline (obs/timeline.h): the driving
   /// thread records its phases on the timeline's driver lane and every
@@ -109,19 +98,21 @@ struct MinerOptions {
 /// frequent item set exactly once, items ascending by original id; the
 /// empty set is never reported. InvalidArgument for min_support == 0.
 ///
-/// The input stage is the same for every algorithm: item codes (§3.4)
-/// with the infrequent items dropped (§3.2), then the transactions
-/// mapped, folded into distinct weighted rows and ordered
-/// (WeightedTransactions, data/recode.h). The algorithm's recipe fixes
-/// the code order, whether items are dropped and the row order
+/// The input stage is the same for every algorithm and reads the
+/// database once: the transactions folded into tables of weighted raw
+/// rows (FoldRows, data/recode.h), item codes (§3.4) from the rows'
+/// weighted item counts with the infrequent items dropped (§3.2), then
+/// the rows mapped, folded across the tables and ordered
+/// (WeightedTransactions, RecodeTables). The algorithm's recipe fixes
+/// the fold, the code order, whether items are dropped and the row order
 /// (docs/ALGORITHMS.md); its core then mines the rows, and the sets it
 /// reports are decoded back to the input item ids.
 ///
 /// `stats` (optional) receives the uniform MinerStats snapshot — every
 /// algorithm fills the fields of its family (see obs/miner_stats.h and
 /// docs/OBSERVABILITY.md) plus weighted_transactions and sets_reported.
-/// `trace` (optional) receives phase spans: a "mine" span with "recode"
-/// (item codes) and "dedup" (mapping, folding and ordering the rows)
+/// `trace` (optional) receives phase spans: a "mine" span with "dedup"
+/// (folding, mapping and ordering the rows) and "recode" (item codes)
 /// below it for every algorithm, and IsTa's "shard-mine" and "report"
 /// after them. Instrumentation is output-neutral: the mined sets and
 /// their order are bit-identical whether stats/trace are requested or
@@ -132,12 +123,12 @@ Status MineClosed(const TransactionDatabase& db, const MinerOptions& options,
 
 /// MineClosed over the transactions that tables of weighted input rows
 /// stand for, each table folded under FoldFor of the recipe's row order
-/// (data/recode.h): the panes of a stream miner, or the conditional rows
-/// Cobbler hands to LCM. The item codes come from the weighted item
-/// counts (ComputeRecoding over tables), and the rows from RecodeTables,
-/// the stages of ApplyRecodingWeighted after its chunk prefold, so the
-/// output equals MineClosed's over those transactions. Opens "recode"
-/// and "dedup" below the caller's innermost span, and no "mine" span.
+/// (data/recode.h), such as the panes of a stream miner. It runs the
+/// stages that follow the fold in MineClosed(db, …): the item codes from
+/// the weighted item counts (ComputeRecoding over tables), then the rows
+/// from RecodeTables, so the output equals MineClosed's over those
+/// transactions. Opens "recode" and "dedup" below the caller's innermost
+/// span, and no "mine" span.
 /// Item ids must be < `num_items` (InvalidArgument otherwise), and the
 /// weights must sum to at most the Support limit (OutOfRange otherwise).
 Status MineClosed(std::span<const WeightedTransactions* const> tables,

@@ -21,10 +21,20 @@ namespace fim {
 /// intersection as soon as it cannot reach min_support. The canonicity
 /// test of RowBitsets (row_bitsets.h) stands in for §3.1.1's repository
 /// of the intersections seen. `stats` receives nodes_visited and
-/// repo_hits (children the canonicity test prunes). The list variant
-/// (kCarpenterLists, §3.1.1) is Cobbler's core with the column switch
-/// off (cobbler.h).
+/// repo_hits (children the canonicity test prunes).
 void MineCarpenterTable(WeightedTransactions rows, std::size_t num_items,
+                        const MinerOptions& options,
+                        const ClosedSetCallback& callback, MinerStats* stats,
+                        obs::Trace* trace);
+
+/// The Carpenter lists core (paper §3.1.1), which MineClosed runs for
+/// Algorithm::kCarpenterLists: the same row enumeration, canonicity test
+/// and item elimination as the table core over the vertical
+/// representation, per item the ascending indices of the distinct rows
+/// that contain it plus per-branch cursors into them. A row's weight
+/// counts towards every support. `stats` receives nodes_visited and
+/// repo_hits.
+void MineCarpenterLists(WeightedTransactions rows, std::size_t num_items,
                         const MinerOptions& options,
                         const ClosedSetCallback& callback, MinerStats* stats,
                         obs::Trace* trace);

@@ -11,8 +11,8 @@
 
 namespace fim {
 
-/// The duplicate check of row enumeration (Carpenter table, Carpenter
-/// lists and Cobbler), as the canonicity test of CbO with rows in place
+/// The duplicate check of row enumeration (Carpenter table and Carpenter
+/// lists), as the canonicity test of CbO with rows in place
 /// of items. It holds, per item, a bitset of the distinct rows that
 /// contain it, and the cover of the current node: the rows it chose and
 /// absorbed along its path. Every row below the enumeration position

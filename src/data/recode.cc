@@ -261,10 +261,20 @@ void RowFolder::Grow() {
   }
 }
 
-WeightedTransactions FoldRows(const TransactionDatabase& db) {
-  RowFolder folder(RowFold::kHash);
-  for (const auto& transaction : db.transactions()) folder.Add(transaction, 1);
-  return folder.Take();
+std::vector<WeightedTransactions> FoldRows(const TransactionDatabase& db,
+                                           RowFold fold, unsigned num_chunks,
+                                           obs::Timeline* timeline) {
+  const auto& transactions = db.transactions();
+  std::vector<WeightedTransactions> chunks(std::max<std::size_t>(
+      std::min<std::size_t>(num_chunks, transactions.size()), 1));
+  RunChunks(chunks.size(), timeline, "prefold", [&](std::size_t c) {
+    const std::size_t begin = c * transactions.size() / chunks.size();
+    const std::size_t end = (c + 1) * transactions.size() / chunks.size();
+    RowFolder inputs(fold);
+    for (std::size_t t = begin; t < end; ++t) inputs.Add(transactions[t], 1);
+    chunks[c] = inputs.Take();
+  });
+  return chunks;
 }
 
 WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
@@ -272,18 +282,8 @@ WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
                                            TransactionOrder transaction_order,
                                            unsigned num_threads,
                                            obs::Timeline* timeline) {
-  const auto& transactions = db.transactions();
-  const std::size_t num_chunks = std::max<std::size_t>(
-      std::min<std::size_t>(num_threads, transactions.size()), 1);
-  const RowFold fold = FoldFor(transaction_order);
-  std::vector<WeightedTransactions> chunks(num_chunks);
-  RunChunks(num_chunks, timeline, "prefold", [&](std::size_t c) {
-    const std::size_t begin = c * transactions.size() / num_chunks;
-    const std::size_t end = (c + 1) * transactions.size() / num_chunks;
-    RowFolder inputs(fold);
-    for (std::size_t t = begin; t < end; ++t) inputs.Add(transactions[t], 1);
-    chunks[c] = inputs.Take();
-  });
+  const std::vector<WeightedTransactions> chunks =
+      FoldRows(db, FoldFor(transaction_order), num_threads, timeline);
   std::vector<const WeightedTransactions*> tables;
   for (const WeightedTransactions& chunk : chunks) tables.push_back(&chunk);
   return RecodeTables(tables, recoding, transaction_order, num_threads,

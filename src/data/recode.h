@@ -148,10 +148,17 @@ class RowFolder {
   std::vector<std::size_t> slots_;     // held row + 1; 0 = empty
 };
 
-/// The transactions of `db` folded by hash into one table of raw rows
-/// (input item ids): every distinct transaction once, in the order of its
-/// first occurrence, weighted by its count.
-WeightedTransactions FoldRows(const TransactionDatabase& db);
+/// The transactions of `db` as tables of raw rows (input item ids), the
+/// tables RecodeTables takes: cut into `num_chunks` runs of consecutive
+/// transactions (at least one run, at most one per transaction), each
+/// folded by a RowFolder under `fold` into one table (under kHash every
+/// distinct row once, in the order of its first occurrence, weighted by
+/// its count). Timeline span "prefold"; with more than one chunk each is
+/// folded on a thread of its own, on lane "recode-prefold-N".
+std::vector<WeightedTransactions> FoldRows(const TransactionDatabase& db,
+                                           RowFold fold = RowFold::kHash,
+                                           unsigned num_chunks = 1,
+                                           obs::Timeline* timeline = nullptr);
 
 /// The weighted transaction stream every closed miner mines. Items are
 /// mapped through `recoding` (eliminated items dropped, codes ascending,
@@ -163,10 +170,9 @@ WeightedTransactions FoldRows(const TransactionDatabase& db);
 ///
 /// The database is cut into one chunk per thread (`num_threads`), and
 /// each chunk first folds its input rows under
-/// FoldFor(transaction_order): equal input rows map to equal rows, so
-/// only the distinct ones are mapped and sorted. RecodeTables does the rest. The
-/// result is identical for every thread count; with more than one thread
-/// the chunks record on timeline lanes "recode-prefold-N".
+/// FoldFor(transaction_order) (FoldRows): equal input rows map to equal
+/// rows, so only the distinct ones are mapped and sorted. RecodeTables
+/// does the rest. The result is identical for every thread count.
 WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
                                            const Recoding& recoding,
                                            TransactionOrder transaction_order,
@@ -175,14 +181,13 @@ WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
 
 /// The stages of ApplyRecodingWeighted after the chunk prefold, for any
 /// tables of raw rows that each hold distinct rows (under
-/// FoldFor(transaction_order)) with weights, in stream
-/// order: the chunks of ApplyRecodingWeighted, or the panes of a stream
-/// miner. Maps every table's rows through `recoding` and folds them
-/// (timeline span "map"; with `num_threads` > 1 the tables are shared
-/// out over that many threads, lanes "recode-map-N"), folds the mapped
-/// tables together in order ("fold"), and orders the distinct rows by
-/// `transaction_order` ("sort"). Rows that map to the empty set are
-/// dropped.
+/// FoldFor(transaction_order)) with weights, in stream order: the chunks
+/// of FoldRows, or the panes of a stream miner. Maps every table's rows
+/// through `recoding` and folds them (timeline span "map"; with
+/// `num_threads` > 1 the tables are shared out over that many threads,
+/// lanes "recode-map-N"), folds the mapped tables together in order
+/// ("fold"), and orders the distinct rows by `transaction_order`
+/// ("sort"). Rows that map to the empty set are dropped.
 WeightedTransactions RecodeTables(
     std::span<const WeightedTransactions* const> tables,
     const Recoding& recoding, TransactionOrder transaction_order,

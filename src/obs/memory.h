@@ -78,9 +78,8 @@ class MemoryBreakdown {
   std::size_t high_water_bytes_ FIM_GUARDED_BY(mutex_) = 0;
 };
 
-/// Heap bytes of a vector-of-vectors: the spine plus every row buffer.
-/// The shape shared by tid lists, transposed rows and the horizontal
-/// database.
+/// Heap bytes of a vector-of-vectors: the spine plus every row buffer,
+/// such as per-item tid lists.
 template <typename T>
 std::size_t NestedVectorBytes(const std::vector<std::vector<T>>& rows) {
   std::size_t bytes = rows.capacity() * sizeof(std::vector<T>);

@@ -14,7 +14,6 @@ void MinerStats::MergeFrom(const MinerStats& other) {
   nodes_visited += other.nodes_visited;
   repo_sets += other.repo_sets;
   repo_hits += other.repo_hits;
-  column_switches += other.column_switches;
   extension_checks += other.extension_checks;
   closure_checks += other.closure_checks;
   subsume_checks += other.subsume_checks;
@@ -38,7 +37,6 @@ std::vector<std::pair<const char*, std::uint64_t>> MinerStats::Counters()
       {"nodes_visited", nodes_visited},
       {"repo_sets", repo_sets},
       {"repo_hits", repo_hits},
-      {"column_switches", column_switches},
       {"extension_checks", extension_checks},
       {"closure_checks", closure_checks},
       {"subsume_checks", subsume_checks},

@@ -32,13 +32,12 @@ struct MinerStats {
   std::size_t weighted_transactions = 0;  // stream length after dedup
                                           // (every family)
 
-  // --- transaction-set enumeration family (Carpenter, Cobbler) ---------
-  std::size_t nodes_visited = 0;    // row-enumeration nodes expanded
-  std::size_t repo_sets = 0;        // flat cumulative: distinct sets stored
-  std::size_t repo_hits = 0;        // children the canonicity test prunes
-  std::size_t column_switches = 0;  // Cobbler row->column switch-overs
+  // --- transaction-set enumeration family (Carpenter table and lists) --
+  std::size_t nodes_visited = 0;  // row-enumeration nodes expanded
+  std::size_t repo_sets = 0;      // flat cumulative: distinct sets stored
+  std::size_t repo_hits = 0;      // children the canonicity test prunes
 
-  // --- item-set enumeration family (LCM, CHARM, FP-close, transposed) --
+  // --- item-set enumeration family (LCM, CHARM, FP-close) --------------
   std::size_t extension_checks = 0;   // candidate extensions examined
   std::size_t closure_checks = 0;     // closure computations / merges
   std::size_t subsume_checks = 0;     // subsumption comparisons
@@ -49,8 +48,8 @@ struct MinerStats {
   std::size_t sets_reported = 0;  // closed sets delivered to the callback
 
   // --- intersection kernels (src/kernels/, docs/PERFORMANCE.md): counted
-  //     by the miners that call them (Carpenter table, CHARM, transposed,
-  //     flat cumulative, Cobbler's column switch) through CountKernelCall.
+  //     by the miners that call them (Carpenter table, CHARM, flat
+  //     cumulative) through CountKernelCall.
   std::size_t kernel_calls = 0;         // kernel invocations
   std::size_t kernel_elements_in = 0;   // input elements streamed
   std::size_t kernel_elements_out = 0;  // result elements produced

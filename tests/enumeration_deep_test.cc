@@ -1,6 +1,5 @@
 // Hand-crafted behavioural tests of the enumeration-side miners: CHARM's
-// tidset-merge properties, the transposed miner's size look-ahead, and
-// FP-close's perfect-extension candidates.
+// tidset-merge properties and FP-close's perfect-extension candidates.
 
 #include <gtest/gtest.h>
 
@@ -56,28 +55,6 @@ TEST(CharmDeepTest, SubsetTidsetAbsorbsSupersetItems) {
           << ItemsToString(set.items);
     }
   }
-}
-
-TEST(TransposedDeepTest, SupportBecomesSizeConstraint) {
-  // Only sets of >= 3 transactions' worth of support survive; the
-  // transposed enumeration prunes everything smaller by size look-ahead.
-  const TransactionDatabase db = TransactionDatabase::FromTransactions(
-      {{0, 1}, {0, 1}, {0, 1}, {0, 2}, {2}});
-  const auto sets = Collect(Algorithm::kTransposed, db, 3);
-  auto expected = OracleClosedSets(db, 3);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(SameResults(expected.value(), sets))
-      << DiffResults(expected.value(), sets);
-  // Concretely: {0,1} supp 3 and {0} supp 4.
-  ASSERT_EQ(sets.size(), 2u);
-}
-
-TEST(TransposedDeepTest, HandlesItemOccurringNowhere) {
-  TransactionDatabase db = TransactionDatabase::FromTransactions({{0, 2}});
-  db.SetNumItems(10);  // items 3..9 never occur
-  const auto sets = Collect(Algorithm::kTransposed, db, 1);
-  ASSERT_EQ(sets.size(), 1u);
-  EXPECT_EQ(sets[0].items, (std::vector<ItemId>{0, 2}));
 }
 
 TEST(FpCloseDeepTest, PerfectExtensionsFoldIntoCandidates) {

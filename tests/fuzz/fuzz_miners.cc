@@ -9,7 +9,7 @@
 //              the row's item mask: its low four bits, then the next byte
 //
 // up to the oracle's 16 rows. Every miner must report exactly the
-// oracle's sets: all nine algorithms, over the database and over the
+// oracle's sets: all seven algorithms, over the database and over the
 // database cut into one, two and three folded tables, IsTa at 4 threads,
 // and a landmark stream miner queried after a checkpoint round trip. Then
 // the database written twice, mined at twice the support, must give the
@@ -46,10 +46,12 @@ std::vector<fim::WeightedTransactions> FoldedParts(
   const auto& transactions = db.transactions();
   std::vector<fim::WeightedTransactions> tables;
   for (std::size_t p = 0; p < parts; ++p) {
-    tables.push_back(fim::FoldRows(fim::TransactionDatabase::FromTransactions(
-        {transactions.begin() + p * transactions.size() / parts,
-         transactions.begin() + (p + 1) * transactions.size() / parts},
-        db.NumItems())));
+    const fim::TransactionDatabase part =
+        fim::TransactionDatabase::FromTransactions(
+            {transactions.begin() + p * transactions.size() / parts,
+             transactions.begin() + (p + 1) * transactions.size() / parts},
+            db.NumItems());
+    tables.push_back(std::move(fim::FoldRows(part).front()));
   }
   return tables;
 }

@@ -183,8 +183,7 @@ TEST(ApproxMemoryUsageTest, RowEnumerationRecordsRowBitsets) {
   // one column of ⌈rows / 64⌉ words per item, plus the cover.
   const TransactionDatabase db = GenerateRandomDense(100, 10, 0.5, 5);
   for (const Algorithm algorithm :
-       {Algorithm::kCarpenterTable, Algorithm::kCarpenterLists,
-        Algorithm::kCobbler}) {
+       {Algorithm::kCarpenterTable, Algorithm::kCarpenterLists}) {
     MinerOptions options;
     options.algorithm = algorithm;
     options.min_support = 1;
@@ -324,8 +323,7 @@ TEST(MemoryNeutralityTest, BreakdownAttachmentDoesNotChangeResults) {
   for (const Algorithm algorithm :
        {Algorithm::kIsta, Algorithm::kCarpenterLists,
         Algorithm::kCarpenterTable, Algorithm::kLcm, Algorithm::kCharm,
-        Algorithm::kFpClose, Algorithm::kTransposed,
-        Algorithm::kFlatCumulative, Algorithm::kCobbler}) {
+        Algorithm::kFpClose, Algorithm::kFlatCumulative}) {
     const auto baseline = MineWith(db, algorithm, 1, nullptr);
     ASSERT_FALSE(baseline.empty());
     for (const unsigned threads : {1u, 4u}) {

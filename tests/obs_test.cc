@@ -147,11 +147,11 @@ TEST(MinerStatsTest, CountersCatalogIsCompleteAndStable) {
   stats.kernel_elements_out = 3;
   const auto counters = stats.Counters();
   // Full catalog, zeros included, stable order.
-  ASSERT_EQ(counters.size(), 19u);
+  ASSERT_EQ(counters.size(), 18u);
   EXPECT_STREQ(counters.front().first, "isect_steps");
   EXPECT_EQ(counters.front().second, 1u);
-  EXPECT_STREQ(counters[15].first, "sets_reported");
-  EXPECT_EQ(counters[15].second, 2u);
+  EXPECT_STREQ(counters[14].first, "sets_reported");
+  EXPECT_EQ(counters[14].second, 2u);
   EXPECT_STREQ(counters.back().first, "kernel_elements_out");
   EXPECT_EQ(counters.back().second, 3u);
 }
@@ -341,12 +341,10 @@ TEST(OutputNeutralityTest, ParallelIstaFillsIntersectionCounters) {
 // --- kernel work -----------------------------------------------------
 
 MinerStats MineWithStats(const TransactionDatabase& db, Algorithm algorithm,
-                         Support min_support,
-                         std::size_t switch_max_items = 24) {
+                         Support min_support) {
   MinerOptions options;
   options.algorithm = algorithm;
   options.min_support = min_support;
-  options.switch_max_items = switch_max_items;
   MinerStats stats;
   EXPECT_TRUE(MineClosed(db, options, [](auto, auto) {}, &stats).ok())
       << AlgorithmName(algorithm);
@@ -359,7 +357,7 @@ TEST(KernelWorkTest, CountedByTheMinersThatCallKernels) {
   const TransactionDatabase db = GenerateRandomDense(40, 16, 0.4, 29);
   for (const Algorithm algorithm :
        {Algorithm::kCarpenterTable, Algorithm::kCharm,
-        Algorithm::kTransposed, Algorithm::kFlatCumulative}) {
+        Algorithm::kFlatCumulative}) {
     const MinerStats stats = MineWithStats(db, algorithm, 3);
     EXPECT_GT(stats.kernel_calls, 0u) << AlgorithmName(algorithm);
     EXPECT_GE(stats.kernel_elements_in, stats.kernel_elements_out)
@@ -370,15 +368,6 @@ TEST(KernelWorkTest, CountedByTheMinersThatCallKernels) {
   EXPECT_EQ(charm.kernel_calls, charm.extension_checks);
   const MinerStats flat = MineWithStats(db, Algorithm::kFlatCumulative, 3);
   EXPECT_EQ(flat.kernel_calls, flat.isect_steps);
-
-  // Cobbler switching at the root intersects every row with the item set
-  // of the root, once.
-  const MinerStats cobbler =
-      MineWithStats(db, Algorithm::kCobbler, 3, /*switch_max_items=*/1000);
-  ASSERT_GE(cobbler.weighted_transactions, 8u);
-  EXPECT_EQ(cobbler.column_switches, 1u);
-  EXPECT_EQ(cobbler.kernel_calls, cobbler.weighted_transactions);
-  EXPECT_GE(cobbler.kernel_elements_in, cobbler.kernel_elements_out);
 
   for (const Algorithm algorithm :
        {Algorithm::kIsta, Algorithm::kLcm, Algorithm::kFpClose,

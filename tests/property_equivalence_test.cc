@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "api/miner.h"
 #include "data/generators.h"
@@ -103,28 +106,52 @@ TEST(IstaPruningTest, AggressivePruningNeverChangesOutput) {
   }
 }
 
-// Item elimination in both Carpenter variants must be a pure optimization.
+// The rows of `db`, the t-th repeated 1 + (seed + t) % 3 times in a row
+// (the first row swapped to the middle for even seeds), cut to the
+// oracle's limit.
+TransactionDatabase WithRepeatedRows(const TransactionDatabase& db,
+                                     uint64_t seed) {
+  std::vector<std::vector<ItemId>> rows;
+  for (std::size_t t = 0; t < db.NumTransactions(); ++t) {
+    rows.insert(rows.end(), 1 + (seed + t) % 3, db.transaction(t));
+  }
+  if (seed % 2 == 0) std::swap(rows.front(), rows[rows.size() / 2]);
+  rows.resize(std::min(rows.size(), kOracleMaxTransactions));
+  return TransactionDatabase::FromTransactions(rows, db.NumItems());
+}
+
+// Item elimination in both Carpenter variants must be a pure optimization:
+// with and without it they give the oracle's sets, on distinct random
+// rows and on rows repeated next to each other and apart, which fold into
+// weighted rows.
 TEST(CarpenterEliminationTest, EliminationNeverChangesOutput) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {
-    const TransactionDatabase db =
-        GenerateRandomDense(9, 10, 0.5, seed * 131);
-    for (Support smin : {1u, 2u, 3u, 4u, 6u}) {
-      for (bool table : {false, true}) {
-        MinerOptions on;
-        on.algorithm =
-            table ? Algorithm::kCarpenterTable : Algorithm::kCarpenterLists;
-        on.min_support = smin;
-        on.item_elimination = true;
-        MinerOptions off = on;
-        off.item_elimination = false;
-        ClosedSetCollector with;
-        ClosedSetCollector without;
-        ASSERT_TRUE(MineClosed(db, on, with.AsCallback()).ok());
-        ASSERT_TRUE(MineClosed(db, off, without.AsCallback()).ok());
-        EXPECT_TRUE(SameResults(with.sets(), without.sets()))
-            << (table ? "table" : "lists") << " seed=" << seed
-            << " smin=" << smin << "\n"
-            << DiffResults(with.sets(), without.sets());
+    std::vector<TransactionDatabase> inputs = {
+        GenerateRandomDense(9, 10, 0.5, seed * 131)};
+    if (seed <= 15) {
+      inputs.push_back(WithRepeatedRows(
+          GenerateRandomDense(8, 14, 0.45, seed * 557), seed));
+    }
+    for (const TransactionDatabase& db : inputs) {
+      for (Support smin : {1u, 2u, 3u, 4u, 6u}) {
+        auto expected = OracleClosedSets(db, smin);
+        ASSERT_TRUE(expected.ok());
+        for (bool table : {false, true}) {
+          for (bool elimination : {true, false}) {
+            MinerOptions options;
+            options.algorithm = table ? Algorithm::kCarpenterTable
+                                      : Algorithm::kCarpenterLists;
+            options.min_support = smin;
+            options.item_elimination = elimination;
+            auto mined = MineClosedCollect(db, options);
+            ASSERT_TRUE(mined.ok());
+            EXPECT_TRUE(SameResults(expected.value(), mined.value()))
+                << (table ? "table" : "lists") << " elimination "
+                << elimination << " seed=" << seed << " rows "
+                << db.NumTransactions() << " smin=" << smin << "\n"
+                << DiffResults(expected.value(), mined.value());
+          }
+        }
       }
     }
   }

@@ -794,17 +794,33 @@ TEST(ToolsPipelineTest, NumericFlagsOutsideTheirRangeAreUsageErrors) {
   EXPECT_EQ(ExitCode(rules + "-c 0.5 " + data + " /dev/null" + quiet), 0);
   const std::string discretize = std::string(FIM_DISCRETIZE_BINARY) + " ";
   const std::string discretized = TempPath("pipeline_flags_disc.fimi");
+  // -u at or above -o leaves no neutral band: every value would become
+  // an item.
   for (const char* flag :
        {"-o nan", "-o inf", "-o abc", "-u nan", "-u -inf", "-u 1x",
-        "-Q abc", "-Q nan", "-Q 0", "-Q 0.5", "-Q -0.1"}) {
+        "-Q abc", "-Q nan", "-Q 0", "-Q 0.5", "-Q -0.1", "-o 0.5 -u 0.6",
+        "-o 0.2 -u 0.2"}) {
     EXPECT_EQ(ExitCode(discretize + flag + " " + matrix + " " + discretized +
                        quiet),
               2)
         << "fim-discretize " << flag;
   }
-  EXPECT_EQ(ExitCode(discretize + "-Q 0.1 " + matrix + " " + discretized +
-                     quiet),
+  // The summary line names the mode that ran.
+  const std::string summary = TempPath("pipeline_flags_disc.err");
+  EXPECT_EQ(ExitCode(discretize + "-o 0.2 -u -0.2 " + matrix + " " +
+                     discretized + " 2>" + summary),
             0);
+  EXPECT_NE(ReadText(summary).find("(thresholds +0.20/-0.20)"),
+            std::string::npos)
+      << ReadText(summary);
+  EXPECT_EQ(ExitCode(discretize + "-Q 0.1 " + matrix + " " + discretized +
+                     " 2>" + summary),
+            0);
+  EXPECT_NE(ReadText(summary).find("(quantile tails 0.1)"),
+            std::string::npos)
+      << ReadText(summary);
+  EXPECT_EQ(ReadText(summary).find("thresholds"), std::string::npos)
+      << ReadText(summary);
   for (const char* threads : {"1025", "4294967295"}) {
     EXPECT_EQ(ExitCode(std::string(FIM_MINE_BINARY) + " -t " + threads +
                        " " + data + " /dev/null" + quiet),
@@ -930,6 +946,13 @@ TEST(ToolsPipelineTest, RetiredFlagsAreUsageErrors) {
   EXPECT_EQ(ExitCode(std::string(FIM_MINE_BINARY) + " --kernel=scalar" +
                      quiet),
             2);
+  // Names of retired algorithms are unknown algorithms.
+  for (const char* algorithm : {"cobbler", "transposed"}) {
+    EXPECT_EQ(ExitCode(std::string(FIM_MINE_BINARY) + " -a " + algorithm +
+                       quiet),
+              2)
+        << "fim-mine -a " << algorithm;
+  }
   EXPECT_EQ(ExitCode(std::string(FIM_VERIFY_BINARY) + " --perf-counters" +
                      quiet),
             2);

@@ -7,7 +7,8 @@
 //   fim-discretize [-o over] [-u under] [-Q tail] [-t] input.tsv output.fimi
 //
 //   -o F   over-expression threshold   (default  0.2)
-//   -u F   under-expression threshold  (default -0.2)
+//   -u F   under-expression threshold  (default -0.2); must be below -o,
+//          so the values in between form a neutral band
 //   -Q F   quantile mode: ignore -o/-u and put the upper and lower F
 //          fraction of all values into the tails (F in (0, 0.5))
 //   -t     conditions as transactions (items = genes); default is genes
@@ -82,6 +83,10 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
+  if (quantile <= 0.0 && !(under < over)) {
+    std::fprintf(stderr, "error: -u %g must be below -o %g\n", under, over);
+    return 2;
+  }
 
   auto matrix = ReadExpressionMatrixFile(input);
   if (!matrix.ok()) {
@@ -107,10 +112,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr,
-               "fim-discretize: %zu x %zu matrix -> %s "
-               "(thresholds %+.2f/%+.2f)\n",
+  char mode[64];
+  if (quantile > 0.0) {
+    std::snprintf(mode, sizeof(mode), "quantile tails %g", quantile);
+  } else {
+    std::snprintf(mode, sizeof(mode), "thresholds %+.2f/%+.2f", over, under);
+  }
+  std::fprintf(stderr, "fim-discretize: %zu x %zu matrix -> %s (%s)\n",
                matrix.value().num_genes(), matrix.value().num_conditions(),
-               StatsToString(ComputeStats(db)).c_str(), over, under);
+               StatsToString(ComputeStats(db)).c_str(), mode);
   return 0;
 }

@@ -7,7 +7,7 @@
 //            [--profile[=PATH]] [--mem-stats] input [output]
 //
 //   -a NAME   ista | carpenter-lists | carpenter-table | flat-cumulative |
-//             fpclose | lcm | charm | transposed | cobbler (default: ista)
+//             fpclose | lcm | charm (default: ista)
 //   -s N      absolute minimum support            (default: 2)
 //   -S P      relative minimum support in percent (overrides -s)
 //   -t N      worker threads of every algorithm's recoding, and of
