@@ -53,7 +53,8 @@ struct MinerOptions {
 
   /// §3.1.1/§3.2 item elimination for the intersection miners: drop the
   /// items below min_support up front, and prune IsTa's repository and
-  /// Carpenter's intersections. Never changes the output.
+  /// Carpenter's intersections. IsTa schedules its prunes from its own
+  /// node and step counts (ista.cc). Never changes the output.
   bool item_elimination = true;
 
   /// §3.4 orders for the intersection miners.
@@ -65,10 +66,6 @@ struct MinerOptions {
   /// The other miners mine on the calling thread. Output is identical to
   /// the sequential run for every thread count.
   unsigned num_threads = 1;
-
-  /// IsTa: the repository is pruned when its node count exceeds this
-  /// threshold (the threshold then doubles). Only with item_elimination.
-  std::size_t prune_node_threshold = std::size_t{1} << 16;
 
   /// Optional per-thread event timeline (obs/timeline.h): the driving
   /// thread records its phases on the timeline's driver lane and every

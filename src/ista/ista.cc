@@ -1,6 +1,6 @@
 #include "ista/ista.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
@@ -19,6 +19,14 @@ namespace {
 /// (each row counts its weight) and loses each transaction's items as it
 /// is added, so it is exactly the bound item-elimination pruning needs
 /// (paper §3.2).
+///
+/// A prune rebuilds the tree, which costs about one walk of it, so the
+/// tree is pruned once the intersection steps since the last prune have
+/// reached its node count, and only while it has outgrown the threshold
+/// the last prune left: after a prune that kept a of b nodes, the
+/// threshold is a·(1 + (a/b)²). That doubles the tree after a prune that
+/// removed nothing and stays just above it after one that removed most.
+/// The first threshold is 0, so small repositories are pruned too.
 IstaPrefixTree MineStream(const WeightedTransactions& stream,
                           std::size_t num_items, const MinerOptions& options,
                           obs::TimelineLane* lane) {
@@ -27,19 +35,24 @@ IstaPrefixTree MineStream(const WeightedTransactions& stream,
   for (std::size_t r = 0; r < stream.NumRows(); ++r) {
     for (ItemId i : stream.Row(r)) remaining[i] += stream.weights[r];
   }
-  std::size_t prune_threshold = options.prune_node_threshold;
+  double prune_threshold = 0;
+  std::uint64_t steps_at_prune = 0;
   for (std::size_t r = 0; r < stream.NumRows(); ++r) {
     const std::span<const ItemId> row = stream.Row(r);
     tree.AddTransaction(row, stream.weights[r]);
     for (ItemId i : row) remaining[i] -= stream.weights[r];
-    if (options.item_elimination && tree.NodeCount() > prune_threshold) {
+    const std::size_t before = tree.NodeCount();
+    if (options.item_elimination &&
+        static_cast<double>(before) > prune_threshold &&
+        tree.IsectSteps() - steps_at_prune >= before) {
       obs::TimelineScope prune_scope(lane, "prune");
       tree.Prune(options.min_support, remaining);
-      prune_threshold = std::max(prune_threshold, 2 * tree.NodeCount());
+      const double kept = static_cast<double>(tree.NodeCount());
+      const double share = kept / static_cast<double>(before);
+      prune_threshold = kept * (1 + share * share);
+      steps_at_prune = tree.IsectSteps();
       prune_scope.End();
-      if (lane != nullptr) {
-        lane->Counter("nodes", static_cast<double>(tree.NodeCount()));
-      }
+      if (lane != nullptr) lane->Counter("nodes", kept);
     }
   }
   return tree;

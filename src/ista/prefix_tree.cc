@@ -28,8 +28,7 @@ uint32_t IstaPrefixTree::NewNode(ItemId item, uint32_t step, Support supp) {
   return index;
 }
 
-uint32_t IstaPrefixTree::FindOrCreateChild(uint32_t parent, ItemId item,
-                                           Support supp) {
+uint32_t IstaPrefixTree::FindOrCreateChild(uint32_t parent, ItemId item) {
   // Sibling lists are sorted by descending item code. The cursor is a
   // link-arena slot index, so it survives the allocation below.
   uint32_t slot = ChildSlot(parent);
@@ -38,7 +37,7 @@ uint32_t IstaPrefixTree::FindOrCreateChild(uint32_t parent, ItemId item,
   }
   const uint32_t found = links_[slot];
   if (found != kNil && node_item_[found] == item) return found;
-  const uint32_t node = NewNode(item, 0, supp);
+  const uint32_t node = NewNode(item, 0, 0);
   links_[SibSlot(node)] = found;
   links_[slot] = node;
   return node;
@@ -47,7 +46,7 @@ uint32_t IstaPrefixTree::FindOrCreateChild(uint32_t parent, ItemId item,
 void IstaPrefixTree::InsertTransactionPath(std::span<const ItemId> items) {
   uint32_t current = kRoot;
   for (std::size_t idx = items.size(); idx > 0; --idx) {
-    current = FindOrCreateChild(current, items[idx - 1], 0);
+    current = FindOrCreateChild(current, items[idx - 1]);
   }
 }
 
@@ -177,7 +176,12 @@ void IstaPrefixTree::Prune(Support min_support,
   IstaPrefixTree fresh(in_transaction_.size());
   fresh.step_ = step_;
   fresh.total_weight_ = total_weight_;
-  PruneInto(links_[ChildSlot(kRoot)], min_support, remaining, &fresh, kRoot);
+  // The rebuilt tree has at most as many nodes as this one.
+  fresh.node_step_.reserve(next_index_);
+  fresh.node_item_.reserve(next_index_);
+  fresh.node_supp_.reserve(next_index_);
+  fresh.links_.reserve(2 * std::size_t{next_index_});
+  PruneInto(min_support, remaining, &fresh);
   // The rebuilt tree carries on this tree's observability history.
   fresh.peak_node_count_ = std::max(peak_node_count_, fresh.peak_node_count_);
   fresh.prune_count_ = prune_count_ + 1;
@@ -330,45 +334,63 @@ Status IstaPrefixTree::ValidateInvariants() const {
   return Status::OK();
 }
 
-void IstaPrefixTree::PruneInto(uint32_t node, Support min_support,
+void IstaPrefixTree::PruneInto(Support min_support,
                                std::span<const Support> remaining,
-                               IstaPrefixTree* target, uint32_t cursor) const {
-  // Iterative: a work item is one sibling list plus the target cursor
-  // representing the filtered path so far (deep repositories must not
-  // overflow the call stack).
+                               IstaPrefixTree* target) const {
+  // Iterative: a work item is one source sibling list and the target
+  // link-arena slot where that list's kept items go (deep repositories
+  // must not overflow the call stack). The source list descends, so, as
+  // Isect's `ins` cursor, the slot only moves forward along the target
+  // list and a list of k kept items is rebuilt in O(k) instead of
+  // rescanned from its head per item. A target list also receives the
+  // children of dropped nodes, from this source list and from others;
+  // those carry lower items than the dropped node, so they start at the
+  // slot the dropped node was reached at and step over what is already
+  // there. A list's child frames run in list order, so the rebuilt tree
+  // lies as Isect and Report read it: each sibling list contiguous,
+  // followed by its members' subtrees in list order.
   struct Frame {
     uint32_t node;
-    uint32_t cursor;
+    uint32_t ins_slot;
   };
-  if (node == kNil) return;
+  if (links_[ChildSlot(kRoot)] == kNil) return;
   std::vector<Frame> stack;
-  stack.push_back(Frame{node, cursor});
+  stack.push_back(Frame{links_[ChildSlot(kRoot)], ChildSlot(kRoot)});
   while (!stack.empty()) {
-    node = stack.back().node;
-    cursor = stack.back().cursor;
+    uint32_t node = stack.back().node;
+    uint32_t ins = stack.back().ins_slot;
     stack.pop_back();
+    const std::size_t first_child_frame = stack.size();
     for (; node != kNil; node = links_[SibSlot(node)]) {
       const ItemId item = node_item_[node];
       const Support supp = node_supp_[node];
-      uint32_t next_cursor = cursor;
+      const uint32_t kids = links_[ChildSlot(node)];
       if (supp + remaining[item] >= min_support) {
         // The item can still contribute to a frequent set: keep it.
-        next_cursor = target->FindOrCreateChild(cursor, item, 0);
-        if (supp > target->node_supp_[next_cursor]) {
-          target->node_supp_[next_cursor] = supp;
+        while (target->links_[ins] != kNil &&
+               target->node_item_[target->links_[ins]] > item) {
+          ins = SibSlot(target->links_[ins]);
         }
-      } else if (cursor != kRoot) {
-        // Drop the item; the reduced set keeps the best support seen.
-        if (supp > target->node_supp_[cursor]) {
-          target->node_supp_[cursor] = supp;
+        uint32_t kept = target->links_[ins];
+        if (kept != kNil && target->node_item_[kept] == item) {
+          if (supp > target->node_supp_[kept]) target->node_supp_[kept] = supp;
+        } else {
+          kept = target->NewNode(item, 0, supp);
+          target->links_[SibSlot(kept)] = target->links_[ins];
+          target->links_[ins] = kept;
         }
+        if (kids != kNil) stack.push_back(Frame{kids, ChildSlot(kept)});
+        continue;
       }
-      // Sets whose items are all dropped reduce to the empty set and
-      // vanish (the repository never stores the empty set); they can no
-      // longer matter for any frequent set.
-      const uint32_t kids = links_[ChildSlot(node)];
-      if (kids != kNil) stack.push_back(Frame{kids, next_cursor});
+      // Drop the item. The reduced set is the filtered path so far, whose
+      // node already holds at least this support (supports never grow
+      // down a path), so the merge keeps the max without an update. Sets
+      // whose items are all dropped reduce to the empty set and vanish
+      // (the repository never stores the empty set); they can no longer
+      // matter for any frequent set.
+      if (kids != kNil) stack.push_back(Frame{kids, ins});
     }
+    std::reverse(stack.begin() + first_child_frame, stack.end());
   }
 }
 

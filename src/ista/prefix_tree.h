@@ -175,16 +175,17 @@ class IstaPrefixTree {
   /// are merged. `weight` is the multiplicity of the current transaction.
   void Isect(uint32_t node, uint32_t ins_slot, Support weight);
 
-  /// Prune helper: re-inserts the filtered sets of the subtree headed by
-  /// `node` into `target`, with `cursor` the target node representing the
-  /// filtered path so far. Iterative (explicit work stack).
-  void PruneInto(uint32_t node, Support min_support,
-                 std::span<const Support> remaining, IstaPrefixTree* target,
-                 uint32_t cursor) const;
+  /// Prune helper: inserts the filtered sets of this tree into the empty
+  /// `target`, advancing an insertion slot along each target list instead
+  /// of searching it from its head per node, and allocating each sibling
+  /// list before its members' subtrees, in list order. Iterative
+  /// (explicit work stack).
+  void PruneInto(Support min_support, std::span<const Support> remaining,
+                 IstaPrefixTree* target) const;
 
-  /// Finds or creates the child of `parent` carrying `item`; keeps the
-  /// sibling list sorted by descending item code.
-  uint32_t FindOrCreateChild(uint32_t parent, ItemId item, Support supp);
+  /// Finds or creates (with support 0) the child of `parent` carrying
+  /// `item`; keeps the sibling list sorted by descending item code.
+  uint32_t FindOrCreateChild(uint32_t parent, ItemId item);
 
   /// One suspended sibling list of the explicit Isect stack. `ins_slot`
   /// indexes the link arena, so it stays valid across node allocation.

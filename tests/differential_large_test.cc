@@ -102,7 +102,8 @@ void CheckInputStage(const TransactionDatabase& db, Support smin,
   }
 }
 
-// All miners agree with IsTa, whose output is sound; with
+// All miners agree with IsTa, whose output is sound (IsTa's default
+// schedule prunes its repository from the first transaction on); with
 // `check_input_stage` (at one support per database, to bound the run
 // time), also CheckInputStage.
 void CheckAllAgree(const TransactionDatabase& db, Support smin,
@@ -127,16 +128,6 @@ void CheckAllAgree(const TransactionDatabase& db, Support smin,
         << label << " " << AlgorithmName(algorithm) << "\n"
         << DiffResults(expected.value(), mined.value());
   }
-
-  // IsTa with pruning forced after every transaction must also agree.
-  MinerOptions aggressive;
-  aggressive.min_support = smin;
-  aggressive.prune_node_threshold = 0;
-  ClosedSetCollector pruned;
-  ASSERT_TRUE(MineClosed(db, aggressive, pruned.AsCallback()).ok());
-  ASSERT_TRUE(SameResults(expected.value(), pruned.sets()))
-      << label << " ista-aggressive-prune\n"
-      << DiffResults(expected.value(), pruned.sets());
 
   if (check_input_stage) CheckInputStage(db, smin, expected.value(), label);
 }

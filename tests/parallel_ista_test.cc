@@ -1,7 +1,7 @@
 // Tests of multi-threaded IsTa: the threads only recode, so the output
 // (including order) and the repository counters must be identical to the
 // sequential run on every input and thread count, with and without item
-// elimination and threshold pruning. Also the preconditions of the
+// elimination and its repository pruning. Also the preconditions of the
 // tables overload.
 
 #include <gtest/gtest.h>
@@ -151,11 +151,30 @@ TEST(ParallelIstaTest, SameSetsAndWorkAtEveryThreadCountWhilePruning) {
   const TransactionDatabase db = GenerateMarketBasket(junky.config);
   MinerOptions options;
   options.min_support = junky.min_support;
-  options.prune_node_threshold = 64;
   MinerStats stats;
   MineWith(db, options, &stats);
   ASSERT_GT(stats.prune_calls, 0u);
   ExpectThreadInvariant(db, options, "basket-junky, pruning");
+}
+
+// The basket-junky repository stays far below any fixed node budget;
+// the default schedule must still prune it, and the sets (in order) must
+// be those of the run without item elimination, which never prunes.
+TEST(ParallelIstaTest, DefaultOptionsPruneSmallRepositories) {
+  const BasketShape junky = BasketShapes().front();
+  const TransactionDatabase db = GenerateMarketBasket(junky.config);
+  MinerOptions options;
+  options.min_support = junky.min_support;
+  MinerStats stats;
+  const auto pruned = MineWith(db, options, &stats);
+  EXPECT_GT(stats.prune_calls, 0u);
+  EXPECT_LT(stats.peak_nodes, std::size_t{1} << 16);
+  options.item_elimination = false;
+  MinerStats unpruned_stats;
+  const auto unpruned = MineWith(db, options, &unpruned_stats);
+  EXPECT_EQ(unpruned_stats.prune_calls, 0u);
+  ASSERT_FALSE(pruned.empty());
+  EXPECT_EQ(pruned, unpruned);
 }
 
 TEST(ParallelIstaTest, IdenticalOnStructuredProfiles) {
@@ -234,8 +253,9 @@ TEST(ParallelIstaTest, IdenticalUnderEveryTransactionOrder) {
 }
 
 TEST(ParallelIstaTest, ThresholdPruningKeepsOutputExact) {
-  // A tiny prune threshold forces a prune every few transactions; the
-  // output must not change at any thread count.
+  // The default schedule prunes this small repository every few
+  // transactions; the output must be that of the run without item
+  // elimination, which never prunes, at any thread count.
   MarketBasketConfig config;
   config.num_items = 40;
   config.num_transactions = 1500;
@@ -245,8 +265,9 @@ TEST(ParallelIstaTest, ThresholdPruningKeepsOutputExact) {
   const TransactionDatabase db = GenerateMarketBasket(config);
   MinerOptions options;
   options.min_support = 30;
+  options.item_elimination = false;
   const auto sequential = MineWith(db, options);
-  options.prune_node_threshold = 16;
+  options.item_elimination = true;
   for (unsigned threads : {1u, 4u}) {
     options.num_threads = threads;
     MinerStats stats;

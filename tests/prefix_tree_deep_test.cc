@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "ista/prefix_tree.h"
 
 namespace fim {
@@ -18,6 +21,18 @@ std::map<std::vector<ItemId>, Support> Collect(const IstaPrefixTree& tree,
   tree.Report(min_support,
               [&out](std::span<const ItemId> items, Support support) {
                 out.emplace(
+                    std::vector<ItemId>(items.begin(), items.end()), support);
+              });
+  return out;
+}
+
+// The reported sets in emission order.
+std::vector<std::pair<std::vector<ItemId>, Support>> Emitted(
+    const IstaPrefixTree& tree, Support min_support) {
+  std::vector<std::pair<std::vector<ItemId>, Support>> out;
+  tree.Report(min_support,
+              [&out](std::span<const ItemId> items, Support support) {
+                out.emplace_back(
                     std::vector<ItemId>(items.begin(), items.end()), support);
               });
   return out;
@@ -94,6 +109,78 @@ TEST(IstaDeepTest, PruneMergesReducedSetsWithMaxSupport) {
   const auto sets = Collect(tree, 4);
   ASSERT_EQ(sets.size(), 1u);
   EXPECT_EQ(sets.at({0}), 4u);
+}
+
+TEST(IstaDeepTest, PruneMergesChildrenOfDroppedItemsBehindKeptSiblings) {
+  // Stored: {7} 6, {6,7} 1, {4,7} 2, {3,4,7} 1, {2,3,4,7} 1, {2,4,7} 2,
+  // {2,7} 4, {1,7} 1. Dropping 4 moves its children 3 and 2 into 7's
+  // child list after 6, 2 and 1 are rebuilt there: 3 must go between 6
+  // and 2, and 2 must merge onto the kept {2,7} with the larger support.
+  IstaPrefixTree tree(8);
+  tree.AddTransaction(std::vector<ItemId>{6, 7});
+  tree.AddTransaction(std::vector<ItemId>{2, 3, 4, 7});
+  tree.AddTransaction(std::vector<ItemId>{2, 4, 7});
+  tree.AddTransaction(std::vector<ItemId>{2, 7});
+  tree.AddTransaction(std::vector<ItemId>{2, 7});
+  tree.AddTransaction(std::vector<ItemId>{1, 7});
+  ASSERT_EQ(tree.NodeCount(), 8u);
+  std::vector<Support> remaining(8, 10);
+  remaining[4] = 0;  // 2 + 0 < 3: item 4 goes from every set
+  tree.Prune(3, remaining);
+  ASSERT_TRUE(tree.ValidateInvariants().ok())
+      << tree.ValidateInvariants().ToString();
+  EXPECT_EQ(tree.NodeCount(), 6u);  // 7; 6, 3, 2, 1 below it; 2 below 3
+  const std::vector<std::pair<std::vector<ItemId>, Support>> expected = {
+      {{6, 7}, 1}, {{2, 3, 7}, 1}, {{2, 7}, 4}, {{1, 7}, 1}, {{7}, 6}};
+  EXPECT_EQ(Emitted(tree, 1), expected);
+}
+
+TEST(IstaDeepTest, PruningAfterEveryTransactionNeverChangesTheReport) {
+  // Weighted rows drawn with repeats from a small pool go into two trees;
+  // one is pruned after every transaction, with `remaining` kept as
+  // MineStream keeps it. Every rebuild must leave a valid tree and the
+  // reports must match set for set, in emission order.
+  bool removed_any = false;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const std::size_t num_items = 6 + rng.Uniform(10);
+    std::vector<std::vector<ItemId>> pool(4 + rng.Uniform(8));
+    for (std::vector<ItemId>& row : pool) {
+      for (std::size_t i = 0; i < num_items; ++i) {
+        if (rng.Bernoulli(0.5)) row.push_back(static_cast<ItemId>(i));
+      }
+      if (row.empty()) row.push_back(static_cast<ItemId>(num_items - 1));
+    }
+    std::vector<const std::vector<ItemId>*> rows;
+    std::vector<Support> weights;
+    for (int r = 0; r < 40; ++r) {
+      rows.push_back(&pool[rng.Uniform(pool.size())]);
+      weights.push_back(static_cast<Support>(1 + rng.Uniform(3)));
+    }
+    for (Support smin : {1u, 2u, 5u, 9u, 16u, 30u}) {
+      std::vector<Support> remaining(num_items, 0);
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        for (ItemId i : *rows[r]) remaining[i] += weights[r];
+      }
+      IstaPrefixTree pruned(num_items);
+      IstaPrefixTree plain(num_items);
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        pruned.AddTransaction(*rows[r], weights[r]);
+        plain.AddTransaction(*rows[r], weights[r]);
+        for (ItemId i : *rows[r]) remaining[i] -= weights[r];
+        const std::size_t before = pruned.NodeCount();
+        pruned.Prune(smin, remaining);
+        removed_any |= pruned.NodeCount() < before;
+        const Status valid = pruned.ValidateInvariants();
+        ASSERT_TRUE(valid.ok()) << "seed " << seed << " smin " << smin
+                                << " row " << r << ": " << valid.ToString();
+      }
+      EXPECT_EQ(pruned.PruneCount(), rows.size());
+      EXPECT_EQ(Emitted(pruned, smin), Emitted(plain, smin))
+          << "seed " << seed << " smin " << smin;
+    }
+  }
+  EXPECT_TRUE(removed_any);
 }
 
 TEST(IstaDeepTest, PruneOnEmptyTreeIsNoOp) {

@@ -75,8 +75,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomDbTest, ::testing::ValuesIn(MakeCases()),
                            return std::string(name);
                          });
 
-// IsTa's repository pruning is forced to run after nearly every
-// transaction; the output must not change.
+// IsTa's default prune schedule prunes from the first transaction on;
+// the output must equal that of a run without item elimination, which
+// never prunes. (prefix_tree_deep_test prunes after every transaction.)
 TEST(IstaPruningTest, AggressivePruningNeverChangesOutput) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     const TransactionDatabase db =
@@ -84,12 +85,12 @@ TEST(IstaPruningTest, AggressivePruningNeverChangesOutput) {
     for (Support smin : {1u, 2u, 3u, 5u, 8u}) {
       MinerOptions base;
       base.min_support = smin;
-      base.prune_node_threshold = std::size_t{1} << 40;  // never prune
+      base.item_elimination = false;  // never prune
       ClosedSetCollector a;
       ASSERT_TRUE(MineClosed(db, base, a.AsCallback()).ok());
 
       MinerOptions aggressive = base;
-      aggressive.prune_node_threshold = 0;  // prune after every transaction
+      aggressive.item_elimination = true;  // the default schedule
       MinerStats stats;
       ClosedSetCollector b;
       ASSERT_TRUE(MineClosed(db, aggressive, b.AsCallback(), &stats).ok());

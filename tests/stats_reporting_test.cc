@@ -13,7 +13,6 @@ TEST(IstaStatsTest, TracksNodesAndPrunes) {
   const TransactionDatabase db = GenerateRandomDense(20, 15, 0.4, 55);
   MinerOptions options;
   options.min_support = 2;
-  options.prune_node_threshold = 8;  // force several prunes
   MinerStats stats;
   std::size_t count = 0;
   ASSERT_TRUE(MineClosed(db, options,
