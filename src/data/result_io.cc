@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -11,17 +13,25 @@
 
 namespace fim {
 
+void AppendClosedSet(std::string* out, std::span<const ItemId> items,
+                     Support support) {
+  char digits[10];  // a 32-bit number
+  auto append_number = [&](std::uint32_t value) {
+    out->append(digits,
+                std::to_chars(std::begin(digits), std::end(digits), value).ptr);
+  };
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out->push_back(' ');
+    append_number(items[i]);
+  }
+  out->append(" (");
+  append_number(support);
+  out->append(")\n");
+}
+
 std::string ClosedSetsToString(const std::vector<ClosedItemset>& sets) {
   std::string out;
-  for (const auto& set : sets) {
-    for (std::size_t i = 0; i < set.items.size(); ++i) {
-      if (i > 0) out += ' ';
-      out += std::to_string(set.items[i]);
-    }
-    out += " (";
-    out += std::to_string(set.support);
-    out += ")\n";
-  }
+  for (const auto& set : sets) AppendClosedSet(&out, set.items, set.support);
   return out;
 }
 

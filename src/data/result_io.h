@@ -1,6 +1,7 @@
 #ifndef FIM_DATA_RESULT_IO_H_
 #define FIM_DATA_RESULT_IO_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,9 +11,14 @@
 
 namespace fim {
 
-/// Writes mined sets in the classic miner output format — one set per
-/// line, items space-separated, absolute support in parentheses:
-/// "3 17 42 (57)". This is also what the fim-mine tool prints.
+/// Appends one set in the classic miner output format to `out`: items
+/// space-separated, absolute support in parentheses, then a newline:
+/// "3 17 42 (57)\n". Every writer of result lines (the functions below,
+/// fim-mine and fim-stream) formats through it.
+void AppendClosedSet(std::string* out, std::span<const ItemId> items,
+                     Support support);
+
+/// Writes mined sets in that format, one set per line.
 Status WriteClosedSetsFile(const std::vector<ClosedItemset>& sets,
                            const std::string& path);
 

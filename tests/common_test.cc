@@ -1,11 +1,11 @@
-// Unit tests of the common substrate: Status/Result, DynamicBitset, Rng.
+// Unit tests of the common substrate: Status/Result, Rng.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <vector>
 
-#include "common/bitset.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -58,56 +58,6 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::vector<int>> r(std::vector<int>{1, 2, 3});
   std::vector<int> v = std::move(r).value();
   EXPECT_EQ(v.size(), 3u);
-}
-
-TEST(BitsetTest, SetTestReset) {
-  DynamicBitset b(130);
-  EXPECT_EQ(b.size(), 130u);
-  EXPECT_TRUE(b.None());
-  b.Set(0);
-  b.Set(64);
-  b.Set(129);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_TRUE(b.Test(129));
-  EXPECT_FALSE(b.Test(1));
-  EXPECT_EQ(b.Count(), 3u);
-  b.Reset(64);
-  EXPECT_FALSE(b.Test(64));
-  EXPECT_EQ(b.Count(), 2u);
-  b.Clear();
-  EXPECT_TRUE(b.None());
-}
-
-TEST(BitsetTest, IntersectUnionSubset) {
-  DynamicBitset a(100);
-  DynamicBitset b(100);
-  a.Set(3);
-  a.Set(70);
-  a.Set(99);
-  b.Set(3);
-  b.Set(99);
-  EXPECT_TRUE(b.IsSubsetOf(a));
-  EXPECT_FALSE(a.IsSubsetOf(b));
-
-  DynamicBitset u = a;
-  u.UnionWith(b);
-  EXPECT_EQ(u.Count(), 3u);
-
-  a.IntersectWith(b);
-  EXPECT_EQ(a.Count(), 2u);
-  EXPECT_TRUE(a == b);
-}
-
-TEST(BitsetTest, AppendSetBitsAscending) {
-  DynamicBitset b(200);
-  b.Set(199);
-  b.Set(0);
-  b.Set(63);
-  b.Set(64);
-  std::vector<uint32_t> out;
-  b.AppendSetBits(&out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{0, 63, 64, 199}));
 }
 
 TEST(RngTest, DeterministicPerSeed) {

@@ -211,30 +211,18 @@ TEST(ToolsPipelineTest, SelfCheckPassesOnRepeatedRows) {
       << text.str();
 }
 
-// --self-check mines nothing: a minimum support or an observability flag
-// would be dropped silently, so each is a usage error (exit 2) that
-// writes no report.
+// --self-check mines nothing: a minimum support would be dropped
+// silently, so it is a usage error (exit 2) before or after the input.
 TEST(ToolsPipelineTest, SelfCheckRejectsTheFlagsItIgnores) {
   const std::string data = TempPath("pipeline_selfcheck_flags.fimi");
-  const std::string stats = TempPath("pipeline_selfcheck_flags.json");
   {
     std::ofstream out(data);
     out << "0 1 2\n1 3\n2 3\n";
   }
-  std::remove(stats.c_str());
   const std::string verify =
       std::string(FIM_VERIFY_BINARY) + " --self-check ";
-  const std::vector<std::string> flags = {
-      "-s 7", "--stats", "--stats=json", "--stats-out=" + stats,
-      "--trace-out=" + stats, "--mem-stats", "--profile",
-      "--profile=" + stats};
-  for (const std::string& flag : flags) {
-    EXPECT_EQ(ExitCode(verify + flag + " " + data + " 2>/dev/null"), 2)
-        << flag;
-    EXPECT_EQ(ExitCode(verify + data + " " + flag + " 2>/dev/null"), 2)
-        << flag;
-  }
-  EXPECT_FALSE(std::ifstream(stats).good());
+  EXPECT_EQ(ExitCode(verify + "-s 7 " + data + " 2>/dev/null"), 2);
+  EXPECT_EQ(ExitCode(verify + data + " -s 7 2>/dev/null"), 2);
   EXPECT_EQ(ExitCode(verify + data + " 2>/dev/null"), 0);
 }
 
@@ -458,33 +446,6 @@ TEST(ToolsPipelineTest, StreamTraceStatsAndSamplerOutputs) {
   }
   EXPECT_TRUE(saw_rotate);
   EXPECT_TRUE(saw_query);
-}
-
-TEST(ToolsPipelineTest, VerifyWritesStatsAndTraceFiles) {
-  const std::string data = TempPath("pipeline_vobs.fimi");
-  const std::string good = TempPath("pipeline_vobs_good.txt");
-  const std::string stats = TempPath("pipeline_vobs_stats.json");
-  const std::string trace = TempPath("pipeline_vobs_trace.json");
-
-  ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p basket -c 0.02 -r 45 " +
-                   data + " 2>/dev/null"),
-            0);
-  ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -s 6 " + data + " " +
-                   good),
-            0);
-  ASSERT_EQ(RunCmd(std::string(FIM_VERIFY_BINARY) + " -s 6 --stats=json " +
-                   "--stats-out=" + stats + " --trace-out=" + trace + " " +
-                   data + " " + good + " 2>/dev/null"),
-            0);
-
-  std::ifstream in(stats);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto report = obs::ParseJson(buffer.str());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().Find("schema")->AsString(), "fim-stats-v2");
-  EXPECT_EQ(report.value().Find("tool")->AsString(), "fim-verify");
-  EXPECT_GE(CheckChromeTraceFile(trace), 1u);
 }
 
 TEST(ToolsPipelineTest, StatsDiffGatesRegressions) {
@@ -827,46 +788,49 @@ TEST(ToolsPipelineTest, NumericFlagsOutsideTheirRangeAreUsageErrors) {
               2)
         << "fim-mine -t " << threads;
   }
+  // At support 0 every set would be frequent: each tool that takes -s
+  // rejects it before it reads the input.
+  for (const char* binary : {FIM_MINE_BINARY, FIM_RULES_BINARY,
+                             FIM_VERIFY_BINARY, FIM_STREAM_BINARY}) {
+    EXPECT_EQ(ExitCode(std::string(binary) + " -s 0 " + data + " /dev/null" +
+                       quiet),
+              2)
+        << binary << " -s 0";
+  }
 }
 
-TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsRusage) {
-  const std::string data = TempPath("pipeline_prof.fimi");
+TEST(ToolsPipelineTest, TracingIsOutputNeutralAndReportsRusage) {
+  const std::string data = TempPath("pipeline_traced.fimi");
   ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p basket -c 0.02 -r 53 " +
                    data + " 2>/dev/null"),
             0);
 
-  // The acceptance contract: --profile succeeds on any host, changes
-  // nothing about the mined output at 1 and 4 threads, writes a valid
-  // fim-prof-v1 collapsed-stack file, and the stats report carries the
+  // --trace-out and --stats change nothing about the mined output at 1
+  // and 4 threads, the trace is valid, and the stats report carries the
   // process's rusage and the kernel tier.
   for (const int threads : {1, 4}) {
     const std::string suffix = "_t" + std::to_string(threads);
-    const std::string plain_out = TempPath("pipeline_prof_plain" + suffix);
-    const std::string prof_out = TempPath("pipeline_prof_result" + suffix);
-    const std::string collapsed = TempPath("pipeline_prof_stacks" + suffix);
-    const std::string stats = TempPath("pipeline_prof_stats" + suffix);
+    const std::string plain_out = TempPath("pipeline_traced_plain" + suffix);
+    const std::string traced_out =
+        TempPath("pipeline_traced_result" + suffix);
+    const std::string trace = TempPath("pipeline_traced_trace" + suffix);
+    const std::string stats = TempPath("pipeline_traced_stats" + suffix);
     const std::string mine = std::string(FIM_MINE_BINARY) + " -q -s 5 -t " +
                              std::to_string(threads) + " ";
     ASSERT_EQ(RunCmd(mine + data + " " + plain_out), 0);
-    ASSERT_EQ(RunCmd(mine + "--profile=" + collapsed +
+    ASSERT_EQ(RunCmd(mine + "--trace-out=" + trace +
                      " --stats=json --stats-out=" + stats + " " + data + " " +
-                     prof_out + " 2>/dev/null"),
+                     traced_out + " 2>/dev/null"),
               0);
 
-    // Output neutrality end to end: profiling never changes the result.
+    // Output neutrality end to end: observing never changes the result.
     auto plain = ReadClosedSetsFile(plain_out);
-    auto profiled = ReadClosedSetsFile(prof_out);
+    auto traced = ReadClosedSetsFile(traced_out);
     ASSERT_TRUE(plain.ok());
-    ASSERT_TRUE(profiled.ok());
+    ASSERT_TRUE(traced.ok());
     ASSERT_FALSE(plain.value().empty());
-    EXPECT_TRUE(SameResults(plain.value(), profiled.value()));
-
-    // The collapsed-stack file exists and leads with the v1 header —
-    // even when the profiler could not arm, the header explains why.
-    std::ifstream stacks_in(collapsed);
-    std::string header;
-    ASSERT_TRUE(std::getline(stacks_in, header)) << collapsed;
-    EXPECT_EQ(header.rfind("# fim-prof-v1 ", 0), 0u) << header;
+    EXPECT_TRUE(SameResults(plain.value(), traced.value()));
+    EXPECT_GE(CheckChromeTraceFile(trace), 1u);
 
     // The rusage object and the kernel tier are top-level fields of
     // every report (this is Linux/POSIX in CI).
@@ -932,6 +896,43 @@ TEST(ToolsPipelineTest, CpuSecondsCountsWorkerThreads) {
                                  << mine_cpu;
 }
 
+// fim-mine writes its result in 64 KiB chunks, each in a `write` span
+// under the span open at the time: IsTa writes from its report callback,
+// so the chunks nest in mine/report/write and `report` alone times the
+// walk of the tree. The last chunk is written after mining, at the top.
+TEST(ToolsPipelineTest, StatsTellMiningFromWriting) {
+  const std::string data = TempPath("pipeline_write.fimi");
+  const std::string result = TempPath("pipeline_write.txt");
+  const std::string stats = TempPath("pipeline_write.json");
+  ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p basket -c 0.05 -r 42 " +
+                   data + " 2>/dev/null"),
+            0);
+  ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -s 5 --stats=json " +
+                   "--stats-out=" + stats + " " + data + " " + result),
+            0);
+  ASSERT_GT(ReadText(result).size(), std::size_t{64} << 10);
+  auto parsed = obs::ParseJson(ReadText(stats));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  // The span named `name` in the array `spans` (nullable), or nullptr.
+  auto find_span = [](const obs::JsonValue* spans,
+                      const char* name) -> const obs::JsonValue* {
+    if (spans == nullptr) return nullptr;
+    for (const obs::JsonValue& span : spans->AsArray()) {
+      if (span.Find("name")->AsString() == name) return &span;
+    }
+    return nullptr;
+  };
+  const obs::JsonValue* spans = parsed.value().Find("spans");
+  const obs::JsonValue* mine = find_span(spans, "mine");
+  ASSERT_NE(mine, nullptr);
+  const obs::JsonValue* report = find_span(mine->Find("children"), "report");
+  ASSERT_NE(report, nullptr);
+  const obs::JsonValue* write = find_span(report->Find("children"), "write");
+  ASSERT_NE(write, nullptr) << ReadText(stats);
+  EXPECT_GE(write->Find("count")->AsNumber(), 1.0);
+  EXPECT_NE(find_span(spans, "write"), nullptr);
+}
+
 // Retired flags fail loudly instead of being taken for file names.
 TEST(ToolsPipelineTest, RetiredFlagsAreUsageErrors) {
   const std::string data = TempPath("pipeline_retired.fimi");
@@ -959,6 +960,26 @@ TEST(ToolsPipelineTest, RetiredFlagsAreUsageErrors) {
   EXPECT_EQ(ExitCode(std::string(FIM_STREAM_BINARY) + " --perf-counters" +
                      quiet),
             2);
+  // The sampling profiler, and fim-verify's observers of its reference
+  // run (fim-mine observes the same run).
+  const std::string path = TempPath("pipeline_retired.out");
+  for (const std::string& flag :
+       {std::string("--profile"), "--profile=" + path}) {
+    for (const char* binary :
+         {FIM_MINE_BINARY, FIM_STREAM_BINARY, FIM_VERIFY_BINARY}) {
+      EXPECT_EQ(ExitCode(std::string(binary) + " " + flag + quiet), 2)
+          << binary << " " << flag;
+    }
+  }
+  for (const std::string& flag :
+       {std::string("--stats"), std::string("--stats=json"),
+        "--stats-out=" + path, "--trace-out=" + path,
+        std::string("--mem-stats")}) {
+    EXPECT_EQ(ExitCode(std::string(FIM_VERIFY_BINARY) + " -s 1 " + flag +
+                       quiet),
+              2)
+        << "fim-verify " << flag;
+  }
   EXPECT_EQ(ExitCode(std::string(FIM_STATS_DIFF_BINARY) +
                      " --structure-only" + quiet),
             2);

@@ -4,11 +4,11 @@
 //
 //   fim-mine [-a algorithm] [-s minsupp | -S percent] [-t threads] [-m] [-q]
 //            [--stats[=text|json]] [--stats-out=PATH] [--trace-out=PATH]
-//            [--profile[=PATH]] [--mem-stats] input [output]
+//            [--mem-stats] input [output]
 //
 //   -a NAME   ista | carpenter-lists | carpenter-table | flat-cumulative |
 //             fpclose | lcm | charm (default: ista)
-//   -s N      absolute minimum support            (default: 2)
+//   -s N      absolute minimum support, at least 1 (default: 2)
 //   -S P      relative minimum support in percent (overrides -s)
 //   -t N      worker threads of every algorithm's recoding, and of
 //             lcm's mining, at most 1024; output is identical to the
@@ -20,7 +20,9 @@
 //             per-miner counters, process CPU of every thread, rusage
 //             and kernel tier; see docs/OBSERVABILITY.md) after mining;
 //             text (default) or JSON. Goes to stderr unless --stats-out
-//             is given, so the result output is unchanged.
+//             is given, so the result output is unchanged. Writing the
+//             result runs in `write` spans, under the span open at the
+//             time, so the others time mining alone.
 //   --stats-out=PATH
 //             write the stats report to PATH instead of stderr
 //   --trace-out=PATH
@@ -28,11 +30,6 @@
 //             lane per recoding worker) and write it as
 //             Chrome trace-event JSON to PATH — load in chrome://tracing
 //             or https://ui.perfetto.dev
-//   --profile[=PATH]
-//             sampling self-profiler (SIGPROF + backtrace): collapsed
-//             stacks (`fim-prof-v1`, flamegraph.pl-compatible) written
-//             to PATH, or stderr without =PATH. Combine with --trace-out
-//             to see the sample cadence as a "profiler" lane.
 //   --mem-stats
 //             collect the per-structure memory breakdown (the weighted
 //             stream, prefix trees, tid lists, matrices) and add the
@@ -59,6 +56,7 @@
 #include "common/timer.h"
 #include "data/binary_io.h"
 #include "data/fimi_io.h"
+#include "data/result_io.h"
 #include "data/stats.h"
 #include "obs/export.h"
 #include "obs/timeline.h"
@@ -72,9 +70,12 @@ void Usage() {
   std::fprintf(stderr,
                "usage: fim-mine [-a algorithm] [-s minsupp | -S percent] "
                "[-t threads] [-m] [-q] [--stats[=text|json]] "
-               "[--stats-out=PATH] [--trace-out=PATH] [--profile[=PATH]] "
-               "[--mem-stats] input [output]\n");
+               "[--stats-out=PATH] [--trace-out=PATH] [--mem-stats] "
+               "input [output]\n");
 }
+
+// fim-mine writes its result in chunks of this size.
+constexpr std::size_t kWriteChunkBytes = std::size_t{64} << 10;
 
 }  // namespace
 
@@ -109,7 +110,7 @@ int main(int argc, char** argv) {
       }
       algorithm = parsed.value();
     } else if (std::strcmp(arg, "-s") == 0) {
-      min_support = tools::ParseCount<Support>("-s", next_value());
+      min_support = tools::ParseMinSupport(next_value());
     } else if (std::strcmp(arg, "-S") == 0) {
       percent = tools::ParsePercent("-S", next_value());
     } else if (std::strcmp(arg, "-t") == 0) {
@@ -158,8 +159,6 @@ int main(int argc, char** argv) {
   MinerStats* stats = obs_flags.WantStats() ? &miner_stats : nullptr;
   std::unique_ptr<obs::Timeline> timeline;
   if (obs_flags.WantTrace()) timeline = std::make_unique<obs::Timeline>();
-  tools::ProfileSession profile_session;
-  profile_session.Start(obs_flags, timeline.get());
   tools::MemSession mem_session(obs_flags);
 
   obs::Span load_span(trace, "load");
@@ -204,13 +203,18 @@ int main(int argc, char** argv) {
   WallTimer mining;
   std::size_t count = 0;
   Status status;
+  std::string buffer;
+  // Each write is a `write` span under the span open at the time
+  // (mine/report/write for IsTa), so `report` times the mining alone.
+  auto write_buffer = [&]() {
+    obs::Span write_span(trace, "write");
+    out->write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+    buffer.clear();
+  };
   auto print_set = [&](std::span<const ItemId> items, Support support) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i > 0) *out << ' ';
-      *out << items[i];
-    }
-    *out << " (" << support << ")\n";
+    AppendClosedSet(&buffer, items, support);
     ++count;
+    if (buffer.size() >= kWriteChunkBytes) write_buffer();
   };
 
   if (maximal_only) {
@@ -218,7 +222,6 @@ int main(int argc, char** argv) {
     if (!closed.ok()) {
       status = closed.status();
     } else {
-      obs::Span write_span(trace, "write");
       for (const auto& set : FilterMaximal(std::move(closed).value())) {
         print_set(set.items, set.support);
       }
@@ -230,6 +233,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mining failed: %s\n", status.ToString().c_str());
     return 1;
   }
+  write_buffer();
   out->flush();
   if (!quiet) {
     std::fprintf(stderr,
@@ -238,9 +242,6 @@ int main(int argc, char** argv) {
                  total.Seconds());
   }
 
-  // Stop the profiler before any export touches the timeline it may
-  // still be writing to.
-  profile_session.Stop();
   if (mem_session.breakdown() != nullptr) {
     // The tool owns the original database; the miners record only what
     // they build themselves.
@@ -268,9 +269,7 @@ int main(int argc, char** argv) {
     report.miner = miner_stats;
     report.trace = &trace_storage;
     report.memory = mem_report;
-    if (int rc = tools::EmitStatsReport(obs_flags, report); rc != 0) {
-      return rc;
-    }
+    return tools::EmitStatsReport(obs_flags, report);
   }
-  return profile_session.EmitProfile(obs_flags);
+  return 0;
 }

@@ -6,7 +6,7 @@
 //             [-k maxrules] input [output]
 //
 //   -a NAME   mining algorithm (default ista)
-//   -s N      absolute minimum support         (default 2)
+//   -s N      absolute minimum support, >= 1  (default 2)
 //   -S P      relative minimum support percent (overrides -s)
 //   -c F      minimum confidence in [0,1]      (default 0.8)
 //   -k N      print at most N rules, best lift first (default 100)
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       }
       algorithm = parsed.value();
     } else if (std::strcmp(arg, "-s") == 0) {
-      min_support = tools::ParseCount<Support>("-s", next_value());
+      min_support = tools::ParseMinSupport(next_value());
     } else if (std::strcmp(arg, "-S") == 0) {
       percent = tools::ParsePercent("-S", next_value());
     } else if (std::strcmp(arg, "-c") == 0) {

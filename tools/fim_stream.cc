@@ -7,9 +7,10 @@
 //              [--checkpoint=PATH] [--checkpoint-every=N] [--resume=PATH]
 //              [--max-items=N] [-q] [--stats[=text|json]]
 //              [--stats-out=PATH] [--trace-out=PATH] [--mem-stats]
-//              [--profile[=PATH]] [input [output]]
+//              [input [output]]
 //
-//   -s N        minimum support of every snapshot query (default: 2)
+//   -s N        minimum support of every snapshot query, at least 1
+//               (default: 2)
 //   --pane=N    transactions per tumbling pane (sliding-window mode;
 //               requires --window)
 //   --window=W  number of live panes a snapshot covers (requires --pane).
@@ -46,9 +47,6 @@
 //               collect the per-structure memory breakdown (completed
 //               panes, the filling pane) and add the `memory`
 //               section to the stats report (implies --stats)
-//   --profile[=PATH]
-//               sampling self-profiler: fim-prof-v1 collapsed stacks to
-//               stderr or PATH (flamegraph.pl-compatible)
 //   input       FIMI text file; "-" or absent: stdin (line-buffered —
 //               suitable for live piping)
 //   output      snapshot destination; "-" or absent: stdout
@@ -70,6 +68,7 @@
 #include "common/timer.h"
 #include "data/fimi_io.h"
 #include "data/itemset.h"
+#include "data/result_io.h"
 #include "obs/export.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -85,7 +84,7 @@ void Usage() {
       "[--query-every=N] [--checkpoint=PATH] [--checkpoint-every=N] "
       "[--resume=PATH] [--max-items=N] [-q] [--stats[=text|json]] "
       "[--stats-out=PATH] [--trace-out=PATH] [--mem-stats] "
-      "[--profile[=PATH]] [input [output]]\n");
+      "[input [output]]\n");
 }
 
 struct Args {
@@ -117,8 +116,7 @@ int ParseArgs(int argc, char** argv, Args* args) {
       return argv[++i];
     };
     if (std::strcmp(arg, "-s") == 0) {
-      args->min_support =
-          fim::tools::ParseCount<fim::Support>("-s", next_value());
+      args->min_support = fim::tools::ParseMinSupport(next_value());
     } else if (std::strncmp(arg, "--pane=", 7) == 0) {
       args->pane_size =
           fim::tools::ParseCount<std::size_t>("--pane", arg + 7);
@@ -137,7 +135,7 @@ int ParseArgs(int argc, char** argv, Args* args) {
       args->resume_path = arg + 9;
     } else if (std::strncmp(arg, "--max-items=", 12) == 0) {
       args->max_items =
-          fim::tools::ParseCount<std::size_t>("--max-items", arg + 12);
+          fim::tools::ParseCount<std::size_t>("--max-items", arg + 12, 1);
     } else if (std::strcmp(arg, "-q") == 0) {
       args->quiet = true;
     } else if (args->obs.Parse(arg)) {
@@ -163,10 +161,6 @@ int ParseArgs(int argc, char** argv, Args* args) {
   if ((args->pane_size == 0) != (args->window_panes == 0)) {
     std::fprintf(stderr,
                  "error: --pane and --window must be given together\n");
-    return 2;
-  }
-  if (args->min_support == 0 || args->max_items == 0) {
-    std::fprintf(stderr, "error: -s and --max-items must be >= 1\n");
     return 2;
   }
   args->obs.Finish();
@@ -211,14 +205,13 @@ int EmitStats(const Args& args, fim::StreamMiner& miner,
 int PrintSnapshot(fim::StreamMiner& miner, fim::Support min_support,
                   std::ostream& out, std::size_t* num_sets) {
   std::size_t count = 0;
+  std::string line;
   fim::Status status = miner.Query(
       min_support, [&](std::span<const fim::ItemId> items,
                        fim::Support support) {
-        for (std::size_t i = 0; i < items.size(); ++i) {
-          if (i > 0) out << ' ';
-          out << items[i];
-        }
-        out << " (" << support << ")\n";
+        line.clear();
+        fim::AppendClosedSet(&line, items, support);
+        out.write(line.data(), static_cast<std::streamsize>(line.size()));
         ++count;
       });
   if (!status.ok()) {
@@ -258,8 +251,6 @@ int main(int argc, char** argv) {
   obs::Trace* trace = args.obs.WantStats() ? &trace_storage : nullptr;
   std::unique_ptr<obs::Timeline> timeline;
   if (args.obs.WantTrace()) timeline = std::make_unique<obs::Timeline>();
-  tools::ProfileSession profile_session;
-  profile_session.Start(args.obs, timeline.get());
   tools::MemSession mem_session(args.obs);
 
   std::unique_ptr<StreamMiner> miner;
@@ -372,9 +363,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The profiler stops before any export touches the timeline it may
-  // still be writing to.
-  profile_session.Stop();
   if (mem_session.breakdown() != nullptr) {
     mem_session.breakdown()->Record(miner->ApproxMemoryUsage());
   }
@@ -402,11 +390,8 @@ int main(int argc, char** argv) {
         num_sets, args.min_support, miner->NodeCount(), total.Seconds());
   }
   if (args.obs.WantStats()) {
-    if (int rc = EmitStats(args, *miner, trace, mem_report, num_sets,
-                           total.Seconds(), start_usage);
-        rc != 0) {
-      return rc;
-    }
+    return EmitStats(args, *miner, trace, mem_report, num_sets,
+                     total.Seconds(), start_usage);
   }
-  return profile_session.EmitProfile(args.obs);
+  return 0;
 }

@@ -1,8 +1,9 @@
 #ifndef FIM_TOOLS_TOOL_FLAGS_H_
 #define FIM_TOOLS_TOOL_FLAGS_H_
 
-// Shared command-line plumbing of the fim-* tools: the observability
-// flags behave identically everywhere they exist —
+// Shared command-line plumbing of the fim-* tools: checked number
+// parsers, and the observability flags of fim-mine and fim-stream, which
+// behave identically in both —
 //
 //   --stats[=text|json]   emit an execution-statistics report
 //   --stats-out=PATH      write the stats report to PATH instead of
@@ -10,16 +11,13 @@
 //   --trace-out=PATH      write a Chrome trace-event JSON timeline
 //                         (fim-trace-v1; load in chrome://tracing or
 //                         https://ui.perfetto.dev)
-//   --profile[=PATH]      sampling self-profiler: SIGPROF stacks folded
-//                         to fim-prof-v1 collapsed format (flamegraph.pl
-//                         compatible) on stderr or into PATH
 //   --mem-stats           collect the per-structure memory breakdown and
 //                         add the `memory` section to the stats report
 //                         (implies --stats)
 //
 // Tools parse them through ObsFlags::Parse and run them through a
-// ProfileSession + EmitStatsReport / EmitChromeTrace so the behaviour
-// cannot drift apart.
+// MemSession + EmitStatsReport / EmitChromeTrace so the behaviour cannot
+// drift apart.
 
 #include <algorithm>
 #include <cerrno>
@@ -29,40 +27,46 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <string>
 
 #include "common/status.h"
 #include "common/timer.h"
+#include "data/itemset.h"
 #include "kernels/intersect.h"
 #include "obs/export.h"
 #include "obs/perf.h"
-#include "obs/profiler.h"
 #include "obs/timeline.h"
 
 namespace fim::tools {
 
-/// Parses a non-negative integer flag value of type T with full error
-/// checking — std::atoll reports neither overflow nor trailing garbage
-/// (cert-err34-c), and a cast would wrap a value above T's range, so
-/// "-s 10x" or "-s 4294967297" would silently mine with a wrong
-/// threshold. Prints a usage error naming `flag` and exits with status 2
-/// on any malformed or out-of-range value.
+/// Parses an integer flag value of type T, at least `min`, with full
+/// error checking — std::atoll reports neither overflow nor trailing
+/// garbage (cert-err34-c), and a cast would wrap a value above T's
+/// range, so "-s 10x" or "-s 4294967297" would silently mine with a
+/// wrong threshold. Prints a usage error naming `flag` and exits with
+/// status 2 on any malformed or out-of-range value.
 template <typename T>
-T ParseCount(const char* flag, const char* text) {
+T ParseCount(const char* flag, const char* text, T min = 0) {
   errno = 0;
   char* end = nullptr;
   const long long value = std::strtoll(text, &end, 10);
   constexpr unsigned long long kMax = std::min<unsigned long long>(
       std::numeric_limits<T>::max(), std::numeric_limits<long long>::max());
   if (errno == ERANGE || end == text || *end != '\0' || value < 0 ||
+      static_cast<unsigned long long>(value) < min ||
       static_cast<unsigned long long>(value) > kMax) {
     std::fprintf(stderr,
-                 "error: %s expects an integer in [0, %llu], got \"%s\"\n",
-                 flag, kMax, text);
+                 "error: %s expects an integer in [%llu, %llu], got \"%s\"\n",
+                 flag, static_cast<unsigned long long>(min), kMax, text);
     std::exit(2);
   }
   return static_cast<T>(value);
+}
+
+/// Parses the minimum support of `-s`: a count of at least 1 (at 0 every
+/// set of items would be frequent, and the miners reject it).
+inline Support ParseMinSupport(const char* text) {
+  return ParseCount<Support>("-s", text, 1);
 }
 
 /// Parses a real-valued flag: the whole of `text` must be a finite
@@ -122,8 +126,6 @@ struct ObsFlags {
   StatsFormat stats_format = StatsFormat::kNone;
   std::string stats_out;
   std::string trace_out;
-  bool profile = false;
-  std::string profile_out;  // empty = collapsed stacks to stderr
   bool mem_stats = false;
 
   bool WantStats() const { return stats_format != StatsFormat::kNone; }
@@ -152,15 +154,6 @@ struct ObsFlags {
       mem_stats = true;
       return true;
     }
-    if (std::strcmp(arg, "--profile") == 0) {
-      profile = true;
-      return true;
-    }
-    if (std::strncmp(arg, "--profile=", 10) == 0) {
-      profile = true;
-      profile_out = arg + 10;
-      return true;
-    }
     return false;
   }
 
@@ -175,78 +168,8 @@ struct ObsFlags {
   }
 };
 
-/// Everything --profile sets up around one measured run, shared by
-/// fim-mine / fim-stream / fim-verify:
-///
-///   ProfileSession profile_session;
-///   profile_session.Start(flags, timeline);          // before the work
-///   ... run ...
-///   profile_session.Stop();                          // before the exports
-///   exit_code |= profile_session.EmitProfile(flags); // after the work
-///
-/// A profiler that cannot start prints a warning and never fails the
-/// run by itself; only an unwritable --profile=PATH is an error at
-/// EmitProfile time.
-class ProfileSession {
- public:
-  /// Arms the profiler per `flags`. `timeline` (nullable) gets a
-  /// "profiler" lane so samples fold into the Chrome-trace export. Call
-  /// before the measured work, on the driving thread.
-  void Start(const ObsFlags& flags, obs::Timeline* timeline) {
-    if (!flags.profile) return;
-    obs::ProfilerOptions options;
-    if (timeline != nullptr) options.lane = timeline->AddLane("profiler");
-    profiler_ = obs::SamplingProfiler::Start(options, &profiler_error_);
-    if (profiler_ == nullptr) {
-      std::fprintf(stderr, "warning: profiling disabled: %s\n",
-                   profiler_error_.c_str());
-    }
-  }
-
-  /// Stops sampling, so no export races the profiler's timeline lane.
-  void Stop() {
-    if (profiler_ != nullptr) profiler_->Stop();
-  }
-
-  /// Writes the collapsed-stack profile to stderr or
-  /// `flags.profile_out`. When the profiler could not start, a
-  /// requested output file still gets a header explaining why (so CI
-  /// artifact steps find a file either way). Returns 0, or 1 when the
-  /// file cannot be written.
-  int EmitProfile(const ObsFlags& flags) {
-    if (!flags.profile) return 0;
-    if (profiler_ == nullptr) {
-      if (flags.profile_out.empty()) return 0;  // warning already printed
-      std::ofstream out(flags.profile_out, std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot open %s for writing\n",
-                     flags.profile_out.c_str());
-        return 1;
-      }
-      out << "# fim-prof-v1 samples=0 dropped=0 unavailable: "
-          << profiler_error_ << '\n';
-      return 0;
-    }
-    if (flags.profile_out.empty()) {
-      std::fputs(profiler_->RenderCollapsed().c_str(), stderr);
-      return 0;
-    }
-    const Status status = profiler_->WriteCollapsedFile(flags.profile_out);
-    if (!status.ok()) {
-      std::fprintf(stderr, "error writing profile %s: %s\n",
-                   flags.profile_out.c_str(), status.ToString().c_str());
-      return 1;
-    }
-    return 0;
-  }
-
- private:
-  std::unique_ptr<obs::SamplingProfiler> profiler_;
-  std::string profiler_error_;
-};
-
 /// Everything --mem-stats sets up around one measured run, shared by
-/// the tools the same way ProfileSession is:
+/// fim-mine and fim-stream:
 ///
 ///   MemSession mem_session(flags);
 ///   options.memory = mem_session.breakdown();      // nullptr w/o flag
