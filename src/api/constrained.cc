@@ -26,7 +26,8 @@ Status MineClosedConstrained(const TransactionDatabase& db,
   conditional.SetNumItems(db.NumItems());
   std::size_t cover = 0;
   std::vector<ItemId> reduced;
-  for (const auto& t : db.transactions()) {
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    const std::span<const ItemId> t = db.Row(k);
     if (!IsSubsetSorted(required, t)) continue;
     ++cover;
     reduced.clear();

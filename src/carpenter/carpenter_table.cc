@@ -25,7 +25,9 @@ std::vector<Support> BuildCarpenterMatrix(const WeightedTransactions& rows,
 
 std::vector<Support> BuildCarpenterMatrix(const TransactionDatabase& db) {
   WeightedTransactions rows;
-  for (const auto& transaction : db.transactions()) rows.AddRow(transaction, 1);
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    rows.AddRow(db.Row(k), 1);
+  }
   return BuildCarpenterMatrix(rows, db.NumItems());
 }
 

@@ -28,7 +28,8 @@ Status WriteBinaryFile(const TransactionDatabase& db,
   WritePod(out, kVersion);
   WritePod(out, static_cast<uint64_t>(db.NumItems()));
   WritePod(out, static_cast<uint64_t>(db.NumTransactions()));
-  for (const auto& t : db.transactions()) {
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    const std::span<const ItemId> t = db.Row(k);
     WritePod(out, static_cast<uint32_t>(t.size()));
     out.write(reinterpret_cast<const char*>(t.data()),
               static_cast<std::streamsize>(t.size() * sizeof(ItemId)));
@@ -101,6 +102,7 @@ Result<TransactionDatabase> ReadBinaryFile(const std::string& path) {
     db.AddTransaction(items);
   }
   db.SetNumItems(static_cast<std::size_t>(num_items));
+  db.ShrinkToFit();
   return db;
 }
 

@@ -154,7 +154,7 @@ TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
   for (std::size_t r = 0; r < rows.NumRows(); ++r) {
     const std::span<const ItemId> row = rows.Row(r);
     for (Support copy = 0; copy < rows.weights[r]; ++copy) {
-      out.AddTransaction(std::vector<ItemId>(row.begin(), row.end()));
+      out.AddTransaction(row);
     }
   }
   out.SetNumItems(recoding.num_kept());
@@ -264,14 +264,14 @@ void RowFolder::Grow() {
 std::vector<WeightedTransactions> FoldRows(const TransactionDatabase& db,
                                            RowFold fold, unsigned num_chunks,
                                            obs::Timeline* timeline) {
-  const auto& transactions = db.transactions();
-  std::vector<WeightedTransactions> chunks(std::max<std::size_t>(
-      std::min<std::size_t>(num_chunks, transactions.size()), 1));
+  const std::size_t n = db.NumTransactions();
+  std::vector<WeightedTransactions> chunks(
+      std::max<std::size_t>(std::min<std::size_t>(num_chunks, n), 1));
   RunChunks(chunks.size(), timeline, "prefold", [&](std::size_t c) {
-    const std::size_t begin = c * transactions.size() / chunks.size();
-    const std::size_t end = (c + 1) * transactions.size() / chunks.size();
+    const std::size_t begin = c * n / chunks.size();
+    const std::size_t end = (c + 1) * n / chunks.size();
     RowFolder inputs(fold);
-    for (std::size_t t = begin; t < end; ++t) inputs.Add(transactions[t], 1);
+    for (std::size_t t = begin; t < end; ++t) inputs.Add(db.Row(t), 1);
     chunks[c] = inputs.Take();
   });
   return chunks;

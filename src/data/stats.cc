@@ -14,10 +14,11 @@ DatabaseStats ComputeStats(const TransactionDatabase& db) {
       static_cast<std::size_t>(std::count_if(freq.begin(), freq.end(),
                                              [](Support f) { return f > 0; }));
   s.min_transaction_size = s.num_transactions > 0 ? SIZE_MAX : 0;
-  for (const auto& t : db.transactions()) {
-    s.total_occurrences += t.size();
-    s.min_transaction_size = std::min(s.min_transaction_size, t.size());
-    s.max_transaction_size = std::max(s.max_transaction_size, t.size());
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    const std::size_t size = db.Row(k).size();
+    s.total_occurrences += size;
+    s.min_transaction_size = std::min(s.min_transaction_size, size);
+    s.max_transaction_size = std::max(s.max_transaction_size, size);
   }
   if (s.num_transactions > 0) {
     s.avg_transaction_size =

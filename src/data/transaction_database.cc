@@ -1,22 +1,37 @@
 #include "data/transaction_database.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace fim {
 
 TransactionDatabase TransactionDatabase::FromTransactions(
-    std::vector<std::vector<ItemId>> transactions, std::size_t num_items) {
+    const std::vector<std::vector<ItemId>>& transactions,
+    std::size_t num_items) {
   TransactionDatabase db;
-  for (auto& t : transactions) db.AddTransaction(std::move(t));
+  for (const auto& t : transactions) db.AddTransaction(t);
   db.SetNumItems(num_items);
   return db;
 }
 
-void TransactionDatabase::AddTransaction(std::vector<ItemId> items) {
-  NormalizeItems(&items);
-  if (items.empty()) return;
-  num_items_ = std::max(num_items_, static_cast<std::size_t>(items.back()) + 1);
-  transactions_.push_back(std::move(items));
+void TransactionDatabase::AddTransaction(std::span<const ItemId> items) {
+  items_.Append(items);
+  EndTransaction();
+}
+
+void TransactionDatabase::EndTransaction() {
+  ItemId* const begin = items_.begin() + offsets_.back();
+  if (begin == items_.end()) return;
+  // Most rows arrive ascending; only the others are sorted.
+  if (std::adjacent_find(begin, items_.end(), std::greater_equal<>()) !=
+      items_.end()) {
+    std::sort(begin, items_.end());
+    items_.Truncate(static_cast<std::size_t>(
+        std::unique(begin, items_.end()) - items_.begin()));
+  }
+  num_items_ =
+      std::max(num_items_, static_cast<std::size_t>(items_.back()) + 1);
+  offsets_.push_back(items_.size());
 }
 
 void TransactionDatabase::SetNumItems(std::size_t num_items) {
@@ -36,49 +51,48 @@ std::string TransactionDatabase::ItemName(ItemId item) const {
   return std::to_string(item);
 }
 
-std::size_t TransactionDatabase::TotalItemOccurrences() const {
-  std::size_t total = 0;
-  for (const auto& t : transactions_) total += t.size();
-  return total;
+std::vector<ItemId> TransactionDatabase::transaction(std::size_t k) const {
+  const std::span<const ItemId> row = Row(k);
+  return {row.begin(), row.end()};
+}
+
+std::vector<std::vector<ItemId>> TransactionDatabase::transactions() const {
+  std::vector<std::vector<ItemId>> rows;
+  rows.reserve(NumTransactions());
+  for (std::size_t k = 0; k < NumTransactions(); ++k) {
+    const std::span<const ItemId> row = Row(k);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
 }
 
 std::vector<Support> TransactionDatabase::ItemFrequencies() const {
   std::vector<Support> freq(num_items_, 0);
-  for (const auto& t : transactions_) {
-    for (ItemId i : t) ++freq[i];
-  }
+  for (std::size_t p = 0; p < offsets_.back(); ++p) ++freq[items_[p]];
   return freq;
 }
 
 std::vector<std::vector<Tid>> TransactionDatabase::BuildVertical() const {
   std::vector<std::vector<Tid>> tidlists(num_items_);
-  for (std::size_t k = 0; k < transactions_.size(); ++k) {
-    for (ItemId i : transactions_[k]) {
-      tidlists[i].push_back(static_cast<Tid>(k));
-    }
+  for (std::size_t k = 0; k < NumTransactions(); ++k) {
+    for (ItemId i : Row(k)) tidlists[i].push_back(static_cast<Tid>(k));
   }
   return tidlists;
 }
 
 Support TransactionDatabase::CountSupport(std::span<const ItemId> items) const {
   Support s = 0;
-  for (const auto& t : transactions_) {
-    if (IsSubsetSorted(items, t)) ++s;
+  for (std::size_t k = 0; k < NumTransactions(); ++k) {
+    if (IsSubsetSorted(items, Row(k))) ++s;
   }
   return s;
 }
 
 obs::MemoryComponent TransactionDatabase::ApproxMemoryUsage() const {
   obs::MemoryComponent db("database");
-  std::size_t row_bytes = 0;
-  for (const auto& t : transactions_) {
-    row_bytes += t.capacity() * sizeof(ItemId);
-  }
-  obs::MemoryComponent transactions("transactions");
-  transactions.children.emplace_back(
-      "spine", transactions_.capacity() * sizeof(transactions_[0]));
-  transactions.children.emplace_back("rows", row_bytes);
-  db.children.push_back(std::move(transactions));
+  db.children.emplace_back("offsets",
+                           offsets_.capacity() * sizeof(offsets_[0]));
+  db.children.emplace_back("items", items_.capacity() * sizeof(ItemId));
   if (!item_names_.empty()) {
     std::size_t name_bytes = item_names_.capacity() * sizeof(item_names_[0]);
     for (const auto& name : item_names_) {

@@ -5,9 +5,9 @@ namespace fim {
 TransactionDatabase Transpose(const TransactionDatabase& db) {
   std::vector<std::vector<Tid>> tidlists = db.BuildVertical();
   TransactionDatabase out;
-  for (auto& tids : tidlists) {
+  for (const auto& tids : tidlists) {
     if (tids.empty()) continue;
-    out.AddTransaction(std::move(tids));  // Tid and ItemId are both uint32_t
+    out.AddTransaction(tids);  // Tid and ItemId are both uint32_t
   }
   out.SetNumItems(db.NumTransactions());
   return out;

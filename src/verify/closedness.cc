@@ -6,10 +6,11 @@ std::vector<ItemId> Closure(const TransactionDatabase& db,
                             std::span<const ItemId> items) {
   std::vector<ItemId> closure;
   bool first = true;
-  for (const auto& t : db.transactions()) {
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    const std::span<const ItemId> t = db.Row(k);
     if (!IsSubsetSorted(items, t)) continue;
     if (first) {
-      closure = t;
+      closure.assign(t.begin(), t.end());
       first = false;
     } else {
       closure = IntersectSorted(closure, t);

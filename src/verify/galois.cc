@@ -6,7 +6,7 @@ std::vector<Tid> CoverOf(const TransactionDatabase& db,
                          std::span<const ItemId> items) {
   std::vector<Tid> cover;
   for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
-    if (IsSubsetSorted(items, db.transaction(k))) {
+    if (IsSubsetSorted(items, db.Row(k))) {
       cover.push_back(static_cast<Tid>(k));
     }
   }
@@ -22,9 +22,10 @@ std::vector<ItemId> IntersectionOf(const TransactionDatabase& db,
     }
     return all;
   }
-  std::vector<ItemId> inter = db.transaction(tids.front());
+  const std::span<const ItemId> first = db.Row(tids.front());
+  std::vector<ItemId> inter(first.begin(), first.end());
   for (std::size_t k = 1; k < tids.size() && !inter.empty(); ++k) {
-    inter = IntersectSorted(inter, db.transaction(tids[k]));
+    inter = IntersectSorted(inter, db.Row(tids[k]));
   }
   return inter;
 }

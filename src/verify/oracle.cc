@@ -26,9 +26,9 @@ Result<std::vector<ClosedItemset>> OracleClosedSets(
   for (std::size_t mask = 1; mask < num_masks; ++mask) {
     const int low = std::countr_zero(mask);
     const std::size_t rest = mask & (mask - 1);
-    const std::vector<ItemId>& t = db.transaction(static_cast<std::size_t>(low));
+    const std::span<const ItemId> t = db.Row(static_cast<std::size_t>(low));
     if (rest == 0) {
-      inter[mask] = t;
+      inter[mask].assign(t.begin(), t.end());
     } else {
       if (inter[rest].empty()) continue;  // intersection already empty
       inter[mask] = IntersectSorted(inter[rest], t);

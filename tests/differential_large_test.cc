@@ -191,8 +191,8 @@ TEST(DifferentialLargeTest, RowCountsAroundBitsetWordBoundaries) {
   for (std::size_t rows : {63u, 64u, 65u, 127u, 128u, 129u}) {
     const TransactionDatabase db =
         GenerateRandomDense(rows, 16, 0.6, rows * 7919);
-    const std::set<std::vector<ItemId>> distinct(db.transactions().begin(),
-                                                 db.transactions().end());
+    const std::vector<std::vector<ItemId>> all = db.transactions();
+    const std::set<std::vector<ItemId>> distinct(all.begin(), all.end());
     ASSERT_EQ(distinct.size(), rows);
     const Support high = static_cast<Support>(rows / 3);
     for (Support smin : {8u, high}) {
@@ -230,7 +230,8 @@ TEST(DifferentialLargeTest, RepeatedAndPermutedRowsKeepTheSets) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     const TransactionDatabase db =
         GenerateRandomDense(40, 16, 0.35, seed * 613);
-    std::vector<std::vector<ItemId>> shuffled = db.transactions();
+    const std::vector<std::vector<ItemId>> rows = db.transactions();
+    std::vector<std::vector<ItemId>> shuffled = rows;
     Rng rng(seed);
     for (std::size_t i = shuffled.size(); i > 1; --i) {
       std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
@@ -242,10 +243,9 @@ TEST(DifferentialLargeTest, RepeatedAndPermutedRowsKeepTheSets) {
       std::vector<std::vector<ItemId>> blocks;
       std::vector<std::vector<ItemId>> runs;
       for (Support c = 0; c < k; ++c) {
-        blocks.insert(blocks.end(), db.transactions().begin(),
-                      db.transactions().end());
+        blocks.insert(blocks.end(), rows.begin(), rows.end());
       }
-      for (const auto& t : db.transactions()) runs.insert(runs.end(), k, t);
+      for (const auto& t : rows) runs.insert(runs.end(), k, t);
       repeated.emplace_back(
           k, TransactionDatabase::FromTransactions(blocks, db.NumItems()));
       repeated.emplace_back(

@@ -125,9 +125,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   Require(restored.ok());
   RequireSame(restored.value()->QueryCollect(min_support), oracle.value());
 
-  std::vector<std::vector<fim::ItemId>> twice = db.transactions();
-  twice.insert(twice.end(), db.transactions().begin(),
-               db.transactions().end());
+  const std::vector<std::vector<fim::ItemId>> once = db.transactions();
+  std::vector<std::vector<fim::ItemId>> twice = once;
+  twice.insert(twice.end(), once.begin(), once.end());
   std::vector<ClosedItemset> doubled = oracle.value();
   for (ClosedItemset& set : doubled) set.support *= 2;
   RequireMinersAgree(

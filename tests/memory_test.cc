@@ -119,12 +119,16 @@ TEST(ApproxMemoryUsageTest, DatabaseMatchesManualCapacitySum) {
   db.AddTransaction({5});
   const MemoryComponent component = db.ApproxMemoryUsage();
   EXPECT_EQ(component.name, "database");
-  std::size_t expected =
-      db.transactions().capacity() * sizeof(std::vector<ItemId>);
-  for (const auto& t : db.transactions()) {
-    expected += t.capacity() * sizeof(ItemId);
-  }
-  EXPECT_EQ(component.TotalBytes(), expected);
+  ASSERT_EQ(component.children.size(), 2u);
+  EXPECT_EQ(component.children[0].name, "offsets");
+  EXPECT_EQ(component.children[0].TotalBytes(),
+            db.offsets().capacity() * sizeof(std::size_t));
+  EXPECT_EQ(component.children[1].name, "items");
+  EXPECT_EQ(component.children[1].TotalBytes(),
+            db.items().capacity() * sizeof(ItemId));
+  EXPECT_EQ(component.TotalBytes(),
+            db.offsets().capacity() * sizeof(std::size_t) +
+                db.items().capacity() * sizeof(ItemId));
 }
 
 TEST(ApproxMemoryUsageTest, PrefixTreeSplitsLiveAndGarbage) {

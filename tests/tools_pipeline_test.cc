@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -983,6 +984,52 @@ TEST(ToolsPipelineTest, RetiredFlagsAreUsageErrors) {
   EXPECT_EQ(ExitCode(std::string(FIM_STATS_DIFF_BINARY) +
                      " --structure-only" + quiet),
             2);
+}
+
+// A tool whose result cannot be written exits 1 and names its output,
+// instead of exiting 0 with the result lost. Every write to /dev/full
+// fails with ENOSPC, as on a full disk. Returns the input to mine, or ""
+// when the device is missing.
+std::string CannotWriteInput() {
+  if (!std::filesystem::exists("/dev/full")) return "";
+  const std::string data = TempPath("pipeline_full.fimi");
+  if (RunCmd(std::string(FIM_GEN_BINARY) + " -p basket -c 0.1 -r 11 " +
+             data + " 2>/dev/null") != 0) {
+    ADD_FAILURE() << "fim-gen failed";
+  }
+  return data;
+}
+
+void ExpectCannotWrite(const std::string& command) {
+  const std::string err = TempPath("pipeline_full.err");
+  EXPECT_EQ(ExitCode(command + " 2>" + err), 1) << command;
+  EXPECT_NE(ReadText(err).find("error: cannot write /dev/full"),
+            std::string::npos)
+      << command << ": " << ReadText(err);
+}
+
+TEST(ToolsPipelineTest, MineExitsOneWhenItsResultCannotBeWritten) {
+  const std::string data = CannotWriteInput();
+  if (data.empty()) GTEST_SKIP() << "no /dev/full";
+  const std::string mine = std::string(FIM_MINE_BINARY) + " -q -s 5 ";
+  ExpectCannotWrite(mine + data + " /dev/full");
+  ExpectCannotWrite(mine + "-m " + data + " /dev/full");
+  ExpectCannotWrite(mine + "-t 4 -a lcm " + data + " /dev/full");
+}
+
+TEST(ToolsPipelineTest, StreamExitsOneWhenItsResultCannotBeWritten) {
+  const std::string data = CannotWriteInput();
+  if (data.empty()) GTEST_SKIP() << "no /dev/full";
+  const std::string stream = std::string(FIM_STREAM_BINARY) + " -q -s 5 ";
+  ExpectCannotWrite(stream + data + " /dev/full");
+  ExpectCannotWrite(stream + "--query-every=100 " + data + " /dev/full");
+}
+
+TEST(ToolsPipelineTest, RulesExitsOneWhenItsResultCannotBeWritten) {
+  const std::string data = CannotWriteInput();
+  if (data.empty()) GTEST_SKIP() << "no /dev/full";
+  ExpectCannotWrite(std::string(FIM_RULES_BINARY) + " -s 5 " + data +
+                    " /dev/full");
 }
 
 }  // namespace

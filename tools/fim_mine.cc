@@ -206,14 +206,19 @@ int main(int argc, char** argv) {
   std::string buffer;
   // Each write is a `write` span under the span open at the time
   // (mine/report/write for IsTa), so `report` times the mining alone.
+  // After a failed write the miner runs to its end with nothing more
+  // formatted, and the tool exits 1.
+  bool write_failed = false;
   auto write_buffer = [&]() {
     obs::Span write_span(trace, "write");
     out->write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
     buffer.clear();
+    write_failed = !*out;
   };
   auto print_set = [&](std::span<const ItemId> items, Support support) {
-    AppendClosedSet(&buffer, items, support);
     ++count;
+    if (write_failed) return;
+    AppendClosedSet(&buffer, items, support);
     if (buffer.size() >= kWriteChunkBytes) write_buffer();
   };
 
@@ -235,6 +240,7 @@ int main(int argc, char** argv) {
   }
   write_buffer();
   out->flush();
+  if (!tools::ResultWritten(*out, output)) return 1;
   if (!quiet) {
     std::fprintf(stderr,
                  "fim-mine: %zu %s item sets in %.3fs (%.3fs total)\n", count,

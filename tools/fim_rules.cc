@@ -158,6 +158,7 @@ int main(int argc, char** argv) {
          << ", " << rule.confidence << ", " << rule.lift << ")\n";
   }
   out->flush();
+  if (!tools::ResultWritten(*out, output)) return 1;
 
   std::fprintf(stderr,
                "fim-rules: %s; %zu closed sets (smin %u), %zu rules "

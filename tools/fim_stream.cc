@@ -340,6 +340,7 @@ int main(int argc, char** argv) {
       *out << "# snapshot tx=" << ingested << " sets=" << num_sets << "\n"
            << snapshot.str();
       out->flush();
+      if (!tools::ResultWritten(*out, args.output)) return 1;
     }
     if (args.checkpoint_every > 0 && ingested % args.checkpoint_every == 0) {
       if (int rc = WriteCheckpoint(*miner, args.checkpoint_path); rc != 0) {
@@ -357,6 +358,7 @@ int main(int argc, char** argv) {
     return rc;
   }
   out->flush();
+  if (!tools::ResultWritten(*out, args.output)) return 1;
   if (!args.checkpoint_path.empty()) {
     if (int rc = WriteCheckpoint(*miner, args.checkpoint_path); rc != 0) {
       return rc;

@@ -2,8 +2,8 @@
 #define FIM_TOOLS_TOOL_FLAGS_H_
 
 // Shared command-line plumbing of the fim-* tools: checked number
-// parsers, and the observability flags of fim-mine and fim-stream, which
-// behave identically in both —
+// parsers, the check of the result stream, and the observability flags
+// of fim-mine and fim-stream, which behave identically in both —
 //
 //   --stats[=text|json]   emit an execution-statistics report
 //   --stats-out=PATH      write the stats report to PATH instead of
@@ -27,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <ostream>
 #include <string>
 
 #include "common/status.h"
@@ -118,6 +119,17 @@ inline bool UnknownFlag(const char* arg) {
   if (arg[0] != '-' || arg[1] == '\0') return false;
   std::fprintf(stderr, "error: unknown option %s\n", arg);
   return true;
+}
+
+/// Checks the result stream after a write or the final flush. When a
+/// write failed (a full disk, say), prints "error: cannot write OUTPUT"
+/// and returns false: the tool then exits 1, as the result is lost.
+/// `output` is the output argument, "-" for stdout.
+inline bool ResultWritten(const std::ostream& out, const std::string& output) {
+  if (out) return true;
+  std::fprintf(stderr, "error: cannot write %s\n",
+               output == "-" ? "stdout" : output.c_str());
+  return false;
 }
 
 enum class StatsFormat { kNone, kText, kJson };
@@ -213,7 +225,7 @@ inline void FillProcessUsage(const obs::ResourceUsage& start,
 
 /// Renders `report` in the selected format and writes it to stderr or
 /// `flags.stats_out`. Returns 0, or 1 when the output file cannot be
-/// written.
+/// opened or written.
 inline int EmitStatsReport(const ObsFlags& flags,
                            const obs::StatsReport& report) {
   const std::string rendered = flags.stats_format == StatsFormat::kJson
@@ -230,7 +242,8 @@ inline int EmitStatsReport(const ObsFlags& flags,
     return 1;
   }
   stats_file << rendered;
-  return 0;
+  stats_file.flush();
+  return ResultWritten(stats_file, flags.stats_out) ? 0 : 1;
 }
 
 /// Writes the Chrome-trace export to `flags.trace_out`; a no-op without
