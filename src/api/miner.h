@@ -62,9 +62,12 @@ struct MinerOptions {
   TransactionOrder transaction_order = TransactionOrder::kSizeAscending;
 
   /// Threads of every algorithm's input stage (FoldRows' chunks and
-  /// RecodeTables' mapping); LCM also fans out first-level subtrees.
-  /// The other miners mine on the calling thread. Output is identical to
-  /// the sequential run for every thread count.
+  /// RecodeTables' mapping). LCM and Carpenter table also fan their
+  /// first-level subtrees out to this many workers, while the calling
+  /// thread emits each subtree's buffered sets in order; the other miners
+  /// mine on the calling thread. Output, its order included, and the
+  /// work counters are identical to the sequential run for every thread
+  /// count.
   unsigned num_threads = 1;
 
   /// Optional per-thread event timeline (obs/timeline.h): the driving

@@ -20,8 +20,14 @@ namespace fim {
 /// i; with item_elimination, the §3.1.1 bound drops an item from an
 /// intersection as soon as it cannot reach min_support. The canonicity
 /// test of RowBitsets (row_bitsets.h) stands in for §3.1.1's repository
-/// of the intersections seen. `stats` receives nodes_visited and
-/// repo_hits (children the canonicity test prunes).
+/// of the intersections seen. Each row step is one pass of the kernel op
+/// filter_row (kernels/intersect.h), and under item elimination a
+/// node's sweep stops once the rows left cannot lift it to min_support.
+/// options.num_threads > 1 turns the root's accepted children into
+/// tasks mined on that many threads; the output, its order included,
+/// and the counters are the sequential run's. `stats` receives
+/// nodes_visited, repo_hits (children the canonicity test prunes) and
+/// one kernel call per row step.
 void MineCarpenterTable(WeightedTransactions rows, std::size_t num_items,
                         const MinerOptions& options,
                         const ClosedSetCallback& callback, MinerStats* stats,

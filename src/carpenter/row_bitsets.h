@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -20,6 +21,10 @@ namespace fim {
 /// at row j is new exactly when no row before j outside the cover
 /// contains C; otherwise an earlier branch owns C. Each closed set has
 /// one canonical row path, so no set is stored.
+///
+/// The item columns never change once built, so a copy shares them and
+/// gets a cover of its own: threads that walk disjoint subtrees each
+/// hold a copy.
 class RowBitsets {
  public:
   RowBitsets(const WeightedTransactions& rows, std::size_t num_items);
@@ -39,12 +44,13 @@ class RowBitsets {
 
   /// Capacity bytes of the item columns and the cover.
   std::size_t Bytes() const {
-    return (columns_.capacity() + cover_.capacity()) * sizeof(uint64_t);
+    return (columns_->capacity() + cover_.capacity()) * sizeof(uint64_t);
   }
 
  private:
-  std::size_t words_;              // ⌈rows / 64⌉
-  std::vector<uint64_t> columns_;  // item i: [i * words_, (i + 1) * words_)
+  std::size_t words_;  // ⌈rows / 64⌉
+  // Item i: [i * words_, (i + 1) * words_).
+  std::shared_ptr<const std::vector<uint64_t>> columns_;
   std::vector<uint64_t> cover_;
 };
 

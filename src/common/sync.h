@@ -88,6 +88,11 @@ enum class LockRank : std::uint32_t {
   /// sample into a vector and takes no other lock.
   kPerfDomains = 375,
 
+  /// The task queues of RunTasksInOrder (api/task_pool.cc) — a fan-out
+  /// worker publishes a chunk of its task's sets, the calling thread
+  /// takes them. A leaf: no other lock is taken under it.
+  kTaskQueues = 380,
+
   /// obs::MemoryBreakdown::mutex_ — memory-component snapshot records
   /// from miners and tools. A leaf like the perf-domain collector:
   /// Record merges one component tree and takes no other lock.

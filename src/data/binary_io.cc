@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "data/fimi_io.h"
 
@@ -73,33 +75,65 @@ Result<TransactionDatabase> ReadBinaryFile(const std::string& path) {
   }
   uint64_t bytes_left = static_cast<uint64_t>(file_end - body_begin);
 
+  // The body is a run of u32 words (each row's length, then its ids),
+  // read in pieces of kFimiReadChunkBytes, a whole number of words, or
+  // less for a smaller body; a row may straddle pieces. Each id goes
+  // straight into the database.
+  static_assert(kFimiReadChunkBytes % sizeof(uint32_t) == 0);
+  std::vector<uint32_t> words(static_cast<std::size_t>(
+      std::clamp<uint64_t>((bytes_left + 3) / sizeof(uint32_t), 1,
+                           kFimiReadChunkBytes / sizeof(uint32_t))));
   TransactionDatabase db;
-  std::vector<ItemId> items;
-  for (uint64_t k = 0; k < num_transactions; ++k) {
-    uint32_t length = 0;
-    if (bytes_left < sizeof(length) || !ReadPod(in, &length)) {
-      return Status::InvalidArgument("truncated FIMB transaction header");
-    }
-    bytes_left -= sizeof(length);
-    if (length > num_items || length * sizeof(ItemId) > bytes_left) {
-      return Status::InvalidArgument(
-          "FIMB transaction " + std::to_string(k) + " claims " +
-          std::to_string(length) + " items; at most " +
-          std::to_string(std::min<uint64_t>(num_items,
-                                            bytes_left / sizeof(ItemId))) +
-          " fit the item base and the file");
-    }
-    bytes_left -= length * sizeof(ItemId);
-    items.resize(length);
-    in.read(reinterpret_cast<char*>(items.data()),
-            static_cast<std::streamsize>(length * sizeof(ItemId)));
-    if (!in) return Status::InvalidArgument("truncated FIMB transaction");
-    for (ItemId i : items) {
-      if (i >= num_items) {
-        return Status::InvalidArgument("FIMB item id out of bounds");
+  uint64_t k = 0;         // rows read
+  uint64_t ids_left = 0;  // ids of row k still to read
+  bool in_row = false;    // row k's length has been read
+  while (k < num_transactions) {
+    in.read(reinterpret_cast<char*>(words.data()),
+            static_cast<std::streamsize>(words.size() * sizeof(uint32_t)));
+    if (in.bad()) return Status::IoError("read failure on " + path);
+    const std::size_t num_words =
+        static_cast<std::size_t>(in.gcount()) / sizeof(uint32_t);
+    for (std::size_t p = 0; p < num_words && k < num_transactions;) {
+      if (!in_row) {
+        const uint32_t length = words[p++];
+        if (bytes_left < sizeof(length)) {
+          return Status::InvalidArgument("truncated FIMB transaction header");
+        }
+        bytes_left -= sizeof(length);
+        if (length > num_items || length * sizeof(ItemId) > bytes_left) {
+          return Status::InvalidArgument(
+              "FIMB transaction " + std::to_string(k) + " claims " +
+              std::to_string(length) + " items; at most " +
+              std::to_string(std::min<uint64_t>(
+                  num_items, bytes_left / sizeof(ItemId))) +
+              " fit the item base and the file");
+        }
+        bytes_left -= length * sizeof(ItemId);
+        ids_left = length;
+        in_row = true;
+      }
+      const std::size_t take = static_cast<std::size_t>(
+          std::min<uint64_t>(ids_left, num_words - p));
+      for (const uint32_t id : std::span(words).subspan(p, take)) {
+        if (id >= num_items) {
+          return Status::InvalidArgument("FIMB item id out of bounds");
+        }
+        db.PushItem(id);
+      }
+      p += take;
+      ids_left -= take;
+      if (ids_left == 0) {
+        db.EndTransaction();
+        ++k;
+        in_row = false;
       }
     }
-    db.AddTransaction(items);
+    if (!in) break;  // a short read: the end of the file
+  }
+  if (k < num_transactions) {
+    return Status::InvalidArgument(in_row
+                                       ? "truncated FIMB transaction"
+                                       : "truncated FIMB transaction header");
   }
   db.SetNumItems(static_cast<std::size_t>(num_items));
   db.ShrinkToFit();

@@ -1,16 +1,15 @@
 #include "enumeration/lcm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <deque>
 #include <numeric>
 #include <ranges>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "api/task_pool.h"
 #include "common/check.h"
 #include "obs/memory.h"
 
@@ -253,33 +252,25 @@ void MineParallel(Node root, std::size_t num_items, Support min_support,
   // One miner and one stats slot per worker; workers never share mutable
   // state, the aggregation below happens after the join.
   const std::size_t n = std::min<std::size_t>(num_threads, tasks.size());
-  std::vector<std::vector<ClosedItemset>> results(tasks.size());
   std::vector<MinerStats> worker_stats(n);
-  std::atomic<std::size_t> next{0};
-  auto worker = [&](std::size_t w) {
-    LcmMiner miner(num_items, min_support,
-                   stats != nullptr ? &worker_stats[w] : nullptr);
-    for (;;) {
-      const std::size_t t = next.fetch_add(1);
-      if (t >= tasks.size()) break;
-      ClosedSetCollector collector;
-      miner.Mine(std::move(tasks[t]), collector.AsCallback());
-      results[t] = collector.TakeSets();
-    }
-    miner.RecordMemory(memory);
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (std::size_t w = 0; w < n; ++w) threads.emplace_back(worker, w);
-  for (auto& thread : threads) thread.join();
+  std::vector<LcmMiner> miners;
+  miners.reserve(n);
+  for (std::size_t w = 0; w < n; ++w) {
+    miners.emplace_back(num_items, min_support,
+                        stats != nullptr ? &worker_stats[w] : nullptr);
+  }
+  // The calling thread emits the sets in task order as they arrive:
+  // identical to the sequential DFS order.
+  RunTasksInOrder(
+      tasks.size(), n,
+      [&](std::size_t w, std::size_t t, const ClosedSetCallback& sink) {
+        miners[w].Mine(std::move(tasks[t]), sink);
+      },
+      callback);
 
+  for (const LcmMiner& miner : miners) miner.RecordMemory(memory);
   if (stats != nullptr) {
     for (const MinerStats& s : worker_stats) stats->MergeFrom(s);
-  }
-
-  // Emit in task order: identical to the sequential DFS order.
-  for (const auto& chunk : results) {
-    for (const auto& set : chunk) callback(set.items, set.support);
   }
 }
 

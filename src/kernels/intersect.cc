@@ -46,19 +46,24 @@ std::size_t ScalarIntersect(const std::uint32_t* a, std::size_t na,
   return k;
 }
 
-std::size_t ScalarFilterNonzero(const std::uint32_t* items, std::size_t n,
-                                const std::uint32_t* row, std::uint32_t* out) {
-  std::size_t k = 0;
+RowFilterCounts ScalarFilterRow(const std::uint32_t* items, std::size_t n,
+                                const std::uint32_t* row,
+                                std::uint32_t threshold, std::uint32_t* out) {
+  RowFilterCounts counts{0, 0};
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t item = items[i];
-    if (row[item] != 0) out[k++] = item;
+    const std::uint32_t entry = row[item];
+    counts.present += entry != 0;
+    // Branch-free: the store is overwritten unless the item is kept.
+    out[counts.kept] = item;
+    counts.kept += entry >= threshold;
   }
-  return k;
+  return counts;
 }
 
 constexpr IntersectKernel kScalarKernel = {
     KernelId::kScalar, "scalar",
-    &ScalarIntersect, &ScalarFilterNonzero,
+    &ScalarIntersect, &ScalarFilterRow,
 };
 
 // ---------------------------------------------------------------------------

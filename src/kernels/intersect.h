@@ -32,18 +32,25 @@ enum class KernelId : int {
   kAvx2 = 1,    // AVX2 8-wide shuffle-based block intersection
 };
 
-/// One implementation tier: a table of raw kernels sharing a contract.
-/// All function pointers are non-null (tiers fall back to the scalar
-/// routine for ops they do not accelerate).
 /// Store slack the `intersect` kernels require beyond the result bound:
 /// `out` must have capacity >= min(na, nb) + kIntersectPad. The SIMD
 /// tier always stores a full vector at out+k, and k can legitimately
 /// reach min(na, nb) while blocks remain (the matches so far may all
 /// come from the still-current block of the shorter side), so the write
 /// may extend up to 8 lanes past the result bound. IntersectInto
-/// provides the slack automatically.
+/// provides the slack automatically. `filter_row` needs the same slack
+/// past its n items.
 inline constexpr std::size_t kIntersectPad = 8;
 
+/// What IntersectKernel::filter_row found in one row.
+struct RowFilterCounts {
+  std::size_t present;  // items with a non-zero entry
+  std::size_t kept;     // items written: entry >= threshold
+};
+
+/// One implementation tier: a table of raw kernels sharing a contract.
+/// All function pointers are non-null (tiers fall back to the scalar
+/// routine for ops they do not accelerate).
 struct IntersectKernel {
   KernelId id;
   const char* name;  // "scalar" | "avx2"
@@ -59,12 +66,15 @@ struct IntersectKernel {
                            const std::uint32_t* b, std::size_t nb,
                            std::uint32_t* out);
 
-  /// Copies the elements i of `items` with row[i] != 0 to `out`
-  /// (capacity >= n), preserving order; returns the count. This is the
-  /// occurrence-row filter of Carpenter's matrix path. `out == items` is
-  /// allowed.
-  std::size_t (*filter_nonzero)(const std::uint32_t* items, std::size_t n,
-                                const std::uint32_t* row, std::uint32_t* out);
+  /// One row step of Carpenter's matrix path (paper §3.1.2): counts the
+  /// items i of `items` with row[i] != 0 (`present`) and writes those
+  /// with row[i] >= threshold to `out` in order (`kept`). `threshold`
+  /// must be >= 1, so the kept items are present; every item must be
+  /// below 2^31. `out` must have capacity n + kIntersectPad (lanes past
+  /// `kept` hold garbage) and must not alias `items`.
+  RowFilterCounts (*filter_row)(const std::uint32_t* items, std::size_t n,
+                                const std::uint32_t* row,
+                                std::uint32_t threshold, std::uint32_t* out);
 };
 
 /// The kernel tier selected for this process. First call selects:

@@ -127,6 +127,86 @@ TEST(BinaryIoTest, RejectsHeaderFieldsItCannotHold) {
             (std::vector<std::vector<ItemId>>{{1, 3}, {9}}));
 }
 
+// The reader takes the body in pieces of kFimiReadChunkBytes: rows of
+// nine ids (ten words each) put row kStraddle's ids across the first
+// boundary, and the rows from kLate on lie wholly in the second piece.
+constexpr std::size_t kPieceWords = kFimiReadChunkBytes / sizeof(uint32_t);
+constexpr uint32_t kStraddle = kPieceWords / 10;
+constexpr uint32_t kLate = kStraddle + 100;
+static_assert(kStraddle * 10 < kPieceWords &&
+              kPieceWords < kStraddle * 10 + 10);
+
+std::vector<std::vector<ItemId>> NineIdRows(uint32_t count) {
+  std::vector<std::vector<ItemId>> rows;
+  for (uint32_t k = 0; k < count; ++k) {
+    std::vector<ItemId> row;
+    // Nine distinct ids below 100.
+    for (uint32_t i = 0; i < 9; ++i) row.push_back((k + 11 * i) % 100);
+    NormalizeItems(&row);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+std::vector<uint32_t> Words(const std::vector<std::vector<ItemId>>& rows) {
+  std::vector<uint32_t> words;
+  for (const auto& row : rows) {
+    words.push_back(static_cast<uint32_t>(row.size()));
+    words.insert(words.end(), row.begin(), row.end());
+  }
+  return words;
+}
+
+TEST(BinaryIoTest, RoundTripsRowsAcrossReadPieces) {
+  const auto rows = NineIdRows(kLate + 200);
+  const TransactionDatabase db = TransactionDatabase::FromTransactions(rows);
+  const std::string path = TempPath("pieces.fimb");
+  ASSERT_TRUE(WriteBinaryFile(db, path).ok());
+  auto back = ReadBinaryFile(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value().transactions(), rows);
+  EXPECT_EQ(back.value().NumItems(), 100u);
+}
+
+TEST(BinaryIoTest, RejectsBadRowsAfterTheFirstPiece) {
+  const uint32_t num_rows = kLate + 200;
+  const auto rows = NineIdRows(num_rows);
+  std::vector<uint32_t> words = Words(rows);
+  const std::size_t late = std::size_t{kLate} * 10;  // row kLate's length
+  ASSERT_GT(late, kPieceWords);
+
+  std::vector<uint32_t> long_row = words;
+  long_row[late] = 101;
+  auto too_long = ReadBinaryFile(
+      WriteRawFimb("late_long_row.fimb", 100, num_rows, long_row));
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_EQ(too_long.status().message(),
+            "FIMB transaction " + std::to_string(kLate) +
+                " claims 101 items; at most 100 fit the item base and the "
+                "file");
+
+  std::vector<uint32_t> bad_id = words;
+  bad_id[late + 3] = 100;
+  auto out_of_range = ReadBinaryFile(
+      WriteRawFimb("late_bad_id.fimb", 100, num_rows, bad_id));
+  ASSERT_FALSE(out_of_range.ok());
+  EXPECT_EQ(out_of_range.status().message(), "FIMB item id out of bounds");
+
+  // The file ends after row kLate - 1, or five ids into row kLate.
+  std::vector<uint32_t> cut_header(words.begin(), words.begin() + late);
+  auto no_header = ReadBinaryFile(
+      WriteRawFimb("late_cut_header.fimb", 100, num_rows, cut_header));
+  ASSERT_FALSE(no_header.ok());
+  EXPECT_EQ(no_header.status().message(), "truncated FIMB transaction header");
+  std::vector<uint32_t> cut_row(words.begin(), words.begin() + late + 6);
+  auto short_row = ReadBinaryFile(
+      WriteRawFimb("late_cut_row.fimb", 100, num_rows, cut_row));
+  ASSERT_FALSE(short_row.ok());
+  EXPECT_EQ(short_row.status().message(),
+            "FIMB transaction " + std::to_string(kLate) +
+                " claims 9 items; at most 5 fit the item base and the file");
+}
+
 TEST(BinaryIoTest, AutoDetectDispatch) {
   const TransactionDatabase db = TransactionDatabase::FromTransactions(
       {{0, 2}, {1, 2}});

@@ -181,29 +181,41 @@ TEST(KernelsTest, IntersectIntoReusesBufferAndTrims) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(KernelsTest, FilterNonzeroMatchesScalarAndAllowsInPlace) {
+TEST(KernelsTest, FilterRowMatchesAReferenceLoop) {
+  // Row entries: zeros, small counts, and values on both sides of 2^31,
+  // where a signed comparison would go wrong.
   std::mt19937 rng(17);
   std::vector<std::uint32_t> row(1024);
-  std::uniform_int_distribution<std::uint32_t> coin(0, 3);
-  for (auto& cell : row) cell = coin(rng) == 0 ? 0 : coin(rng);
+  const std::uint32_t big[] = {0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFEu,
+                               UINT32_MAX};
+  std::uniform_int_distribution<std::uint32_t> pick(0, 9);
+  for (auto& cell : row) {
+    const std::uint32_t p = pick(rng);
+    cell = p < 3 ? 0 : p < 8 ? p - 2 : big[rng() % 4];
+  }
+  std::uniform_int_distribution<std::uint32_t> any(1, UINT32_MAX);
   for (const IntersectKernel* kernel : AvailableKernels()) {
-    for (const std::size_t n :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-          std::size_t{9}, std::size_t{200}}) {
-      const U32s items = SortedUnique(rng, n, 1023);
-      U32s want;
-      for (const std::uint32_t item : items) {
-        if (row[item] != 0) want.push_back(item);
+    for (std::size_t n = 0; n <= 40; ++n) {
+      for (const std::uint32_t threshold :
+           {1u, 2u, 3u, 5u, any(rng), 0x80000000u, UINT32_MAX}) {
+        const U32s items = SortedUnique(rng, n, 1023);
+        U32s want;
+        std::size_t present = 0;
+        for (const std::uint32_t item : items) {
+          if (row[item] != 0) ++present;
+          if (row[item] >= threshold) want.push_back(item);
+        }
+        // The slack lanes may be written; the guard past them may not.
+        U32s out(items.size() + kIntersectPad + 1, 0xDEADBEEF);
+        const RowFilterCounts counts = kernel->filter_row(
+            items.data(), items.size(), row.data(), threshold, out.data());
+        EXPECT_EQ(counts.present, present)
+            << kernel->name << " n=" << n << " threshold=" << threshold;
+        EXPECT_EQ(out.back(), 0xDEADBEEF) << kernel->name << " n=" << n;
+        out.resize(counts.kept);
+        EXPECT_EQ(out, want)
+            << kernel->name << " n=" << n << " threshold=" << threshold;
       }
-      U32s out(items.size(), 0xDEADBEEF);
-      out.resize(kernel->filter_nonzero(items.data(), items.size(), row.data(),
-                                        out.data()));
-      EXPECT_EQ(out, want) << kernel->name << " n=" << n;
-      // In-place: out == items is part of the contract.
-      U32s in_place = items;
-      in_place.resize(kernel->filter_nonzero(in_place.data(), in_place.size(),
-                                             row.data(), in_place.data()));
-      EXPECT_EQ(in_place, want) << kernel->name << " n=" << n;
     }
   }
 }

@@ -79,5 +79,40 @@ TEST(CarpenterStatsTest, RepoHitsOccurOnOverlappingData) {
   EXPECT_GT(total_hits, 0u);
 }
 
+TEST(CarpenterStatsTest, StopsOnceTheRowsLeftCannotReachMinSupport) {
+  // Items a = 0, b = 1, c = 2, each of weight 4; at smin 3 none is
+  // dropped. The folded rows in size order are r0 = {a} (weight 3),
+  // r1 = {b, c} (3) and r2 = {a, b, c} (1), so the rows from r2 on weigh
+  // 1. Row steps, one kernel call each:
+  //   root {a, b, c}, supp 0: r0 opens {a}; r1 opens {b, c}; at r2,
+  //     0 + 1 < 3, so the sweep stops (without the stop, r2 would be
+  //     absorbed into a support of 1, still below smin): 2 calls;
+  //   {a}, supp 3: r1 holds none of it; r2 is absorbed: 2 calls;
+  //   {b, c}, supp 3: r2 is absorbed: 1 call.
+  std::vector<std::vector<ItemId>> rows(3, {0});
+  rows.insert(rows.end(), 3, {1, 2});
+  rows.push_back({0, 1, 2});
+  const TransactionDatabase db = TransactionDatabase::FromTransactions(rows);
+  MinerOptions options;
+  options.algorithm = Algorithm::kCarpenterTable;
+  options.min_support = 3;
+  MinerStats stats;
+  const auto mined = MineClosedCollect(db, options, &stats);
+  ASSERT_TRUE(mined.ok());
+  EXPECT_EQ(stats.weighted_transactions, 3u);
+  EXPECT_EQ(stats.nodes_visited, 3u);
+  EXPECT_EQ(stats.kernel_calls, 5u);
+  const std::vector<ClosedItemset> expected = {{{0}, 4}, {{1, 2}, 4}};
+  EXPECT_EQ(mined.value(), expected);
+
+  // Without item elimination every row step runs, and the sets agree.
+  options.item_elimination = false;
+  MinerStats full;
+  const auto unbounded = MineClosedCollect(db, options, &full);
+  ASSERT_TRUE(unbounded.ok());
+  EXPECT_EQ(full.kernel_calls, 6u);
+  EXPECT_EQ(unbounded.value(), mined.value());
+}
+
 }  // namespace
 }  // namespace fim

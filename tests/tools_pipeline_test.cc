@@ -990,9 +990,11 @@ TEST(ToolsPipelineTest, RetiredFlagsAreUsageErrors) {
 // instead of exiting 0 with the result lost. Every write to /dev/full
 // fails with ENOSPC, as on a full disk. Returns the input to mine, or ""
 // when the device is missing.
-std::string CannotWriteInput() {
+// ctest runs the three tools' tests below at once, so each names its
+// own files by `tool`.
+std::string CannotWriteInput(const std::string& tool) {
   if (!std::filesystem::exists("/dev/full")) return "";
-  const std::string data = TempPath("pipeline_full.fimi");
+  const std::string data = TempPath("pipeline_full_" + tool + ".fimi");
   if (RunCmd(std::string(FIM_GEN_BINARY) + " -p basket -c 0.1 -r 11 " +
              data + " 2>/dev/null") != 0) {
     ADD_FAILURE() << "fim-gen failed";
@@ -1000,8 +1002,8 @@ std::string CannotWriteInput() {
   return data;
 }
 
-void ExpectCannotWrite(const std::string& command) {
-  const std::string err = TempPath("pipeline_full.err");
+void ExpectCannotWrite(const std::string& tool, const std::string& command) {
+  const std::string err = TempPath("pipeline_full_" + tool + ".err");
   EXPECT_EQ(ExitCode(command + " 2>" + err), 1) << command;
   EXPECT_NE(ReadText(err).find("error: cannot write /dev/full"),
             std::string::npos)
@@ -1009,27 +1011,28 @@ void ExpectCannotWrite(const std::string& command) {
 }
 
 TEST(ToolsPipelineTest, MineExitsOneWhenItsResultCannotBeWritten) {
-  const std::string data = CannotWriteInput();
+  const std::string data = CannotWriteInput("mine");
   if (data.empty()) GTEST_SKIP() << "no /dev/full";
   const std::string mine = std::string(FIM_MINE_BINARY) + " -q -s 5 ";
-  ExpectCannotWrite(mine + data + " /dev/full");
-  ExpectCannotWrite(mine + "-m " + data + " /dev/full");
-  ExpectCannotWrite(mine + "-t 4 -a lcm " + data + " /dev/full");
+  ExpectCannotWrite("mine", mine + data + " /dev/full");
+  ExpectCannotWrite("mine", mine + "-m " + data + " /dev/full");
+  ExpectCannotWrite("mine", mine + "-t 4 -a lcm " + data + " /dev/full");
 }
 
 TEST(ToolsPipelineTest, StreamExitsOneWhenItsResultCannotBeWritten) {
-  const std::string data = CannotWriteInput();
+  const std::string data = CannotWriteInput("stream");
   if (data.empty()) GTEST_SKIP() << "no /dev/full";
   const std::string stream = std::string(FIM_STREAM_BINARY) + " -q -s 5 ";
-  ExpectCannotWrite(stream + data + " /dev/full");
-  ExpectCannotWrite(stream + "--query-every=100 " + data + " /dev/full");
+  ExpectCannotWrite("stream", stream + data + " /dev/full");
+  ExpectCannotWrite("stream",
+                    stream + "--query-every=100 " + data + " /dev/full");
 }
 
 TEST(ToolsPipelineTest, RulesExitsOneWhenItsResultCannotBeWritten) {
-  const std::string data = CannotWriteInput();
+  const std::string data = CannotWriteInput("rules");
   if (data.empty()) GTEST_SKIP() << "no /dev/full";
-  ExpectCannotWrite(std::string(FIM_RULES_BINARY) + " -s 5 " + data +
-                    " /dev/full");
+  ExpectCannotWrite("rules", std::string(FIM_RULES_BINARY) + " -s 5 " + data +
+                                 " /dev/full");
 }
 
 }  // namespace
