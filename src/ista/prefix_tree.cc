@@ -8,14 +8,15 @@
 
 namespace fim {
 
-IstaPrefixTree::IstaPrefixTree(std::size_t num_items)
-    : in_transaction_(num_items, 0) {
+IstaPrefixTree::IstaPrefixTree(std::size_t num_items, bool signatures)
+    : signatures_(signatures), in_transaction_(num_items, 0) {
   // Node 0 is the pseudo-root representing the empty set.
   uint32_t root = NewNode(kInvalidItem, 0, 0);
   FIM_CHECK(root == kRoot);
   node_count_ = 0;  // the root does not count
 }
 
+template <bool kSignatures>
 uint32_t IstaPrefixTree::NewNode(ItemId item, uint32_t step, Support supp) {
   uint32_t index = next_index_++;
   node_step_.push_back(step);
@@ -23,9 +24,15 @@ uint32_t IstaPrefixTree::NewNode(ItemId item, uint32_t step, Support supp) {
   node_supp_.push_back(supp);
   links_.push_back(kNil);  // ChildSlot(index)
   links_.push_back(kNil);  // SibSlot(index)
+  if constexpr (kSignatures) node_sig_.push_back(0);
   ++node_count_;
   if (node_count_ > peak_node_count_) peak_node_count_ = node_count_;
   return index;
+}
+
+uint32_t IstaPrefixTree::NewNode(ItemId item, uint32_t step, Support supp) {
+  return signatures_ ? NewNode<true>(item, step, supp)
+                     : NewNode<false>(item, step, supp);
 }
 
 uint32_t IstaPrefixTree::FindOrCreateChild(uint32_t parent, ItemId item) {
@@ -45,9 +52,20 @@ uint32_t IstaPrefixTree::FindOrCreateChild(uint32_t parent, ItemId item) {
 
 void IstaPrefixTree::InsertTransactionPath(std::span<const ItemId> items) {
   uint32_t current = kRoot;
+  result_path_.clear();
   for (std::size_t idx = items.size(); idx > 0; --idx) {
     current = FindOrCreateChild(current, items[idx - 1]);
+    if (signatures_) result_path_.push_back(current);
   }
+  if (!signatures_) return;
+  // result_path_[size - 1 - idx] is the path node of items[idx]; each
+  // path node gains the bits of the items below it, collected bottom-up.
+  std::uint64_t below = 0;
+  for (std::size_t idx = 0; idx < items.size(); ++idx) {
+    node_sig_[result_path_[items.size() - 1 - idx]] |= below;
+    below |= ItemBit(items[idx]);
+  }
+  node_sig_[kRoot] |= below;
 }
 
 void IstaPrefixTree::AddTransaction(std::span<const ItemId> items,
@@ -65,7 +83,12 @@ void IstaPrefixTree::AddTransaction(std::span<const ItemId> items,
   for (ItemId i : items) in_transaction_[i] = 1;
   imin_ = items.front();
   InsertTransactionPath(items);
-  Isect(links_[ChildSlot(kRoot)], ChildSlot(kRoot), weight);
+  if (signatures_) {
+    transaction_sig_ = ItemSignature(items);
+    Isect<true>(links_[ChildSlot(kRoot)], ChildSlot(kRoot), weight);
+  } else {
+    Isect<false>(links_[ChildSlot(kRoot)], ChildSlot(kRoot), weight);
+  }
   for (ItemId i : items) in_transaction_[i] = 0;
   // Full validation is O(nodes); amortize it over power-of-two steps so
   // debug test runs stay roughly O(total work * log steps).
@@ -74,6 +97,7 @@ void IstaPrefixTree::AddTransaction(std::span<const ItemId> items,
   }
 }
 
+template <bool kSignatures>
 void IstaPrefixTree::Isect(uint32_t node, uint32_t ins_slot, Support weight) {
   // The recursion of Figure 2, on an explicit stack: a frame suspends the
   // remainder of a sibling list while the current node's child level is
@@ -81,12 +105,28 @@ void IstaPrefixTree::Isect(uint32_t node, uint32_t ins_slot, Support weight) {
   // stay valid across node allocations. The walk streams over the item,
   // support and link arrays only — the SoA layout keeps the cold step
   // field off those cache lines.
+  //
+  // With kSignatures a child level is entered only when its signature
+  // shares a bit with the transaction's; otherwise the walk goes on with
+  // the next sibling, as it would after a descent that found nothing.
+  // result_path_ holds the result nodes whose child lists receive the
+  // current level's intersections, so a created node can add its item bit
+  // to them: upward until one already has it, since a signature holds
+  // every bit of its children's.
   isect_stack_.clear();
   isect_stack_.push_back(IsectFrame{node, ins_slot});
+  if constexpr (kSignatures) {
+    result_path_.assign(1, kRoot);
+    frame_depth_.assign(1, 1);
+  }
   while (!isect_stack_.empty()) {
     node = isect_stack_.back().node;
     uint32_t ins = isect_stack_.back().ins_slot;
     isect_stack_.pop_back();
+    if constexpr (kSignatures) {
+      result_path_.resize(frame_depth_.back());
+      frame_depth_.pop_back();
+    }
     while (node != kNil) {
       ++isect_steps_;
       const ItemId i = node_item_[node];
@@ -107,19 +147,44 @@ void IstaPrefixTree::Isect(uint32_t node, uint32_t ins_slot, Support weight) {
           node_supp_[d] += weight;
           node_step_[d] = step_;
         } else {
-          d = NewNode(i, step_, node_supp_[node] + weight);
+          d = NewNode<kSignatures>(i, step_, node_supp_[node] + weight);
           links_[SibSlot(d)] = links_[ins];
           links_[ins] = d;
+          if constexpr (kSignatures) {
+            const std::uint64_t bit = ItemBit(i);
+            for (std::size_t k = result_path_.size(); k-- > 0;) {
+              std::uint64_t& sig = node_sig_[result_path_[k]];
+              if ((sig & bit) != 0) break;
+              sig |= bit;
+            }
+          }
         }
         if (i <= imin_) break;  // nothing below the transaction's minimum
+        if constexpr (kSignatures) {
+          if ((node_sig_[node] & transaction_sig_) == 0) {
+            node = links_[SibSlot(node)];
+            continue;
+          }
+        }
         // Descend into the child level; resume the remaining siblings
         // (with the insertion cursor as advanced so far) afterwards.
         isect_stack_.push_back(IsectFrame{links_[SibSlot(node)], ins});
+        if constexpr (kSignatures) {
+          frame_depth_.push_back(static_cast<uint32_t>(result_path_.size()));
+          result_path_.push_back(d);
+        }
         const uint32_t child_ins = ChildSlot(d);
         node = links_[ChildSlot(node)];
         ins = child_ins;
       } else {
         if (i <= imin_) break;
+        if constexpr (kSignatures) {
+          if ((node_sig_[node] & transaction_sig_) == 0) {
+            node = links_[SibSlot(node)];
+            continue;
+          }
+          frame_depth_.push_back(static_cast<uint32_t>(result_path_.size()));
+        }
         isect_stack_.push_back(IsectFrame{links_[SibSlot(node)], ins});
         node = links_[ChildSlot(node)];
       }
@@ -173,15 +238,30 @@ void IstaPrefixTree::Prune(Support min_support,
   FIM_DCHECK(remaining.size() == in_transaction_.size())
       << "remaining-occurrence table size " << remaining.size()
       << " != num_items " << in_transaction_.size();
-  IstaPrefixTree fresh(in_transaction_.size());
+  IstaPrefixTree fresh(in_transaction_.size(), signatures_);
   fresh.step_ = step_;
   fresh.total_weight_ = total_weight_;
-  // The rebuilt tree has at most as many nodes as this one.
+  // The rebuilt tree has at most as many nodes as this one
+  // (PruneCopyBytes counts these reservations).
   fresh.node_step_.reserve(next_index_);
   fresh.node_item_.reserve(next_index_);
   fresh.node_supp_.reserve(next_index_);
   fresh.links_.reserve(2 * std::size_t{next_index_});
+  if (signatures_) fresh.node_sig_.reserve(next_index_);
   PruneInto(min_support, remaining, &fresh);
+  if (signatures_) {
+    // Exact signatures of the rebuilt tree, children before parents: a
+    // node is only ever created into the child list of an existing one,
+    // so every child has a higher index than its parent.
+    for (uint32_t n = fresh.next_index_; n-- > 0;) {
+      std::uint64_t sig = 0;
+      for (uint32_t c = fresh.links_[ChildSlot(n)]; c != kNil;
+           c = fresh.links_[SibSlot(c)]) {
+        sig |= fresh.node_sig_[c] | ItemBit(fresh.node_item_[c]);
+      }
+      fresh.node_sig_[n] = sig;
+    }
+  }
   // The rebuilt tree carries on this tree's observability history.
   fresh.peak_node_count_ = std::max(peak_node_count_, fresh.peak_node_count_);
   fresh.prune_count_ = prune_count_ + 1;
@@ -190,46 +270,62 @@ void IstaPrefixTree::Prune(Support min_support,
   FIM_DCHECK_OK(ValidateInvariants());
 }
 
+std::size_t IstaPrefixTree::PruneCopyBytes() const {
+  const std::size_t bytes_per_node =
+      sizeof(node_step_[0]) + sizeof(node_item_[0]) + sizeof(node_supp_[0]) +
+      2 * sizeof(links_[0]) + (signatures_ ? sizeof(node_sig_[0]) : 0);
+  return std::size_t{next_index_} * bytes_per_node +
+         in_transaction_.size() * sizeof(in_transaction_[0]);
+}
+
+namespace {
+
+// A component of `capacity_bytes` split into its "live" part and the
+// rest, "garbage".
+obs::MemoryComponent LiveAndGarbage(std::string name,
+                                    std::size_t capacity_bytes,
+                                    std::size_t live_bytes) {
+  obs::MemoryComponent component(std::move(name));
+  component.children.emplace_back("live", live_bytes);
+  component.children.emplace_back(
+      "garbage", capacity_bytes > live_bytes ? capacity_bytes - live_bytes : 0);
+  return component;
+}
+
+}  // namespace
+
 obs::MemoryComponent IstaPrefixTree::ApproxMemoryUsage() const {
-  // Bytes one node occupies across the three parallel columns, derived
-  // from the vectors so a field-type change cannot desynchronize this.
+  // Bytes one node occupies in each part, derived from the vectors so a
+  // field-type change cannot desynchronize this.
   constexpr std::size_t kColumnBytesPerNode =
       sizeof(node_step_[0]) + sizeof(node_item_[0]) + sizeof(node_supp_[0]);
   constexpr std::size_t kLinkBytesPerNode = 2 * sizeof(links_[0]);
+  constexpr std::size_t kSigBytesPerNode = sizeof(node_sig_[0]);
   // Reachable slots: the live nodes plus the pseudo-root (which owns
   // column and link slots like any other node).
   const std::size_t live_nodes = node_count_ + 1;
 
   obs::MemoryComponent tree("prefix-tree");
-
-  obs::MemoryComponent columns("node-columns");
-  const std::size_t column_capacity_bytes =
+  tree.children.push_back(LiveAndGarbage(
+      "node-columns",
       node_step_.capacity() * sizeof(node_step_[0]) +
-      node_item_.capacity() * sizeof(node_item_[0]) +
-      node_supp_.capacity() * sizeof(node_supp_[0]);
-  const std::size_t column_live_bytes = live_nodes * kColumnBytesPerNode;
-  columns.children.emplace_back("live", column_live_bytes);
-  columns.children.emplace_back(
-      "garbage", column_capacity_bytes > column_live_bytes
-                     ? column_capacity_bytes - column_live_bytes
-                     : 0);
-  tree.children.push_back(std::move(columns));
-
-  obs::MemoryComponent links("link-arena");
-  const std::size_t link_capacity_bytes =
-      links_.capacity() * sizeof(links_[0]);
-  const std::size_t link_live_bytes = live_nodes * kLinkBytesPerNode;
-  links.children.emplace_back("live", link_live_bytes);
-  links.children.emplace_back("garbage",
-                              link_capacity_bytes > link_live_bytes
-                                  ? link_capacity_bytes - link_live_bytes
-                                  : 0);
-  tree.children.push_back(std::move(links));
-
+          node_item_.capacity() * sizeof(node_item_[0]) +
+          node_supp_.capacity() * sizeof(node_supp_[0]),
+      live_nodes * kColumnBytesPerNode));
+  tree.children.push_back(
+      LiveAndGarbage("link-arena", links_.capacity() * sizeof(links_[0]),
+                     live_nodes * kLinkBytesPerNode));
+  if (signatures_) {
+    tree.children.push_back(LiveAndGarbage(
+        "node-signatures", node_sig_.capacity() * sizeof(node_sig_[0]),
+        live_nodes * kSigBytesPerNode));
+  }
   tree.children.emplace_back(
       "scratch",
       in_transaction_.capacity() * sizeof(in_transaction_[0]) +
-          isect_stack_.capacity() * sizeof(isect_stack_[0]));
+          isect_stack_.capacity() * sizeof(isect_stack_[0]) +
+          result_path_.capacity() * sizeof(result_path_[0]) +
+          frame_depth_.capacity() * sizeof(frame_depth_[0]));
   return tree;
 }
 
@@ -249,6 +345,11 @@ Status IstaPrefixTree::ValidateInvariants() const {
   }
   if (At(kRoot).item != kInvalidItem) {
     return Status::Internal("prefix tree: root must carry kInvalidItem");
+  }
+  if (signatures_ && node_sig_.size() != next_index_) {
+    return Status::Internal("prefix tree: signature column holds " +
+                            std::to_string(node_sig_.size()) +
+                            " nodes, not " + std::to_string(next_index_));
   }
   std::vector<uint8_t> visited(next_index_, 0);
   visited[kRoot] = 1;
@@ -310,6 +411,16 @@ Status IstaPrefixTree::ValidateInvariants() const {
             "prefix tree: " + NodeLabel(n, node.item) + " support " +
             std::to_string(node.supp) + " exceeds total transaction weight " +
             std::to_string(total_weight_));
+      }
+      if (signatures_) {
+        const std::uint64_t covered = node_sig_[n] | ItemBit(node.item);
+        if ((node_sig_[parent] & covered) != covered) {
+          return Status::Internal(
+              "prefix tree: signature of " +
+              (parent == kRoot ? std::string("the root")
+                               : NodeLabel(parent, parent_node.item)) +
+              " does not cover its child " + NodeLabel(n, node.item));
+        }
       }
       if (node.children != kNil) stack.emplace_back(node.children, n);
     }

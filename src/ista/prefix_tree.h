@@ -20,12 +20,21 @@ namespace fim {
 /// using a per-node step stamp to keep supports correct when several
 /// stored sets intersect the new transaction to the same result.
 ///
+/// A tree built with `signatures` keeps, per node, a 64-bit signature of
+/// the items below it (bit `item & 63`, exact for up to 64 items and a
+/// superset beyond), and the walk skips every child level whose
+/// signature shares no bit with the transaction's: such a subtree holds
+/// none of its items, so it can create or update nothing. The reported
+/// sets, their supports and their order do not depend on the mode; the
+/// steps and the bytes do (8 more per node). It pays on sparse rows only
+/// (MineIsta, ista.h, decides).
+///
 /// Item codes must be < num_items; for the performance characteristics of
 /// the paper, assign codes ascending by frequency (see recode.h) before
 /// feeding transactions.
 class IstaPrefixTree {
  public:
-  explicit IstaPrefixTree(std::size_t num_items);
+  explicit IstaPrefixTree(std::size_t num_items, bool signatures = false);
 
   // The tree owns bulk node storage; moving is fine, copying is not
   // meaningful for a mining-in-progress structure.
@@ -62,6 +71,13 @@ class IstaPrefixTree {
   /// Size of the item universe this repository was created over.
   std::size_t NumItems() const { return in_transaction_.size(); }
 
+  /// The signature of an item set: bit `i & 63` for every item i.
+  static std::uint64_t ItemSignature(std::span<const ItemId> items) {
+    std::uint64_t signature = 0;
+    for (ItemId i : items) signature |= ItemBit(i);
+    return signature;
+  }
+
   /// High-water mark of NodeCount() over the tree's whole history,
   /// including the rebuilds of Prune.
   std::size_t PeakNodeCount() const { return peak_node_count_; }
@@ -70,7 +86,8 @@ class IstaPrefixTree {
   std::size_t PruneCount() const { return prune_count_; }
 
   /// Repository nodes visited by the intersection walks (Figure 2's
-  /// Isect) — the paper's measure of intersection work.
+  /// Isect) — the paper's measure of intersection work. Subtrees that a
+  /// signature cut skips are not visited and do not count.
   std::uint64_t IsectSteps() const { return isect_steps_; }
 
   /// Number of transactions processed so far (a weighted addition counts
@@ -82,13 +99,19 @@ class IstaPrefixTree {
   uint64_t TotalWeight() const { return total_weight_; }
 
   /// Exact heap footprint of the repository (capacity bytes of the SoA
-  /// arenas), as a breakdown named "prefix-tree": the node columns and
-  /// the link arena each split into "live" (slots of reachable nodes)
-  /// and "garbage" (allocated-but-dead slots plus capacity slack —
-  /// vectors never shrink, so this is the pruning/growth overhead),
-  /// plus the transaction-flag and Isect-stack scratch. The total is the
-  /// capacity bytes of those vectors, exactly. O(1).
+  /// arenas), as a breakdown named "prefix-tree": the node columns, the
+  /// link arena and, in signature mode, the "node-signatures" column,
+  /// each split into "live" (slots of reachable nodes) and "garbage"
+  /// (allocated-but-dead slots plus capacity slack — vectors never
+  /// shrink, so this is the pruning/growth overhead), plus the
+  /// transaction-flag and Isect-stack scratch. The total is the capacity
+  /// bytes of those vectors, exactly. O(1).
   obs::MemoryComponent ApproxMemoryUsage() const;
+
+  /// Heap bytes the rebuild of Prune() allocates beside this tree: a copy
+  /// whose columns and link arena are reserved for every node slot this
+  /// tree has allocated, plus the copy's transaction flags. O(1).
+  std::size_t PruneCopyBytes() const;
 
   /// Exhaustively checks the structural invariants of the repository
   /// (paper §3.3, Figure 2) and returns OK, or an Internal status naming
@@ -101,6 +124,9 @@ class IstaPrefixTree {
   ///     superset item set, so it is contained in no more transactions);
   ///   - no node's support exceeds the total transaction weight processed
   ///     (weighted additions included);
+  ///   - in signature mode, every node's signature covers the items of its
+  ///     subtree (it holds each child's signature and the child's item
+  ///     bit);
   ///   - every allocated node is reachable exactly once (no cycles, no
   ///     leaks) and `NodeCount()` matches;
   ///   - the transaction flag array is fully cleared (quiescent state).
@@ -118,10 +144,15 @@ class IstaPrefixTree {
   // links, so splitting the fields keeps the cache lines they stream over
   // free of the cold step field, and the unified link arena lets an
   // insertion cursor be a stable uint32_t slot index instead of a pointer
-  // that vector growth would invalidate.
+  // that vector growth would invalidate. The signature column exists in
+  // signature mode only, so a plain tree neither stores nor reads it.
 
   static constexpr uint32_t kNil = static_cast<uint32_t>(-1);
   static constexpr uint32_t kRoot = 0;
+
+  static std::uint64_t ItemBit(ItemId item) {
+    return std::uint64_t{1} << (item & 63);
+  }
 
   /// Link-arena slots of node n. links_[ChildSlot(n)] heads n's child
   /// list; links_[SibSlot(n)] is n's next sibling.
@@ -161,10 +192,15 @@ class IstaPrefixTree {
   /// across allocation (they are indices, not pointers); references and
   /// NodeRefs are not.
   uint32_t NewNode(ItemId item, uint32_t step, Support supp);
+  /// NewNode for a tree whose mode is known at compile time, so that the
+  /// plain walk inlines the plain allocation.
+  template <bool kSignatures>
+  uint32_t NewNode(ItemId item, uint32_t step, Support supp);
 
   /// Inserts the transaction as a path (descending item codes), creating
   /// missing nodes with support 0; supports are brought up to date by the
-  /// subsequent Isect pass.
+  /// subsequent Isect pass. In signature mode each node on the path gains
+  /// the items below it on the path.
   void InsertTransactionPath(std::span<const ItemId> items);
 
   /// The recursion of Figure 2, run on an explicit stack so adversarially
@@ -173,13 +209,18 @@ class IstaPrefixTree {
   /// current tree level; `ins_slot` indexes the link-arena slot
   /// (children/sibling) where intersection results for the current prefix
   /// are merged. `weight` is the multiplicity of the current transaction.
+  /// With kSignatures the walk skips the child levels that hold none of
+  /// the transaction's items and keeps the signatures of the result path
+  /// current as it creates nodes.
+  template <bool kSignatures>
   void Isect(uint32_t node, uint32_t ins_slot, Support weight);
 
   /// Prune helper: inserts the filtered sets of this tree into the empty
   /// `target`, advancing an insertion slot along each target list instead
   /// of searching it from its head per node, and allocating each sibling
-  /// list before its members' subtrees, in list order. Iterative
-  /// (explicit work stack).
+  /// list before its members' subtrees, in list order. Leaves the
+  /// target's signatures 0 (Prune computes them). Iterative (explicit
+  /// work stack).
   void PruneInto(Support min_support, std::span<const Support> remaining,
                  IstaPrefixTree* target) const;
 
@@ -199,6 +240,9 @@ class IstaPrefixTree {
   std::vector<ItemId> node_item_;
   std::vector<Support> node_supp_;
   std::vector<uint32_t> links_;  // slot 2n: children of n, 2n+1: sibling
+  // Signature mode only: bit `item & 63` of every node below node n.
+  std::vector<std::uint64_t> node_sig_;
+  bool signatures_ = false;
   uint32_t next_index_ = 0;
   std::size_t node_count_ = 0;
   std::size_t peak_node_count_ = 0;
@@ -208,7 +252,14 @@ class IstaPrefixTree {
   uint64_t total_weight_ = 0;            // sum of all transaction weights
   std::vector<uint8_t> in_transaction_;  // flag array `trans` of Figure 2
   ItemId imin_ = 0;                      // minimum item of the transaction
+  std::uint64_t transaction_sig_ = 0;    // ItemSignature of the transaction
   std::vector<IsectFrame> isect_stack_;  // reused across AddTransaction
+  // Signature mode: the root and the result nodes whose child lists the
+  // walk is filling, root first (also the path scratch of
+  // InsertTransactionPath), and per Isect frame the length of the result
+  // path that the suspended list extends.
+  std::vector<uint32_t> result_path_;
+  std::vector<uint32_t> frame_depth_;
 };
 
 }  // namespace fim

@@ -38,6 +38,10 @@ struct IstaPrefixTreeTestPeer {
   static void SetTransactionFlag(IstaPrefixTree& tree, ItemId item) {
     tree.in_transaction_[item] = 1;
   }
+  static void ClearSignatureBit(IstaPrefixTree& tree, uint32_t node,
+                                ItemId item) {
+    tree.node_sig_[node] &= ~IstaPrefixTree::ItemBit(item);
+  }
 };
 
 namespace {
@@ -181,6 +185,26 @@ TEST(PrefixTreeValidatorTest, DetectsCycle) {
   const Status status = tree.ValidateInvariants();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("reachable twice"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(PrefixTreeValidatorTest, DetectsSignatureMissingAChildItem) {
+  // Path root -> 1 -> 0 with signatures: node 1's signature holds item 0's
+  // bit. Clearing it would let the walk skip a subtree that holds item 0.
+  IstaPrefixTree tree(3, /*signatures=*/true);
+  tree.AddTransaction(std::vector<ItemId>{0, 1});
+  tree.AddTransaction(std::vector<ItemId>{0, 2});
+  ASSERT_TRUE(tree.ValidateInvariants().ok())
+      << tree.ValidateInvariants().ToString();
+  const uint32_t head = PrefixPeer::FirstChild(tree, PrefixPeer::kRoot);
+  ASSERT_EQ(PrefixPeer::At(tree, head).item, 2u);
+  const uint32_t one = PrefixPeer::At(tree, head).sibling;
+  ASSERT_EQ(PrefixPeer::At(tree, one).item, 1u);
+  PrefixPeer::ClearSignatureBit(tree, one, 0);
+  const Status status = tree.ValidateInvariants();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("does not cover its child"),
+            std::string::npos)
       << status.ToString();
 }
 

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/miner.h"
@@ -38,8 +39,12 @@ struct IstaPrefixTreeTestPeer {
   static std::size_t LinkBytes(const IstaPrefixTree& tree) {
     return Bytes(tree.links_);
   }
+  static std::size_t SignatureBytes(const IstaPrefixTree& tree) {
+    return Bytes(tree.node_sig_);
+  }
   static std::size_t ScratchBytes(const IstaPrefixTree& tree) {
-    return Bytes(tree.in_transaction_) + Bytes(tree.isect_stack_);
+    return Bytes(tree.in_transaction_) + Bytes(tree.isect_stack_) +
+           Bytes(tree.result_path_) + Bytes(tree.frame_depth_);
   }
 };
 
@@ -146,40 +151,74 @@ TEST(ApproxMemoryUsageTest, PrefixTreeSplitsLiveAndGarbage) {
 }
 
 // The tree's footprint is exactly the capacity bytes of its columns, its
-// link arena and its scratch, each in its own child: when empty, after
-// growth, and after a prune has rebuilt it.
+// link arena, its signature column (in signature mode only) and its
+// scratch, each in its own child: when empty, after growth, and after a
+// prune has rebuilt it.
 TEST(ApproxMemoryUsageTest, PrefixTreeTotalIsItsCapacityBytes) {
   using Peer = IstaPrefixTreeTestPeer;
-  IstaPrefixTree tree(64);
-  const auto check = [&tree](const char* when) {
-    const MemoryComponent component = tree.ApproxMemoryUsage();
-    EXPECT_EQ(component.TotalBytes(), Peer::ColumnBytes(tree) +
-                                          Peer::LinkBytes(tree) +
-                                          Peer::ScratchBytes(tree))
-        << when;
-    ASSERT_EQ(component.children.size(), 3u) << when;
-    EXPECT_EQ(component.children[0].name, "node-columns");
-    EXPECT_EQ(component.children[0].TotalBytes(), Peer::ColumnBytes(tree))
-        << when;
-    EXPECT_EQ(component.children[1].name, "link-arena");
-    EXPECT_EQ(component.children[1].TotalBytes(), Peer::LinkBytes(tree))
-        << when;
-    EXPECT_EQ(component.children[2].name, "scratch");
-    EXPECT_EQ(component.children[2].TotalBytes(), Peer::ScratchBytes(tree))
-        << when;
-  };
-  check("empty");
-  for (ItemId base = 0; base < 32; ++base) {
-    tree.AddTransaction(
-        std::vector<ItemId>{base, ItemId(base + 8), ItemId(base + 16)});
+  for (const bool signatures : {false, true}) {
+    SCOPED_TRACE(signatures ? "signatures" : "plain");
+    IstaPrefixTree tree(64, signatures);
+    const auto check = [&tree, signatures](const char* when) {
+      const MemoryComponent component = tree.ApproxMemoryUsage();
+      EXPECT_EQ(component.TotalBytes(),
+                Peer::ColumnBytes(tree) + Peer::LinkBytes(tree) +
+                    Peer::SignatureBytes(tree) + Peer::ScratchBytes(tree))
+          << when;
+      std::vector<std::pair<std::string, std::size_t>> expected = {
+          {"node-columns", Peer::ColumnBytes(tree)},
+          {"link-arena", Peer::LinkBytes(tree)}};
+      if (signatures) {
+        expected.emplace_back("node-signatures", Peer::SignatureBytes(tree));
+      } else {
+        EXPECT_EQ(Peer::SignatureBytes(tree), 0u) << when;
+      }
+      expected.emplace_back("scratch", Peer::ScratchBytes(tree));
+      ASSERT_EQ(component.children.size(), expected.size()) << when;
+      for (std::size_t c = 0; c < expected.size(); ++c) {
+        EXPECT_EQ(component.children[c].name, expected[c].first) << when;
+        EXPECT_EQ(component.children[c].TotalBytes(), expected[c].second)
+            << when << " " << expected[c].first;
+      }
+    };
+    check("empty");
+    for (ItemId base = 0; base < 32; ++base) {
+      tree.AddTransaction(
+          std::vector<ItemId>{base, ItemId(base + 8), ItemId(base + 16)});
+    }
+    EXPECT_GT(tree.NodeCount(), 32u);
+    check("after 32 transactions");
+    const std::size_t grown = tree.ApproxMemoryUsage().TotalBytes();
+    tree.Prune(/*min_support=*/2, std::vector<Support>(64, 0));
+    EXPECT_EQ(tree.PruneCount(), 1u);
+    check("after a prune");
+    EXPECT_LT(tree.ApproxMemoryUsage().TotalBytes(), grown);
   }
-  EXPECT_GT(tree.NodeCount(), 32u);
-  check("after 32 transactions");
-  const std::size_t grown = tree.ApproxMemoryUsage().TotalBytes();
-  tree.Prune(/*min_support=*/2, std::vector<Support>(64, 0));
-  EXPECT_EQ(tree.PruneCount(), 1u);
-  check("after a prune");
-  EXPECT_LT(tree.ApproxMemoryUsage().TotalBytes(), grown);
+}
+
+// A prune rebuilds the tree beside the old one, and the tree shrinks, so
+// the record after the last row can miss the peak. The recorded tree
+// holds at least the live bytes of the peak node count.
+TEST(ApproxMemoryUsageTest, IstaRecordsThePrefixTreeAtItsPeak) {
+  const TransactionDatabase db = GenerateRandomDense(60, 40, 0.5, 11);
+  MinerOptions options;
+  options.min_support = 12;
+  MemoryBreakdown memory;
+  options.memory = &memory;
+  MinerStats stats;
+  ASSERT_TRUE(MineClosed(db, options, [](auto, auto) {}, &stats).ok());
+  ASSERT_GT(stats.prune_calls, 1u);
+  ASSERT_LT(stats.final_nodes, stats.peak_nodes);
+  const auto components = memory.Components();
+  const auto trees = std::find_if(
+      components.begin(), components.end(),
+      [](const MemoryComponent& c) { return c.name == "prefix-trees"; });
+  ASSERT_NE(trees, components.end());
+  // Plain-mode bytes per node: three 4-byte columns and two link slots.
+  const std::size_t live_bytes_per_node =
+      sizeof(uint32_t) + sizeof(ItemId) + sizeof(Support) +
+      2 * sizeof(uint32_t);
+  EXPECT_GE(trees->TotalBytes(), stats.peak_nodes * live_bytes_per_node);
 }
 
 TEST(ApproxMemoryUsageTest, RowEnumerationRecordsRowBitsets) {

@@ -1,7 +1,7 @@
 // Deep behavioural tests of the IsTa prefix tree: the step-stamp support
 // arithmetic (several stored sets intersecting a transaction to the same
-// result must count it once, Fig. 2), prefix-support consistency, and
-// prune/merge semantics.
+// result must count it once, Fig. 2), prefix-support consistency,
+// prune/merge semantics, and the item-signature cut and its selection.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,10 @@
 #include <utility>
 #include <vector>
 
+#include "api/miner.h"
 #include "common/rng.h"
+#include "data/recode.h"
+#include "ista/ista.h"
 #include "ista/prefix_tree.h"
 
 namespace fim {
@@ -136,51 +139,79 @@ TEST(IstaDeepTest, PruneMergesChildrenOfDroppedItemsBehindKeptSiblings) {
 }
 
 TEST(IstaDeepTest, PruningAfterEveryTransactionNeverChangesTheReport) {
-  // Weighted rows drawn with repeats from a small pool go into two trees;
-  // one is pruned after every transaction, with `remaining` kept as
-  // MineStream keeps it. Every rebuild must leave a valid tree and the
-  // reports must match set for set, in emission order.
+  // Weighted rows drawn with repeats from a small pool go into a plain
+  // tree that is never pruned, the reference, and into trees of both
+  // modes, plain and with item signatures: one is pruned after every
+  // transaction, with `remaining` kept as BuildIstaTree keeps it, and one
+  // is built by BuildIstaTree on its own prune schedule. Every rebuild
+  // must leave a valid tree and the reports must match set for set, in
+  // emission order. Seeds 1-30 draw rows over at most 15 items, seeds
+  // 31-45 over 65 to 134, where signature bits collide.
   bool removed_any = false;
-  for (uint64_t seed = 1; seed <= 30; ++seed) {
+  std::size_t scheduled_prunes = 0;
+  for (uint64_t seed = 1; seed <= 45; ++seed) {
     Rng rng(seed);
-    const std::size_t num_items = 6 + rng.Uniform(10);
+    const bool wide = seed > 30;
+    const std::size_t num_items =
+        wide ? 65 + rng.Uniform(70) : 6 + rng.Uniform(10);
     std::vector<std::vector<ItemId>> pool(4 + rng.Uniform(8));
     for (std::vector<ItemId>& row : pool) {
       for (std::size_t i = 0; i < num_items; ++i) {
-        if (rng.Bernoulli(0.5)) row.push_back(static_cast<ItemId>(i));
+        if (rng.Bernoulli(wide ? 0.15 : 0.5)) {
+          row.push_back(static_cast<ItemId>(i));
+        }
       }
       if (row.empty()) row.push_back(static_cast<ItemId>(num_items - 1));
     }
-    std::vector<const std::vector<ItemId>*> rows;
-    std::vector<Support> weights;
+    WeightedTransactions rows;
     for (int r = 0; r < 40; ++r) {
-      rows.push_back(&pool[rng.Uniform(pool.size())]);
-      weights.push_back(static_cast<Support>(1 + rng.Uniform(3)));
+      rows.AddRow(pool[rng.Uniform(pool.size())],
+                  static_cast<Support>(1 + rng.Uniform(3)));
     }
     for (Support smin : {1u, 2u, 5u, 9u, 16u, 30u}) {
-      std::vector<Support> remaining(num_items, 0);
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        for (ItemId i : *rows[r]) remaining[i] += weights[r];
-      }
-      IstaPrefixTree pruned(num_items);
       IstaPrefixTree plain(num_items);
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        pruned.AddTransaction(*rows[r], weights[r]);
-        plain.AddTransaction(*rows[r], weights[r]);
-        for (ItemId i : *rows[r]) remaining[i] -= weights[r];
-        const std::size_t before = pruned.NodeCount();
-        pruned.Prune(smin, remaining);
-        removed_any |= pruned.NodeCount() < before;
-        const Status valid = pruned.ValidateInvariants();
-        ASSERT_TRUE(valid.ok()) << "seed " << seed << " smin " << smin
-                                << " row " << r << ": " << valid.ToString();
+      for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+        plain.AddTransaction(rows.Row(r), rows.weights[r]);
       }
-      EXPECT_EQ(pruned.PruneCount(), rows.size());
-      EXPECT_EQ(Emitted(pruned, smin), Emitted(plain, smin))
-          << "seed " << seed << " smin " << smin;
+      const auto expected = Emitted(plain, smin);
+      for (const bool signatures : {false, true}) {
+        std::vector<Support> remaining(num_items, 0);
+        for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+          for (ItemId i : rows.Row(r)) remaining[i] += rows.weights[r];
+        }
+        IstaPrefixTree pruned(num_items, signatures);
+        for (std::size_t r = 0; r < rows.NumRows(); ++r) {
+          pruned.AddTransaction(rows.Row(r), rows.weights[r]);
+          for (ItemId i : rows.Row(r)) remaining[i] -= rows.weights[r];
+          const std::size_t before = pruned.NodeCount();
+          pruned.Prune(smin, remaining);
+          removed_any |= pruned.NodeCount() < before;
+          const Status valid = pruned.ValidateInvariants();
+          ASSERT_TRUE(valid.ok())
+              << "seed " << seed << " smin " << smin << " signatures "
+              << signatures << " row " << r << ": " << valid.ToString();
+        }
+        EXPECT_EQ(pruned.PruneCount(), rows.NumRows());
+        EXPECT_EQ(Emitted(pruned, smin), expected)
+            << "seed " << seed << " smin " << smin << " signatures "
+            << signatures;
+
+        IstaPrefixTree scheduled(num_items, signatures);
+        MinerOptions options;
+        options.min_support = smin;
+        BuildIstaTree(rows, options, nullptr, &scheduled);
+        scheduled_prunes += scheduled.PruneCount();
+        const Status valid = scheduled.ValidateInvariants();
+        ASSERT_TRUE(valid.ok()) << "seed " << seed << " smin " << smin
+                                << ": " << valid.ToString();
+        EXPECT_EQ(Emitted(scheduled, smin), expected)
+            << "seed " << seed << " smin " << smin << " signatures "
+            << signatures << " (prune schedule)";
+      }
     }
   }
   EXPECT_TRUE(removed_any);
+  EXPECT_GT(scheduled_prunes, 0u);
 }
 
 TEST(IstaDeepTest, PruneOnEmptyTreeIsNoOp) {
@@ -253,6 +284,65 @@ TEST(IstaDeepTest, StepCountSurvivesPrune) {
   EXPECT_EQ(tree.StepCount(), 3u);
   const auto sets = Collect(tree, 2);
   EXPECT_EQ(sets.at({0, 1}), 2u);
+}
+
+// Rows of about `density` * num_items random items each, over the codes
+// [0, num_items), with unit weights.
+WeightedTransactions RandomRows(uint64_t seed, std::size_t num_rows,
+                                std::size_t num_items, double density) {
+  Rng rng(seed);
+  WeightedTransactions rows;
+  std::vector<ItemId> row;
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    row.clear();
+    for (std::size_t i = 0; i < num_items; ++i) {
+      if (rng.Bernoulli(density)) row.push_back(static_cast<ItemId>(i));
+    }
+    if (row.empty()) row.push_back(static_cast<ItemId>(rng.Uniform(num_items)));
+    rows.AddRow(row, 1);
+  }
+  return rows;
+}
+
+TEST(IstaSignatureTest, MineIstaPicksTheWalkByRowDensity) {
+  // Dense rows (about 38 of 64 items) take the plain walk, though the cut
+  // would skip some subtrees there too; sparse rows (about 6 of 64) take
+  // the cut. MineIsta's steps are those of a tree of the picked mode.
+  struct Case {
+    WeightedTransactions rows;
+    Support min_support;
+    bool sparse;
+  };
+  const Case cases[] = {{RandomRows(3, 12, 64, 0.6), 1, false},
+                        {RandomRows(5, 200, 64, 0.1), 2, true}};
+  for (const Case& c : cases) {
+    ASSERT_EQ(SparseEnoughForSignatures(c.rows), c.sparse);
+    MinerOptions options;
+    options.min_support = c.min_support;
+    MinerStats stats;
+    MineIsta(c.rows, 64, options, [](std::span<const ItemId>, Support) {},
+             &stats, nullptr);
+    IstaPrefixTree plain(64);
+    IstaPrefixTree with_signatures(64, /*signatures=*/true);
+    BuildIstaTree(c.rows, options, nullptr, &plain);
+    BuildIstaTree(c.rows, options, nullptr, &with_signatures);
+    EXPECT_LT(with_signatures.IsectSteps(), plain.IsectSteps());
+    EXPECT_EQ(stats.isect_steps, c.sparse ? with_signatures.IsectSteps()
+                                          : plain.IsectSteps());
+  }
+}
+
+TEST(IstaSignatureTest, SelectionBarIsAMeanOfSixteenBits) {
+  // A row of items 0..15 sets 16 bits: a mean of 16 is not below the bar.
+  WeightedTransactions rows;
+  std::vector<ItemId> sixteen(16);
+  for (ItemId i = 0; i < 16; ++i) sixteen[i] = i;
+  rows.AddRow(sixteen, 1);
+  EXPECT_FALSE(SparseEnoughForSignatures(rows));
+  // Items 64 and 128 share bit 0: (16 + 1) / 2 rows, whatever the weight.
+  rows.AddRow(std::vector<ItemId>{64, 128}, 5);
+  EXPECT_TRUE(SparseEnoughForSignatures(rows));
+  EXPECT_FALSE(SparseEnoughForSignatures(WeightedTransactions{}));
 }
 
 }  // namespace

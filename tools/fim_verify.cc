@@ -32,6 +32,7 @@
 #include "data/fimi_io.h"
 #include "data/recode.h"
 #include "data/result_io.h"
+#include "ista/ista.h"
 #include "ista/prefix_tree.h"
 #include "tool_flags.h"
 #include "verify/closedness.h"
@@ -51,12 +52,13 @@ int RunSelfCheck(const fim::TransactionDatabase& db) {
   using namespace fim;
 
   // IsTa prefix tree: feed every weighted row (frequency-ascending codes,
-  // as IsTa's recipe does) and validate after the final insertion.
+  // as IsTa's recipe does) into a tree of the mode IsTa would pick, and
+  // validate after the final insertion.
   const Recoding recoding =
       ComputeRecoding(db, ItemOrder::kFrequencyAscending, 1);
   const WeightedTransactions rows =
       ApplyRecodingWeighted(db, recoding, TransactionOrder::kNone);
-  IstaPrefixTree tree(recoding.num_kept());
+  IstaPrefixTree tree(recoding.num_kept(), SparseEnoughForSignatures(rows));
   for (std::size_t r = 0; r < rows.NumRows(); ++r) {
     tree.AddTransaction(rows.Row(r), rows.weights[r]);
   }
