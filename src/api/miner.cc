@@ -1,5 +1,7 @@
 #include "api/miner.h"
 
+#include <algorithm>
+
 #include "obs/memory.h"
 #include "obs/timeline.h"
 
@@ -63,7 +65,8 @@ using MinerCore = void (*)(WeightedTransactions rows, std::size_t num_items,
 /// it (docs/ALGORITHMS.md gives the reasons for each order). A database's
 /// transactions are folded under FoldFor(transaction_order) in one chunk
 /// per thread, or with `fold_by_hash` by hash in one chunk, which keeps
-/// the order of first occurrence; RecodeTables then builds the rows.
+/// the order of first occurrence; RecodeTables then builds the rows in
+/// one pass.
 struct Recipe {
   MinerCore core;
   ItemOrder item_order;
@@ -116,8 +119,8 @@ obs::TimelineLane* DriverLane(const MinerOptions& options) {
 
 /// The input stage both entry points share once the input is folded into
 /// tables of weighted raw rows: the item codes from the tables' weighted
-/// item counts (span "recode"), then the rows mapped, folded across the
-/// tables and ordered (span "dedup").
+/// item counts (span "recode"), then the rows mapped, folded and ordered
+/// (span "dedup").
 WeightedTransactions RecodeRows(
     const Recipe& recipe, std::span<const WeightedTransactions* const> tables,
     std::size_t num_items, const MinerOptions& options, obs::Trace* trace,
@@ -129,13 +132,14 @@ WeightedTransactions RecodeRows(
   recode_phase.End();
 
   obs::Phase dedup_phase(trace, lane, "dedup");
-  return RecodeTables(tables, *recoding, recipe.transaction_order,
-                      options.num_threads, options.timeline);
+  return RecodeTables(tables, *recoding, recipe.transaction_order);
 }
 
 /// The stage both entry points share once the stream is built: records
-/// it, and runs the core with the callback that decodes (and counts) the
-/// reported sets.
+/// it, and runs the core with a callback that counts the reported sets
+/// and decodes each into input item ids, ascending. Every core calls its
+/// callback on the calling thread (the fan-outs emit through
+/// RunTasksInOrder, api/task_pool.h), so one buffer serves every set.
 void MineRows(const Recipe& recipe, const Recoding& recoding,
               WeightedTransactions rows, const MinerOptions& options,
               const ClosedSetCallback& callback, MinerStats* stats,
@@ -144,19 +148,17 @@ void MineRows(const Recipe& recipe, const Recoding& recoding,
   if (options.memory != nullptr) {
     options.memory->Record(rows.ApproxMemoryUsage());
   }
-  const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
-  if (stats == nullptr) {
-    recipe.core(std::move(rows), recoding.num_kept(), options, decoded,
-                nullptr, trace);
-    return;
-  }
-  stats->weighted_transactions = rows.NumRows();
-  const ClosedSetCallback counted =
-      [stats, &decoded](std::span<const ItemId> items, Support support) {
-        ++stats->sets_reported;
-        decoded(items, support);
-      };
-  recipe.core(std::move(rows), recoding.num_kept(), options, counted, stats,
+  if (stats != nullptr) stats->weighted_transactions = rows.NumRows();
+  std::vector<ItemId> decoded;
+  const ClosedSetCallback decode = [&](std::span<const ItemId> items,
+                                       Support support) {
+    if (stats != nullptr) ++stats->sets_reported;
+    decoded.clear();
+    for (ItemId code : items) decoded.push_back(recoding.new_to_old[code]);
+    std::sort(decoded.begin(), decoded.end());
+    callback(decoded, support);
+  };
+  recipe.core(std::move(rows), recoding.num_kept(), options, decode, stats,
               trace);
 }
 

@@ -61,21 +61,21 @@ struct MinerOptions {
   ItemOrder item_order = ItemOrder::kFrequencyAscending;
   TransactionOrder transaction_order = TransactionOrder::kSizeAscending;
 
-  /// Threads of every algorithm's input stage (FoldRows' chunks and
-  /// RecodeTables' mapping). LCM and Carpenter table also fan their
-  /// first-level subtrees out to this many workers, while the calling
-  /// thread emits each subtree's buffered sets in order; the other miners
-  /// mine on the calling thread. Output, its order included, and the
-  /// work counters are identical to the sequential run for every thread
-  /// count.
+  /// Chunks of the input stage's prefold (FoldRows, one thread each),
+  /// for every algorithm that folds by FoldFor(transaction_order); CHARM
+  /// and FP-close fold by hash in one chunk. LCM and Carpenter table
+  /// also fan their first-level subtrees out to this many workers, while
+  /// the calling thread emits each subtree's sets in order; the other
+  /// miners mine on the calling thread. Output, its order included, and
+  /// the work counters are identical to the sequential run for every
+  /// thread count.
   unsigned num_threads = 1;
 
   /// Optional per-thread event timeline (obs/timeline.h): the driving
   /// thread records its phases on the timeline's driver lane and every
-  /// worker thread (recoding chunks)
-  /// registers its own lane, so a Chrome-trace export shows the real
-  /// parallel schedule. Output-neutral like stats/trace. The timeline
-  /// must outlive the call.
+  /// prefold thread registers a lane of its own ("recode-prefold-N"), so
+  /// a Chrome-trace export shows the parallel schedule. Output-neutral
+  /// like stats/trace. The timeline must outlive the call.
   obs::Timeline* timeline = nullptr;
 
   /// Optional per-domain attribution (obs/perf.h): IsTa's tree
@@ -102,7 +102,7 @@ struct MinerOptions {
 /// database once: the transactions folded into tables of weighted raw
 /// rows (FoldRows, data/recode.h), item codes (§3.4) from the rows'
 /// weighted item counts with the infrequent items dropped (§3.2), then
-/// the rows mapped, folded across the tables and ordered
+/// the rows mapped and folded in one pass and ordered
 /// (WeightedTransactions, RecodeTables). The algorithm's recipe fixes
 /// the fold, the code order, whether items are dropped and the row order
 /// (docs/ALGORITHMS.md); its core then mines the rows, and the sets it

@@ -51,34 +51,6 @@ Recoding RecodingFromFrequencies(const std::vector<Support>& freq,
   return recoding;
 }
 
-// Runs fn(c) for every chunk c < num_chunks: with at most one chunk on
-// the calling thread, under the span `name` on the driver lane; otherwise
-// on one thread per chunk, each recording span "<name>-chunk" on a lane
-// "recode-<name>-<c>" of its own.
-template <typename Fn>
-void RunChunks(std::size_t num_chunks, obs::Timeline* timeline,
-               const std::string& name, const Fn& fn) {
-  if (num_chunks <= 1) {
-    obs::TimelineScope scope(
-        timeline != nullptr ? timeline->driver() : nullptr, name);
-    if (num_chunks == 1) fn(0);
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(num_chunks);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    workers.emplace_back([&, c]() {
-      obs::TimelineLane* lane =
-          timeline != nullptr
-              ? timeline->AddLane("recode-" + name + "-" + std::to_string(c))
-              : nullptr;
-      obs::TimelineScope scope(lane, name + "-chunk");
-      fn(c);
-    });
-  }
-  for (auto& worker : workers) worker.join();
-}
-
 // Lexicographic comparison on the descending item sequence (items are
 // stored ascending, so compare from the back).
 bool DescendingLexLess(std::span<const ItemId> a, std::span<const ItemId> b) {
@@ -148,8 +120,12 @@ TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   TransactionOrder transaction_order,
                                   unsigned num_threads,
                                   obs::Timeline* timeline) {
-  const WeightedTransactions rows = ApplyRecodingWeighted(
-      db, recoding, transaction_order, num_threads, timeline);
+  const std::vector<WeightedTransactions> chunks =
+      FoldRows(db, FoldFor(transaction_order), num_threads, timeline);
+  std::vector<const WeightedTransactions*> tables;
+  for (const WeightedTransactions& chunk : chunks) tables.push_back(&chunk);
+  const WeightedTransactions rows =
+      RecodeTables(tables, recoding, transaction_order);
   TransactionDatabase out;
   for (std::size_t r = 0; r < rows.NumRows(); ++r) {
     const std::span<const ItemId> row = rows.Row(r);
@@ -267,73 +243,54 @@ std::vector<WeightedTransactions> FoldRows(const TransactionDatabase& db,
   const std::size_t n = db.NumTransactions();
   std::vector<WeightedTransactions> chunks(
       std::max<std::size_t>(std::min<std::size_t>(num_chunks, n), 1));
-  RunChunks(chunks.size(), timeline, "prefold", [&](std::size_t c) {
+  auto fold_chunk = [&](std::size_t c) {
     const std::size_t begin = c * n / chunks.size();
     const std::size_t end = (c + 1) * n / chunks.size();
     RowFolder inputs(fold);
     for (std::size_t t = begin; t < end; ++t) inputs.Add(db.Row(t), 1);
     chunks[c] = inputs.Take();
-  });
+  };
+  if (chunks.size() == 1) {
+    obs::TimelineScope scope(
+        timeline != nullptr ? timeline->driver() : nullptr, "prefold");
+    fold_chunk(0);
+    return chunks;
+  }
+  {
+    // jthreads join on every exit from this scope, a failed start too.
+    std::vector<std::jthread> workers;
+    workers.reserve(chunks.size());
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      workers.emplace_back([&, c]() {
+        obs::TimelineLane* lane =
+            timeline != nullptr
+                ? timeline->AddLane("recode-prefold-" + std::to_string(c))
+                : nullptr;
+        obs::TimelineScope scope(lane, "prefold-chunk");
+        fold_chunk(c);
+      });
+    }
+  }
   return chunks;
-}
-
-WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
-                                           const Recoding& recoding,
-                                           TransactionOrder transaction_order,
-                                           unsigned num_threads,
-                                           obs::Timeline* timeline) {
-  const std::vector<WeightedTransactions> chunks =
-      FoldRows(db, FoldFor(transaction_order), num_threads, timeline);
-  std::vector<const WeightedTransactions*> tables;
-  for (const WeightedTransactions& chunk : chunks) tables.push_back(&chunk);
-  return RecodeTables(tables, recoding, transaction_order, num_threads,
-                      timeline);
 }
 
 WeightedTransactions RecodeTables(
     std::span<const WeightedTransactions* const> tables,
-    const Recoding& recoding, TransactionOrder transaction_order,
-    unsigned num_threads, obs::Timeline* timeline) {
-  obs::TimelineLane* const lane =
-      timeline != nullptr ? timeline->driver() : nullptr;
-  const RowFold fold = FoldFor(transaction_order);
-  std::vector<WeightedTransactions> mapped(tables.size());
-  const std::size_t workers =
-      std::min<std::size_t>(std::max(num_threads, 1u), tables.size());
-  RunChunks(workers, timeline, "map", [&](std::size_t w) {
-    std::vector<ItemId> coded;
-    for (std::size_t t = w; t < tables.size(); t += workers) {
-      const WeightedTransactions& table = *tables[t];
-      RowFolder folder(fold);
-      for (std::size_t r = 0; r < table.NumRows(); ++r) {
-        MapRow(table.Row(r), recoding, &coded);
-        if (!coded.empty()) folder.Add(coded, table.weights[r]);
-      }
-      mapped[t] = folder.Take();
+    const Recoding& recoding, TransactionOrder transaction_order) {
+  RowFolder folder(FoldFor(transaction_order));
+  std::vector<ItemId> coded;
+  for (const WeightedTransactions* table : tables) {
+    for (std::size_t r = 0; r < table->NumRows(); ++r) {
+      MapRow(table->Row(r), recoding, &coded);
+      if (!coded.empty()) folder.Add(coded, table->weights[r]);
     }
-  });
-
-  WeightedTransactions rows;
-  if (mapped.size() == 1) {
-    rows = std::move(mapped.front());
-  } else {
-    // In table order, so a run of equal rows that spans a table boundary
-    // folds as in one pass over all the rows.
-    obs::TimelineScope fold_scope(lane, "fold");
-    RowFolder folder(fold);
-    for (const WeightedTransactions& table : mapped) {
-      for (std::size_t r = 0; r < table.NumRows(); ++r) {
-        folder.Add(table.Row(r), table.weights[r]);
-      }
-    }
-    rows = folder.Take();
   }
+  WeightedTransactions rows = folder.Take();
   if (transaction_order == TransactionOrder::kNone) return rows;
 
   // Sorts the row indices, then copies the rows in that order. Rows the
   // comparator ties are equal (same size, same items), so an unstable
   // sort places them as a stable one would.
-  obs::TimelineScope sort_scope(lane, "sort");
   const auto less = transaction_order == TransactionOrder::kSizeAscending
                         ? SizeAscendingLess
                         : SizeDescendingLess;
@@ -348,31 +305,6 @@ WeightedTransactions RecodeTables(
   sorted.weights.reserve(rows.NumRows());
   for (std::size_t r : order) sorted.AddRow(rows.Row(r), rows.weights[r]);
   return sorted;
-}
-
-std::vector<ItemId> DecodeItems(std::span<const ItemId> coded,
-                                const Recoding& recoding) {
-  std::vector<ItemId> out;
-  out.reserve(coded.size());
-  for (ItemId c : coded) out.push_back(recoding.new_to_old[c]);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-ClosedSetCallback MakeDecodingCallback(const Recoding& recoding,
-                                       ClosedSetCallback inner) {
-  // The recoding is copied so the callback stays valid beyond the caller's
-  // scope (miners may run asynchronously from the setup code).
-  std::vector<ItemId> new_to_old = recoding.new_to_old;
-  return [new_to_old = std::move(new_to_old),
-          inner = std::move(inner)](std::span<const ItemId> items,
-                                    Support support) {
-    std::vector<ItemId> decoded;
-    decoded.reserve(items.size());
-    for (ItemId c : items) decoded.push_back(new_to_old[c]);
-    std::sort(decoded.begin(), decoded.end());
-    inner(decoded, support);
-  };
 }
 
 }  // namespace fim

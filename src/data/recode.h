@@ -49,9 +49,10 @@ Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
                          Support min_item_support);
 
 /// The recoded database with one row per transaction: the rows of
-/// ApplyRecodingWeighted below, each repeated by its weight, so the rows
-/// and their order are the same. Only fimbench's `data.recode*` probe
-/// uses it; the closed miners mine the weighted rows.
+/// RecodeTables over FoldRows(db, FoldFor(transaction_order),
+/// num_threads, timeline), each repeated by its weight, so the rows and
+/// their order are the same. Only fimbench's `data.recode*` probe uses
+/// it; the closed miners mine the weighted rows.
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
                                   TransactionOrder transaction_order,
@@ -154,53 +155,29 @@ class RowFolder {
 /// folded by a RowFolder under `fold` into one table (under kHash every
 /// distinct row once, in the order of its first occurrence, weighted by
 /// its count). Timeline span "prefold"; with more than one chunk each is
-/// folded on a thread of its own, on lane "recode-prefold-N".
+/// folded on a thread of its own, on lane "recode-prefold-N". This is
+/// the input stage's one parallel step: RecodeTables runs on the calling
+/// thread.
 std::vector<WeightedTransactions> FoldRows(const TransactionDatabase& db,
                                            RowFold fold = RowFold::kHash,
                                            unsigned num_chunks = 1,
                                            obs::Timeline* timeline = nullptr);
 
-/// The weighted transaction stream every closed miner mines. Items are
-/// mapped through `recoding` (eliminated items dropped, codes ascending,
-/// rows left empty dropped), the rows are ordered by
-/// `transaction_order` (same-size rows lexicographically on their
-/// descending item sequence, as in the paper; kNone keeps the input
-/// order), and every run of equal adjacent rows is folded into one row
-/// weighted by the run length.
-///
-/// The database is cut into one chunk per thread (`num_threads`), and
-/// each chunk first folds its input rows under
-/// FoldFor(transaction_order) (FoldRows): equal input rows map to equal
-/// rows, so only the distinct ones are mapped and sorted. RecodeTables
-/// does the rest. The result is identical for every thread count.
-WeightedTransactions ApplyRecodingWeighted(const TransactionDatabase& db,
-                                           const Recoding& recoding,
-                                           TransactionOrder transaction_order,
-                                           unsigned num_threads = 1,
-                                           obs::Timeline* timeline = nullptr);
-
-/// The stages of ApplyRecodingWeighted after the chunk prefold, for any
-/// tables of raw rows that each hold distinct rows (under
+/// The weighted transaction stream every closed miner mines, from tables
+/// of raw rows that each hold distinct rows (under
 /// FoldFor(transaction_order)) with weights, in stream order: the chunks
-/// of FoldRows, or the panes of a stream miner. Maps every table's rows
-/// through `recoding` and folds them (timeline span "map"; with
-/// `num_threads` > 1 the tables are shared out over that many threads,
-/// lanes "recode-map-N"), folds the mapped tables together in order
-/// ("fold"), and orders the distinct rows by `transaction_order`
-/// ("sort"). Rows that map to the empty set are dropped.
+/// of FoldRows, or the panes of a stream miner. One pass maps every
+/// table's rows, in table order, through `recoding` (eliminated items
+/// dropped, codes ascending, rows left empty dropped) into one RowFolder
+/// under FoldFor(transaction_order); then the distinct rows are ordered
+/// by `transaction_order` (same-size rows lexicographically on their
+/// descending item sequence, as in the paper; kNone keeps the input
+/// order). A fold over the concatenated tables equals the fold of the
+/// folded tables, so the rows are the same for every cut of the input
+/// into tables.
 WeightedTransactions RecodeTables(
     std::span<const WeightedTransactions* const> tables,
-    const Recoding& recoding, TransactionOrder transaction_order,
-    unsigned num_threads = 1, obs::Timeline* timeline = nullptr);
-
-/// Maps mined item codes back to original item ids (sorted ascending).
-std::vector<ItemId> DecodeItems(std::span<const ItemId> coded,
-                                const Recoding& recoding);
-
-/// Wraps `inner` so that reported sets are translated back to original
-/// item ids before being forwarded.
-ClosedSetCallback MakeDecodingCallback(const Recoding& recoding,
-                                       ClosedSetCallback inner);
+    const Recoding& recoding, TransactionOrder transaction_order);
 
 }  // namespace fim
 

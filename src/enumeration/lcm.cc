@@ -42,7 +42,8 @@ struct Node {
 
 // The sequential core of the miner; parallel mode runs one per worker
 // over disjoint first-level subtrees (PPC extension makes the subtrees
-// independent: each closed set has a unique canonical parent). The
+// independent: each closed set has a unique canonical parent), each
+// built in its worker from the shared, prepared root. The
 // per-code weight and slot arrays and the node databases along the
 // search path belong to the miner and are reused from node to node.
 class LcmMiner {
@@ -57,6 +58,13 @@ class LcmMiner {
   void Mine(Node node, const ClosedSetCallback& sink) {
     Level(0) = std::move(node);
     Expand(0, sink);
+  }
+
+  // Reports the closed sets below slot s of the prepared `root`, if its
+  // extension is accepted; `root` is only read.
+  void MineSlot(const Node& root, std::size_t s,
+                const ClosedSetCallback& sink) {
+    if (Extend(root, s, &Level(0))) Expand(0, sink);
   }
 
   // Database reduction and occurrence deliver. One pass sums each code's
@@ -235,23 +243,16 @@ class LcmMiner {
 void MineParallel(Node root, std::size_t num_items, Support min_support,
                   unsigned num_threads, const ClosedSetCallback& callback,
                   MinerStats* stats, obs::MemoryBreakdown* memory) {
-  // The root's accepted children become the tasks, each carrying its
-  // database; their subtrees fan out to the workers.
-  std::vector<Node> tasks;
-  {
-    LcmMiner miner(num_items, min_support, stats);
-    miner.Prepare(root);
-    miner.Report(root, callback);
-    for (std::size_t s = 0; s < root.items.size(); ++s) {
-      Node task;
-      if (miner.Extend(root, s, &task)) tasks.push_back(std::move(task));
-    }
-    miner.RecordMemory(memory);
-  }
+  LcmMiner root_miner(num_items, min_support, stats);
+  root_miner.Prepare(root);
+  root_miner.Report(root, callback);
+  root_miner.RecordMemory(memory);
 
-  // One miner and one stats slot per worker; workers never share mutable
-  // state, the aggregation below happens after the join.
-  const std::size_t n = std::min<std::size_t>(num_threads, tasks.size());
+  // Task s is the root's slot s: its worker extends the shared root,
+  // which no thread writes from here on, and mines the child it accepts.
+  // One miner and one stats slot per worker; the aggregation below
+  // happens after the join.
+  const std::size_t n = std::min<std::size_t>(num_threads, root.items.size());
   std::vector<MinerStats> worker_stats(n);
   std::vector<LcmMiner> miners;
   miners.reserve(n);
@@ -262,9 +263,9 @@ void MineParallel(Node root, std::size_t num_items, Support min_support,
   // The calling thread emits the sets in task order as they arrive:
   // identical to the sequential DFS order.
   RunTasksInOrder(
-      tasks.size(), n,
-      [&](std::size_t w, std::size_t t, const ClosedSetCallback& sink) {
-        miners[w].Mine(std::move(tasks[t]), sink);
+      root.items.size(), n,
+      [&](std::size_t w, std::size_t s, const ClosedSetCallback& sink) {
+        miners[w].MineSlot(root, s, sink);
       },
       callback);
 

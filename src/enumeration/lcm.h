@@ -22,11 +22,14 @@ namespace fim {
 ///
 /// The core MineClosed (api/miner.h) runs for Algorithm::kLcm on the
 /// weighted stream its recipe builds; the stream becomes the root's
-/// database. options.num_threads > 1 turns the root's accepted extensions
-/// into tasks, each carrying its node database, and mines them on that
-/// many threads; the output, its order included, is the sequential
-/// run's. options.memory receives the largest node database with its row
-/// bitsets ("node-database").
+/// database. With options.num_threads > 1 the calling thread prepares
+/// and reports the root, and each of the root's items becomes a task:
+/// a worker tests its extension on the shared, read-only root, then
+/// builds and mines the child's database, so a worker holds the
+/// databases of one search path at a time. The output, its order
+/// included, and the counters are the sequential run's. options.memory
+/// receives the largest node database with its row bitsets
+/// ("node-database").
 void MineLcm(WeightedTransactions rows, std::size_t num_items,
              const MinerOptions& options, const ClosedSetCallback& callback,
              MinerStats* stats, obs::Trace* trace);

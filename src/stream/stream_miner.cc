@@ -1,5 +1,6 @@
 #include "stream/stream_miner.h"
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
@@ -102,10 +103,19 @@ Status StreamMiner::Query(Support min_support,
   tables.reserve(frozen.completed.size() + 1);
   for (const Pane& pane : frozen.completed) tables.push_back(pane.get());
   tables.push_back(&frozen.filling);
+  // The query's item tables span the items the panes hold, not the
+  // ingest bound: a row's last item is its largest, and no pane row is
+  // empty.
+  std::size_t num_items = 0;
+  for (const WeightedTransactions* table : tables) {
+    for (std::size_t r = 0; r < table->NumRows(); ++r) {
+      num_items = std::max<std::size_t>(num_items, table->Row(r).back() + 1);
+    }
+  }
   MinerOptions options;
   options.min_support = min_support;
   options.timeline = options_.timeline;
-  return MineClosed(tables, options_.max_items, options, callback,
+  return MineClosed(tables, num_items, options, callback,
                     /*stats=*/nullptr, options_.trace);
 }
 

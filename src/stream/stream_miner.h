@@ -35,7 +35,8 @@ class Trace;
 ///    Expiring a pane simply drops its rows, and every snapshot is exact.
 struct StreamMinerOptions {
   /// Capacity of the item universe; every ingested item id must be below
-  /// it. Must be > 0.
+  /// it. Must be > 0. It bounds ingest only: a query sizes its item
+  /// tables to 1 + the largest item the covered rows hold.
   std::size_t max_items = 0;
 
   /// Transactions per tumbling pane; 0 selects landmark mode.

@@ -443,6 +443,16 @@ TEST(StreamMinerTest, RejectsBadInput) {
   EXPECT_TRUE(empty.value().empty());
 }
 
+TEST(StreamMinerTest, QueriesAtTheItemBoundMatchBatch) {
+  // A query sizes its item tables to the largest item the covered rows
+  // hold: max_items - 1 at first, and smaller in the window once the
+  // panes that held it have expired.
+  const Stream stream = {{0, 9}, {1, 9}, {0, 1, 9}, {0, 9}, {0, 1},
+                         {1, 2}, {0, 1}, {0, 2}, {1}};
+  ExpectLandmarkMatchesBatch(stream, 10);
+  ExpectWindowMatchesOracle(stream, 10, 2, 2);
+}
+
 // --- landmark mode against the subset oracle, after every prefix ------
 
 TEST(IncrementalTest, MatchesBatchAfterEveryPrefix) {

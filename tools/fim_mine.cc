@@ -10,9 +10,10 @@
 //             fpclose | lcm | charm (default: ista)
 //   -s N      absolute minimum support, at least 1 (default: 2)
 //   -S P      relative minimum support in percent (overrides -s)
-//   -t N      worker threads of every algorithm's recoding, and of
-//             lcm's mining, at most 1024; output is identical to the
-//             sequential run                      (default: 1)
+//   -t N      threads of the input's prefold (every algorithm but
+//             charm and fpclose, which fold in one chunk) and of lcm's
+//             and carpenter-table's mining, at most 1024; output is
+//             identical to the sequential run     (default: 1)
 //   -m        report only maximal frequent item sets
 //   -q        quiet: no stats on stderr
 //   --stats[=text|json]
@@ -27,7 +28,7 @@
 //             write the stats report to PATH instead of stderr
 //   --trace-out=PATH
 //             record a per-thread event timeline (driver phases plus one
-//             lane per recoding worker) and write it as
+//             lane per prefold thread) and write it as
 //             Chrome trace-event JSON to PATH — load in chrome://tracing
 //             or https://ui.perfetto.dev
 //   --mem-stats

@@ -56,8 +56,11 @@ int RunSelfCheck(const fim::TransactionDatabase& db) {
   // validate after the final insertion.
   const Recoding recoding =
       ComputeRecoding(db, ItemOrder::kFrequencyAscending, 1);
+  const std::vector<WeightedTransactions> folded =
+      FoldRows(db, FoldFor(TransactionOrder::kNone));
+  const WeightedTransactions* const table = &folded.front();
   const WeightedTransactions rows =
-      ApplyRecodingWeighted(db, recoding, TransactionOrder::kNone);
+      RecodeTables({&table, 1}, recoding, TransactionOrder::kNone);
   IstaPrefixTree tree(recoding.num_kept(), SparseEnoughForSignatures(rows));
   for (std::size_t r = 0; r < rows.NumRows(); ++r) {
     tree.AddTransaction(rows.Row(r), rows.weights[r]);

@@ -104,10 +104,11 @@ inline double ParseNonNegative(const char* flag, const char* text) {
                    [](double v) { return v >= 0.0; });
 }
 
-/// The most threads a tool may be asked for. The recoding starts one
-/// thread per chunk, min(threads, rows) of them, so a larger count
-/// would start that many threads on a large input; every caller in the
-/// repository uses at most 8.
+/// The most threads a tool may be asked for. The input's prefold
+/// (FoldRows) starts one thread per chunk, min(threads, rows) of them,
+/// and LCM and Carpenter table min(threads, tasks) workers, so a larger
+/// count would start that many threads on a large input; every caller
+/// in the repository uses at most 8.
 inline constexpr unsigned kMaxThreads = 1024;
 
 /// True when `arg` is spelled like a flag (a leading '-', other than "-"
